@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import cache as cachemod
-from .curve import check_hypotheses, load_curve
+from .curve import check_hypotheses, load_curve, require_hypotheses
 from .errors import (
     CorrectnessAlarm,
     HypothesisViolation,
@@ -21,9 +21,9 @@ from .errors import (
 )
 from .kolyvagin import kurihara_number_direct, kurihara_number_via_ed, sieve
 from .mazurtate import theta, vartheta, xi_tilde
-from .modsym import build_space, extract_eigensymbol, symbol_from_json, symbol_to_json
+from .modsym import build_space, extract_eigensymbol, symbol_from_json
 from .verifiers import span_two_covering_witness, run_identity_suite, verify_coset_lemma
-from .search import attach_parity, find_delta_minimal, selmer_report
+from .search import DeltaReport, attach_parity, find_delta_minimal, selmer_report
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 2
@@ -130,7 +130,7 @@ def _load_symbol(args, E):
     space = build_space(E.conductor)
     sym = extract_eigensymbol(space, E, calibrate=calibrate)
     if cache:
-        cache.put(key, symbol_to_json(sym))
+        cache.put(key, sym.to_json())
     return sym
 
 
@@ -211,18 +211,9 @@ def _dispatch(args):
 
     if cmd == "report":
         with open(args.path) as f:
-            obj = json.load(f)
-        p = obj["p"]
-        for d in obj["delta_minimal"]:
-            row = next(r for r in obj["delta_table"] if r["d"] == d)
-            if row["delta"] % p == 0:
-                raise CorrectnessAlarm(f"recorded minimal {d} has delta = 0")
-            for r in obj["delta_table"]:
-                if r["d"] != d and d % r["d"] == 0 and r["delta"] % p != 0:
-                    raise CorrectnessAlarm(
-                        f"proper divisor {r['d']} of minimal {d} has delta != 0"
-                    )
-        _emit(args, obj, _report_text(obj))
+            report = DeltaReport.from_json(json.load(f))
+        report.verify_minimal()
+        _emit(args, report.to_json(), report.to_text())
         return EXIT_OK
 
     E = _load_curve(args)
@@ -233,11 +224,7 @@ def _dispatch(args):
         return EXIT_OK if rep.passed else EXIT_HYPOTHESIS
 
     if cmd == "sieve":
-        rep = check_hypotheses(E, args.p)
-        if not rep.passed:
-            raise HypothesisViolation(
-                f"hypotheses fail for ({E}, p={args.p}): {rep.to_json()}"
-            )
+        require_hypotheses(E, args.p)
         primes = sieve(E, args.p, args.m, args.n, args.bound, workers=args.workers)
         out = [
             {"ell": kp.ell, "generator": kp.generator, "p_part": kp.p_part_order}
@@ -275,11 +262,7 @@ def _dispatch(args):
         return EXIT_OK
 
     if cmd == "delta":
-        rep = check_hypotheses(E, args.p)
-        if not rep.passed:
-            raise HypothesisViolation(
-                f"hypotheses fail for ({E}, p={args.p}): {rep.to_json()}"
-            )
+        require_hypotheses(E, args.p)
         sym = _load_symbol(args, E)
         primes = sieve(E, args.p, args.m, args.n, args.bound, workers=args.workers)
         registry = {kp.ell: kp for kp in primes}
@@ -294,11 +277,7 @@ def _dispatch(args):
         return EXIT_OK
 
     if cmd == "search":
-        require = check_hypotheses(E, args.p)
-        if not require.passed:
-            raise HypothesisViolation(
-                f"hypotheses fail for ({E}, p={args.p}): {require.to_json()}"
-            )
+        require_hypotheses(E, args.p)
         sym = _load_symbol(args, E)
         cache = _cache(args)
         key = cachemod.cache_key(
@@ -307,7 +286,7 @@ def _dispatch(args):
                 "ainvs": list(E.ainvs()), "p": args.p, "m": args.m,
                 "prime_bound": args.prime_bound, "nu_max": args.nu_max,
                 "exhaustive": args.exhaustive, "root_number": args.root_number,
-                "eigensymbol": symbol_to_json(sym),
+                "eigensymbol": sym.to_json(),
             },
         )
         obj = cache.get(key) if cache else None
@@ -323,13 +302,12 @@ def _dispatch(args):
             )
             report = selmer_report(report)
             attach_parity(report, sym, w_override=args.root_number)
-            obj = report.to_json()
-            text = report.to_text()
             if cache:
-                cache.put(key, obj)
+                cache.put(key, report.to_json())
         else:
-            text = _report_text(obj)
-        _emit(args, obj, text)
+            report = DeltaReport.from_json(obj)
+            report.verify_minimal()
+        _emit(args, report.to_json(), report.to_text())
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {cmd}")
@@ -342,15 +320,6 @@ def _hypothesis_text(E, rep):
     lines.append(f"  (c) p | Tamagawa: {'ok' if rep.tamagawa_ok else 'FAIL'}")
     lines.append(f"  (b) mod-p surjectivity: {rep.surjectivity}")
     lines.append(f"  overall: {'pass' if rep.passed else 'fail'}")
-    return "\n".join(lines)
-
-
-def _report_text(obj):
-    lines = [f"curve {obj['curve']}, p = {obj['p']}"]
-    for row in obj["delta_table"]:
-        mark = " *" if row["d"] in obj["delta_minimal"] else ""
-        lines.append(f"  delta_{row['d']} = {row['delta']}{mark}")
-    lines.append(f"selmer_dim = {obj['selmer_dim']}, parity = {obj['parity']}")
     return "\n".join(lines)
 
 

@@ -316,7 +316,7 @@ def ap_table(E, bound):
         if cached is None:
             cached = ApTable({}, set())
             _ap_cache[key] = cached
-    missing = [l for l in _primes_upto(bound) if l not in cached.good and l not in cached.bad]
+    missing = [l for l in primes_upto(bound) if l not in cached.good and l not in cached.bad]
     if missing:
         newgood, newbad = {}, set()
         for l in missing:
@@ -333,17 +333,13 @@ def ap_table(E, bound):
     )
 
 
-def _primes_upto(n):
+def primes_upto(n):
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\x00\x00"
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(2, n + 1) if sieve[i]]
-
-
-def primes_upto(n):
-    return _primes_upto(n)
 
 
 # ---------------------------------------------------------------------------

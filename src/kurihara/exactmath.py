@@ -75,10 +75,6 @@ def factorize(n):
     return out
 
 
-def squarefree_part_is_trivial(n):
-    return all(e == 1 for e in factorize(n).values())
-
-
 def primitive_root(q, e=1):
     """Smallest primitive root modulo q^e for an odd prime q (or q^e in {2,4})."""
     mod = q**e
@@ -217,9 +213,6 @@ class AbelianGroup:
     def inv(self, a):
         return tuple(-x % n for x, n in zip(a, self.orders))
 
-    def pow(self, a, k):
-        return tuple(x * k % n for x, n in zip(a, self.orders))
-
     def elements(self):
         if self._elements is None:
             elems = [()]
@@ -227,12 +220,6 @@ class AbelianGroup:
                 elems = [e + (i,) for e in elems for i in range(n)]
             self._elements = [tuple(e) for e in elems]
         return self._elements
-
-    def element_order(self, a):
-        k = 1
-        for x, n in zip(a, self.orders):
-            k = k * (n // gcd(x, n)) // gcd(k, n // gcd(x, n))
-        return k
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and other.orders == self.orders
@@ -581,11 +568,6 @@ class GroupRingElement:
         )
 
 
-def group_ring_mul(x, y):
-    """Convolution product (spec surface for GroupRingElement.__mul__)."""
-    return x * y
-
-
 def norm_map(x, hom):
     """Lift x in R[H] along the surjection hom: G -> H by summing each fiber."""
     if x.group != hom.codomain:
@@ -632,16 +614,8 @@ def mat_mul(a, b):
                         oi[j] += c * bt[j]
     return out
 
-def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
 def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def identity_matrix(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def rref(rows):
@@ -839,69 +813,3 @@ def solve_residue(rows, rhs, ring):
         if acc != ring.coerce(rhs[i]):
             return None
     return sol
-
-
-def residue_kernel_basis(rows, ring, ncols=None):
-    """Right-kernel generators over Z/p^m from the unit-pivot echelon form."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    mat, pivots, nonunit = residue_echelon(rows, ring)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [ring.zero] * ncols
-        v[f] = ring.one
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = ring.zero
-            for j in range(c + 1, ncols):
-                if v[j]:
-                    s = ring.add(s, ring.mul(mat[r][j], v[j]))
-            v[c] = ring.neg(s)
-        basis.append(v)
-    return basis, nonunit
-
-
-class ExactMatrix:
-    """Dense rectangular matrix with homogeneous Rational or Z/p^m entries."""
-
-    def __init__(self, entries, ring=QQ):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        assert all(len(row) == self.cols for row in self.entries)
-        self.ring = ring
-
-    def kernel_basis(self):
-        if self.ring == QQ:
-            return kernel_basis(self.entries, self.cols)
-        basis, nonunit = residue_kernel_basis(self.entries, self.ring, self.cols)
-        if nonunit:
-            raise NotAUnit(
-                f"no unit pivot in columns {nonunit}; kernel over {self.ring} "
-                f"is not free on the remaining columns"
-            )
-        return basis
-
-    def rank(self):
-        if self.ring == QQ:
-            return matrix_rank(self.entries)
-        _, pivots, _ = residue_echelon(self.entries, self.ring)
-        return len(pivots)
-
-    def mul_vec(self, v):
-        if self.ring == QQ:
-            return mat_vec(self.entries, v)
-        out = []
-        for row in self.entries:
-            acc = self.ring.zero
-            for c, x in zip(row, v):
-                acc = self.ring.add(acc, self.ring.mul(self.ring.coerce(c), x))
-            out.append(acc)
-        return out
-
-    def __mul__(self, other):
-        assert self.ring == other.ring == QQ
-        return ExactMatrix(mat_mul(self.entries, other.entries))

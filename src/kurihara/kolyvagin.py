@@ -27,6 +27,7 @@ from .exactmath import (
     is_prime,
     primitive_root,
 )
+from .modsym import eval_plus
 
 DLOG_TABLE_LIMIT = 1 << 16  # full table below, baby-step/giant-step above
 
@@ -134,13 +135,13 @@ def sieve(E, p, m, n, bound, hypothesis_report=None, workers=1):
     ]
 
 
-def _factors_of(d, primes):
+def _factors_of(d, registry):
     fac = factorize(d)
     if any(e > 1 for e in fac.values()):
         raise NotSquarefree(f"{d} is not squarefree")
     ells = sorted(fac)
     for ell in ells:
-        if ell not in primes:
+        if ell not in registry:
             raise PrimeNotKolyvagin(f"{ell} | d was not produced by the sieve")
     return ells
 
@@ -169,7 +170,21 @@ class KuriharaNumber:
         }
 
 
-def kurihara_number_direct(symbol, primes, d, p=None, m=1):
+def _theta_residues(symbol, d, ring):
+    """Yield (a, [a/d]^+ in Z/p^m) for the units a mod d, in increasing order."""
+    for a in range(1, d + 1):
+        if gcd(a, d) != 1:
+            continue
+        try:
+            coeff = ring.coerce(eval_plus(symbol, a, d))
+        except DenominatorDivisibleByP as exc:
+            raise DenominatorDivisibleByP(
+                f"theta at level {d} is not p-integral: {exc}"
+            ) from exc
+        yield a, coeff
+
+
+def kurihara_number_direct(symbol, registry, d, p, m=1):
     """delta_d as the plain weighted sum over units a mod d.
 
     Weights are products over l | d of the discrete log of a base h_l, taken
@@ -177,92 +192,68 @@ def kurihara_number_direct(symbol, primes, d, p=None, m=1):
     taken straight from the plus-symbol values, with no group-ring machinery,
     so it stays independent of the via-e_d route.
     """
-    from math import gcd as _gcd
-
-    from .modsym import eval_plus
-
-    primes = {kp.ell: kp for kp in primes} if not isinstance(primes, dict) else primes
-    p = p if p is not None else next(iter(primes.values())).p if primes else None
-    assert p is not None, "p must be supplied when the prime set is empty"
     ring = ResidueRing(p, m)
-    ells = _factors_of(d, primes) if d > 1 else []
-    pk = p**m
+    pk = ring.modulus
+    ells = _factors_of(d, registry)
     total = 0
-    for a in range(1, d + 1):
-        if d > 1 and _gcd(a, d) != 1:
-            continue
-        try:
-            coeff = ring.coerce(eval_plus(symbol, a, d))
-        except DenominatorDivisibleByP as exc:
-            raise DenominatorDivisibleByP(
-                f"theta at level {d} is not p-integral: {exc}"
-            ) from exc
+    for a, coeff in _theta_residues(symbol, d, ring):
         if not coeff:
             continue
         weight = 1
         for ell in ells:
-            weight = weight * primes[ell].dlog_mod(a, pk) % pk
+            weight = weight * registry[ell].dlog_mod(a, pk) % pk
         total = (total + coeff * weight) % pk
-    gens = {ell: primes[ell].generator for ell in ells}
+    gens = {ell: registry[ell].generator for ell in ells}
     return KuriharaNumber(d, tuple(ells), total, p, m, "direct", gens)
 
 
-def _project_theta(symbol, primes, d, p, m):
-    """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], via per-prime discrete logs.
+def _project_theta(symbol, registry, d, ring):
+    """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], its primes, and e_d.
 
     Gal(Q(d)/Q) = prod of the p-parts G_l; sigma_a lands on the tuple of
-    discrete logs of a reduced mod the p-part orders.
+    discrete logs of a reduced mod the p-part orders.  e_d = #Gal(Q(mu_d)/Q(d))
+    is the prime-to-p index prod (l - 1)/|G_l|.
     """
-    from math import gcd as _gcd
-
-    from .modsym import eval_plus
-
-    ells = _factors_of(d, primes) if d > 1 else []
-    orders = [primes[ell].p_part_order for ell in ells]
-    quotient = AbelianGroup(tuple(orders))
-    ring = ResidueRing(p, m)
+    ells = _factors_of(d, registry)
+    orders = [registry[ell].p_part_order for ell in ells]
     coeffs = {}
-    for a in range(1, d + 1):
-        if d > 1 and _gcd(a, d) != 1:
-            continue
-        try:
-            coeff = ring.coerce(eval_plus(symbol, a, d))
-        except DenominatorDivisibleByP as exc:
-            raise DenominatorDivisibleByP(
-                f"theta at level {d} is not p-integral: {exc}"
-            ) from exc
-        key = tuple(
-            primes[ell].dlog(a) % orders[i] for i, ell in enumerate(ells)
-        )
+    for a, coeff in _theta_residues(symbol, d, ring):
+        key = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         coeffs[key] = (coeffs.get(key, 0) + coeff) % ring.modulus
-    return GroupRingElement(quotient, ring, coeffs), quotient, ells, orders
+    e_d = 1
+    for ell, n in zip(ells, orders):
+        e_d *= (ell - 1) // n
+    return GroupRingElement(AbelianGroup(orders), ring, coeffs), ells, e_d
 
 
-def kurihara_number_via_ed(symbol, primes, d, p=None, m=1):
+def _log_weighted_sum(projected, e_d, modulus):
+    """sum over sigma of a_sigma prod_l log_{g_l}(sigma), mod `modulus`.
+
+    g_l is the image of h_l^{e_d}, so each coordinate (a log to h_l) is
+    multiplied by e_d^{-1}.
+    """
+    ed_inv = pow(e_d, -1, modulus)
+    total = 0
+    for g, coeff in projected.coeffs.items():
+        weight = 1
+        for coord in g:
+            weight = weight * (coord * ed_inv) % modulus
+        total = (total + coeff * weight) % modulus
+    return total
+
+
+def kurihara_number_via_ed(symbol, registry, d, p, m=1):
     """delta_d through the p-part quotient and transported generators.
 
     theta_d is pushed to Z/p^m[Gal(Q(d)/Q)]; logs are taken to the base
     g_l = image of h_l^{e_d} with e_d = #Gal(Q(mu_d)/Q(d)), and the unit
     e_d^{nu(d)} rescales the sum back to the direct-route value.
     """
-    primes = {kp.ell: kp for kp in primes} if not isinstance(primes, dict) else primes
-    p = p if p is not None else next(iter(primes.values())).p if primes else None
-    assert p is not None
-    pk = p**m
-    projected, quotient, ells, orders = _project_theta(symbol, primes, d, p, m)
-    e_d = 1
-    for ell in ells:
-        e_d *= (ell - 1) // primes[ell].p_part_order
-    # log base g_l = image of h_l^{e_d}: coordinate times e_d^{-1}
-    ed_inv = pow(e_d, -1, pk)
-    total = 0
-    for g, coeff in projected.coeffs.items():
-        weight = 1
-        for coord in g:
-            weight = weight * (coord * ed_inv) % pk
-        total = (total + coeff * weight) % pk
-    total = total * pow(e_d % pk, len(ells), pk) % pk
-    gens = {ell: primes[ell].generator for ell in ells}
+    ring = ResidueRing(p, m)
+    pk = ring.modulus
+    projected, ells, e_d = _project_theta(symbol, registry, d, ring)
+    total = _log_weighted_sum(projected, e_d, pk) * pow(e_d, len(ells), pk) % pk
+    gens = {ell: registry[ell].generator for ell in ells}
     return KuriharaNumber(d, tuple(ells), total, p, m, "via_ed", gens)
 
 
@@ -274,24 +265,18 @@ class DerivativeData:
     nonzero: bool           # D_d theta_d mod p != 0 as a whole element
 
 
-def derivative_data(symbol, primes, d, p=None):
+def derivative_data(symbol, registry, d, p):
     """Literal expansion of D_d theta_d in F_p[Gal(Q(d)/Q)].
 
     D_l = sum i g_l^i with g_l the image of h_l^{e_d}; the product of the D_l
     is convolved against the projected theta_d and compared with the closed
     form (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) times the norm element.
     """
-    primes = {kp.ell: kp for kp in primes} if not isinstance(primes, dict) else primes
-    p = p if p is not None else next(iter(primes.values())).p if primes else None
-    assert p is not None
-    projected, quotient, ells, orders = _project_theta(symbol, primes, d, p, 1)
     ring = ResidueRing(p, 1)
-    e_d = 1
-    for ell in ells:
-        e_d *= (ell - 1) // primes[ell].p_part_order
+    projected, ells, e_d = _project_theta(symbol, registry, d, ring)
+    quotient = projected.group
     deriv = GroupRingElement.one(quotient, ring)
-    for i, ell in enumerate(ells):
-        order = orders[i]
+    for i, order in enumerate(quotient.orders):
         gl = tuple(e_d % order if j == i else 0 for j in range(len(ells)))
         term = {}
         acc = quotient.identity
@@ -302,14 +287,7 @@ def derivative_data(symbol, primes, d, p=None):
         deriv = deriv * GroupRingElement(quotient, ring, term)
     expansion = deriv * projected
 
-    ed_inv = pow(e_d, -1, p)
-    closed = 0
-    for g, coeff in projected.coeffs.items():
-        weight = 1
-        for coord in g:
-            weight = weight * (coord * ed_inv) % p
-        closed = (closed + coeff * weight) % p
-    closed = closed * pow(p - 1, len(ells), p) % p
+    closed = _log_weighted_sum(projected, e_d, p) * pow(p - 1, len(ells), p) % p
 
     is_multiple = all(expansion.coefficient(g) == closed for g in quotient.elements())
     return DerivativeData(
@@ -318,9 +296,3 @@ def derivative_data(symbol, primes, d, p=None):
         is_norm_multiple=is_multiple,
         nonzero=not expansion.is_zero(),
     )
-
-
-def derivative_oracle(symbol, primes, d, p=None):
-    """(coefficient of N_d in D_d theta_d mod p, closed-form consistency check)."""
-    data = derivative_data(symbol, primes, d, p)
-    return data.norm_coefficient, data.is_norm_multiple

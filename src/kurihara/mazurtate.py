@@ -26,6 +26,7 @@ from .exactmath import (
     norm_map,
     unit_group,
     unit_reduction,
+    xgcd,
 )
 from .modsym import eval_plus
 
@@ -147,16 +148,10 @@ def _sigma_ell(group, ell):
     if rest == 1:
         return group.identity
     # CRT: x = 1 mod ell^v, x = ell mod rest
-    g, u, w = _xgcd(lv, rest)
+    g, u, w = xgcd(lv, rest)
     assert g == 1
     x = (1 * w * rest + (ell % rest) * u * lv) % D
     return group.sigma(x)
-
-
-def _xgcd(a, b):
-    from .exactmath import xgcd
-
-    return xgcd(a, b)
 
 
 def stabilization_scalar(group, root):

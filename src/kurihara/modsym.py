@@ -97,10 +97,6 @@ class P1List:
         return self._index[r]
 
 
-def build_p1(N):
-    return P1List(N)
-
-
 # ---------------------------------------------------------------------------
 # cusps
 
@@ -396,11 +392,6 @@ def build_space(N, sign=+1):
     return ManinSpace(N, sign)
 
 
-def hecke_operator(space, q):
-    """Matrix of T_q on the cuspidal plus quotient (q coprime to the level)."""
-    return space.hecke_cuspidal(q)
-
-
 # ---------------------------------------------------------------------------
 # eigensymbol
 
@@ -629,10 +620,6 @@ def fricke_eigenvalue(symbol):
 
 # ---------------------------------------------------------------------------
 # cache round-trip
-
-
-def symbol_to_json(symbol):
-    return symbol.to_json()
 
 
 def symbol_from_json(obj, E):

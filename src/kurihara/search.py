@@ -8,13 +8,17 @@ nonvanishing d, and the parity verdict compares (-1)^nu(d) with the root
 number.
 """
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .curve import require_hypotheses
-from .errors import CorrectnessAlarm, MissingRootNumber, SearchExhausted
+from .errors import (
+    CorrectnessAlarm,
+    FrickeNotScalar,
+    MissingRootNumber,
+    SearchExhausted,
+)
 from .kolyvagin import (
     derivative_data,
     kurihara_number_direct,
@@ -41,6 +45,16 @@ class DeltaRow:
             "generators": {str(l): g for l, g in self.generators.items()},
         }
 
+    @classmethod
+    def from_json(cls, obj):
+        return cls(
+            obj["d"],
+            tuple(obj["factors"]),
+            obj["delta"],
+            obj["routes_agree"],
+            {int(l): g for l, g in obj["generators"].items()},
+        )
+
 
 @dataclass
 class DeltaReport:
@@ -60,18 +74,26 @@ class DeltaReport:
     provenance: dict = field(default_factory=dict)
 
     def verify_minimal(self):
-        """Re-check the delta-minimal rows against the stored table."""
+        """Re-check the delta-minimal rows against the stored table.
+
+        Raises CorrectnessAlarm when a recorded minimal d is missing or has
+        delta_d = 0 in Z/p^m, when a proper divisor of it has delta != 0, or
+        when two minimal witnesses differ in nu.
+        """
+        pk = self.p**self.m
         nus = set()
         for d in self.delta_minimal:
-            row = self.table[d]
-            assert row.delta % self.p != 0, f"{d} recorded minimal but delta = 0"
-            for e in self.table:
-                if e != d and d % e == 0:
-                    assert self.table[e].delta % self.p == 0, (
+            row = self.table.get(d)
+            if row is None or row.delta % pk == 0:
+                raise CorrectnessAlarm(f"recorded minimal {d} has delta = 0 or no row")
+            for e, other in self.table.items():
+                if e != d and d % e == 0 and other.delta % pk != 0:
+                    raise CorrectnessAlarm(
                         f"proper divisor {e} of minimal {d} has delta != 0"
                     )
             nus.add(len(row.factors))
-        assert len(nus) <= 1, f"delta-minimal witnesses with distinct nu: {nus}"
+        if len(nus) > 1:
+            raise CorrectnessAlarm(f"delta-minimal witnesses with distinct nu: {nus}")
         return True
 
     def to_json(self):
@@ -91,6 +113,26 @@ class DeltaReport:
             "root_number": self.root_number,
             "provenance": self.provenance,
         }
+
+    @classmethod
+    def from_json(cls, obj):
+        """Inverse of to_json."""
+        return cls(
+            curve=obj["curve"],
+            p=obj["p"],
+            m=obj["m"],
+            prime_bound=obj["prime_bound"],
+            nu_max=obj["nu_max"],
+            sieved=tuple(obj["sieved_primes"]),
+            table={row["d"]: DeltaRow.from_json(row) for row in obj["delta_table"]},
+            delta_minimal=tuple(obj["delta_minimal"]),
+            selmer_dim=obj["selmer_dim"],
+            upper_bound=obj["upper_bound"],
+            imc_witness=obj["imc_witness"],
+            parity=obj["parity"],
+            root_number=obj["root_number"],
+            provenance=obj["provenance"],
+        )
 
     def to_text(self):
         lines = [
@@ -272,7 +314,8 @@ def attach_parity(report, symbol, w_override=None):
         return parity_check(report, w_override)
     try:
         w = root_number_fricke(symbol)
-    except Exception:
+    except FrickeNotScalar as exc:
         report.parity = "skipped"
+        report.provenance["parity_skipped"] = str(exc)
         return "skipped"
     return parity_check(report, w)

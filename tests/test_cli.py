@@ -1,15 +1,27 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from kurihara.cli import main
 
-CURVES = os.path.join(os.path.dirname(__file__), "..", "curves")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CURVES = os.path.join(ROOT, "curves")
 
 
 def curve_path(name):
     return os.path.join(CURVES, f"{name}.json")
+
+
+# the README's rank-one golden run
+SEARCH_37 = ["search", "--curve", curve_path("37a1"), "--p", "5",
+             "--prime-bound", "300", "--nu-max", "2"]
 
 
 class TestExitCodes:
@@ -79,15 +91,16 @@ class TestSubcommands:
         assert out["group"] == [2]
 
     def test_report_round_trip(self, tmp_path, capsys):
-        code = main(
-            ["search", "--curve", curve_path("37a1"), "--p", "5",
-             "--prime-bound", "300", "--nu-max", "2", "--format", "json"]
-        )
-        assert code == 0
+        assert main(SEARCH_37) == 0
+        text = capsys.readouterr().out
+        assert main(SEARCH_37 + ["--format", "json"]) == 0
         report = capsys.readouterr().out
         path = tmp_path / "rep.json"
         path.write_text(report)
         assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["report", str(path), "--format", "json"]) == 0
+        assert capsys.readouterr().out == report
 
 
 class TestCaching:
@@ -147,11 +160,12 @@ class TestFlags:
         # uncalibrated: the raw integral functional value, not 1/5
         assert out["coeffs"][0][1] != "1/5"
 
-    def test_search_result_cached(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_search_result_cached(self, tmp_path, capsys, fmt):
         cache_dir = str(tmp_path / "c")
         args = ["search", "--curve", curve_path("11a1"), "--p", "7",
                 "--prime-bound", "200", "--nu-max", "1",
-                "--cache-dir", cache_dir, "--format", "json"]
+                "--cache-dir", cache_dir, "--format", fmt]
         assert main(args) == 0
         first = capsys.readouterr().out
         kinds = len(os.listdir(cache_dir))
@@ -168,3 +182,64 @@ class TestFlags:
         names = [s["name"] for s in out["suites"]]
         assert names == ["coset_verifier", "identity_suite"]
         assert all(s["failures"] == 0 for s in out["suites"])
+
+
+@pytest.fixture(scope="module")
+def saved_search(tmp_path_factory):
+    """The golden 37a1 search run once with a cache: (cache dir, JSON report)."""
+    cache_dir = str(tmp_path_factory.mktemp("cache"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(SEARCH_37 + ["--cache-dir", cache_dir, "--format", "json"]) == 0
+    return cache_dir, json.loads(out.getvalue())
+
+
+def _corrupt(report, kind):
+    """Zero the minimal row 61, or make its proper divisor 1 nonzero."""
+    d, delta = {"zero_minimal": (61, 0), "nonzero_divisor": (1, 1)}[kind]
+    (row,) = [row for row in report["delta_table"] if row["d"] == d]
+    row["delta"] = delta
+
+
+class TestReverification:
+    @pytest.mark.parametrize("optimize", [False, True], ids=["in_process", "python_O"])
+    @pytest.mark.parametrize("where", ["report", "cache_hit"])
+    @pytest.mark.parametrize("kind", ["zero_minimal", "nonzero_divisor"])
+    def test_broken_minimality_exits_3(self, saved_search, tmp_path, kind, where, optimize):
+        cache_dir, saved = saved_search
+        if where == "report":
+            report = copy.deepcopy(saved)
+            _corrupt(report, kind)
+            path = tmp_path / "rep.json"
+            path.write_text(json.dumps(report))
+            argv = ["report", str(path)]
+        else:
+            work = tmp_path / "cache"
+            shutil.copytree(cache_dir, work)
+            corrupted = 0
+            for entry_path in work.iterdir():
+                entry = json.loads(entry_path.read_text())
+                if "delta_table" in entry["value"]:
+                    _corrupt(entry["value"], kind)
+                    entry_path.write_text(json.dumps(entry))
+                    corrupted += 1
+            assert corrupted == 1
+            argv = SEARCH_37 + ["--cache-dir", str(work)]
+        if optimize:
+            # -O strips assert statements; the verifier must not rely on them
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "kurihara.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            code, err = proc.returncode, proc.stderr
+        else:
+            err_buf = io.StringIO()
+            with contextlib.redirect_stderr(err_buf):
+                code = main(argv)
+            err = err_buf.getvalue()
+        assert code == 3
+        assert "CORRECTNESS ALARM" in err

@@ -8,7 +8,6 @@ from kurihara.errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
 from kurihara.kolyvagin import (
     KolyvaginPrime,
     derivative_data,
-    derivative_oracle,
     kolyvagin_predicate,
     kurihara_number_direct,
     kurihara_number_via_ed,
@@ -138,9 +137,9 @@ class TestKuriharaNumbers:
 
 class TestDerivativeOracle:
     def test_d_one_is_theta_mod_p(self, sym11, reg11):
-        coeff, good = derivative_oracle(sym11, reg11, 1, 7)
-        assert good
-        assert coeff == 3
+        data = derivative_data(sym11, reg11, 1, 7)
+        assert data.is_norm_multiple
+        assert data.norm_coefficient == 3
 
     def test_lemma_38_closed_form_small_products(self, sym37, reg37):
         ells = sorted(reg37)

@@ -13,24 +13,22 @@ from kurihara.errors import (
 )
 from kurihara.exactmath import mat_mul, mat_transpose
 from kurihara.modsym import (
-    build_p1,
+    P1List,
     build_space,
     eval_plus,
     extract_eigensymbol,
     fricke_eigenvalue,
-    hecke_operator,
     merel_matrices,
     symbol_from_json,
-    symbol_to_json,
 )
 
 
 class TestP1:
     def test_sizes(self):
         # |P^1(Z/N)| = N prod (1 + 1/q)
-        assert len(build_p1(1)) == 1
-        assert len(build_p1(11)) == 12
-        assert len(build_p1(12)) == 24
+        assert len(P1List(1)) == 1
+        assert len(P1List(11)) == 12
+        assert len(P1List(12)) == 24
 
     def test_direct_orbit_enumeration_oracle(self):
         # compare against brute-force orbit counting under unit scaling
@@ -45,10 +43,10 @@ class TestP1:
             orbits = set()
             for c, d in pairs:
                 orbits.add(min((u * c % N, u * d % N) for u in units))
-            assert len(build_p1(N)) == len(orbits)
+            assert len(P1List(N)) == len(orbits)
 
     def test_normalize_is_orbit_invariant(self):
-        p1 = build_p1(30)
+        p1 = P1List(30)
         rng = random.Random(0)
         for _ in range(200):
             c, d = rng.randrange(30), rng.randrange(30)
@@ -98,7 +96,7 @@ class TestSpace:
 
     def test_trace_matches_ap_on_11(self, e11, space11):
         for q in (2, 3, 5, 7, 13):
-            T = hecke_operator(space11, q)
+            T = space11.hecke_cuspidal(q)
             trace = sum(T[i][i] for i in range(len(T)))
             assert trace == trace_of_frobenius(e11, q)
 
@@ -108,7 +106,7 @@ class TestSpace:
 
     def test_bad_prime_rejected(self, space11):
         with pytest.raises(BadPrime):
-            hecke_operator(space11, 11)
+            space11.hecke_cuspidal(11)
 
     def test_merel_determinants(self):
         for n in (2, 3, 5, 7):
@@ -240,12 +238,12 @@ class TestFricke:
 
 class TestCacheRoundTrip:
     def test_json_round_trip(self, sym11, e11):
-        obj = symbol_to_json(sym11)
+        obj = sym11.to_json()
         back = symbol_from_json(obj, e11)
         assert back.vector == sym11.vector
         assert back.column == sym11.column
         assert back.calibration_unit == sym11.calibration_unit
-        assert symbol_to_json(back) == obj  # bit identical
+        assert back.to_json() == obj  # bit identical
         assert eval_plus(back, 0, 1) == Fraction(1, 5)
 
 

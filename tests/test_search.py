@@ -1,8 +1,15 @@
+import copy
 import json
 
 import pytest
 
-from kurihara.errors import CorrectnessAlarm, MissingRootNumber, SearchExhausted
+from kurihara import search
+from kurihara.errors import (
+    CorrectnessAlarm,
+    FrickeNotScalar,
+    MissingRootNumber,
+    SearchExhausted,
+)
 from kurihara.search import (
     attach_parity,
     find_delta_minimal,
@@ -44,6 +51,16 @@ class TestGoldenRuns:
 
     def test_minimality_reverified(self, report37):
         assert report37.verify_minimal()
+
+    def test_minimality_read_in_z_mod_p_m(self, report37):
+        # 5 is zero mod p but a nonzero element of Z/25
+        rep = copy.deepcopy(report37)
+        rep.m = 2
+        rep.table[61].delta = 5
+        assert rep.verify_minimal()
+        rep.table[1].delta = 5
+        with pytest.raises(CorrectnessAlarm):
+            rep.verify_minimal()
 
 
 class TestSearchMechanics:
@@ -96,6 +113,24 @@ class TestParity:
         rep = find_delta_minimal(sym37, 5, prime_bound=300, nu_max=2)
         rep = selmer_report(rep)
         assert attach_parity(rep, sym37, w_override=-1) == "pass"
+
+    def test_fricke_not_scalar_skips_with_reason(self, report37, sym37, monkeypatch):
+        def not_scalar(symbol):
+            raise FrickeNotScalar("Fricke eigenvalue 3 is not a sign")
+
+        monkeypatch.setattr(search, "root_number_fricke", not_scalar)
+        rep = copy.deepcopy(report37)
+        assert attach_parity(rep, sym37) == "skipped"
+        assert rep.parity == "skipped"
+        assert rep.provenance["parity_skipped"] == "Fricke eigenvalue 3 is not a sign"
+
+    def test_other_fricke_errors_propagate(self, report37, sym37, monkeypatch):
+        def broken(symbol):
+            raise ZeroDivisionError("bug in the Fricke matrix")
+
+        monkeypatch.setattr(search, "root_number_fricke", broken)
+        with pytest.raises(ZeroDivisionError):
+            attach_parity(copy.deepcopy(report37), sym37)
 
 
 class TestReportShape:
