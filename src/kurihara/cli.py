@@ -43,7 +43,6 @@ def _parser():
     common.add_argument("--cache-dir", default=os.environ.get("KURIHARA_CACHE_DIR"))
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
 
     p = _Parser(prog="kurihara")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -225,7 +224,7 @@ def _dispatch(args):
 
     if cmd == "sieve":
         require_hypotheses(E, args.p)
-        primes = sieve(E, args.p, args.m, args.n, args.bound, workers=args.workers)
+        primes = sieve(E, args.p, args.m, args.n, args.bound)
         out = [
             {"ell": kp.ell, "generator": kp.generator, "p_part": kp.p_part_order}
             for kp in primes
@@ -264,7 +263,7 @@ def _dispatch(args):
     if cmd == "delta":
         require_hypotheses(E, args.p)
         sym = _load_symbol(args, E)
-        primes = sieve(E, args.p, args.m, args.n, args.bound, workers=args.workers)
+        primes = sieve(E, args.p, args.m, args.n, args.bound)
         registry = {kp.ell: kp for kp in primes}
         direct = kurihara_number_direct(sym, registry, args.d, args.p, args.m)
         via = kurihara_number_via_ed(sym, registry, args.d, args.p, args.m)
@@ -298,7 +297,6 @@ def _dispatch(args):
                 nu_max=args.nu_max,
                 m=args.m,
                 exhaustive=args.exhaustive,
-                workers=args.workers,
             )
             report = selmer_report(report)
             attach_parity(report, sym, w_override=args.root_number)

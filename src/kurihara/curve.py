@@ -9,15 +9,16 @@ the running hypotheses on (E, p).
 
 import json
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import BadPrime, HypothesisViolation, NonInvertibleEll
 from .exactmath import QQ, factorize, is_prime
 
 NAIVE_COUNT_LIMIT = 10**6  # character-sum enumeration below, BSGS above
+POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
 
 
 @dataclass(frozen=True)
@@ -279,58 +280,24 @@ def _count_bsgs(E, l, rng):
             return candidates[0]
 
 
-def count_points(E, l, rng=None):
+def count_points(E, l):
     """#E(F_l) for a prime of good reduction, including the point at infinity."""
     if not is_prime(l):
         raise BadPrime(f"{l} is not prime")
     if E.discriminant % l == 0:
         raise BadPrime(f"{l} divides the discriminant")
+    return _count(E, l)
+
+
+@lru_cache(maxsize=POINT_COUNT_CACHE)
+def _count(E, l):
     if l <= NAIVE_COUNT_LIMIT:
         return _count_naive(E, l)
-    return _count_bsgs(E, l, rng or random.Random(l))
+    return _count_bsgs(E, l, random.Random(l))
 
 
 def trace_of_frobenius(E, l):
     return l + 1 - count_points(E, l)
-
-
-@dataclass
-class ApTable:
-    good: dict
-    bad: set
-
-
-_ap_cache = {}
-_ap_lock = threading.Lock()
-
-
-def ap_table(E, bound):
-    """a_l for all good primes l <= bound; bad primes are marked separately.
-
-    Concurrent readers are safe; the cache takes a lock for its single writer.
-    """
-    assert bound >= 2
-    key = (E.ainvs(), E.conductor)
-    with _ap_lock:
-        cached = _ap_cache.get(key)
-        if cached is None:
-            cached = ApTable({}, set())
-            _ap_cache[key] = cached
-    missing = [l for l in primes_upto(bound) if l not in cached.good and l not in cached.bad]
-    if missing:
-        newgood, newbad = {}, set()
-        for l in missing:
-            if E.discriminant % l == 0:
-                newbad.add(l)
-            else:
-                newgood[l] = trace_of_frobenius(E, l)
-        with _ap_lock:
-            cached.good.update(newgood)
-            cached.bad.update(newbad)
-    return ApTable(
-        {l: a for l, a in cached.good.items() if l <= bound},
-        {l for l in cached.bad if l <= bound},
-    )
 
 
 def primes_upto(n):
@@ -388,10 +355,10 @@ def _surjectivity_heuristic(E, p, scan_bound=1000):
     seen_irreducible = False
     seen_split_generic = False
     det_subgroup = {1 % p}
-    table = ap_table(E, scan_bound)
-    for l, a in sorted(table.good.items()):
-        if l == p:
+    for l in primes_upto(scan_bound):
+        if l == p or E.discriminant % l == 0:
             continue
+        a = trace_of_frobenius(E, l)
         disc = (a * a - 4 * l) % p
         if jacobi(disc, p) == -1:
             seen_irreducible = True

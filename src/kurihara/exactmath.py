@@ -8,6 +8,7 @@ operations are pure functions.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -376,35 +377,25 @@ class GroupHom:
         return self.domain.order // self.codomain.order
 
 
-_unit_group_cache = {}
+UNIT_GROUP_CACHE = 1 << 10  # levels n whose (Z/n)^* is kept
+UNIT_REDUCTION_CACHE = 1 << 12  # (D, e) pairs whose surjection is kept
 
 
+@lru_cache(maxsize=UNIT_GROUP_CACHE)
 def unit_group(n):
     """Cached UnitGroup(n); instances are immutable so sharing is safe."""
-    g = _unit_group_cache.get(n)
-    if g is None:
-        g = UnitGroup(n)
-        _unit_group_cache[n] = g
-    return g
+    return UnitGroup(n)
 
 
-_reduction_cache = {}
-
-
+@lru_cache(maxsize=UNIT_REDUCTION_CACHE)
 def unit_reduction(big, small):
     """The natural surjection (Z/D)^* -> (Z/e)^* for e | D, cached."""
-    key = (big.n, small.n)
-    hom = _reduction_cache.get(key)
-    if hom is None:
-        assert big.n % small.n == 0
-        if small.n == 1:
-            hom = GroupHom(big, small, lambda t: (), check=False)
-        else:
-            hom = GroupHom(
-                big, small, lambda t: small.sigma(big.residue(t) % small.n), check=False
-            )
-        _reduction_cache[key] = hom
-    return hom
+    assert big.n % small.n == 0
+    if small.n == 1:
+        return GroupHom(big, small, lambda t: (), check=False)
+    return GroupHom(
+        big, small, lambda t: small.sigma(big.residue(t) % small.n), check=False
+    )
 
 
 # ---------------------------------------------------------------------------

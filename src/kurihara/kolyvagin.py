@@ -14,7 +14,6 @@ from math import gcd, isqrt
 from .curve import count_points, p_torsion_structure, primes_upto
 from .errors import (
     DenominatorDivisibleByP,
-    HypothesisViolation,
     NotAUnit,
     NotSquarefree,
     PrimeNotKolyvagin,
@@ -105,33 +104,18 @@ def kolyvagin_predicate(E, ell, p, m=1, n=0):
     return kind == "cyclic"
 
 
-def sieve(E, p, m, n, bound, hypothesis_report=None, workers=1):
+def sieve(E, p, m, n, bound, workers=1):
     """All Kolyvagin primes up to `bound` with their dlog contexts attached.
 
-    Candidate predicates are independent per prime and may run on a worker
-    pool; the returned list order is deterministic either way.
+    The sieve is serial; `workers` accepts only 1.
     """
-    if hypothesis_report is not None and not hypothesis_report.passed:
-        raise HypothesisViolation(f"hypotheses fail for ({E}, {p})")
+    if workers != 1:
+        raise ValueError(f"workers={workers}: the sieve runs serially, only 1 is accepted")
     modulus = p ** max(m, n + 1)
-    candidates = [
-        ell
-        for ell in (primes_upto(bound) if bound >= 2 else [])
-        if (ell - 1) % modulus == 0
-    ]
-    if workers > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(
-                lambda ell: kolyvagin_predicate(E, ell, p, m, n), candidates
-            ))
-    else:
-        flags = [kolyvagin_predicate(E, ell, p, m, n) for ell in candidates]
     return [
         KolyvaginPrime(ell, p, m, n, primitive_root(ell))
-        for ell, ok in zip(candidates, flags)
-        if ok
+        for ell in (primes_upto(bound) if bound >= 2 else [])
+        if (ell - 1) % modulus == 0 and kolyvagin_predicate(E, ell, p, m, n)
     ]
 
 

@@ -9,28 +9,23 @@ import cmath
 import math
 from fractions import Fraction
 
-from .curve import bad_prime_aq, ap_table
+from .curve import bad_prime_aq, primes_upto, trace_of_frobenius
 
 
 def an_list(E, nmax):
     """Fourier coefficients a_1..a_nmax from multiplicativity."""
     a = [0] * (nmax + 1)
     a[1] = 1
-    table = ap_table(E, nmax)
-    aq = dict(table.good)
-    for q in table.bad:
-        aq[q] = bad_prime_aq(E, q)
-    for q in sorted(aq):
-        if q > nmax:
-            break
+    for q in primes_upto(nmax):
+        aq = bad_prime_aq(E, q) if E.discriminant % q == 0 else trace_of_frobenius(E, q)
         # prime powers
-        powers = {1: 1, q: aq[q]}
+        powers = {1: 1, q: aq}
         qk = q * q
         while qk <= nmax:
             if E.conductor % q == 0:
-                powers[qk] = powers[qk // q] * aq[q]
+                powers[qk] = powers[qk // q] * aq
             else:
-                powers[qk] = aq[q] * powers[qk // q] - q * powers[qk // q // q]
+                powers[qk] = aq * powers[qk // q] - q * powers[qk // q // q]
             qk *= q
         for qk, val in powers.items():
             if qk == 1:

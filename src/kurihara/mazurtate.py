@@ -109,12 +109,8 @@ def theta(symbol, d, n=0, p=None):
     E = symbol.curve
     if n > 0 and p is None:
         raise ValueError("n > 0 requires p")
-    cache = getattr(symbol, "_theta_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(symbol, "_theta_cache", cache)
     key = (d, n, p)
-    cached = cache.get(key)
+    cached = symbol._theta_cache.get(key)
     if cached is not None:
         return cached
     _check_level(E, d, p)
@@ -125,7 +121,7 @@ def theta(symbol, d, n=0, p=None):
         coeffs[group.sigma(a)] = eval_plus(symbol, a, level)
     elem = GroupRingElement(group, QQ, coeffs)
     out = ThetaElement(d, n, p if p is not None else 0, elem, str(E))
-    cache[key] = out
+    symbol._theta_cache[key] = out
     return out
 
 

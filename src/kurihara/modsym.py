@@ -22,6 +22,7 @@ from .errors import (
     AmbiguousEigenspace,
     BadPrime,
     CalibrationError,
+    CorrectnessAlarm,
     EigensymbolNotFound,
     FrickeNotScalar,
     NotCoprime,
@@ -57,7 +58,10 @@ class P1List:
             reps = [(0, 0)]
             seen[(0, 0)] = 0
         else:
-            for c in range(N):
+            # (c : d) normalises to (g : *) with g = gcd(c, N) < c unless c
+            # is 0 or a divisor of N, and row g lists that class first; so the
+            # rows c = 0 and c = g | N give the order of the full N x N scan
+            for c in [0] + [g for g in range(1, N) if N % g == 0]:
                 for d in range(N):
                     r = self.normalize(c, d)
                     if r is not None and r not in seen:
@@ -203,7 +207,8 @@ class ManinSpace:
         expected = N
         for q, e in _factor_items(N):
             expected = expected // q * (q + 1)
-        assert G == expected, "wrong P1 orbit count"
+        if G != expected:
+            raise CorrectnessAlarm(f"P^1(Z/{N}) has {G} classes, expected {expected}")
 
         rel_rows = []
         seen = set()
@@ -299,7 +304,8 @@ class ManinSpace:
                         for r in range(self.dim):
                             if pv[r]:
                                 acc[r] += coeff * pv[r]
-            assert not any(acc), f"T_{q} does not descend to the quotient"
+            if any(acc):
+                raise CorrectnessAlarm(f"T_{q} does not descend to the quotient")
         self._hecke_cache[q] = mat
         return mat
 
@@ -314,7 +320,8 @@ class ManinSpace:
         for j in range(len(self.cuspidal_basis)):
             rhs = [TC[r][j] for r in range(self.dim)]
             x = solve_rational(C, rhs)
-            assert x is not None, "cuspidal subspace not Hecke stable"
+            if x is None:
+                raise CorrectnessAlarm(f"cuspidal subspace not stable under T_{q}")
             cols.append(x)
         return mat_transpose(cols)
 
@@ -416,6 +423,7 @@ class EigenSymbol:
     calibration_unit: Fraction
     _wfree: list = field(default=None, repr=False)
     _memo: dict = field(default_factory=dict, repr=False)
+    _theta_cache: dict = field(default_factory=dict, repr=False)  # theta per (d, n, p)
 
     def generator_values(self):
         """Functional evaluated on each Manin generator (pulled back once).
@@ -556,11 +564,13 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
                 break
     for q, aq in holdout:
         T = space.hecke_full(q)
-        assert _is_eigen_column(T, column, aq), f"held-out T_{q} fails on the column"
-        assert _is_eigen_row(T, vector, aq), f"held-out T_{q} fails on the functional"
-    # cuspidality of the eigenline
+        if not _is_eigen_column(T, column, aq):
+            raise CorrectnessAlarm(f"held-out T_{q} fails on the column")
+        if not _is_eigen_row(T, vector, aq):
+            raise CorrectnessAlarm(f"held-out T_{q} fails on the functional")
     for row in space.boundary:
-        assert sum(Fraction(c) * x for c, x in zip(row, column)) == 0
+        if sum(Fraction(c) * x for c, x in zip(row, column)) != 0:
+            raise CorrectnessAlarm("the eigenline is not cuspidal")
 
     status, unit = "uncalibrated", Fraction(1)
     if calibrate:
@@ -625,7 +635,8 @@ def fricke_eigenvalue(symbol):
 def symbol_from_json(obj, E):
     """Rebuild an EigenSymbol from its cache entry (space is reconstructed)."""
     space = ManinSpace(obj["N"], obj["sign"])
-    assert space.dim == obj["basis_dim"], "cache schema/level mismatch"
+    if space.dim != obj["basis_dim"]:
+        raise CorrectnessAlarm("cache schema/level mismatch")
     vector = tuple(int(x) for x in obj["vector"])
     pairs = tuple((int(q), int(aq)) for q, aq in obj["hecke_pairs"])
 
@@ -634,7 +645,8 @@ def symbol_from_json(obj, E):
             yield q, aq, space.hecke_full(q)
 
     col_basis, _, chain = _intersect_eigenspace(stream(), space.cuspidal_basis, space.dim)
-    assert len(col_basis) == 1, "cached hecke pairs no longer cut a line"
+    if len(col_basis) != 1:
+        raise CorrectnessAlarm("cached hecke pairs no longer cut a line")
     num, den = obj["calibration"]["unit"].split("/")
     return EigenSymbol(
         space,

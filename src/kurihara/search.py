@@ -8,7 +8,6 @@ nonvanishing d, and the parity verdict compares (-1)^nu(d) with the root
 number.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -178,8 +177,11 @@ def find_delta_minimal(
 
     Stops at the first level that produces one (or runs every level up to
     nu_max with `exhaustive`); raises SearchExhausted, carrying the table,
-    when no witness appears within the budget.
+    when no witness appears within the budget.  The search is serial;
+    `workers` accepts only 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers={workers}: the search runs serially, only 1 is accepted")
     E = symbol.curve
     report_h = require_hypotheses(E, p)
     primes = sieve(E, p, m, 0, prime_bound)
@@ -195,17 +197,8 @@ def find_delta_minimal(
         ds = sorted(
             _product(c) for c in combinations(sorted(registry), nu)
         )
-        # delta computations within a level are independent; the level is a
-        # synchronization barrier (minimality only consults earlier levels)
-        if workers > 1 and len(ds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(
-                    lambda d: _delta_row(symbol, registry, d, p, m), ds
-                ))
-        else:
-            rows = [_delta_row(symbol, registry, d, p, m) for d in ds]
-        for d, row in zip(ds, rows):
-            table[d] = row
+        for d in ds:
+            row = table[d] = _delta_row(symbol, registry, d, p, m)
             if row.delta % p**m != 0:
                 if all(
                     table[e].delta % p**m == 0

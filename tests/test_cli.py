@@ -133,14 +133,12 @@ class TestCaching:
 
 
 class TestFlags:
-    def test_workers_same_result(self, capsys):
-        base = ["search", "--curve", curve_path("37a1"), "--p", "5",
-                "--prime-bound", "300", "--nu-max", "2", "--format", "json"]
-        assert main(base) == 0
-        seq = capsys.readouterr().out
-        assert main(base + ["--workers", "2"]) == 0
-        par = capsys.readouterr().out
-        assert seq == par
+    def test_workers_flag_exits_64(self, capsys):
+        # the package is serial; an option for parallelism is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(SEARCH_37 + ["--workers", "2"])
+        assert exc.value.code == 64
+        assert "--workers" in capsys.readouterr().err
 
     def test_assert_surjective_flag(self, capsys):
         args = ["check", "--curve", curve_path("37a1"), "--p", "13",

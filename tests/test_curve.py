@@ -1,13 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+from kurihara import curve
 from kurihara.curve import (
     CurveData,
-    ApTable,
-    ap_table,
     bad_prime_aq,
     check_hypotheses,
     count_points,
@@ -26,6 +26,8 @@ from kurihara.curve import (
 )
 from kurihara.errors import BadPrime, NonInvertibleEll
 from kurihara.exactmath import QQ, ResidueRing
+from kurihara.kolyvagin import sieve
+from kurihara.lseries import an_list
 
 
 class TestCounting:
@@ -64,23 +66,47 @@ class TestCounting:
             assert _count_bsgs(e11, l, rng) == _count_naive(e11, l)
 
     def test_hasse_bound(self, e11):
-        table = ap_table(e11, 200)
-        for l, a in table.good.items():
-            assert a * a <= 4 * l
+        a = an_list(e11, 200)
+        for l in primes_upto(200):
+            if l != 11:
+                assert a[l] == trace_of_frobenius(e11, l)
+                assert a[l] * a[l] <= 4 * l
+
+    def test_each_count_computed_once(self, monkeypatch):
+        # the hypothesis check and the sieve share one bounded cache, and the
+        # surjectivity scan stops at the first prime that settles it
+        E = CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1")
+        calls = Counter()
+        naive = curve._count_naive
+
+        def counting(E, l):
+            calls[l] += 1
+            return naive(E, l)
+
+        monkeypatch.setattr(curve, "_count_naive", counting)
+        curve._count.cache_clear()
+        assert check_hypotheses(E, 7).passed
+        primes = sieve(E, 7, 1, 0, 2000)
+        assert [kp.ell for kp in primes][:5] == [113, 211, 463, 547, 673]
+        assert max(calls.values()) == 1
+        assert sum(1 for l in calls if l < 1000) < len(primes_upto(1000))
 
 
 class TestApTable:
     def test_frozen_11a1(self, e11):
-        table = ap_table(e11, 13)
-        assert table.good == {2: -2, 3: -1, 5: 1, 7: -2, 13: 4}
-        assert table.bad == {11}
+        good = {l: trace_of_frobenius(e11, l) for l in (2, 3, 5, 7, 13)}
+        assert good == {2: -2, 3: -1, 5: 1, 7: -2, 13: 4}
+        with pytest.raises(BadPrime):
+            trace_of_frobenius(e11, 11)
+        # q - 2q^2 - q^3 + 2q^4 + q^5 + 2q^6 - 2q^7 - 2q^9 - 2q^10 + q^11 - 2q^12 + 4q^13
+        assert an_list(e11, 13) == [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1, -2, 4]
 
     def test_bound_two_bad(self):
-        # a curve with 2 | discriminant: only the bad mark appears
+        # a curve with 2 | discriminant: a_2 comes from the bad-prime rule
         E = CurveData(0, 0, 0, 0, 4, conductor=2**6 * 3**3, tamagawa_product=1)
-        table = ap_table(E, 2)
-        assert table.good == {}
-        assert table.bad == {2}
+        with pytest.raises(BadPrime):
+            trace_of_frobenius(E, 2)
+        assert an_list(E, 2) == [0, 1, 0]
 
 
 class TestHypotheses:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -55,6 +58,24 @@ class TestP1:
                 continue
             u = rng.choice([u for u in range(1, 30) if gcd(u, 30) == 1])
             assert p1.index(u * c, u * d) == i
+
+
+    @pytest.mark.parametrize("N", [2, 4, 11, 12, 36, 37, 60, 64, 90, 121, 210, 389, 720])
+    def test_reps_in_full_scan_order(self, N):
+        # the representatives fix the free basis, so the divisor-by-divisor
+        # listing must keep the order of a scan over all N^2 pairs
+        p1 = P1List(N)
+        seen, reps = set(), []
+        for c in range(N):
+            for d in range(N):
+                r = p1.normalize(c, d)
+                if r is not None and r not in seen:
+                    seen.add(r)
+                    reps.append(r)
+        assert p1.reps == reps
+
+    def test_level_5077_size(self):
+        assert len(P1List(5077)) == 5078
 
 
 class TestSpace:
@@ -150,6 +171,34 @@ class TestEigensymbol:
             if checked == 3:
                 break
         assert checked == 3
+
+    def test_wrong_held_out_aq_alarms_python_O(self):
+        # the held-out check guards a proved statement, so -O must keep it
+        script = (
+            "import kurihara.modsym as M\n"
+            "from kurihara.curve import CurveData\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "E = CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5)\n"
+            "space = M.build_space(11)\n"
+            "q = M.extract_eigensymbol(space, E, calibrate=False).holdout_pairs[0][0]\n"
+            "true_trace = M.trace_of_frobenius\n"
+            "M.trace_of_frobenius = lambda E, l: true_trace(E, l) + (l == q)\n"
+            "try:\n"
+            "    M.extract_eigensymbol(space, E, calibrate=False)\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                          env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ALARM held-out T_")
 
     def test_boundary_consistency(self, sym37, space37):
         for row in space37.boundary:

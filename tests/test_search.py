@@ -10,6 +10,7 @@ from kurihara.errors import (
     MissingRootNumber,
     SearchExhausted,
 )
+from kurihara.kolyvagin import sieve
 from kurihara.search import (
     attach_parity,
     find_delta_minimal,
@@ -84,6 +85,12 @@ class TestSearchMechanics:
         for d, row in rep.table.items():
             if row.delta % 5 != 0:
                 assert len(row.factors) >= dim
+
+    def test_workers_other_than_one_rejected(self, sym37):
+        with pytest.raises(ValueError):
+            find_delta_minimal(sym37, 5, prime_bound=300, nu_max=2, workers=2)
+        with pytest.raises(ValueError):
+            sieve(sym37.curve, 5, 1, 0, 300, workers=2)
 
     def test_determinism(self, sym37):
         a = find_delta_minimal(sym37, 5, prime_bound=300, nu_max=1)
