@@ -2,9 +2,10 @@
 
 Coefficient rings (arbitrary-precision rationals and Z/p^m), finite abelian
 groups presented as products of cyclic groups, unit groups (Z/n)^* with their
-CRT presentation, group rings, and dense exact linear algebra over both
-coefficient rings.  Everything here is immutable after construction and all
-operations are pure functions.
+CRT presentation, group rings, and exact linear algebra over both
+coefficient rings (one sparse echelon over Q, dense elimination elsewhere).
+Everything here is immutable after construction and all operations are pure
+functions.
 """
 
 from fractions import Fraction
@@ -586,7 +587,7 @@ def projection_map(x, hom):
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra
+# exact linear algebra
 
 
 def mat_mul(a, b):
@@ -609,33 +610,41 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rref(rows):
-    """Reduced row echelon form over Q; returns (rref_rows, pivot_columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pr = i
+def _sub_multiple(row, f, other):
+    """row -= f * other on sparse rows (dicts column -> coeff), dropping zeros."""
+    for j, y in other.items():
+        x = row.get(j, 0) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def sparse_echelon(rows):
+    """Reduced row echelon form over Q of sparse rows.
+
+    Each row is an iterable of (column, coeff) pairs with distinct columns.
+    Returns {pivot: row}, each row a dict column -> Fraction holding 1 at its
+    pivot and no other pivot column: the nonzero rows of the dense RREF, keyed
+    by their leading columns.
+    """
+    piv = {}
+    for items in rows:
+        row = {c: Fraction(x) for c, x in items if x}
+        # reduce against the pivot rows met so far, smallest column first
+        while row:
+            c = min(row)
+            f = row[c]
+            if c not in piv:
+                piv[c] = {j: x / f for j, x in row.items()}
                 break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+            _sub_multiple(row, f, piv[c])
+    # back-substitute from the right: rows with larger pivots are reduced first
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        for j in [j for j in row if j != c and j in piv]:
+            _sub_multiple(row, row[j], piv[j])
+    return piv
 
 
 def _clear_denominators(row):
@@ -733,14 +742,13 @@ def matrix_rank(rows):
 def solve_rational(rows, rhs):
     """Solve A x = b exactly over Q; None if inconsistent/singular-overdetermined."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
     ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
+    piv = sparse_echelon([*enumerate(row), (ncols, rhs[i])] for i, row in enumerate(rows))
+    if ncols in piv:
         return None
     sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][ncols]
+    for c, row in piv.items():
+        sol[c] = row.get(ncols, Fraction(0))
     # verify (guards against underdetermined systems: any solution is accepted)
     for i in range(n):
         if sum(rows[i][j] * sol[j] for j in range(ncols)) != rhs[i]:

@@ -14,7 +14,7 @@ exactly, up to the recorded calibration unit.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import lseries
 from .curve import primes_upto, trace_of_frobenius
@@ -27,7 +27,7 @@ from .errors import (
     FrickeNotScalar,
     NotCoprime,
 )
-from .exactmath import kernel_basis, mat_mul, mat_transpose, rref, primitive_vector, solve_rational, xgcd
+from .exactmath import kernel_basis, mat_mul, mat_transpose, primitive_vector, solve_rational, sparse_echelon, xgcd
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,8 @@ class P1List:
     """Canonical representatives of P^1(Z/N) with index lookup."""
 
     def __init__(self, N):
-        assert N >= 1
+        if N < 1:
+            raise ValueError(f"level must be positive, got {N}")
         self.N = N
         seen = {}
         reps = []
@@ -83,12 +84,11 @@ class P1List:
         if u == 0:
             return (0, 1) if gcd(v, N) == 1 else None
         g, _, s = xgcd(N, u)  # s*u = g mod N
+        if g == 1:
+            return (1, s * v % N)
         if gcd(g, v) > 1:
             return None
-        s = _lift_unit(s % N, N // g, N)
-        v = s * v % N
-        if g == 1:
-            return (1, v)
+        v = _lift_unit(s % N, N // g, N) * v % N
         best = min(
             v * t % N for t in range(1, N, N // g) if gcd(t, N) == 1
         )
@@ -160,7 +160,8 @@ def _sl2_lift(c, d, N):
     while gcd(c, d) != 1:
         d += N
     g, x, y = xgcd(d, c)
-    assert g == 1
+    if g != 1:
+        raise CorrectnessAlarm(f"lift ({c}, {d}) of a P^1 class is not coprime")
     # a*d - b*c = 1 with (a, b) = (x, -y)
     return (x, -y, c, d)
 
@@ -199,7 +200,8 @@ class ManinSpace:
     """
 
     def __init__(self, N, sign=+1):
-        assert sign == +1, "only the plus quotient is implemented"
+        if sign != +1:
+            raise ValueError("only the plus quotient (sign +1) is implemented")
         self.N = N
         self.sign = sign
         self.p1 = P1List(N)
@@ -210,28 +212,28 @@ class ManinSpace:
         if G != expected:
             raise CorrectnessAlarm(f"P^1(Z/{N}) has {G} classes, expected {expected}")
 
-        rel_rows = []
+        # relations as sorted (index, coeff) tuples, coefficients merged
+        relations = []
         seen = set()
 
         def add_rel(items):
-            row = [0] * G
-            for idx, coeff in items:
-                row[idx] += coeff
-            key = tuple(row)
-            if any(row) and key not in seen:
-                seen.add(key)
-                rel_rows.append(row)
+            merged = {}
+            for i, coeff in items:
+                merged[i] = merged.get(i, 0) + coeff
+            rel = tuple(sorted((i, c) for i, c in merged.items() if c))
+            if rel and rel not in seen:
+                seen.add(rel)
+                relations.append(rel)
 
         idx = self.p1.index
         for i, (c, d) in enumerate(self.p1.reps):
             add_rel([(i, 1), (idx(d, -c), 1)])
             add_rel([(i, 1), (idx(c + d, -c), 1), (idx(d, -c - d), 1)])
             add_rel([(i, 1), (idx(-c, d), -1)])
-        self.relations = rel_rows
+        self.relations = relations
 
-        red, pivots = rref(rel_rows) if rel_rows else ([], [])
-        pivot_set = set(pivots)
-        self.free = [j for j in range(G) if j not in pivot_set]
+        red = sparse_echelon(relations)
+        self.free = [j for j in range(G) if j not in red]
         self.dim = len(self.free)
         free_pos = {j: k for k, j in enumerate(self.free)}
 
@@ -241,13 +243,16 @@ class ManinSpace:
             v = [Fraction(0)] * self.dim
             v[k] = Fraction(1)
             proj[j] = v
-        for r, c in enumerate(pivots):
+        for c, row in red.items():
             v = [Fraction(0)] * self.dim
-            for j, k in free_pos.items():
-                if red[r][j]:
-                    v[k] = -red[r][j]
+            for j, x in row.items():
+                if j != c:
+                    v[free_pos[j]] = -x
             proj[c] = v
         self.proj = proj
+        # the same coordinates as sparse integer numerators over one denominator
+        self.proj_den = lcm(*(x.denominator for v in proj for x in v))
+        self.proj_nums = [[(r, int(x * self.proj_den)) for r, x in enumerate(v) if x] for v in proj]
 
         # boundary map on the free basis
         cusps = CuspClasses(N)
@@ -275,37 +280,26 @@ class ManinSpace:
         if mat is not None:
             return mat
         fam = self._merel_cache.setdefault(q, merel_matrices(q))
-        G = len(self.p1)
-
-        def image_cols(i):
-            c, d = self.p1.reps[i]
-            cols = []
+        index, nums, dim = self.p1.index, self.proj_nums, self.dim
+        # numerators of the image of each generator, over self.proj_den
+        images = []
+        for c, d in self.p1.reps:
+            acc = [0] * dim
             for a, b, cc, dd in fam:
-                t = self.p1.index(c * a + d * cc, c * b + d * dd)
+                t = index(c * a + d * cc, c * b + d * dd)
                 if t is not None:
-                    cols.append(t)
-            return cols
-
-        images = [image_cols(i) for i in range(G)]
-        mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for k, j in enumerate(self.free):
-            for t in images[j]:
-                pv = self.proj[t]
-                for r in range(self.dim):
-                    if pv[r]:
-                        mat[r][k] += pv[r]
+                    for r, x in nums[t]:
+                        acc[r] += x
+            images.append(acc)
         # the action must kill the relation submodule (Merel / star-equivariance)
-        for row in self.relations:
-            acc = [Fraction(0)] * self.dim
-            for i, coeff in enumerate(row):
-                if coeff:
-                    for t in images[i]:
-                        pv = self.proj[t]
-                        for r in range(self.dim):
-                            if pv[r]:
-                                acc[r] += coeff * pv[r]
+        for rel in self.relations:
+            acc = [0] * dim
+            for i, coeff in rel:
+                for r, x in enumerate(images[i]):
+                    acc[r] += coeff * x
             if any(acc):
                 raise CorrectnessAlarm(f"T_{q} does not descend to the quotient")
+        mat = [[Fraction(images[j][r], self.proj_den) for j in self.free] for r in range(dim)]
         self._hecke_cache[q] = mat
         return mat
 
@@ -351,7 +345,8 @@ class ManinSpace:
         for k in range(1, len(ps)):
             pk, pk1, qk, qk1 = ps[k], ps[k - 1], qs[k], qs[k - 1]
             det = pk * qk1 - pk1 * qk
-            assert det in (1, -1)
+            if det not in (1, -1):
+                raise CorrectnessAlarm(f"convergents of {a}/{d} are not unimodular")
             bottom = (qk, qk1) if det == 1 else (qk, -qk1)
             out.append(self.p1.index(*bottom))
         return out
@@ -433,14 +428,8 @@ class EigenSymbol:
         """
         if self._wfree is None:
             w = self.vector
-            vals = [
-                sum(Fraction(wi) * pj for wi, pj in zip(w, pv) if pj)
-                for pv in self.space.proj
-            ]
-            den = 1
-            for v in vals:
-                den = den * v.denominator // gcd(den, v.denominator)
-            self._wfree = ([int(v * den) for v in vals], den)
+            nums = [sum(w[r] * x for r, x in pv) for pv in self.space.proj_nums]
+            self._wfree = (nums, self.space.proj_den)
         return self._wfree
 
     def raw_value(self, a, d):
@@ -634,7 +623,9 @@ def fricke_eigenvalue(symbol):
 
 def symbol_from_json(obj, E):
     """Rebuild an EigenSymbol from its cache entry (space is reconstructed)."""
-    space = ManinSpace(obj["N"], obj["sign"])
+    if obj["sign"] != 1:
+        raise CorrectnessAlarm(f"cache entry has sign {obj['sign']}, not the plus quotient")
+    space = ManinSpace(obj["N"])
     if space.dim != obj["basis_dim"]:
         raise CorrectnessAlarm("cache schema/level mismatch")
     vector = tuple(int(x) for x in obj["vector"])

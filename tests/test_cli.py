@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,12 +114,13 @@ class TestCaching:
         first = capsys.readouterr().out
         files = os.listdir(cache_dir)
         assert len(files) == 1
-        before = open(os.path.join(cache_dir, files[0])).read()
+        entry = Path(cache_dir, files[0])
+        before = entry.read_text()
         # second run consumes the cache and reproduces the output exactly
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
-        after = open(os.path.join(cache_dir, files[0])).read()
+        after = entry.read_text()
         assert before == after
 
     def test_same_seed_byte_identical(self, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -11,6 +13,7 @@ from kurihara.curve import CurveData, trace_of_frobenius, primes_upto, bad_prime
 from kurihara.errors import (
     AmbiguousEigenspace,
     BadPrime,
+    CorrectnessAlarm,
     EigensymbolNotFound,
     NotCoprime,
 )
@@ -24,6 +27,19 @@ from kurihara.modsym import (
     merel_matrices,
     symbol_from_json,
 )
+
+
+def _run_python_O(script):
+    """Run script in a fresh `python -O` with the package importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                      env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 class TestP1:
@@ -135,6 +151,123 @@ class TestSpace:
                 assert a * d - b * c == n
                 assert a > b >= 0 and d > c >= 0
 
+    def test_bad_level_and_sign_rejected_python_O(self):
+        # input checks, so -O must keep them; a cached minus-sign entry is
+        # not a plus-quotient symbol and must not be rebuilt as one
+        script = (
+            "import kurihara.modsym as M\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "for build in (lambda: M.P1List(0), lambda: M.build_space(11, sign=-1)):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ValueError as exc:\n"
+            "        print('REJECTED', exc)\n"
+            "obj = {'N': 11, 'sign': -1, 'basis_dim': 1, 'vector': ['1'],\n"
+            "       'hecke_pairs': [], 'calibration': {'status': 'uncalibrated', 'unit': '1/1'}}\n"
+            "try:\n"
+            "    M.symbol_from_json(obj, None)\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+        )
+        proc = _run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["REJECTED", "REJECTED", "ALARM"]
+        assert "sign -1" in lines[2]
+
+
+def _dense_rref(rows):
+    """Reference: dense reduced row echelon form over Q, (rows, pivots)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def _dense_quotient(N):
+    """Reference: free basis, proj and relation count from dense relation rows."""
+    p1 = P1List(N)
+    G = len(p1)
+    rows, seen = [], set()
+    for i, (c, d) in enumerate(p1.reps):
+        for items in ([(i, 1), (p1.index(d, -c), 1)],
+                      [(i, 1), (p1.index(c + d, -c), 1), (p1.index(d, -c - d), 1)],
+                      [(i, 1), (p1.index(-c, d), -1)]):
+            row = [0] * G
+            for j, coeff in items:
+                row[j] += coeff
+            if any(row) and tuple(row) not in seen:
+                seen.add(tuple(row))
+                rows.append(row)
+    red, pivots = _dense_rref(rows)
+    free = [j for j in range(G) if j not in pivots]
+    proj = [None] * G
+    for k, j in enumerate(free):
+        proj[j] = [Fraction(int(k == t)) for t in range(len(free))]
+    for r, c in enumerate(pivots):
+        proj[c] = [-red[r][j] for j in free]
+    return p1, free, proj, len(rows)
+
+
+def _dense_hecke(p1, free, proj, q):
+    """Reference: T_q as Fraction sums of proj over Merel's matrices."""
+    dim = len(free)
+    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    for k, j in enumerate(free):
+        c, d = p1.reps[j]
+        for a, b, cc, dd in merel_matrices(q):
+            t = p1.index(c * a + d * cc, c * b + d * dd)
+            if t is not None:
+                for r in range(dim):
+                    mat[r][k] += proj[t][r]
+    return mat
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestSparseQuotient:
+    @pytest.mark.parametrize("N", [2, 4, 11, 12, 36, 37, 60, 64, 90, 121])
+    def test_matches_dense_reference(self, N):
+        p1, free, proj, nrel = _dense_quotient(N)
+        sp = build_space(N)
+        assert sp.free == free
+        assert sp.proj == proj
+        assert len(sp.relations) == nrel
+        for q in [q for q in (2, 3, 5, 7) if N % q][:2]:
+            assert sp.hecke_full(q) == _dense_hecke(p1, free, proj, q)
+
+    def test_level_389_frozen(self):
+        # SHA-256 of the free basis, proj and T_2 from the dense Fraction rref
+        sp = build_space(389)
+        assert len(sp.relations) == 714 and sp.dim == 33
+        assert _digest({"free": sp.free, "proj": [[str(x) for x in v] for v in sp.proj]}) == (
+            "b5a344a23085b8a74cb876a47e0a6f6bdca85cfd694f8b2ffeff15cf1e54c457"
+        )
+        assert _digest([[str(x) for x in row] for row in sp.hecke_full(2)]) == (
+            "d4ac0ba2e8125d59107e1da148bb1765ca4a1b4f15dcd6f5fdfa02a5b25e5b1f"
+        )
+
+    def test_corrupted_relation_alarms(self):
+        sp = build_space(11)
+        (i, c), *rest = sp.relations[0]
+        sp.relations[0] = ((i, c + 1), *rest)
+        with pytest.raises(CorrectnessAlarm, match="does not descend"):
+            sp.hecke_full(2)
+
 
 class TestEigensymbol:
     def test_11a1_extraction(self, sym11):
@@ -188,15 +321,7 @@ class TestEigensymbol:
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
-                          env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        proc = _run_python_O(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("ALARM held-out T_")
 
