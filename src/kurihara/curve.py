@@ -14,10 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import BadPrime, HypothesisViolation, NonInvertibleEll
+from .errors import BadPrime, CorrectnessAlarm, HypothesisViolation, NonInvertibleEll
 from .exactmath import QQ, factorize, is_prime
 
-NAIVE_COUNT_LIMIT = 10**6  # character-sum enumeration below, BSGS above
+NAIVE_COUNT_LIMIT = 10**6  # square-table count below, BSGS above
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
 
 
@@ -219,20 +219,30 @@ def random_point(E, l, rng):
 # point counting
 
 
-def _count_naive(E, l):
+def _affine_points(E, l):
+    """Number of affine solutions of E's Weierstrass equation over F_l.
+
+    For odd l, completing the square turns the equation into
+    (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, so the count is the sum
+    over x of the number of square roots of the right-hand side, read from a
+    table of how often each residue is a square.
+    """
     if l == 2:
-        n = 1
-        for x in range(2):
-            for y in range(2):
-                if (y * y + E.a1 * x * y + E.a3 * y - x**3 - E.a2 * x * x - E.a4 * x - E.a6) % 2 == 0:
-                    n += 1
-        return n
+        return sum(
+            1
+            for x in range(2)
+            for y in range(2)
+            if (y * y + E.a1 * x * y + E.a3 * y - x**3 - E.a2 * x * x - E.a4 * x - E.a6) % 2 == 0
+        )
     b2, b4, b6 = E.b2 % l, (2 * E.b4) % l, E.b6 % l
-    n = 1 + l
-    for x in range(l):
-        s = (((4 * x + b2) * x + b4) * x + b6) % l
-        n += jacobi(s, l)
-    return n
+    roots = bytearray(l)
+    for y in range(l):
+        roots[y * y % l] += 1
+    return sum(roots[(((4 * x + b2) * x + b4) * x + b6) % l] for x in range(l))
+
+
+def _count_naive(E, l):
+    return 1 + _affine_points(E, l)
 
 
 def _order_of_point(E, l, P, multiple):
@@ -272,7 +282,8 @@ def _count_bsgs(E, l, rng):
                 hits.append(lo + k * w + j)
             S = ec_add(E, l, S, G)
             k += 1
-        assert hits, "group order must appear in the Hasse window"
+        if not hits:
+            raise CorrectnessAlarm(f"no multiple of a point's order in the Hasse window at l={l}")
         order = _order_of_point(E, l, P, hits[0])
         lcm_orders = lcm_orders * order // gcd(lcm_orders, order)
         candidates = [m for m in range(lo + (-lo) % lcm_orders, hi + 1, lcm_orders)]
@@ -492,6 +503,8 @@ def division_polynomial(E, n, l):
 
     Uses the b-invariant recurrences with psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6.
     """
+    if n % 2 != 1:
+        raise ValueError(f"division polynomial of even index {n} is not a polynomial in x")
     b2, b4, b6, b8 = E.b2 % l, E.b4 % l, E.b6 % l, E.b8 % l
     B = [b6, 2 * b4 % l, b2, 4 % l]  # psi_2^2
     cache = {}
@@ -538,7 +551,8 @@ def division_polynomial(E, n, l):
             while e2 >= 2:
                 t2 = _polymul(t2, B, l)
                 e2 -= 2
-            assert e1 == e2 == 0  # odd-index psi is a polynomial in x
+            if not e1 == e2 == 0:  # odd-index psi is a polynomial in x
+                raise CorrectnessAlarm(f"psi_{k} mod {l} kept a power of psi_2")
             v = (_polysub(t1, t2, l), 0)
         else:
             # psi_2m = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) / psi_2;
@@ -554,14 +568,15 @@ def division_polynomial(E, n, l):
             e1 = ae + 2 * be
             t2 = _polymul(c_, _polymul(d_, d_, l), l)
             e2 = ce + 2 * de
-            assert e1 == e2 and ee + e1 == 2
+            if not (e1 == e2 and ee + e1 == 2):
+                raise CorrectnessAlarm(f"psi_{k} mod {l}: unbalanced powers of psi_2")
             v = (_polymul(e_, _polysub(t1, t2, l), l), 1)
         cache[k] = v
         return v
 
-    assert n % 2 == 1
     poly, e = psi(n)
-    assert e == 0
+    if e != 0:
+        raise CorrectnessAlarm(f"psi_{n} mod {l} kept a power of psi_2")
     return poly
 
 
@@ -576,7 +591,8 @@ def full_p_torsion_deterministic(E, l, p):
         return False  # Weil pairing forces mu_p in F_l
     psi = division_polynomial(E, p, l)
     deg = len(psi) - 1
-    assert deg == (p * p - 1) // 2
+    if deg != (p * p - 1) // 2:
+        raise CorrectnessAlarm(f"psi_{p} mod {l} has degree {deg}, not {(p * p - 1) // 2}")
     xl = _polypow_mod([0, 1], l, psi, l)
     g = _polygcd(_polysub(xl, [0, 1], l), psi, l)
     if len(g) - 1 != deg:
@@ -641,18 +657,6 @@ def bad_prime_aq(E, q):
     if E.conductor % (q * q) == 0:
         return 0
     # count nonsingular points: for multiplicative reduction the singular
-    # point contributes exactly one affine solution, so the character sum
-    # already counts #E^ns(F_q) - 1 affine points
-    if q == 2:
-        n = 0
-        for x in range(2):
-            for y in range(2):
-                if (y * y + E.a1 * x * y + E.a3 * y - x**3 - E.a2 * x * x - E.a4 * x - E.a6) % 2 == 0:
-                    n += 1
-        return 2 - n
-    b2, b4, b6 = E.b2 % q, (2 * E.b4) % q, E.b6 % q
-    n = 0
-    for x in range(q):
-        s = (((4 * x + b2) * x + b4) * x + b6) % q
-        n += 1 + jacobi(s, q)
-    return q - n
+    # point contributes exactly one affine solution, standing in for the
+    # point at infinity, so the affine count is #E^ns(F_q) = q - a_q
+    return q - _affine_points(E, q)

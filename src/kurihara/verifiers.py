@@ -5,8 +5,13 @@ whose span has dimension >= 3, that no choice of shifts covers the group with
 the four kernel cosets.  A coset g ker(phi) is determined by c = phi(g), so
 shift tuples reduce exactly to value tuples c in F_3^4; a tuple admits a
 covering choice of c iff the union over its value-image S of the "survivor"
-grids {c : c_i != y_i for all i} misses some c.  Only S matters, so verdicts
-are memoized per subspace.
+grids {c : c_i != y_i for all i} misses some c.
+
+S is the span of the tuple's k coordinate vectors y_j = (f1[j], .., f4[j]) in
+F_3^4.  The search walks the y_j one coordinate at a time and carries the id of
+the span so far through a table of all 212 subspaces of F_3^4, built once per
+call with each span's dimension and grid union; a tuple then costs one table
+lookup, and every tuple is still visited and judged.
 """
 
 import random
@@ -39,90 +44,93 @@ from .mazurtate import (
 )
 
 FULL81 = (1 << 81) - 1
+_VECS = [tuple(y // 3**i % 3 for i in range(4)) for y in range(81)]  # base-3 digits
 
 
-def _grid_masks():
-    """gridmask[y] = bitmask of the c in F_3^4 with c_i != y_i for all i."""
-    masks = []
-    cs = list(product(range(3), repeat=4))
-    for y in product(range(3), repeat=4):
+def _survivor_grids():
+    """grids[y] = bitmask of the 2^4 points c in F_3^4 with c_i != y_i for all i."""
+    grids = []
+    for v in _VECS:
         m = 0
-        for ci, c in enumerate(cs):
-            if all(c[i] != y[i] for i in range(4)):
-                m |= 1 << ci
-        masks.append(m)
-    return masks
+        for c in product(*[[x for x in range(3) if x != vi] for vi in v]):
+            m |= 1 << (c[0] + 3 * c[1] + 9 * c[2] + 27 * c[3])
+        grids.append(m)
+    return grids
 
 
-def _nonzero_functionals(k, up_to_sign):
-    """Nonzero functionals on F_3^k as coefficient tuples."""
-    out = []
-    for v in product(range(3), repeat=k):
-        if any(v):
-            if up_to_sign:
-                # keep one of {v, -v}: first nonzero coordinate equal to 1
-                lead = next(x for x in v if x)
-                if lead != 1:
-                    continue
-            out.append(v)
-    return out
+def _span_lattice():
+    """Every subspace of F_3^4, with its transitions, dimension and grid union.
+
+    Vectors are base-3 codes y = y_0 + 3 y_1 + 9 y_2 + 27 y_3, the same codes
+    index the bits of a grid mask.  Span id 0 is {0}; rows[s][y] is the id of
+    s + <y>, dims[s] is the dimension of s and unions[s] the union of the
+    survivor grids over the y in s.  Ids, dims and unions are recorded once,
+    when a span is first reached from a smaller one.
+    """
+    add = [
+        (a[0] + b[0]) % 3 + 3 * ((a[1] + b[1]) % 3)
+        + 9 * ((a[2] + b[2]) % 3) + 27 * ((a[3] + b[3]) % 3)
+        for a in _VECS for b in _VECS
+    ]
+    grids = _survivor_grids()
+    members = [[0]]
+    ids = {frozenset([0]): 0}
+    rows, dims, unions = [], [0], [grids[0]]
+    for sid, elems in enumerate(members):  # members grows while it is walked
+        row = [None] * 81
+        for e in elems:
+            row[e] = sid
+        for y in range(81):
+            if row[y] is not None:
+                continue
+            # s + <y> is s, s + y, s + 2y; every y' in the two new cosets
+            # gives the same span, so each coset is handled once
+            y2 = add[82 * y]
+            grown = (elems + [add[81 * e + y] for e in elems]
+                     + [add[81 * e + y2] for e in elems])
+            key = frozenset(grown)
+            nid = ids.get(key)
+            if nid is None:
+                nid = ids[key] = len(members)
+                members.append(grown)
+                dims.append(dims[sid] + 1)
+                u = 0
+                for e in grown:
+                    u |= grids[e]
+                unions.append(u)
+            for e in grown[len(elems):]:
+                row[e] = nid
+        rows.append(row)
+    return rows, dims, unions
 
 
-class _SpanTracker:
-    """Incremental subspaces of F_3^4 with memoized ids and grid unions."""
+def _coordinate_choices(reduced):
+    """Allowed coordinate vectors per "f_i still zero" mask (bit i).
 
-    def __init__(self, gridmasks):
-        self.gridmasks = gridmasks
-        self.spans = [frozenset([0])]  # elements encoded base 3
-        self.ids = {self.spans[0]: 0}
-        self.trans = {}
-        self.union = {0: gridmasks[0]}
-
-    def add(self, span_id, y):
-        key = (span_id, y)
-        nid = self.trans.get(key)
-        if nid is not None:
-            return nid
-        base = self.spans[span_id]
-        if y in base:
-            self.trans[key] = span_id
-            return span_id
-        new = set(base)
-        for s in base:
-            # add s + j*y for j = 1, 2 (componentwise mod 3 on base-3 codes)
-            a = _enc_add(s, y)
-            new.add(a)
-            new.add(_enc_add(a, y))
-        fs = frozenset(new)
-        nid = self.ids.get(fs)
-        if nid is None:
-            nid = len(self.spans)
-            self.spans.append(fs)
-            self.ids[fs] = nid
-            u = 0
-            for s in fs:
-                u |= self.gridmasks[s]
-            self.union[nid] = u
-        self.trans[key] = nid
-        return nid
-
-    def dim(self, span_id):
-        n = len(self.spans[span_id])
-        d = 0
-        while n > 1:
-            n //= 3
-            d += 1
-        return d
+    inner[mask] lists (y, mask') for a coordinate before the last, last[mask]
+    the y that leave every f_i nonzero.  With `reduced`, a functional's first
+    nonzero entry must be 1, so a still-zero f_i takes 0 or 1 next.
+    """
+    inner, last = [], []
+    for mask in range(16):
+        steps, ends = [], []
+        for y, digits in enumerate(_VECS):
+            if reduced and any(mask >> i & 1 and d == 2 for i, d in enumerate(digits)):
+                continue
+            left = mask & ~sum(1 << i for i, d in enumerate(digits) if d)
+            steps.append((y, left))
+            if not left:
+                ends.append(y)
+        inner.append(steps)
+        last.append(ends)
+    return inner, last
 
 
-_POW3 = [1, 3, 9, 27]
-
-
-def _enc_add(a, b):
-    out = 0
-    for p3 in _POW3:
-        out += ((a // p3 + b // p3) % 3) * p3
-    return out
+def _functionals(path):
+    """(k, f1, f2, f3, f4) from the coordinate vectors y_1..y_k."""
+    return (len(path),) + tuple(
+        tuple(_VECS[y][i] for y in path) for i in range(4)
+    )
 
 
 @dataclass
@@ -144,34 +152,42 @@ def verify_coset_lemma(max_dim, reduced=True):
     `reduced` drops each functional's sign (g ker(phi) = g ker(-phi), and the
     value tuples c range over all of F_3^4 either way); the unreduced search
     enumerates both signs and must agree, which is tested on F_3^3.
+
+    A tuple (f1, f2, f3, f4) of functionals on F_3^k is walked as its k
+    coordinate vectors y_j = (f1[j], f2[j], f3[j], f4[j]) in F_3^4, one level
+    per coordinate, carrying the id of span(y_1..y_j); each leaf is one tuple,
+    and every tuple is visited and judged by its span's grid union.
     """
-    assert max_dim in (3, 4)
-    grids = _grid_masks()
-    tracker = _SpanTracker(grids)
+    if max_dim not in (3, 4):
+        raise ValueError(f"coset lemma is verified on F_3^3 and F_3^4, not F_3^{max_dim}")
+    rows, dims, unions = _span_lattice()
+    inner, last = _coordinate_choices(reduced)
     instances = {}
-    by_dim = {3: 0, 4: 0}
+    by_dim = [0] * 5
     bad = []
+
+    def walk(path, j, sid, mask):
+        row = rows[sid]
+        if j == len(path) - 1:
+            for y in last[mask]:
+                s = row[y]
+                d = dims[s]
+                if d >= 3:
+                    by_dim[d] += 1
+                    if unions[s] != FULL81:
+                        path[j] = y
+                        bad.append(_functionals(path))
+            return
+        for y, left in inner[mask]:
+            path[j] = y
+            walk(path, j + 1, row[y], left)
+
     for k in range(3, max_dim + 1):
-        fns = _nonzero_functionals(k, up_to_sign=reduced)
-        basis = list(range(k))
-        count = 0
-        for f1 in fns:
-            for f2 in fns:
-                for f3 in fns:
-                    for f4 in fns:
-                        sid = 0
-                        for j in basis:
-                            y = f1[j] + 3 * f2[j] + 9 * f3[j] + 27 * f4[j]
-                            sid = tracker.add(sid, y)
-                        d = tracker.dim(sid)
-                        if d < 3:
-                            continue
-                        count += 1
-                        by_dim[d] += 1
-                        if tracker.union[sid] != FULL81:
-                            bad.append((k, f1, f2, f3, f4))
-        instances[k] = count
-    return CosetReport(max_dim, reduced, instances, by_dim, bad)
+        before = by_dim[3] + by_dim[4]
+        walk([0] * k, 0, 0, 15)
+        instances[k] = by_dim[3] + by_dim[4] - before
+    bad.sort()  # the order of a (f1, f2, f3, f4) loop over sorted functionals
+    return CosetReport(max_dim, reduced, instances, {3: by_dim[3], 4: by_dim[4]}, bad)
 
 
 def span_two_covering_witness():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from kurihara.curve import CurveData
@@ -38,3 +42,21 @@ def sym11(space11, e11):
 @pytest.fixture(scope="session")
 def sym37(space37, e37):
     return extract_eigensymbol(space37, e37)
+
+
+@pytest.fixture
+def run_python_O():
+    """Run a script in a fresh `python -O` with the package importable."""
+
+    def run(script):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                          env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    return run

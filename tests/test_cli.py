@@ -183,6 +183,16 @@ class TestFlags:
         assert names == ["coset_verifier", "identity_suite"]
         assert all(s["failures"] == 0 for s in out["suites"])
 
+    def test_selftest_coset_dim_4(self, capsys):
+        code = main(["selftest", "--coset-dim", "4", "--format", "json"])
+        assert code == 0
+        (suite,) = json.loads(capsys.readouterr().out)["suites"]
+        cases = {c["name"]: c for c in suite["cases"]}
+        assert suite["failures"] == 0
+        assert cases["coset_lemma_dim3"]["instances"] == 25272
+        assert cases["coset_lemma_dim4"]["instances"] == 2527200
+        assert all(c["status"] == "pass" for c in cases.values())
+
 
 @pytest.fixture(scope="module")
 def saved_search(tmp_path_factory):

@@ -72,6 +72,56 @@ class TestCounting:
                 assert a[l] == trace_of_frobenius(e11, l)
                 assert a[l] * a[l] <= 4 * l
 
+    @pytest.mark.parametrize("coeffs, conductor", [
+        ((0, -1, 1, -10, -20), 11),
+        ((0, 0, 1, -1, 0), 37),
+        ((0, 1, 1, -2, 0), 389),
+        ((0, 0, 1, -7, 6), 5077),
+    ], ids=["11a1", "37a1", "389a1", "5077a1"])
+    def test_square_table_matches_character_sum(self, coeffs, conductor):
+        # #E(F_l) = l + 1 + sum_x (4x^3 + b2 x^2 + 2 b4 x + b6 | l) for odd l,
+        # the Legendre symbol taken by Euler's criterion; l = 2 by enumeration
+        E = CurveData(*coeffs, conductor=conductor, tamagawa_product=1)
+        a1, a2, a3, a4, a6 = coeffs
+        for l in primes_upto(500):
+            if E.discriminant % l == 0:
+                continue
+            if l == 2:
+                expected = 1 + sum(
+                    1 for x in range(2) for y in range(2)
+                    if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                )
+            else:
+                expected = l + 1
+                for x in range(l):
+                    s = (4 * x**3 + E.b2 * x * x + 2 * E.b4 * x + E.b6) % l
+                    e = pow(s, (l - 1) // 2, l)
+                    expected += -1 if e == l - 1 else e
+            assert _count_naive(E, l) == expected, l
+
+    def test_count_invariants_alarm_python_O(self, run_python_O):
+        # a Hasse window with no multiple of a point's order and an even
+        # division-polynomial index must stop the run under -O too
+        script = (
+            "import kurihara.curve as C\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "E = C.CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5)\n"
+            "C.ec_neg = lambda E, l, P: (-1, -1)\n"
+            "try:\n"
+            "    C._count_bsgs(E, 10007, C.random.Random(0))\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+            "try:\n"
+            "    C.division_polynomial(E, 4, 7)\n"
+            "except ValueError as exc:\n"
+            "    print('REJECTED', exc)\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["ALARM", "REJECTED"]
+        assert "Hasse window" in lines[0]
+
     def test_each_count_computed_once(self, monkeypatch):
         # the hypothesis check and the sieve share one bounded cache, and the
         # surjectivity scan stops at the first prime that settles it

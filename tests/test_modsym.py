@@ -1,9 +1,6 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -27,19 +24,6 @@ from kurihara.modsym import (
     merel_matrices,
     symbol_from_json,
 )
-
-
-def _run_python_O(script):
-    """Run script in a fresh `python -O` with the package importable."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
-                      env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
 
 
 class TestP1:
@@ -151,7 +135,7 @@ class TestSpace:
                 assert a * d - b * c == n
                 assert a > b >= 0 and d > c >= 0
 
-    def test_bad_level_and_sign_rejected_python_O(self):
+    def test_bad_level_and_sign_rejected_python_O(self, run_python_O):
         # input checks, so -O must keep them; a cached minus-sign entry is
         # not a plus-quotient symbol and must not be rebuilt as one
         script = (
@@ -169,7 +153,7 @@ class TestSpace:
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
         )
-        proc = _run_python_O(script)
+        proc = run_python_O(script)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert [line.split()[0] for line in lines] == ["REJECTED", "REJECTED", "ALARM"]
@@ -305,7 +289,7 @@ class TestEigensymbol:
                 break
         assert checked == 3
 
-    def test_wrong_held_out_aq_alarms_python_O(self):
+    def test_wrong_held_out_aq_alarms_python_O(self, run_python_O):
         # the held-out check guards a proved statement, so -O must keep it
         script = (
             "import kurihara.modsym as M\n"
@@ -321,7 +305,7 @@ class TestEigensymbol:
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
         )
-        proc = _run_python_O(script)
+        proc = run_python_O(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("ALARM held-out T_")
 

@@ -2,13 +2,165 @@ from itertools import product
 
 import pytest
 
+from kurihara import verifiers
 from kurihara.errors import IdentityFailure
 from kurihara.modsym import EigenSymbol
 from kurihara.verifiers import (
+    FULL81,
     span_two_covering_witness,
     run_identity_suite,
     verify_coset_lemma,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-tuple coset search, one span tracker probe per coordinate
+
+
+def _grid_masks():
+    """gridmask[y] = bitmask of the c in F_3^4 with c_i != y_i for all i."""
+    masks = []
+    cs = list(product(range(3), repeat=4))
+    for y in product(range(3), repeat=4):
+        m = 0
+        for ci, c in enumerate(cs):
+            if all(c[i] != y[i] for i in range(4)):
+                m |= 1 << ci
+        masks.append(m)
+    return masks
+
+
+def _nonzero_functionals(k, up_to_sign):
+    """Nonzero functionals on F_3^k as coefficient tuples."""
+    out = []
+    for v in product(range(3), repeat=k):
+        if any(v):
+            if up_to_sign:
+                # keep one of {v, -v}: first nonzero coordinate equal to 1
+                lead = next(x for x in v if x)
+                if lead != 1:
+                    continue
+            out.append(v)
+    return out
+
+
+_POW3 = [1, 3, 9, 27]
+
+
+def _enc_add(a, b):
+    out = 0
+    for p3 in _POW3:
+        out += ((a // p3 + b // p3) % 3) * p3
+    return out
+
+
+class _SpanTracker:
+    """Incremental subspaces of F_3^4 with memoized ids and grid unions."""
+
+    def __init__(self, gridmasks):
+        self.gridmasks = gridmasks
+        self.spans = [frozenset([0])]  # elements encoded base 3
+        self.ids = {self.spans[0]: 0}
+        self.trans = {}
+        self.union = {0: gridmasks[0]}
+
+    def add(self, span_id, y):
+        key = (span_id, y)
+        nid = self.trans.get(key)
+        if nid is not None:
+            return nid
+        base = self.spans[span_id]
+        if y in base:
+            self.trans[key] = span_id
+            return span_id
+        new = set(base)
+        for s in base:
+            # add s + j*y for j = 1, 2 (componentwise mod 3 on base-3 codes)
+            a = _enc_add(s, y)
+            new.add(a)
+            new.add(_enc_add(a, y))
+        fs = frozenset(new)
+        nid = self.ids.get(fs)
+        if nid is None:
+            nid = len(self.spans)
+            self.spans.append(fs)
+            self.ids[fs] = nid
+            u = 0
+            for s in fs:
+                u |= self.gridmasks[s]
+            self.union[nid] = u
+        self.trans[key] = nid
+        return nid
+
+    def dim(self, span_id):
+        n = len(self.spans[span_id])
+        d = 0
+        while n > 1:
+            n //= 3
+            d += 1
+        return d
+
+
+def _reference_coset_lemma(max_dim, reduced, gridmasks=None):
+    """(instances, by_span_dim, counterexamples) by a loop over every tuple."""
+    tracker = _SpanTracker(gridmasks or _grid_masks())
+    instances = {}
+    by_dim = {3: 0, 4: 0}
+    bad = []
+    for k in range(3, max_dim + 1):
+        fns = _nonzero_functionals(k, up_to_sign=reduced)
+        count = 0
+        for f1, f2, f3, f4 in product(fns, repeat=4):
+            sid = 0
+            for j in range(k):
+                sid = tracker.add(sid, f1[j] + 3 * f2[j] + 9 * f3[j] + 27 * f4[j])
+            d = tracker.dim(sid)
+            if d < 3:
+                continue
+            count += 1
+            by_dim[d] += 1
+            if tracker.union[sid] != FULL81:
+                bad.append((k, f1, f2, f3, f4))
+        instances[k] = count
+    return instances, by_dim, bad
+
+
+def _rank_mod3(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % 3), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][c] % 3  # 1 and 2 are their own inverses mod 3
+        rows[rank] = [x * inv % 3 for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] % 3:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % 3 for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _table_span(rows, fns):
+    """Span id of functionals fns on F_3^k, walked coordinate by coordinate."""
+    sid = 0
+    for j in range(len(fns[0])):
+        sid = rows[sid][sum(3**i * f[j] for i, f in enumerate(fns))]
+    return sid
+
+
+def _covered_by_value_image(fns):
+    """Brute force: some c in F_3^4 with every x hit by a coset phi_i(x) = c_i."""
+    image = {
+        tuple(sum(a * b for a, b in zip(f, x)) % 3 for f in fns)
+        for x in product(range(3), repeat=len(fns[0]))
+    }
+    return any(
+        all(y[0] == c0 or y[1] == c1 or y[2] == c2 or y[3] == c3 for y in image)
+        for c0, c1, c2, c3 in product(range(3), repeat=4)
+    )
 
 
 class TestCosetLemma:
@@ -19,6 +171,66 @@ class TestCosetLemma:
         # reproducible instance count (sign-reduced functional tuples of
         # span >= 3 on F_3^3)
         assert rep.instances == {3: 25272}
+
+    @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+    def test_matches_per_tuple_reference(self, reduced):
+        instances, by_dim, bad = _reference_coset_lemma(3, reduced)
+        rep = verify_coset_lemma(3, reduced=reduced)
+        assert (rep.instances, rep.by_span_dim, rep.counterexamples) == (instances, by_dim, bad)
+
+    def test_other_dimensions_rejected_python_O(self, run_python_O):
+        # the range check must survive -O: F_3^2 would give a vacuous pass and
+        # F_3^5 a search of hours
+        script = (
+            "from kurihara.verifiers import verify_coset_lemma\n"
+            "for d in (2, 5):\n"
+            "    try:\n"
+            "        verify_coset_lemma(d)\n"
+            "    except ValueError:\n"
+            "        print('REJECTED', d)\n"
+            "    else:\n"
+            "        raise SystemExit(f'accepted {d}')\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["REJECTED", "2", "REJECTED", "5"]
+
+    def test_span_two_tuples_judged_by_tables(self):
+        # the same span and union tables the search uses must see the covered
+        # span-2 configurations, or a "never covered" verdict is empty
+        rows, dims, unions = verifiers._span_lattice()
+        fns, c, covered = span_two_covering_witness()
+        sid = _table_span(rows, fns)
+        assert covered and dims[sid] == 2 and unions[sid] != FULL81
+        span_two = covered_two = 0
+        for tup in product(_nonzero_functionals(3, up_to_sign=True), repeat=4):
+            sid = _table_span(rows, tup)
+            assert dims[sid] == _rank_mod3(tup)
+            if dims[sid] == 2:
+                span_two += 1
+                judged = unions[sid] != FULL81
+                assert judged == _covered_by_value_image(tup)
+                covered_two += judged
+        assert (covered_two, span_two) == (936, 3276)
+
+    def test_corrupted_grid_reports_real_counterexamples(self, monkeypatch):
+        # drop c = 0 from the survivor grids of the y with y_0 == y_1: a span
+        # whose only vectors with all coordinates nonzero have y_0 == y_1 then
+        # misses c = 0, so its tuples must come back as counterexamples
+        def corrupt(grids):
+            return [m & ~1 if y % 3 == y // 3 % 3 else m for y, m in enumerate(grids)]
+
+        grids = corrupt(verifiers._survivor_grids())
+        monkeypatch.setattr(verifiers, "_survivor_grids", lambda: grids)
+        rep = verify_coset_lemma(3)
+        assert not rep.ok and rep.instances == {3: 25272}
+        assert 0 < len(rep.counterexamples) < 25272
+        _, _, bad = _reference_coset_lemma(3, True, corrupt(_grid_masks()))
+        assert rep.counterexamples == bad
+        fns = set(_nonzero_functionals(3, up_to_sign=True))
+        for k, *tup in rep.counterexamples:
+            assert k == 3 and set(tup) <= fns
+            assert _rank_mod3(tup) >= 3
 
     def test_reduced_and_unreduced_agree_on_f27(self):
         reduced = verify_coset_lemma(3, reduced=True)
@@ -117,4 +329,4 @@ class TestCosetLemmaDimFour:
         assert rep.instances == {3: 25272, 4: 2527200}
         # span-4 tuples can never be covered (a coordinatewise-avoiding point
         # always exists); span-3 tuples reduce to the F_3^3 case
-        assert rep.by_span_dim[4] > 0 and rep.by_span_dim[3] > 0
+        assert rep.by_span_dim == {3: 1036152, 4: 1516320}
