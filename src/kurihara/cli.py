@@ -19,11 +19,11 @@ from .errors import (
     KuriharaError,
     SearchExhausted,
 )
-from .kolyvagin import kurihara_number_direct, kurihara_number_via_ed, sieve
+from .kolyvagin import sieve, sieved_factors, theta_residues
 from .mazurtate import theta, vartheta, xi_tilde
 from .modsym import build_space, extract_eigensymbol, symbol_from_json
 from .verifiers import span_two_covering_witness, run_identity_suite, verify_coset_lemma
-from .search import DeltaReport, attach_parity, find_delta_minimal, selmer_report
+from .search import DeltaReport, attach_parity, delta_row, find_delta_minimal, selmer_report
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 2
@@ -265,14 +265,12 @@ def _dispatch(args):
         sym = _load_symbol(args, E)
         primes = sieve(E, args.p, args.m, args.n, args.bound)
         registry = {kp.ell: kp for kp in primes}
-        direct = kurihara_number_direct(sym, registry, args.d, args.p, args.m)
-        via = kurihara_number_via_ed(sym, registry, args.d, args.p, args.m)
-        obj = direct.to_json()
-        obj["routes_agree"] = direct.value == via.value
-        _emit(args, obj, f"delta_{args.d} = {direct.value} (mod {args.p}^{args.m}),"
-                         f" routes_agree={obj['routes_agree']}")
-        if not obj["routes_agree"]:
-            raise CorrectnessAlarm(f"route disagreement at d={args.d}")
+        sieved_factors(args.d, registry)  # reject a bad d before walking (Z/d)^*
+        row = delta_row(theta_residues(sym, args.d, args.p, args.m), registry)
+        # the reported value is the direct route's, checked against the other two
+        obj = dict(row.to_json(), route="direct")
+        _emit(args, obj, f"delta_{args.d} = {row.delta} (mod {args.p}^{args.m}),"
+                         f" routes_agree={row.routes_agree}")
         return EXIT_OK
 
     if cmd == "search":

@@ -77,9 +77,6 @@ class CurveData:
                 raise ValueError(f"conductor prime {q} does not divide the discriminant")
         return self
 
-    def bad_primes(self):
-        return sorted(factorize(self.conductor))
-
     def __str__(self):
         return self.label or f"E{self.ainvs()}"
 

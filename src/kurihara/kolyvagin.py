@@ -2,10 +2,11 @@
 
 The sieve picks the primes l with l = 1 mod p^max(m, n+1) whose reduction has
 cyclic p^m-torsion; each carries a fixed generator h_l of (Z/l)^* and discrete
-logarithms to that base.  delta_d is then computed by three routes: the direct
-weighted sum over (Z/d)^*, the transport through the p-part quotient
-Gal(Q(d)/Q), and the Kolyvagin-derivative expansion, which also certifies the
-closed-form identity the transport rests on.
+logarithms to that base.  theta_d mod p^m is walked once over (Z/d)^*, and
+delta_d is then computed by three routes: the direct weighted sum over the
+walked units, and, from one projection to the p-part quotient Gal(Q(d)/Q),
+the transport through e_d and the Kolyvagin-derivative expansion, which also
+certifies the closed-form identity the transport rests on.
 """
 
 from dataclasses import dataclass
@@ -86,7 +87,8 @@ class KolyvaginPrime:
 
     def dlog_mod(self, a, pk):
         """dlog reduced mod p^k; requires p^k | ell - 1."""
-        assert (self.ell - 1) % pk == 0
+        if (self.ell - 1) % pk:
+            raise ValueError(f"{pk} does not divide {self.ell} - 1")
         return self.dlog(a) % pk
 
 
@@ -119,7 +121,8 @@ def sieve(E, p, m, n, bound, workers=1):
     ]
 
 
-def _factors_of(d, registry):
+def sieved_factors(d, registry):
+    """The primes of d, which must be squarefree with every prime sieved."""
     fac = factorize(d)
     if any(e > 1 for e in fac.values()):
         raise NotSquarefree(f"{d} is not squarefree")
@@ -144,43 +147,50 @@ class KuriharaNumber:
     def nonzero(self):
         return self.value % self.p**self.m != 0
 
-    def to_json(self):
-        return {
-            "d": self.d,
-            "factors": list(self.factors),
-            "delta": self.value,
-            "route": self.route,
-            "generators": {str(l): g for l, g in self.generators.items()},
-        }
+
+@dataclass
+class ThetaResidues:
+    """theta_d with coefficients in Z/p^m, from one walk of (Z/d)^*.
+
+    `units` lists (a, [a/d]^+ mod p^m) for the units a mod d in increasing
+    order.  All three delta_d routes read this one list.
+    """
+
+    d: int
+    ring: ResidueRing
+    units: list
 
 
-def _theta_residues(symbol, d, ring):
-    """Yield (a, [a/d]^+ in Z/p^m) for the units a mod d, in increasing order."""
+def theta_residues(symbol, d, p, m=1):
+    """Walk (Z/d)^* once; the only plus-symbol evaluation of this module."""
+    ring = ResidueRing(p, m)
+    units = []
     for a in range(1, d + 1):
         if gcd(a, d) != 1:
             continue
         try:
-            coeff = ring.coerce(eval_plus(symbol, a, d))
+            units.append((a, ring.coerce(eval_plus(symbol, a, d))))
         except DenominatorDivisibleByP as exc:
             raise DenominatorDivisibleByP(
                 f"theta at level {d} is not p-integral: {exc}"
             ) from exc
-        yield a, coeff
+    return ThetaResidues(d, ring, units)
 
 
-def kurihara_number_direct(symbol, registry, d, p, m=1):
+def kurihara_number_direct(theta, registry):
     """delta_d as the plain weighted sum over units a mod d.
 
     Weights are products over l | d of the discrete log of a base h_l, taken
     mod p^m; the empty product makes delta_1 the L-value mod p^m.  The sum is
-    taken straight from the plus-symbol values, with no group-ring machinery,
-    so it stays independent of the via-e_d route.
+    taken straight from the walked residues with its own `dlog_mod` weights,
+    with no group-ring machinery, so it stays independent of the projection
+    the other two routes share.
     """
-    ring = ResidueRing(p, m)
+    ring = theta.ring
     pk = ring.modulus
-    ells = _factors_of(d, registry)
+    ells = sieved_factors(theta.d, registry)
     total = 0
-    for a, coeff in _theta_residues(symbol, d, ring):
+    for a, coeff in theta.units:
         if not coeff:
             continue
         weight = 1
@@ -188,26 +198,40 @@ def kurihara_number_direct(symbol, registry, d, p, m=1):
             weight = weight * registry[ell].dlog_mod(a, pk) % pk
         total = (total + coeff * weight) % pk
     gens = {ell: registry[ell].generator for ell in ells}
-    return KuriharaNumber(d, tuple(ells), total, p, m, "direct", gens)
+    return KuriharaNumber(theta.d, tuple(ells), total, ring.p, ring.m, "direct", gens)
 
 
-def _project_theta(symbol, registry, d, ring):
-    """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], its primes, and e_d.
+@dataclass
+class ThetaProjection:
+    """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], shared by via-e_d and the derivative."""
+
+    d: int
+    element: GroupRingElement
+    ells: tuple
+    e_d: int
+    generators: dict  # l -> h_l
+
+
+def project_theta(theta, registry):
+    """Push the walked theta_d to Z/p^m[Gal(Q(d)/Q)].
 
     Gal(Q(d)/Q) = prod of the p-parts G_l; sigma_a lands on the tuple of
     discrete logs of a reduced mod the p-part orders.  e_d = #Gal(Q(mu_d)/Q(d))
     is the prime-to-p index prod (l - 1)/|G_l|.
     """
-    ells = _factors_of(d, registry)
+    ells = sieved_factors(theta.d, registry)
     orders = [registry[ell].p_part_order for ell in ells]
+    modulus = theta.ring.modulus
     coeffs = {}
-    for a, coeff in _theta_residues(symbol, d, ring):
+    for a, coeff in theta.units:
         key = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
-        coeffs[key] = (coeffs.get(key, 0) + coeff) % ring.modulus
+        coeffs[key] = (coeffs.get(key, 0) + coeff) % modulus
     e_d = 1
     for ell, n in zip(ells, orders):
         e_d *= (ell - 1) // n
-    return GroupRingElement(AbelianGroup(orders), ring, coeffs), ells, e_d
+    element = GroupRingElement(AbelianGroup(orders), theta.ring, coeffs)
+    gens = {ell: registry[ell].generator for ell in ells}
+    return ThetaProjection(theta.d, element, tuple(ells), e_d, gens)
 
 
 def _log_weighted_sum(projected, e_d, modulus):
@@ -226,19 +250,21 @@ def _log_weighted_sum(projected, e_d, modulus):
     return total
 
 
-def kurihara_number_via_ed(symbol, registry, d, p, m=1):
+def kurihara_number_via_ed(projection):
     """delta_d through the p-part quotient and transported generators.
 
-    theta_d is pushed to Z/p^m[Gal(Q(d)/Q)]; logs are taken to the base
-    g_l = image of h_l^{e_d} with e_d = #Gal(Q(mu_d)/Q(d)), and the unit
-    e_d^{nu(d)} rescales the sum back to the direct-route value.
+    Logs are taken to the base g_l = image of h_l^{e_d} with
+    e_d = #Gal(Q(mu_d)/Q(d)), and the unit e_d^{nu(d)} rescales the sum back
+    to the direct-route value.
     """
-    ring = ResidueRing(p, m)
+    ring = projection.element.ring
     pk = ring.modulus
-    projected, ells, e_d = _project_theta(symbol, registry, d, ring)
-    total = _log_weighted_sum(projected, e_d, pk) * pow(e_d, len(ells), pk) % pk
-    gens = {ell: registry[ell].generator for ell in ells}
-    return KuriharaNumber(d, tuple(ells), total, p, m, "via_ed", gens)
+    e_d, nu = projection.e_d, len(projection.ells)
+    total = _log_weighted_sum(projection.element, e_d, pk) * pow(e_d, nu, pk) % pk
+    return KuriharaNumber(
+        projection.d, projection.ells, total, ring.p, ring.m, "via_ed",
+        projection.generators,
+    )
 
 
 @dataclass
@@ -249,19 +275,22 @@ class DerivativeData:
     nonzero: bool           # D_d theta_d mod p != 0 as a whole element
 
 
-def derivative_data(symbol, registry, d, p):
+def derivative_data(projection):
     """Literal expansion of D_d theta_d in F_p[Gal(Q(d)/Q)].
 
-    D_l = sum i g_l^i with g_l the image of h_l^{e_d}; the product of the D_l
-    is convolved against the projected theta_d and compared with the closed
-    form (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) times the norm element.
+    The projection is reduced mod p.  D_l = sum i g_l^i with g_l the image of
+    h_l^{e_d}; the product of the D_l is convolved against the projected
+    theta_d and compared with the closed form
+    (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) times the norm element.
     """
+    p = projection.element.ring.p
     ring = ResidueRing(p, 1)
-    projected, ells, e_d = _project_theta(symbol, registry, d, ring)
+    projected = projection.element.change_ring(ring)
+    e_d, nu = projection.e_d, len(projection.ells)
     quotient = projected.group
     deriv = GroupRingElement.one(quotient, ring)
     for i, order in enumerate(quotient.orders):
-        gl = tuple(e_d % order if j == i else 0 for j in range(len(ells)))
+        gl = tuple(e_d % order if j == i else 0 for j in range(nu))
         term = {}
         acc = quotient.identity
         for k in range(order):
@@ -271,7 +300,7 @@ def derivative_data(symbol, registry, d, p):
         deriv = deriv * GroupRingElement(quotient, ring, term)
     expansion = deriv * projected
 
-    closed = _log_weighted_sum(projected, e_d, p) * pow(p - 1, len(ells), p) % p
+    closed = _log_weighted_sum(projected, e_d, p) * pow(p - 1, nu, p) % p
 
     is_multiple = all(expansion.coefficient(g) == closed for g in quotient.elements())
     return DerivativeData(

@@ -73,11 +73,6 @@ def lvalue_and_sign(E, eps=1e-12):
     return values[0], +1
 
 
-def lvalue(E):
-    """L(E, 1); exactly 0.0 when the functional-equation sign is -1."""
-    return lvalue_and_sign(E)[0]
-
-
 def _cubic_roots(c2, c1, c0):
     """Roots of x^3 + c2 x^2 + c1 x + c0 (Cardano + Newton polish)."""
     a, b, c = complex(c2), complex(c1), complex(c0)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .curve import trace_of_frobenius
 from .errors import (
     BadPrime,
+    CorrectnessAlarm,
     DenominatorDivisibleByP,
     HypothesisViolation,
     NonInvertibleEll,
@@ -29,6 +30,8 @@ from .exactmath import (
     xgcd,
 )
 from .modsym import eval_plus
+
+THETA_CACHE = 2**9  # theta elements kept per symbol; the oldest goes first
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,10 @@ def unit_root(E, p, m):
         f = (x * x - a_p * x + p) % mod
         df = (2 * x - a_p) % mod
         x = (x - f * pow(df, -1, mod)) % mod
-    assert (x * x - a_p * x + p) % mod == 0
-    assert x % p != 0
+    if (x * x - a_p * x + p) % mod or x % p == 0:
+        raise CorrectnessAlarm(
+            f"Hensel lift {x} is not a unit root of x^2 - {a_p} x + {p} mod {mod}"
+        )
     if x % p == 1 % p:
         raise HypothesisViolation(
             "unit root is 1 mod p; hypothesis (c) fails (p | #E(F_p))"
@@ -103,8 +108,8 @@ class ThetaElement:
 def theta(symbol, d, n=0, p=None):
     """The modular element over (Z/dp^n)^* built from plus-symbol values.
 
-    Cached per symbol and level: the identity suites revisit the same levels
-    many times and the element is immutable.
+    Cached per symbol and level, at most THETA_CACHE levels: the identity
+    suites revisit the same levels many times and the element is immutable.
     """
     E = symbol.curve
     if n > 0 and p is None:
@@ -121,7 +126,10 @@ def theta(symbol, d, n=0, p=None):
         coeffs[group.sigma(a)] = eval_plus(symbol, a, level)
     elem = GroupRingElement(group, QQ, coeffs)
     out = ThetaElement(d, n, p if p is not None else 0, elem, str(E))
-    symbol._theta_cache[key] = out
+    cache = symbol._theta_cache
+    cache[key] = out
+    while len(cache) > THETA_CACHE:
+        del cache[next(iter(cache))]
     return out
 
 
@@ -145,7 +153,8 @@ def _sigma_ell(group, ell):
         return group.identity
     # CRT: x = 1 mod ell^v, x = ell mod rest
     g, u, w = xgcd(lv, rest)
-    assert g == 1
+    if g != 1:
+        raise CorrectnessAlarm(f"gcd({lv}, {rest}) = {g} after removing {ell} from {D}")
     x = (1 * w * rest + (ell % rest) * u * lv) % D
     return group.sigma(x)
 
@@ -199,7 +208,6 @@ def xi_tilde(symbol, d, n, p, m):
             raise NonInvertibleEll(f"{ell} is not invertible mod {p}^{m}")
     top_group = unit_group(d * p**n if n else d)
     total = GroupRingElement.zero(top_group, ring)
-    nterms = 0
     for mask in range(1 << len(primes)):
         e = 1
         for i, ell in enumerate(primes):
@@ -212,8 +220,6 @@ def xi_tilde(symbol, d, n, p, m):
                 v = v.translate(s_inv).scale(ring.neg(ring.one))
         hom = unit_reduction(top_group, v.group)
         total = total + norm_map(v, hom)
-        nterms += 1
-    assert nterms == 1 << len(primes)
     for ell in primes:
         s_inv = top_group.inv(_sigma_ell(top_group, ell))
         total = total.translate(s_inv).scale(ring.neg(ring.inv(ring.coerce(ell))))

@@ -417,7 +417,6 @@ class EigenSymbol:
     calibration_status: str
     calibration_unit: Fraction
     _wfree: list = field(default=None, repr=False)
-    _memo: dict = field(default_factory=dict, repr=False)
     _theta_cache: dict = field(default_factory=dict, repr=False)  # theta per (d, n, p)
 
     def generator_values(self):
@@ -464,12 +463,7 @@ def eval_plus(symbol, a, d):
         raise NotCoprime("denominator must be positive")
     if gcd(a, d) != 1:
         raise NotCoprime(f"gcd({a}, {d}) != 1")
-    key = (a, d)
-    val = symbol._memo.get(key)
-    if val is None:
-        val = symbol.raw_value(a, d) * symbol.calibration_unit
-        symbol._memo[key] = val
-    return val
+    return symbol.raw_value(a, d) * symbol.calibration_unit
 
 
 def _intersect_eigenspace(mats_pairs, start_basis, dim):
@@ -498,6 +492,22 @@ def _intersect_eigenspace(mats_pairs, start_basis, dim):
     return basis, used, dims
 
 
+def _column_chain(space, pairs):
+    """Eigenline chain of the (q, a_q) in `pairs` inside the cuspidal subspace."""
+    return _intersect_eigenspace(
+        ((q, aq, space.hecke_full(q)) for q, aq in pairs),
+        space.cuspidal_basis, space.dim,
+    )
+
+
+def _functional_chain(space, pairs):
+    """The same chain on the full quotient under the transposed action."""
+    return _intersect_eigenspace(
+        ((q, aq, mat_transpose(space.hecke_full(q))) for q, aq in pairs),
+        _identity_int(space.dim), space.dim,
+    )
+
+
 def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
     """Cut the eigenline of E out of the plus quotient and package it.
 
@@ -512,12 +522,9 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
 
     def pair_stream():
         for q in good_q:
-            yield q, trace_of_frobenius(E, q), space.hecke_full(q)
+            yield q, trace_of_frobenius(E, q)
 
-    # column chain inside the cuspidal subspace
-    col_basis, used, chain = _intersect_eigenspace(
-        pair_stream(), space.cuspidal_basis, space.dim
-    )
+    col_basis, used, chain = _column_chain(space, pair_stream())
     if not col_basis:
         raise EigensymbolNotFound(
             "no cuspidal eigenvector matches the a_q of the curve "
@@ -529,14 +536,7 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
         )
     column = tuple(col_basis[0])
 
-    # functional chain on the full quotient (transposed action)
-    def dual_stream():
-        for q in good_q:
-            yield q, trace_of_frobenius(E, q), mat_transpose(space.hecke_full(q))
-
-    dual_basis, dual_used, _ = _intersect_eigenspace(
-        dual_stream(), _identity_int(space.dim), space.dim
-    )
+    dual_basis, dual_used, _ = _functional_chain(space, pair_stream())
     if len(dual_basis) != 1:
         raise AmbiguousEigenspace(
             f"dual eigenspace has dimension {len(dual_basis)} after q <= {qmax}"
@@ -622,7 +622,12 @@ def fricke_eigenvalue(symbol):
 
 
 def symbol_from_json(obj, E):
-    """Rebuild an EigenSymbol from its cache entry (space is reconstructed)."""
+    """Rebuild an EigenSymbol from its cache entry, re-certified.
+
+    The space is reconstructed, and both eigenline chains are run again on the
+    cached (q, a_q) pairs: the column must be a line and the functional must
+    equal the cached vector, or CorrectnessAlarm is raised.
+    """
     if obj["sign"] != 1:
         raise CorrectnessAlarm(f"cache entry has sign {obj['sign']}, not the plus quotient")
     space = ManinSpace(obj["N"])
@@ -630,14 +635,14 @@ def symbol_from_json(obj, E):
         raise CorrectnessAlarm("cache schema/level mismatch")
     vector = tuple(int(x) for x in obj["vector"])
     pairs = tuple((int(q), int(aq)) for q, aq in obj["hecke_pairs"])
-
-    def stream():
-        for q, aq in pairs:
-            yield q, aq, space.hecke_full(q)
-
-    col_basis, _, chain = _intersect_eigenspace(stream(), space.cuspidal_basis, space.dim)
+    col_basis, _, chain = _column_chain(space, pairs)
     if len(col_basis) != 1:
         raise CorrectnessAlarm("cached hecke pairs no longer cut a line")
+    dual_basis, _, _ = _functional_chain(space, pairs)
+    if len(dual_basis) != 1 or tuple(dual_basis[0]) != vector:
+        raise CorrectnessAlarm(
+            "cached eigensymbol vector is not the functional the cached hecke pairs cut out"
+        )
     num, den = obj["calibration"]["unit"].split("/")
     return EigenSymbol(
         space,

@@ -22,7 +22,9 @@ from .kolyvagin import (
     derivative_data,
     kurihara_number_direct,
     kurihara_number_via_ed,
+    project_theta,
     sieve,
+    theta_residues,
 )
 from .modsym import fricke_eigenvalue
 
@@ -153,10 +155,18 @@ class DeltaReport:
         return "\n".join(lines)
 
 
-def _delta_row(symbol, registry, d, p, m):
-    direct = kurihara_number_direct(symbol, registry, d, p, m)
-    via = kurihara_number_via_ed(symbol, registry, d, p, m)
-    deriv = derivative_data(symbol, registry, d, p)
+def delta_row(theta, registry):
+    """delta_d by all three routes from one walk of (Z/d)^*, as a checked row.
+
+    `theta` is `theta_residues(symbol, d, p, m)`.  The direct route reads the
+    walked units with its own dlog weights; one projection to
+    Z/p^m[Gal(Q(d)/Q)] serves both via-e_d and the derivative.  Any
+    disagreement raises CorrectnessAlarm.
+    """
+    direct = kurihara_number_direct(theta, registry)
+    projection = project_theta(theta, registry)
+    via = kurihara_number_via_ed(projection)
+    deriv = derivative_data(projection)
     agree = (
         direct.value == via.value
         and deriv.is_norm_multiple
@@ -164,10 +174,10 @@ def _delta_row(symbol, registry, d, p, m):
     )
     if not agree:
         raise CorrectnessAlarm(
-            f"route disagreement at d={d}: direct={direct.value}, "
+            f"route disagreement at d={theta.d}: direct={direct.value}, "
             f"via_ed={via.value}, derivative={deriv}"
         )
-    return DeltaRow(d, direct.factors, direct.value, agree, direct.generators)
+    return DeltaRow(theta.d, direct.factors, direct.value, agree, direct.generators)
 
 
 def find_delta_minimal(
@@ -198,7 +208,7 @@ def find_delta_minimal(
             _product(c) for c in combinations(sorted(registry), nu)
         )
         for d in ds:
-            row = table[d] = _delta_row(symbol, registry, d, p, m)
+            row = table[d] = delta_row(theta_residues(symbol, d, p, m), registry)
             if row.delta % p**m != 0:
                 if all(
                     table[e].delta % p**m == 0

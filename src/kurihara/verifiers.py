@@ -17,6 +17,7 @@ lookup, and every tuple is still visited and judged.
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from math import gcd
 
 from .curve import primes_upto
 from .errors import IdentityFailure
@@ -28,13 +29,7 @@ from .exactmath import (
     projection_map,
     unit_reduction,
 )
-from .kolyvagin import (
-    KolyvaginPrime,
-    derivative_data,
-    kurihara_number_direct,
-    kurihara_number_via_ed,
-    sieve,
-)
+from .kolyvagin import KolyvaginPrime, sieve, theta_residues
 from .mazurtate import (
     euler_factor,
     frobenius_factor,
@@ -42,6 +37,7 @@ from .mazurtate import (
     vartheta,
     xi_tilde,
 )
+from .search import delta_row
 
 FULL81 = (1 << 81) - 1
 _VECS = [tuple(y // 3**i % 3 for i in range(4)) for y in range(81)]  # base-3 digits
@@ -269,8 +265,10 @@ def run_identity_suite(
 
     Norm relations are checked for all squarefree good d and good primes l
     with d*l under the bound; the route identities run over sieved Kolyvagin
-    products.  Any failure is reported through IdentityFailure naming the
-    (identity, instance) pair.
+    products through `delta_row`, which checks all three routes on one walk
+    of (Z/d)^* and raises CorrectnessAlarm on a disagreement.  Any other
+    failure is reported through IdentityFailure naming the (identity,
+    instance) pair.
     """
     E = symbol.curve
     results = {
@@ -353,38 +351,28 @@ def run_identity_suite(
             )
         products = sorted(set(products))
     for d in products:
-        direct = kurihara_number_direct(symbol, registry, d, p, 1)
-        via = kurihara_number_via_ed(symbol, registry, d, p, 1)
-        data = derivative_data(symbol, registry, d, p)
-        results["ed_route_agreement"].instances += 1
-        if direct.value != via.value:
-            results["ed_route_agreement"].failures.append((d, direct.value, via.value))
-        results["derivative_closed_form"].instances += 1
-        if not data.is_norm_multiple:
-            results["derivative_closed_form"].failures.append((d,))
-        results["derivative_vanishing"].instances += 1
-        if data.nonzero != direct.nonzero:
-            results["derivative_vanishing"].failures.append((d,))
+        delta_row(theta_residues(symbol, d, p, 1), registry)
+        for name in ("ed_route_agreement", "derivative_closed_form", "derivative_vanishing"):
+            results[name].instances += 1
 
-    # generator covariance on single sieved primes
+    # generator covariance on single sieved primes: one walk serves both
+    # registries
     rng = random.Random(seed)
-    single = [kp for kp in primes]
-    for _ in range(covariance_samples if single else 0):
-        kp = rng.choice(single)
+    for _ in range(covariance_samples if primes else 0):
+        kp = rng.choice(primes)
         u = rng.randrange(2, kp.ell - 1)
-        from math import gcd as _g
-
-        while _g(u, kp.ell - 1) != 1:
+        while gcd(u, kp.ell - 1) != 1:
             u = rng.randrange(2, kp.ell - 1)
         alt = KolyvaginPrime(
             kp.ell, kp.p, kp.m, kp.n, pow(kp.generator, u, kp.ell)
         )
-        base = kurihara_number_direct(symbol, registry, kp.ell, p, 1)
         alt_reg = dict(registry)
         alt_reg[kp.ell] = alt
-        twisted = kurihara_number_direct(symbol, alt_reg, kp.ell, p, 1)
+        theta = theta_residues(symbol, kp.ell, p, 1)
+        base = delta_row(theta, registry)
+        twisted = delta_row(theta, alt_reg)
         results["generator_covariance"].instances += 1
-        if twisted.value != base.value * pow(u, -1, p) % p:
+        if twisted.delta != base.delta * pow(u, -1, p) % p:
             results["generator_covariance"].failures.append((kp.ell, u))
 
     # projective system across n for small d

@@ -21,7 +21,9 @@ from kurihara.kolyvagin import (
     derivative_data,
     kurihara_number_direct,
     kurihara_number_via_ed,
+    project_theta,
     sieve,
+    theta_residues,
 )
 from kurihara.lseries import lratio
 from kurihara.modsym import eval_plus
@@ -94,9 +96,11 @@ def test_criterion_3_route_agreement(sym11, sym37):
     for sym, p in ((sym11, 7), (sym37, 5)):
         registry = {kp.ell: kp for kp in sieve(sym.curve, p, 1, 0, 500)}
         for d in _squarefree_products(sorted(registry), 500):
-            direct = kurihara_number_direct(sym, registry, d, p)
-            via = kurihara_number_via_ed(sym, registry, d, p)
-            data = derivative_data(sym, registry, d, p)
+            theta = theta_residues(sym, d, p)
+            direct = kurihara_number_direct(theta, registry)
+            projection = project_theta(theta, registry)
+            via = kurihara_number_via_ed(projection)
+            data = derivative_data(projection)
             if direct.value != via.value:
                 failures.append((p, d, "route"))
             if not data.is_norm_multiple:
@@ -167,9 +171,7 @@ def test_criterion_6_generator_covariance(sym37):
     registry = {kp.ell: kp for kp in sieve(sym37.curve, p, 1, 0, 500)}
     ds = [d for d in _squarefree_products(sorted(registry), 500) if d > 1]
     rng = random.Random(1)
-    base_values = {
-        d: kurihara_number_direct(sym37, registry, d, p).value for d in ds
-    }
+    thetas = {d: theta_residues(sym37, d, p) for d in ds}
     done = 0
     while done < 50:
         d = rng.choice(ds)
@@ -184,9 +186,10 @@ def test_criterion_6_generator_covariance(sym37):
                 alt[ell] = KolyvaginPrime(ell, p, 1, 0, pow(kp.generator, u, ell))
                 scale = scale * pow(u, -1, p) % p
         else:
-            twisted = kurihara_number_direct(sym37, alt, d, p)
-            assert twisted.value == base_values[d] * scale % p
-            assert (twisted.value % p != 0) == (base_values[d] % p != 0)
+            twisted = kurihara_number_direct(thetas[d], alt)
+            base = kurihara_number_direct(thetas[d], registry).value
+            assert twisted.value == base * scale % p
+            assert (twisted.value % p != 0) == (base % p != 0)
             done += 1
     _report("6 (generator covariance, 50 samples)", t0)
 

@@ -82,6 +82,42 @@ class TestSubcommands:
         assert out["delta"] == 4
         assert out["routes_agree"]
 
+    def test_delta_checks_derivative_route(self, monkeypatch, capsys):
+        # `delta` runs the same three-route row as `search`: a derivative
+        # route that no longer matches the other two is an alarm
+        import dataclasses
+
+        from kurihara import search
+
+        original = search.derivative_data
+
+        def corrupted(projection):
+            return dataclasses.replace(original(projection), is_norm_multiple=False)
+
+        monkeypatch.setattr(search, "derivative_data", corrupted)
+        code = main(
+            ["delta", "--curve", curve_path("37a1"), "--p", "5",
+             "--d", "61", "--bound", "300"]
+        )
+        assert code == 3
+        assert "route disagreement at d=61" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [61 * 61, 13 * 10**6 + 1])
+    def test_delta_bad_d_rejected_before_walk(self, d, monkeypatch, capsys):
+        import kurihara.kolyvagin as kol
+
+        def no_walk(*args):
+            raise AssertionError("walked (Z/d)^* for an invalid d")
+
+        monkeypatch.setattr(kol, "eval_plus", no_walk)
+        code = main(
+            ["delta", "--curve", curve_path("37a1"), "--p", "5",
+             "--d", str(d), "--bound", "300"]
+        )
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "not squarefree" in err or "not produced by the sieve" in err
+
     def test_theta_dump(self, capsys):
         code = main(
             ["theta", "--curve", curve_path("11a1"), "--p", "7",
@@ -253,3 +289,31 @@ class TestReverification:
             err = err_buf.getvalue()
         assert code == 3
         assert "CORRECTNESS ALARM" in err
+
+    @pytest.mark.parametrize("command", ["search", "delta"])
+    def test_corrupted_eigensymbol_cache_exits_3(self, saved_search, tmp_path, command):
+        # the cached functional is re-derived from the cached Hecke pairs on
+        # load; a vector that is not the eigen-functional is refused
+        cache_dir, _ = saved_search
+        work = tmp_path / "cache"
+        shutil.copytree(cache_dir, work)
+        corrupted = 0
+        for entry_path in work.iterdir():
+            entry = json.loads(entry_path.read_text())
+            if "hecke_pairs" in entry["value"]:
+                vector = entry["value"]["vector"]
+                vector[0] = str(int(vector[0]) + 1)
+                entry_path.write_text(json.dumps(entry))
+                corrupted += 1
+        assert corrupted == 1
+        if command == "search":
+            argv = SEARCH_37 + ["--cache-dir", str(work)]
+        else:
+            argv = ["delta", "--curve", curve_path("37a1"), "--p", "5", "--d", "61",
+                    "--bound", "300", "--cache-dir", str(work)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 3
+        assert "CORRECTNESS ALARM" in err.getvalue()
+        assert out.getvalue() == ""

@@ -11,8 +11,25 @@ from kurihara.kolyvagin import (
     kolyvagin_predicate,
     kurihara_number_direct,
     kurihara_number_via_ed,
+    project_theta,
     sieve,
+    theta_residues,
 )
+
+
+def direct_number(sym, reg, d, p, m=1):
+    return kurihara_number_direct(theta_residues(sym, d, p, m), reg)
+
+
+def routes(sym, reg, d, p, m=1):
+    """(direct, via_ed, derivative) from one walk and one projection."""
+    theta = theta_residues(sym, d, p, m)
+    projection = project_theta(theta, reg)
+    return (
+        kurihara_number_direct(theta, reg),
+        kurihara_number_via_ed(projection),
+        derivative_data(projection),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +110,12 @@ class TestDlog:
 class TestKuriharaNumbers:
     def test_delta_one_11a1(self, sym11, reg11):
         # L(E,1)/Omega = 1/5; 1/5 mod 7 = 3 (calibrated, so exactly)
-        d = kurihara_number_direct(sym11, reg11, 1, 7)
+        d = direct_number(sym11, reg11, 1, 7)
         assert d.value == 3
         assert d.nonzero
 
     def test_delta_one_37a1_vanishes(self, sym37, reg37):
-        assert kurihara_number_direct(sym37, reg37, 1, 5).value == 0
+        assert direct_number(sym37, reg37, 1, 5).value == 0
 
     def test_route_agreement_both_curves(self, sym11, reg11, sym37, reg37):
         for sym, reg, p in ((sym11, reg11, 7), (sym37, reg37, 5)):
@@ -108,21 +125,24 @@ class TestKuriharaNumbers:
                 a * b for i, a in enumerate(ells) for b in ells[i + 1 :] if a * b <= 500
             ]
             for d in ds:
-                direct = kurihara_number_direct(sym, reg, d, p)
-                via = kurihara_number_via_ed(sym, reg, d, p)
+                direct, via, _ = routes(sym, reg, d, p)
                 assert direct.value == via.value, f"route mismatch at d={d}"
 
     def test_nonvanishing_at_nu_one_37a1(self, sym37, reg37):
         values = {
-            ell: kurihara_number_direct(sym37, reg37, ell, 5).value for ell in reg37
+            ell: direct_number(sym37, reg37, ell, 5).value for ell in reg37
         }
         assert any(v for v in values.values())
 
     def test_errors(self, sym37, reg37):
         with pytest.raises(NotSquarefree):
-            kurihara_number_direct(sym37, reg37, 61 * 61, 5)
+            direct_number(sym37, reg37, 61 * 61, 5)
         with pytest.raises(PrimeNotKolyvagin):
-            kurihara_number_direct(sym37, reg37, 13, 5)
+            direct_number(sym37, reg37, 13, 5)
+        with pytest.raises(NotSquarefree):
+            project_theta(theta_residues(sym37, 61 * 61, 5), reg37)
+        with pytest.raises(PrimeNotKolyvagin):
+            project_theta(theta_residues(sym37, 13, 5), reg37)
 
     def test_well_defined_under_rebuild(self, e37, reg37, sym37):
         from kurihara.modsym import build_space, extract_eigensymbol
@@ -130,14 +150,14 @@ class TestKuriharaNumbers:
         fresh = extract_eigensymbol(build_space(37), e37)
         for d in (1, 61, 211):
             assert (
-                kurihara_number_direct(fresh, reg37, d, 5).value
-                == kurihara_number_direct(sym37, reg37, d, 5).value
+                direct_number(fresh, reg37, d, 5).value
+                == direct_number(sym37, reg37, d, 5).value
             )
 
 
 class TestDerivativeOracle:
     def test_d_one_is_theta_mod_p(self, sym11, reg11):
-        data = derivative_data(sym11, reg11, 1, 7)
+        _, _, data = routes(sym11, reg11, 1, 7)
         assert data.is_norm_multiple
         assert data.norm_coefficient == 3
 
@@ -147,14 +167,13 @@ class TestDerivativeOracle:
             a * b for i, a in enumerate(ells) for b in ells[i + 1 :] if a * b <= 500
         ]
         for d in ds:
-            data = derivative_data(sym37, reg37, d, 5)
+            _, _, data = routes(sym37, reg37, d, 5)
             assert data.is_norm_multiple, f"lemma 3.8 shape fails at d={d}"
             assert data.norm_coefficient == data.closed_form
 
     def test_vanishing_equivalence(self, sym37, reg37):
         for d in [1] + sorted(reg37):
-            direct = kurihara_number_direct(sym37, reg37, d, 5)
-            data = derivative_data(sym37, reg37, d, 5)
+            direct, _, data = routes(sym37, reg37, d, 5)
             assert data.nonzero == direct.nonzero, f"lemma 4.1 mismatch at d={d}"
 
 
@@ -172,8 +191,9 @@ class TestGeneratorCovariance:
             kp = reg37[ell]
             alt = dict(reg37)
             alt[ell] = KolyvaginPrime(ell, 5, 1, 0, pow(kp.generator, u, ell))
-            base = kurihara_number_direct(sym37, reg37, ell, p)
-            twisted = kurihara_number_direct(sym37, alt, ell, p)
+            theta = theta_residues(sym37, ell, p)
+            base = kurihara_number_direct(theta, reg37)
+            twisted = kurihara_number_direct(theta, alt)
             assert twisted.value == base.value * pow(u, -1, p) % p
             assert twisted.nonzero == base.nonzero
             samples += 1
@@ -189,8 +209,8 @@ class TestGeneratorCovariance:
             alt[ell] = KolyvaginPrime(ell, 5, 1, 0, pow(kp.generator, u, ell))
         for d in [1] + sorted(reg37):
             assert (
-                kurihara_number_direct(sym37, alt, d, 5).nonzero
-                == kurihara_number_direct(sym37, reg37, d, 5).nonzero
+                direct_number(sym37, alt, d, 5).nonzero
+                == direct_number(sym37, reg37, d, 5).nonzero
             )
 
 
@@ -209,16 +229,15 @@ class TestHigherM:
         # stronger congruence l = 1 mod 25 from the m = 2 sieve
         reg = {kp.ell: kp for kp in sieve(e37, 5, 2, 0, 5000)}
         for d in [1, 2251, 4651]:
-            direct = kurihara_number_direct(sym37, reg, d, 5, m=2)
-            via = kurihara_number_via_ed(sym37, reg, d, 5, m=2)
+            direct, via, _ = routes(sym37, reg, d, 5, m=2)
             assert direct.value == via.value
             assert 0 <= direct.value < 25
 
     def test_mod_p_squared_reduces_to_mod_p(self, sym37, e37):
         reg = {kp.ell: kp for kp in sieve(e37, 5, 2, 0, 5000)}
         for d in (1, 2251):
-            v2 = kurihara_number_direct(sym37, reg, d, 5, m=2).value
-            v1 = kurihara_number_direct(sym37, reg, d, 5, m=1).value
+            v2 = direct_number(sym37, reg, d, 5, m=2).value
+            v1 = direct_number(sym37, reg, d, 5, m=1).value
             assert v2 % 5 == v1
 
 
@@ -228,9 +247,7 @@ class TestNuTwo:
         # expansion and the divisor-lattice bookkeeping
         reg = {kp.ell: kp for kp in sieve(e37, 5, 1, 0, 300)}
         d = 61 * 211
-        direct = kurihara_number_direct(sym37, reg, d, 5)
-        via = kurihara_number_via_ed(sym37, reg, d, 5)
-        data = derivative_data(sym37, reg, d, 5)
+        direct, via, data = routes(sym37, reg, d, 5)
         assert direct.value == via.value
         assert data.is_norm_multiple
         assert data.nonzero == direct.nonzero
@@ -247,8 +264,7 @@ class TestRouteTriangle:
         ells = sorted(reg37)
         ds = [1] + ells + [a * b for i, a in enumerate(ells) for b in ells[i + 1:]]
         for d in ds:
-            direct = kurihara_number_direct(sym37, reg37, d, p)
-            data = derivative_data(sym37, reg37, d, p)
+            direct, _, data = routes(sym37, reg37, d, p)
             e_d, nu = 1, 0
             for ell in ells:
                 if d % ell == 0:

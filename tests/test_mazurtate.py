@@ -1,3 +1,5 @@
+import dataclasses
+import os
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,9 @@ from kurihara.mazurtate import (
     vartheta,
     xi_tilde,
 )
+
+
+CURVE_11A1 = os.path.join(os.path.dirname(__file__), "..", "curves", "11a1.json")
 
 
 class TestUnitRoot:
@@ -79,6 +84,55 @@ class TestTheta:
         t = theta(sym11, 1, 0)  # value 1/5
         with pytest.raises(DenominatorDivisibleByP, match="level 1"):
             t.reduce_mod(5, 1)
+
+    def test_bounded_cache_same_xi(self, sym11, monkeypatch):
+        # a cache of one level evicts on every new level and still gives the
+        # same element as a cache that keeps them all
+        import kurihara.mazurtate as mt
+
+        fresh = dataclasses.replace(sym11, _theta_cache={})
+        full = xi_tilde(fresh, 17, 2, 7, 2)
+        # theta at n = 2 and n = 1 for d = 1 and d = 17
+        assert list(fresh._theta_cache) == [(1, 2, 7), (1, 1, 7), (17, 2, 7), (17, 1, 7)]
+        monkeypatch.setattr(mt, "THETA_CACHE", 1)
+        small = dataclasses.replace(sym11, _theta_cache={})
+        assert xi_tilde(small, 17, 2, 7, 2) == full
+        assert list(small._theta_cache) == [(17, 1, 7)]
+        # refilling a full cache drops it back to the bound, oldest first
+        theta(fresh, 3, 0)
+        assert list(fresh._theta_cache) == [(3, 0, None)]
+
+
+class TestInvariantsPythonO:
+    def test_checks_raise_under_python_O(self, run_python_O):
+        # the unit-root lift, the CRT gcd and the dlog modulus are checked by
+        # typed errors, which `python -O` keeps
+        proc = run_python_O(
+            "import kurihara.mazurtate as mt\n"
+            "from kurihara.curve import load_curve\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "from kurihara.exactmath import unit_group\n"
+            "from kurihara.kolyvagin import KolyvaginPrime\n"
+            f"E = load_curve({CURVE_11A1!r})\n"
+            "def alarms(f):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except CorrectnessAlarm:\n"
+            "        return True\n"
+            "    return False\n"
+            "mt.xgcd = lambda a, b: (2, 0, 0)\n"
+            "assert_crt = alarms(lambda: mt._sigma_ell(unit_group(15), 3))\n"
+            "mt.pow = lambda *args: 1\n"
+            "assert_root = alarms(lambda: mt.unit_root(E, 7, 2))\n"
+            "try:\n"
+            "    KolyvaginPrime(61, 5, 1, 0, 2).dlog_mod(3, 25)\n"
+            "    dlog = False\n"
+            "except ValueError:\n"
+            "    dlog = True\n"
+            "print(assert_crt, assert_root, dlog)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True", "True"]
 
 
 class TestVartheta:

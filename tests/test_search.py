@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,8 @@ from kurihara.errors import (
     MissingRootNumber,
     SearchExhausted,
 )
-from kurihara.kolyvagin import sieve
+from kurihara.exactmath import GroupRingElement
+from kurihara.kolyvagin import KolyvaginPrime, sieve, theta_residues
 from kurihara.search import (
     attach_parity,
     find_delta_minimal,
@@ -221,3 +223,67 @@ class TestSecondOrbit:
         assert rep.selmer_dim == 0
         assert attach_parity(rep, sym) == "pass"
         assert rep.root_number == +1
+
+
+class TestOneWalk:
+    """delta_row walks (Z/d)^* once and checks all three routes on it."""
+
+    @pytest.fixture(scope="class")
+    def reg37(self, e37):
+        return {kp.ell: kp for kp in sieve(e37, 5, 1, 0, 300)}
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        import kurihara.kolyvagin as kol
+
+        calls = []
+        original = kol.eval_plus
+
+        def counting(symbol, a, d):
+            calls.append(d)
+            return original(symbol, a, d)
+
+        monkeypatch.setattr(kol, "eval_plus", counting)
+        return calls
+
+    def test_phi_d_evaluations_per_row(self, sym37, reg37, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        d = 61 * 211
+        row = search.delta_row(theta_residues(sym37, d, 5), reg37)
+        assert row.factors == (61, 211) and row.routes_agree
+        assert len(calls) == 60 * 210  # phi(d), once each
+
+    def test_phi_d_evaluations_per_search(self, sym37, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        rep = find_delta_minimal(sym37, 5, prime_bound=300, nu_max=2)
+        phi = {1: 1, 61: 60, 211: 210, 281: 280}
+        assert sorted(calls) == sorted(d for d in rep.table for _ in range(phi[d]))
+
+    def test_corrupted_direct_weight_alarms(self, sym37, reg37, monkeypatch):
+        theta = theta_residues(sym37, 61, 5)
+        a0 = next(a for a, coeff in theta.units if coeff)
+        original = KolyvaginPrime.dlog_mod
+
+        def corrupted(self, a, pk):
+            return (original(self, a, pk) + (a == a0)) % pk
+
+        assert search.delta_row(theta, reg37).delta == 4
+        monkeypatch.setattr(KolyvaginPrime, "dlog_mod", corrupted)
+        with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
+            search.delta_row(theta, reg37)
+
+    def test_corrupted_projection_alarms(self, sym37, reg37, monkeypatch):
+        original = search.project_theta
+
+        def corrupted(theta, registry):
+            proj = original(theta, registry)
+            el = proj.element
+            coeffs = dict(el.coeffs)
+            coeffs[(1,)] = (coeffs.get((1,), 0) + 1) % el.ring.modulus
+            return dataclasses.replace(
+                proj, element=GroupRingElement(el.group, el.ring, coeffs)
+            )
+
+        monkeypatch.setattr(search, "project_theta", corrupted)
+        with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
+            search.delta_row(theta_residues(sym37, 61, 5), reg37)

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from kurihara import verifiers
-from kurihara.errors import IdentityFailure
+from kurihara.errors import CorrectnessAlarm, IdentityFailure
 from kurihara.modsym import EigenSymbol
 from kurihara.verifiers import (
     FULL81,
@@ -298,6 +298,53 @@ class TestIdentitySuite:
         with pytest.raises(IdentityFailure):
             run_identity_suite(
                 mutant, 5, d_ell_max=15, n_max=1, m_max=1, remark_d_max=6,
+                route_prime_bound=300, covariance_samples=0,
+            )
+
+    def test_route_rows_go_through_delta_row(self, sym11, monkeypatch):
+        # the route block and the covariance block check all three routes by
+        # the search's row function; the covariance block walks each sampled
+        # prime once for both registries
+        from kurihara import kolyvagin, search
+
+        walks, rows = [], []
+        walk, row = kolyvagin.theta_residues, search.delta_row
+
+        def counting_walk(*args):
+            walks.append(args[1])
+            return walk(*args)
+
+        def counting_row(theta, registry):
+            rows.append(theta.d)
+            return row(theta, registry)
+
+        monkeypatch.setattr(verifiers, "theta_residues", counting_walk)
+        monkeypatch.setattr(verifiers, "delta_row", counting_row)
+        rep = run_identity_suite(
+            sym11, 7, d_ell_max=1, n_max=-1, m_max=0, remark_d_max=0,
+            route_prime_bound=300, covariance_samples=3,
+        )
+        products = rep.results["ed_route_agreement"].instances
+        assert products == rep.results["derivative_closed_form"].instances
+        assert products == rep.results["derivative_vanishing"].instances
+        assert rep.results["generator_covariance"].instances == 3
+        assert len(walks) == products + 3
+        assert rows == walks[:products] + [d for d in walks[products:] for _ in range(2)]
+
+    def test_route_disagreement_alarms(self, sym11, monkeypatch):
+        import dataclasses
+
+        from kurihara import search
+
+        original = search.derivative_data
+
+        def corrupted(projection):
+            return dataclasses.replace(original(projection), is_norm_multiple=False)
+
+        monkeypatch.setattr(search, "derivative_data", corrupted)
+        with pytest.raises(CorrectnessAlarm, match="route disagreement at d=1"):
+            run_identity_suite(
+                sym11, 7, d_ell_max=1, n_max=-1, m_max=0, remark_d_max=0,
                 route_prime_bound=300, covariance_samples=0,
             )
 
