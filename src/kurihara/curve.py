@@ -10,12 +10,11 @@ the running hypotheses on (E, p).
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import BadPrime, CorrectnessAlarm, HypothesisViolation, NonInvertibleEll
-from .exactmath import QQ, factorize, is_prime
+from .errors import BadPrime, CorrectnessAlarm, HypothesisViolation
+from .exactmath import factorize, is_prime
 
 NAIVE_COUNT_LIMIT = 10**6  # square-table count below, BSGS above
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
@@ -418,17 +417,6 @@ def require_hypotheses(E, p):
     if not report.passed:
         raise HypothesisViolation(f"hypotheses fail for ({E}, p={p}): {report.to_json()}")
     return report
-
-
-def frobenius_poly(E, l, ring=QQ):
-    """Coefficients (1, -a_l/l, 1/l) of t^2 - l^{-1} a_l t + l^{-1} in `ring`."""
-    a = trace_of_frobenius(E, l)
-    if ring == QQ:
-        return (Fraction(1), Fraction(-a, l), Fraction(1, l))
-    if l % ring.p == 0:
-        raise NonInvertibleEll(f"{l} is not invertible in {ring}")
-    linv = ring.inv(ring.coerce(l))
-    return (ring.one, ring.mul(ring.neg(ring.coerce(a)), linv), linv)
 
 
 # ---------------------------------------------------------------------------

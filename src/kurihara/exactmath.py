@@ -2,15 +2,17 @@
 
 Coefficient rings (arbitrary-precision rationals and Z/p^m), finite abelian
 groups presented as products of cyclic groups, unit groups (Z/n)^* with their
-CRT presentation, group rings, and exact linear algebra over both
-coefficient rings (one sparse echelon over Q, dense elimination elsewhere).
+CRT presentation, group rings, and exact linear algebra: one sparse exact
+echelon over Q, on primitive integer rows, serves the Manin quotient, the
+kernels and the eigenlines; group-ring inverses solve over their own
+coefficient ring.
 Everything here is immutable after construction and all operations are pure
 functions.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DenominatorDivisibleByP,
@@ -60,7 +62,8 @@ def is_prime(n):
 
 def factorize(n):
     """Factor n >= 1 by trial division; returns {prime: exponent}."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"can only factor a positive integer, got {n}")
     out = {}
     for q in (2, 3):
         while n % q == 0:
@@ -84,7 +87,8 @@ def primitive_root(q, e=1):
         return 1
     if mod == 4:
         return 3
-    assert q % 2 == 1
+    if q % 2 == 0:
+        raise ValueError(f"no primitive root modulo {q}^{e}")
     order = (q - 1) * q ** (e - 1)
     qfactors = list(factorize(order))
     g = 2
@@ -201,7 +205,8 @@ class AbelianGroup:
 
     def __init__(self, orders):
         orders = tuple(int(n) for n in orders)
-        assert all(n >= 1 for n in orders)
+        if any(n < 1 for n in orders):
+            raise ValueError(f"cyclic factor orders must be positive, got {orders}")
         self.orders = orders
         self.identity = tuple(0 for _ in orders)
         self.order = 1
@@ -242,7 +247,8 @@ class UnitGroup(AbelianGroup):
     """
 
     def __init__(self, n):
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"modulus must be positive, got {n}")
         self.n = n
         factors = []  # (prime_power, generator, order)
         for q, e in sorted(factorize(n).items()):
@@ -391,7 +397,8 @@ def unit_group(n):
 @lru_cache(maxsize=UNIT_REDUCTION_CACHE)
 def unit_reduction(big, small):
     """The natural surjection (Z/D)^* -> (Z/e)^* for e | D, cached."""
-    assert big.n % small.n == 0
+    if big.n % small.n:
+        raise ValueError(f"{small.n} does not divide {big.n}: no reduction (Z/D)^* -> (Z/e)^*")
     if small.n == 1:
         return GroupHom(big, small, lambda t: (), check=False)
     return GroupHom(
@@ -549,10 +556,7 @@ class GroupRingElement:
                 rows[index[self.group.mul(h, g)]][index[g]] = c
         rhs = [ring.zero] * n
         rhs[index[self.group.identity]] = ring.one
-        if ring == QQ:
-            sol = solve_rational(rows, rhs)
-        else:
-            sol = solve_residue(rows, rhs, ring)
+        sol = solve_residue(rows, rhs, ring)
         if sol is None:
             raise NotAUnit("group-ring element is not invertible")
         return GroupRingElement(
@@ -590,170 +594,105 @@ def projection_map(x, hom):
 # exact linear algebra
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
+def _content_one(row):
+    """A sparse integer row (dict column -> int) divided by its content."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _sub_multiple(row, f, other):
-    """row -= f * other on sparse rows (dicts column -> coeff), dropping zeros."""
+def _eliminate(row, other, c):
+    """Integer row with column c of `row` cleared by `other`, content 1.
+
+    Both rows are primitive integer dicts and other[c] > 0 is its pivot; the
+    result is a*row - b*other with a/b = other[c]/row[c] in lowest terms, and
+    a > 0 keeps the sign of row's own pivot during back-substitution.
+    """
+    a, b = other[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else row
     for j, y in other.items():
-        x = row.get(j, 0) - f * y
+        x = out.get(j, 0) - b * y
         if x:
-            row[j] = x
+            out[j] = x
         else:
-            del row[j]
+            del out[j]
+    return _content_one(out)
 
 
 def sparse_echelon(rows):
     """Reduced row echelon form over Q of sparse rows.
 
-    Each row is an iterable of (column, coeff) pairs with distinct columns.
-    Returns {pivot: row}, each row a dict column -> Fraction holding 1 at its
-    pivot and no other pivot column: the nonzero rows of the dense RREF, keyed
-    by their leading columns.
+    Each row is an iterable of (column, coeff) pairs with distinct columns and
+    int or Fraction coefficients. Returns {pivot: row}, each row a dict
+    column -> Fraction holding 1 at its pivot and no other pivot column: the
+    nonzero rows of the dense RREF, keyed by their leading columns.
+
+    Each input row is cleared of denominators and divided by its content, so
+    elimination and back-substitution run on primitive integer rows; only the
+    returned rows are Fractions.
     """
     piv = {}
     for items in rows:
-        row = {c: Fraction(x) for c, x in items if x}
+        items = [(c, x) for c, x in items if x]
+        den = lcm(*(x.denominator for _, x in items))
+        row = _content_one({c: x.numerator * (den // x.denominator) for c, x in items})
         # reduce against the pivot rows met so far, smallest column first
         while row:
             c = min(row)
-            f = row[c]
             if c not in piv:
-                piv[c] = {j: x / f for j, x in row.items()}
+                if row[c] < 0:
+                    row = {j: -x for j, x in row.items()}
+                piv[c] = row
                 break
-            _sub_multiple(row, f, piv[c])
+            row = _eliminate(row, piv[c], c)
     # back-substitute from the right: rows with larger pivots are reduced first
     for c in sorted(piv, reverse=True):
         row = piv[c]
         for j in [j for j in row if j != c and j in piv]:
-            _sub_multiple(row, row[j], piv[j])
-    return piv
-
-
-def _clear_denominators(row):
-    lcm = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return [int(x * lcm) for x in row]
-
-
-def _bareiss_echelon(mat):
-    """Fraction-free Bareiss elimination on an integer matrix (in place).
-
-    Returns the list of pivot columns.  The divisions are exact, which keeps
-    intermediate entries polynomial-sized instead of exponential.
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, nrows):
-            mi, mr = mat[i], mat[r]
-            f = mi[c]
-            for j in range(ncols):
-                mi[j] = (piv * mi[j] - f * mr[j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            row = _eliminate(row, piv[j], j)
+        piv[c] = row
+    return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in piv.items()}
 
 
 def primitive_vector(vec):
     """Scale a rational vector to integral with content 1 and a canonical sign."""
     vec = [Fraction(x) for x in vec]
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
     return ints
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of the right kernel of a rational matrix.
+def echelon_kernel(red, ncols):
+    """Basis of the kernel of the rows whose RREF is `red` (from sparse_echelon).
 
-    Bareiss elimination on the integer-cleared matrix, then exact back
-    substitution.  Basis vectors are integral and primitive (content 1).
+    Free column f gives the vector with 1 at f and -row[f] at each pivot;
+    basis vectors are integral, primitive (content 1) and sign-normalised.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    mat = [_clear_denominators(row) for row in rows]
-    pivots = _bareiss_echelon(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        # back substitution over the echelon rows
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum(Fraction(mat[r][j]) * v[j] for j in range(c + 1, ncols) if v[j])
-            v[c] = -s / mat[r][c]
+    for f in range(ncols):
+        if f in red:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for c, row in red.items():
+            x = row.get(f)
+            if x:
+                v[c] = -x
         basis.append(primitive_vector(v))
     return basis
 
 
-def matrix_rank(rows):
-    mat = [_clear_denominators(row) for row in rows]
-    return len(_bareiss_echelon(mat))
-
-
-def solve_rational(rows, rhs):
-    """Solve A x = b exactly over Q; None if inconsistent/singular-overdetermined."""
-    n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    piv = sparse_echelon([*enumerate(row), (ncols, rhs[i])] for i, row in enumerate(rows))
-    if ncols in piv:
-        return None
-    sol = [Fraction(0)] * ncols
-    for c, row in piv.items():
-        sol[c] = row.get(ncols, Fraction(0))
-    # verify (guards against underdetermined systems: any solution is accepted)
-    for i in range(n):
-        if sum(rows[i][j] * sol[j] for j in range(ncols)) != rhs[i]:
-            return None
-    return sol
+def kernel_basis(rows, ncols=None):
+    """Basis of the right kernel of a dense rational matrix (see echelon_kernel)."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return echelon_kernel(sparse_echelon(enumerate(row) for row in rows), ncols)
 
 
 def residue_echelon(rows, ring):

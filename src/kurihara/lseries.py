@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 from .curve import bad_prime_aq, primes_upto, trace_of_frobenius
+from .errors import CorrectnessAlarm
 
 
 def an_list(E, nmax):
@@ -69,7 +70,11 @@ def lvalue_and_sign(E, eps=1e-12):
         values.append(fit + ft)
     if max(deltas) < 1e-9 * scale:
         return 0.0, -1
-    assert abs(values[0] - values[1]) < 1e-9 * scale
+    if not abs(values[0] - values[1]) < 1e-9 * scale:
+        raise CorrectnessAlarm(
+            f"functional equation fails: L(E,1) reads {values[0]!r} at t = 1.2 "
+            f"and {values[1]!r} at t = 1.45"
+        )
     return values[0], +1
 
 

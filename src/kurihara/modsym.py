@@ -11,23 +11,22 @@ dual Hecke eigenvector): pairing it with the unimodular decomposition of
 exactly, up to the recorded calibration unit.
 """
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from . import lseries
 from .curve import primes_upto, trace_of_frobenius
 from .errors import (
     AmbiguousEigenspace,
-    BadPrime,
     CalibrationError,
     CorrectnessAlarm,
     EigensymbolNotFound,
     FrickeNotScalar,
     NotCoprime,
 )
-from .exactmath import kernel_basis, mat_mul, mat_transpose, primitive_vector, solve_rational, sparse_echelon, xgcd
+from .exactmath import echelon_kernel, kernel_basis, sparse_echelon, xgcd
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +265,7 @@ class ManinSpace:
             rows.setdefault(i2, [Fraction(0)] * self.dim)[k] -= 1
         self.cusp_classes = cusps
         self.boundary = [rows.get(i, [Fraction(0)] * self.dim) for i in range(len(cusps.reps))]
-        self.cuspidal_basis = kernel_basis(self.boundary, self.dim) if self.boundary else [
-            list(v) for v in _identity_int(self.dim)
-        ]
+        self.cuspidal_basis = kernel_basis(self.boundary, self.dim)
         self._hecke_cache = {}
         self._merel_cache = {}
 
@@ -302,22 +299,6 @@ class ManinSpace:
         mat = [[Fraction(images[j][r], self.proj_den) for j in self.free] for r in range(dim)]
         self._hecke_cache[q] = mat
         return mat
-
-    def hecke_cuspidal(self, q):
-        """Matrix of T_q restricted to the cuspidal plus subspace."""
-        if self.N % q == 0:
-            raise BadPrime(f"{q} divides the level")
-        T = self.hecke_full(q)
-        C = mat_transpose([list(map(Fraction, v)) for v in self.cuspidal_basis])
-        TC = mat_mul(T, C)
-        cols = []
-        for j in range(len(self.cuspidal_basis)):
-            rhs = [TC[r][j] for r in range(self.dim)]
-            x = solve_rational(C, rhs)
-            if x is None:
-                raise CorrectnessAlarm(f"cuspidal subspace not stable under T_{q}")
-            cols.append(x)
-        return mat_transpose(cols)
 
     # -- paths -------------------------------------------------------------
 
@@ -368,7 +349,10 @@ class ManinSpace:
         return [x - y for x, y in zip(v2, v1)]
 
     def fricke_matrix(self):
-        """Action of [0, -1; N, 0] on the plus quotient, column by column."""
+        """Columns of the action of [0, -1; N, 0] on the plus quotient.
+
+        Column j is the image of free generator j, in free-basis coordinates.
+        """
         cols = []
         for j in self.free:
             c, d = self.p1.reps[j]
@@ -377,11 +361,7 @@ class ManinSpace:
             alpha = _cusp_normalize(-dt, self.N * b)
             beta = _cusp_normalize(-ct, self.N * a)
             cols.append(self.path_between(alpha, beta))
-        return mat_transpose(cols)
-
-
-def _identity_int(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return cols
 
 
 def _factor_items(N):
@@ -466,46 +446,35 @@ def eval_plus(symbol, a, d):
     return symbol.raw_value(a, d) * symbol.calibration_unit
 
 
-def _intersect_eigenspace(mats_pairs, start_basis, dim):
-    """Iteratively intersect kernels of (T_q - a_q) with a column subspace."""
-    basis = [list(map(Fraction, v)) for v in start_basis]  # list of vectors
-    dims = [len(basis)]
+def _eigen_chain(space, pairs, dual):
+    """Eigenspace of T_q = a_q for the (q, a_q) in `pairs`, one q at a time.
+
+    It is the kernel of stacked rows: for the column (dual=False) the boundary
+    rows and the rows of each T_q - a_q, so it starts from the cuspidal
+    subspace; for the functional (dual=True, w T_q = a_q w) the columns of each
+    T_q - a_q, starting from the whole quotient. Each step reduces the previous
+    RREF rows together with the new ones in one `sparse_echelon`. The chain
+    stops once the eigenspace is zero, or a line after at least one q.
+    Returns (kernel basis, used pairs, kernel dimension before and after each q).
+    """
+    dim = space.dim
+    red = {} if dual else sparse_echelon(enumerate(row) for row in space.boundary)
+    dims = [dim - len(red)]
     used = []
-    for q, aq, T in mats_pairs:
-        if len(basis) <= 1 and used:
+    for q, aq in pairs:
+        if dims[-1] <= 1 and used:
             break
-        cols = mat_transpose(basis)
-        M = mat_mul(T, cols)
-        for j in range(len(basis)):
-            for r in range(dim):
-                M[r][j] -= aq * cols[r][j]
-        K = kernel_basis(M, len(basis))
-        basis = [
-            [sum(Fraction(k[j]) * basis[j][r] for j in range(len(basis))) for r in range(dim)]
-            for k in K
-        ]
-        basis = [primitive_vector(v) for v in basis]
+        T = space.hecke_full(q)
+        if dual:
+            new = ([(r, T[r][j] - (aq if r == j else 0)) for r in range(dim)] for j in range(dim))
+        else:
+            new = ([(j, x - (aq if r == j else 0)) for j, x in enumerate(T[r])] for r in range(dim))
+        red = sparse_echelon(chain((row.items() for row in red.values()), new))
         used.append((q, aq))
-        dims.append(len(basis))
-        if not basis:
+        dims.append(dim - len(red))
+        if dims[-1] == 0:
             break
-    return basis, used, dims
-
-
-def _column_chain(space, pairs):
-    """Eigenline chain of the (q, a_q) in `pairs` inside the cuspidal subspace."""
-    return _intersect_eigenspace(
-        ((q, aq, space.hecke_full(q)) for q, aq in pairs),
-        space.cuspidal_basis, space.dim,
-    )
-
-
-def _functional_chain(space, pairs):
-    """The same chain on the full quotient under the transposed action."""
-    return _intersect_eigenspace(
-        ((q, aq, mat_transpose(space.hecke_full(q))) for q, aq in pairs),
-        _identity_int(space.dim), space.dim,
-    )
+    return echelon_kernel(red, dim), used, dims
 
 
 def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
@@ -524,7 +493,7 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
         for q in good_q:
             yield q, trace_of_frobenius(E, q)
 
-    col_basis, used, chain = _column_chain(space, pair_stream())
+    col_basis, used, chain_dims = _eigen_chain(space, pair_stream(), dual=False)
     if not col_basis:
         raise EigensymbolNotFound(
             "no cuspidal eigenvector matches the a_q of the curve "
@@ -536,7 +505,7 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
         )
     column = tuple(col_basis[0])
 
-    dual_basis, dual_used, _ = _functional_chain(space, pair_stream())
+    dual_basis, dual_used, _ = _eigen_chain(space, pair_stream(), dual=True)
     if len(dual_basis) != 1:
         raise AmbiguousEigenspace(
             f"dual eigenspace has dimension {len(dual_basis)} after q <= {qmax}"
@@ -566,7 +535,7 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
         _, rec = lseries.lratio(E)
         if rec is not None and rec != 0:
             sym0 = EigenSymbol(
-                space, E, vector, column, pairs, tuple(holdout), tuple(chain),
+                space, E, vector, column, pairs, tuple(holdout), tuple(chain_dims),
                 "uncalibrated", Fraction(1),
             )
             raw0 = sym0.raw_value(0, 1)
@@ -576,7 +545,7 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
                 )
             status, unit = "calibrated", rec / raw0
     return EigenSymbol(
-        space, E, vector, column, pairs, tuple(holdout), tuple(chain), status, unit
+        space, E, vector, column, pairs, tuple(holdout), tuple(chain_dims), status, unit
     )
 
 
@@ -598,10 +567,8 @@ def _is_eigen_row(T, w, aq):
 
 def fricke_eigenvalue(symbol):
     """Eigenvalue of the Fricke involution on the eigensymbol line (+1 or -1)."""
-    W = symbol.space.fricke_matrix()
     w = symbol.vector
-    n = len(w)
-    img = [sum(Fraction(w[r]) * W[r][c] for r in range(n)) for c in range(n)]
+    img = [sum(x * y for x, y in zip(w, col)) for col in symbol.space.fricke_matrix()]
     eps = None
     for x, y in zip(img, w):
         if y:
@@ -635,10 +602,10 @@ def symbol_from_json(obj, E):
         raise CorrectnessAlarm("cache schema/level mismatch")
     vector = tuple(int(x) for x in obj["vector"])
     pairs = tuple((int(q), int(aq)) for q, aq in obj["hecke_pairs"])
-    col_basis, _, chain = _column_chain(space, pairs)
+    col_basis, _, chain_dims = _eigen_chain(space, pairs, dual=False)
     if len(col_basis) != 1:
         raise CorrectnessAlarm("cached hecke pairs no longer cut a line")
-    dual_basis, _, _ = _functional_chain(space, pairs)
+    dual_basis, _, _ = _eigen_chain(space, pairs, dual=True)
     if len(dual_basis) != 1 or tuple(dual_basis[0]) != vector:
         raise CorrectnessAlarm(
             "cached eigensymbol vector is not the functional the cached hecke pairs cut out"
@@ -651,7 +618,7 @@ def symbol_from_json(obj, E):
         tuple(col_basis[0]),
         pairs,
         (),
-        tuple(chain),
+        tuple(chain_dims),
         obj["calibration"]["status"],
         Fraction(int(num), int(den)),
     )

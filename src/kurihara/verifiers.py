@@ -22,7 +22,6 @@ from math import gcd
 from .curve import primes_upto
 from .errors import IdentityFailure
 from .exactmath import (
-    GroupRingElement,
     NotAUnit,
     ResidueRing,
     factorize,
@@ -33,6 +32,7 @@ from .kolyvagin import KolyvaginPrime, sieve, theta_residues
 from .mazurtate import (
     euler_factor,
     frobenius_factor,
+    stabilization_scalar,
     unit_root,
     vartheta,
     xi_tilde,
@@ -331,8 +331,8 @@ def run_identity_suite(
                 results["stabilization_bridge"].failures.append((d, m))
             # the scalar is a unit in the ring where the derivative machinery
             # lives: Z/p^m over the p-part quotient Gal(Q(d)/Q)
-            quotient, qhom = v0.group.p_part_quotient(p)
-            scal = _scalar_in_quotient(v0.group, quotient, qhom, root)
+            _, qhom = v0.group.p_part_quotient(p)
+            scal = projection_map(stabilization_scalar(v0.group, root), qhom)
             results["stabilizer_unit"].instances += 1
             try:
                 scal.invert()
@@ -392,14 +392,3 @@ def run_identity_suite(
     if failures:
         raise IdentityFailure(f"identity failures: {failures}", )
     return report
-
-
-def _scalar_in_quotient(group, quotient, qhom, root):
-    """(1 - a^{-1} s_p)(1 - a^{-1} s_p^{-1}) built directly over the p-part."""
-    ring = root.ring
-    ainv = ring.inv(root.alpha)
-    sp = qhom(group.sigma(root.p))
-    one = GroupRingElement.one(quotient, ring)
-    f1 = one - GroupRingElement.monomial(quotient, ring, sp, ainv)
-    f2 = one - GroupRingElement.monomial(quotient, ring, quotient.inv(sp), ainv)
-    return f1 * f2

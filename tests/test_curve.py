@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -14,7 +13,6 @@ from kurihara.curve import (
     curve_from_json,
     ec_add,
     ec_mul,
-    frobenius_poly,
     full_p_torsion_deterministic,
     on_curve,
     p_torsion_structure,
@@ -24,8 +22,7 @@ from kurihara.curve import (
     _count_bsgs,
     _count_naive,
 )
-from kurihara.errors import BadPrime, NonInvertibleEll
-from kurihara.exactmath import QQ, ResidueRing
+from kurihara.errors import BadPrime
 from kurihara.kolyvagin import sieve
 from kurihara.lseries import an_list
 
@@ -182,31 +179,6 @@ class TestHypotheses:
         rep = check_hypotheses(E, 5)
         assert rep.surjectivity == "heuristically-confirmed"
         assert rep.passed
-
-
-class TestFrobeniusPoly:
-    def test_rational_coefficients(self, e11):
-        one, lin, const = frobenius_poly(e11, 3, QQ)
-        assert (one, lin, const) == (1, Fraction(1, 3), Fraction(1, 3))
-
-    def test_ell_one_mod_pm(self, e37):
-        # l = 1 mod p^m makes the coefficients (1, -a_l, 1)
-        R = ResidueRing(5, 1)
-        one, lin, const = frobenius_poly(e37, 11, R)
-        a11 = trace_of_frobenius(e37, 11)
-        assert (one, lin, const) == (1, (-a11) % 5, 1)
-
-    def test_identity_at_one(self, e37):
-        R = ResidueRing(7, 2)
-        for l in (3, 5, 11, 13):
-            one, lin, const = frobenius_poly(e37, l, R)
-            value = (one + lin + const) % 49
-            expected = count_points(e37, l) * pow(l, -1, 49) % 49
-            assert value == expected
-
-    def test_non_invertible(self, e37):
-        with pytest.raises(NonInvertibleEll):
-            frobenius_poly(e37, 5, ResidueRing(5, 1))
 
 
 class TestTorsionStructure:

@@ -12,12 +12,13 @@ from kurihara.exactmath import (
     ResidueRing,
     UnitGroup,
     kernel_basis,
-    matrix_rank,
     norm_map,
     projection_map,
+    sparse_echelon,
     unit_group,
     unit_reduction,
 )
+from test_modsym import _dense_rref
 
 
 def random_element(group, ring, rng, density=0.7):
@@ -207,7 +208,7 @@ class TestLinearAlgebra:
                 for _ in range(6)
             ]
             basis = kernel_basis(rows, 8)
-            rank = matrix_rank(rows)
+            rank = len(_dense_rref(rows)[1])
             assert rank + len(basis) == 8
             for v in basis:
                 for row in rows:
@@ -217,3 +218,50 @@ class TestLinearAlgebra:
                 for x in v:
                     g = gcd(g, x)
                 assert g == 1  # integral, content 1
+
+    def test_sparse_echelon_matches_dense_rref(self):
+        # fractional rows, negative leading entries and dependent rows all go
+        # through the primitive integer rows
+        rng = random.Random(11)
+        for _ in range(30):
+            rows = [
+                [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) if rng.random() < 0.6 else 0
+                 for _ in range(7)]
+                for _ in range(rng.randrange(1, 9))
+            ]
+            rows.append([Fraction(-3, 2) * x for x in rows[0]])
+            red, pivots = _dense_rref(rows)
+            piv = sparse_echelon(enumerate(row) for row in rows)
+            assert sorted(piv) == pivots
+            assert [[piv[c].get(j, 0) for j in range(7)] for c in pivots] == red
+
+
+class TestBadInputPythonO:
+    def test_typed_errors_under_python_O(self, run_python_O):
+        # bad input and the functional-equation check raise typed errors,
+        # which `python -O` keeps
+        proc = run_python_O(
+            "import kurihara.exactmath as X\n"
+            "import kurihara.lseries as L\n"
+            "from kurihara.curve import CurveData\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "def raises(exc, f):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except exc:\n"
+            "        return True\n"
+            "    return False\n"
+            "checks = [\n"
+            "    raises(ValueError, lambda: X.factorize(-6)),\n"
+            "    raises(ValueError, lambda: X.primitive_root(2, 3)),\n"
+            "    raises(ValueError, lambda: X.AbelianGroup((3, 0))),\n"
+            "    raises(ValueError, lambda: X.UnitGroup(-5)),\n"
+            "    raises(ValueError, lambda: X.unit_reduction(X.unit_group(15), X.unit_group(7))),\n"
+            "]\n"
+            "E = CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5)\n"
+            "L._partial_sum = lambda E, a, t: t\n"
+            "checks.append(raises(CorrectnessAlarm, lambda: L.lvalue_and_sign(E)))\n"
+            "print(*checks)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"] * 6

@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from kurihara.curve import count_points, trace_of_frobenius
 from kurihara.errors import (
     BadPrime,
     DenominatorDivisibleByP,
+    NonInvertibleEll,
     NotAUnit,
     NotSquarefree,
     Supersingular,
 )
 from kurihara.exactmath import (
+    QQ,
     GroupRingElement,
     ResidueRing,
     projection_map,
@@ -193,6 +196,41 @@ class TestXiTilde:
         monkeypatch.setattr(mt, "vartheta", counting)
         mt.xi_tilde(sym11, 6, 0, 7, 1)
         assert sorted(calls) == [1, 2, 3, 6]
+
+
+class TestFrobeniusFactor:
+    """P_l(sigma_l^{-1}) = sigma_l^{-2} - l^{-1} a_l sigma_l^{-1} + l^{-1}, read off
+    its three coefficients; sigma_l has order 6 (l = 3) and 3 (l = 11) mod 7."""
+
+    @staticmethod
+    def coefficients(f, group, ell):
+        s_inv = group.inv(group.sigma(ell))
+        return (f.coefficient(group.mul(s_inv, s_inv)), f.coefficient(s_inv),
+                f.coefficient(group.identity))
+
+    def test_rational_coefficients(self, e11):
+        G = unit_group(7)
+        f = frobenius_factor(e11, 3, G, QQ)
+        assert self.coefficients(f, G, 3) == (1, Fraction(1, 3), Fraction(1, 3))
+        assert len(f.coeffs) == 3
+
+    def test_ell_one_mod_pm(self, e37):
+        # l = 1 mod p^m makes it sigma^-2 - a_l sigma^-1 + 1
+        R, G = ResidueRing(5, 1), unit_group(7)
+        f = frobenius_factor(e37, 11, G, R)
+        a11 = trace_of_frobenius(e37, 11)
+        assert self.coefficients(f, G, 11) == (1, (-a11) % 5, 1)
+
+    def test_identity_at_one(self, e37):
+        # the augmentation is P_l(1) = #E(F_l) / l
+        R = ResidueRing(7, 2)
+        for l in (3, 5, 11, 13):
+            f = frobenius_factor(e37, l, unit_group(17), R)
+            assert f.augmentation() == count_points(e37, l) * pow(l, -1, 49) % 49
+
+    def test_non_invertible(self, e37):
+        with pytest.raises(NonInvertibleEll):
+            frobenius_factor(e37, 5, unit_group(7), ResidueRing(5, 1))
 
 
 class TestStabilizerScalarUnitness:

@@ -1,22 +1,22 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from kurihara.curve import CurveData, trace_of_frobenius, primes_upto, bad_prime_aq
+from kurihara.curve import CurveData, load_curve, trace_of_frobenius, primes_upto, bad_prime_aq
 from kurihara.errors import (
     AmbiguousEigenspace,
-    BadPrime,
     CorrectnessAlarm,
     EigensymbolNotFound,
     NotCoprime,
 )
-from kurihara.exactmath import mat_mul, mat_transpose
 from kurihara.modsym import (
     P1List,
+    _eigen_chain,
     build_space,
     eval_plus,
     extract_eigensymbol,
@@ -113,21 +113,25 @@ class TestSpace:
     def test_hecke_commutativity(self, space37):
         T2 = space37.hecke_full(2)
         T3 = space37.hecke_full(3)
-        assert mat_mul(T2, T3) == mat_mul(T3, T2)
+        n = space37.dim
 
-    def test_trace_matches_ap_on_11(self, e11, space11):
+        def product(A, B):
+            return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+        assert product(T2, T3) == product(T3, T2)
+
+    def test_trace_matches_ap_on_11(self, e11, sym11, space11):
+        # the cuspidal subspace at 11 is the eigenline: T_q acts on it by a_q
+        v = sym11.column
+        n = space11.dim
         for q in (2, 3, 5, 7, 13):
-            T = space11.hecke_cuspidal(q)
-            trace = sum(T[i][i] for i in range(len(T)))
-            assert trace == trace_of_frobenius(e11, q)
+            T = space11.hecke_full(q)
+            aq = trace_of_frobenius(e11, q)
+            assert [sum(T[r][j] * v[j] for j in range(n)) for r in range(n)] == [aq * x for x in v]
 
     def test_hecke_on_zero_vector(self, space11):
         T = space11.hecke_full(2)
         assert [sum(row) * 0 for row in T] == [0] * space11.dim
-
-    def test_bad_prime_rejected(self, space11):
-        with pytest.raises(BadPrime):
-            space11.hecke_cuspidal(11)
 
     def test_merel_determinants(self):
         for n in (2, 3, 5, 7):
@@ -253,7 +257,38 @@ class TestSparseQuotient:
             sp.hecke_full(2)
 
 
+class TestEigenChain:
+    """Multi-step chains at N = 37 (dim 3, cuspidal dim 2); values frozen from the
+    dense Bareiss chain the single echelon replaced."""
+
+    def test_two_step_chain(self, space37):
+        # a_7 = -1 does not split the cuspidal plane, a_2 = -2 cuts the line
+        pairs = [(7, -1), (2, -2)]
+        assert _eigen_chain(space37, pairs, dual=False) == ([[0, 2, -1]], pairs, [2, 2, 1])
+        assert _eigen_chain(space37, pairs, dual=True) == ([[0, 1, 0]], pairs, [3, 2, 1])
+
+    def test_empty_eigenspace_stops(self, space37):
+        # 5 is no eigenvalue of T_2 at 37: the chain stops at dimension 0
+        pairs = iter([(2, 5), (3, 0)])
+        assert _eigen_chain(space37, pairs, dual=False) == ([], [(2, 5)], [2, 0])
+        assert next(pairs) == (3, 0)  # the next pair is never drawn
+        assert _eigen_chain(space37, [(2, 5)], dual=True) == ([], [(2, 5)], [3, 0])
+
+
 class TestEigensymbol:
+    def test_389a1_frozen(self):
+        # SHA-256 of the eigensymbol from the dense Bareiss chains
+        E = load_curve(os.path.join(os.path.dirname(__file__), "..", "curves", "389a1.json"))
+        sym = extract_eigensymbol(build_space(389), E, calibrate=False)
+        assert sym.chain_dims == (32, 1)
+        assert _digest({
+            "vector": list(sym.vector),
+            "column": list(sym.column),
+            "chain_dims": list(sym.chain_dims),
+            "hecke_pairs": [list(p) for p in sym.hecke_pairs],
+            "holdout_pairs": [list(p) for p in sym.holdout_pairs],
+        }) == "8e1cbd364e065616ab365afc3f6308f588d45431b3e300a0e1b979a529e11f3a"
+
     def test_11a1_extraction(self, sym11):
         assert sym11.chain_dims[0] == 1  # space already one-dimensional
         assert sym11.calibration_status == "calibrated"
@@ -385,13 +420,14 @@ class TestFricke:
         assert fricke_eigenvalue(sym37) == 1
 
     def test_involution_squares_to_one(self, sym37):
-        W = sym37.space.fricke_matrix()
-        W2 = mat_mul(W, W)
+        cols = sym37.space.fricke_matrix()  # column j is the image of basis vector j
+        n = sym37.space.dim
+        # column j of W^2 is W applied to column j of W
+        W2 = [[sum(col[k] * cols[k][r] for k in range(n)) for r in range(n)] for col in cols]
         # the square acts as the identity on the eigenline
         w = sym37.vector
-        n = sym37.space.dim
-        img = [sum(Fraction(w[r]) * W2[r][c] for r in range(n)) for c in range(n)]
-        assert img == [Fraction(x) for x in w]
+        img = [sum(x * y for x, y in zip(w, col)) for col in W2]
+        assert img == list(w)
 
 
 class TestCacheRoundTrip:
