@@ -38,7 +38,9 @@ class JsonCache:
                 entry = json.load(f)
         except (OSError, json.JSONDecodeError):
             return None
-        if entry.get("schema") != SCHEMA_VERSION:
+        # a file that parses but is no entry of this schema is a miss too
+        if (not isinstance(entry, dict) or entry.get("schema") != SCHEMA_VERSION
+                or "value" not in entry):
             return None
         return entry["value"]
 

@@ -46,7 +46,14 @@ def _lift_unit(a, d, n):
 
 
 class P1List:
-    """Canonical representatives of P^1(Z/N) with index lookup."""
+    """Canonical representatives of P^1(Z/N) with index lookup.
+
+    The representatives are listed in the order of a scan over all N^2 pairs,
+    so (0 : 1) comes first and (1 : s) is representative 1 + s. A class
+    (u : v) with u a unit mod N is (1 : v u^-1), found without a search
+    (Stein, *Modular Forms: A Computational Approach*, Alg. 8.29); at prime N
+    only u = 0 mod N is left to `normalize` and the dictionary.
+    """
 
     def __init__(self, N):
         if N < 1:
@@ -82,11 +89,12 @@ class P1List:
         v %= N
         if u == 0:
             return (0, 1) if gcd(v, N) == 1 else None
-        g, _, s = xgcd(N, u)  # s*u = g mod N
+        g = gcd(u, N)
         if g == 1:
-            return (1, s * v % N)
+            return (1, v * pow(u, -1, N) % N)
         if gcd(g, v) > 1:
             return None
+        _, _, s = xgcd(N, u)  # s*u = g mod N
         v = _lift_unit(s % N, N // g, N) * v % N
         best = min(
             v * t % N for t in range(1, N, N // g) if gcd(t, N) == 1
@@ -94,10 +102,15 @@ class P1List:
         return (g, best)
 
     def index(self, u, v):
-        r = self.normalize(u, v)
-        if r is None:
-            return None
-        return self._index[r]
+        """Index of the class of (u : v), or None when gcd(u, v, N) > 1."""
+        N = self.N
+        if N == 1:
+            return 0
+        try:
+            return 1 + v * pow(u, -1, N) % N
+        except ValueError:  # u is not a unit mod N
+            r = self.normalize(u, v)
+            return None if r is None else self._index[r]
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +316,32 @@ class ManinSpace:
     # -- paths -------------------------------------------------------------
 
     def path_symbols(self, a, d):
-        """Indices of the unimodular pieces of {oo -> a/d} (Manin's trick)."""
+        """Indices of the unimodular pieces of {oo -> a/d} (Manin's trick).
+
+        One pass of Euclid's algorithm on a/d: each quotient extends the
+        convergents p_k/q_k, and the piece between p_{k-1}/q_{k-1} and
+        p_k/q_k has bottom row (q_k, +-q_{k-1}).
+        """
         if d == 0:
             return []
         if d < 0:
             a, d = -a, -d
-        quotients = []
-        aa, dd = a, d
-        while dd:
-            qq, rr = divmod(aa, dd)
-            quotients.append(qq)
-            aa, dd = dd, rr
-        ps, qs = [1], [0]
-        for qq in quotients:
-            if len(ps) == 1:
-                ps.append(qq)
-                qs.append(1)
-            else:
-                ps.append(qq * ps[-1] + ps[-2])
-                qs.append(qq * qs[-1] + qs[-2])
+        index = self.p1.index
         out = []
-        for k in range(1, len(ps)):
-            pk, pk1, qk, qk1 = ps[k], ps[k - 1], qs[k], qs[k - 1]
-            det = pk * qk1 - pk1 * qk
-            if det not in (1, -1):
+        x, y = a, d
+        # convergents k-1 and k, seeded with p_{-2}/q_{-2} = 0/1, p_{-1}/q_{-1} = 1/0
+        p_prev, q_prev, p, q = 0, 1, 1, 0
+        while y:
+            quot, r = divmod(x, y)
+            x, y = y, r
+            p_prev, q_prev, p, q = p, q, quot * p + p_prev, quot * q + q_prev
+            det = p * q_prev - p_prev * q
+            if det == 1:
+                out.append(index(q, q_prev))
+            elif det == -1:
+                out.append(index(q, -q_prev))
+            else:
                 raise CorrectnessAlarm(f"convergents of {a}/{d} are not unimodular")
-            bottom = (qk, qk1) if det == 1 else (qk, -qk1)
-            out.append(self.p1.index(*bottom))
         return out
 
     def path_vector(self, a, d):
@@ -412,12 +424,16 @@ class EigenSymbol:
         return self._wfree
 
     def raw_value(self, a, d):
-        """Uncalibrated pairing of the functional with {oo -> a/d}."""
+        """Uncalibrated pairing of the functional with {oo -> a/d}.
+
+        Returned as (numerator, denominator) ints, the numerators of
+        `generator_values()` summed over the pieces of the path.
+        """
         nums, den = self.generator_values()
         total = 0
         for i in self.space.path_symbols(a, d):
             total += nums[i]
-        return Fraction(total, den)
+        return total, den
 
     def to_json(self):
         return {
@@ -443,7 +459,9 @@ def eval_plus(symbol, a, d):
         raise NotCoprime("denominator must be positive")
     if gcd(a, d) != 1:
         raise NotCoprime(f"gcd({a}, {d}) != 1")
-    return symbol.raw_value(a, d) * symbol.calibration_unit
+    total, den = symbol.raw_value(a, d)
+    unit = symbol.calibration_unit
+    return Fraction(total * unit.numerator, den * unit.denominator)
 
 
 def _eigen_chain(space, pairs, dual):
@@ -538,7 +556,7 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
                 space, E, vector, column, pairs, tuple(holdout), tuple(chain_dims),
                 "uncalibrated", Fraction(1),
             )
-            raw0 = sym0.raw_value(0, 1)
+            raw0 = Fraction(*sym0.raw_value(0, 1))
             if raw0 == 0:
                 raise CalibrationError(
                     "L(E,1) != 0 numerically but the symbol vanishes at {oo -> 0}"

@@ -159,6 +159,22 @@ class TestCaching:
         after = entry.read_text()
         assert before == after
 
+    @pytest.mark.parametrize("body", ["[1, 2]", '{"schema": 1}'], ids=["list", "no_value"])
+    def test_malformed_entry_is_a_miss(self, tmp_path, capsys, body):
+        # JSON that is not a cache entry is recomputed and rewritten, like
+        # unreadable JSON, instead of crashing the run
+        cache_dir = str(tmp_path / "cache")
+        args = ["delta", "--curve", curve_path("11a1"), "--p", "7",
+                "--d", "1", "--bound", "300", "--cache-dir", cache_dir]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        (entry,) = Path(cache_dir).iterdir()
+        written = entry.read_text()
+        entry.write_text(body)
+        assert main(args) == 0
+        assert capsys.readouterr().out == cold
+        assert entry.read_text() == written
+
     def test_same_seed_byte_identical(self, capsys):
         args = ["search", "--curve", curve_path("37a1"), "--p", "5",
                 "--prime-bound", "300", "--nu-max", "2", "--seed", "11",

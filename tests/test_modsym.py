@@ -14,6 +14,9 @@ from kurihara.errors import (
     EigensymbolNotFound,
     NotCoprime,
 )
+from kurihara import modsym
+from kurihara.kolyvagin import theta_residues
+from kurihara.mazurtate import theta
 from kurihara.modsym import (
     P1List,
     _eigen_chain,
@@ -73,6 +76,28 @@ class TestP1:
                     seen.add(r)
                     reps.append(r)
         assert p1.reps == reps
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 11, 12, 30, 37, 389])
+    def test_index_matches_normalize(self, N):
+        # the unit row (u a unit: class 1 + v/u) and the normalize fallback
+        # against the dictionary, on non-unit u and on non-classes (None)
+        p1 = P1List(N)
+        for u in range(-N, 2 * N):
+            for v in range(-N, 2 * N):
+                assert p1.index(u, v) == p1._index.get(p1.normalize(u, v))
+
+    def test_prime_level_needs_no_xgcd(self, space37, monkeypatch):
+        # at prime N every first coordinate is a unit or 0 mod N
+        def no_xgcd(a, b):
+            raise AssertionError("xgcd called")
+
+        monkeypatch.setattr(modsym, "xgcd", no_xgcd)
+        assert P1List(37).reps == space37.p1.reps
+        rng = random.Random(8)
+        for _ in range(500):
+            d = rng.randrange(1, 10**6)
+            space37.path_symbols(rng.randrange(-d, d), d)
+        assert [space37.p1.index(37 * k, 1) for k in range(-1, 2)] == [0, 0, 0]
 
     def test_level_5077_size(self):
         assert len(P1List(5077)) == 5078
@@ -411,6 +436,79 @@ class TestEvalPlus:
             v1 = sym37.space.path_vector(a, d)
             v2 = sym37.space.path_vector(a + d, d)
             assert v1 == v2
+
+    @pytest.mark.parametrize("d, count, digest", [
+        (2501, 2400, "3bb836914f8aedd845099b86f790be3ae271ff335c010d17165f8ff80a5dfae4"),
+        (5371, 5200, "5d70d5f623cf2b4f37e217683ebbf6d60aca6c75d374ae03c9f6a68fc4c23cc1"),
+    ])
+    def test_389a1_walk_frozen(self, sym389, d, count, digest):
+        # SHA-256 of the residues from the two-list walk and the P^1 dictionary
+        units = theta_residues(sym389, d, 5).units
+        assert len(units) == count
+        assert _digest([list(u) for u in units]) == digest
+
+    def test_calibrated_theta_frozen(self, space11, e11):
+        # unit 1/5: the one-Fraction product with the calibration unit, on a
+        # fresh symbol so that no cached theta answers
+        sym = extract_eigensymbol(space11, e11)
+        assert sym.calibration_unit == Fraction(1, 5)
+        assert _digest(theta(sym, 17, 2, 7).element.to_json()) == (
+            "57b373573edccd96476136bd2775a1e68a6a0042058d478d89f0e37d5a288114"
+        )
+
+
+@pytest.fixture(scope="module")
+def sym389():
+    E = load_curve(os.path.join(os.path.dirname(__file__), "..", "curves", "389a1.json"))
+    return extract_eigensymbol(build_space(389), E)
+
+
+def _two_list_path_symbols(space, a, d):
+    """Reference walk: all quotients first, then the convergent lists, then the
+    dictionary index of each normalised bottom row."""
+    if d == 0:
+        return []
+    if d < 0:
+        a, d = -a, -d
+    quotients = []
+    aa, dd = a, d
+    while dd:
+        qq, rr = divmod(aa, dd)
+        quotients.append(qq)
+        aa, dd = dd, rr
+    ps, qs = [1], [0]
+    for qq in quotients:
+        if len(ps) == 1:
+            ps.append(qq)
+            qs.append(1)
+        else:
+            ps.append(qq * ps[-1] + ps[-2])
+            qs.append(qq * qs[-1] + qs[-2])
+    out = []
+    for k in range(1, len(ps)):
+        det = ps[k] * qs[k - 1] - ps[k - 1] * qs[k]
+        assert det in (1, -1)
+        bottom = (qs[k], qs[k - 1]) if det == 1 else (qs[k], -qs[k - 1])
+        out.append(space.p1._index.get(space.p1.normalize(*bottom)))
+    return out
+
+
+class TestPathSymbols:
+    @pytest.mark.parametrize("N", [11, 37, 389])
+    def test_one_pass_matches_two_list_walk(self, N):
+        space = build_space(N)
+        rng = random.Random(N)
+        cases = [(0, 0), (5, 0), (0, 1), (0, 7), (3, -7), (-3, -7), (1, -1), (6, 4),
+                 (N, 2 * N), (-N, 3 * N)]
+        for top in (10, 10**3, 10**6):
+            for _ in range(700):
+                d = rng.randrange(-top, top + 1)
+                a = rng.randrange(-2 * top, 2 * top + 1)
+                g = rng.choice([1, 1, 2, 3, N])
+                cases += [(a, d), (a * g, d * g)]
+        for a, d in cases:
+            assert space.path_symbols(a, d) == _two_list_path_symbols(space, a, d), (a, d)
+
 
 
 class TestFricke:
