@@ -22,6 +22,10 @@ class NotASurjection(KuriharaError):
     pass
 
 
+class NotAHomomorphism(KuriharaError):
+    pass
+
+
 class NotAUnit(KuriharaError):
     pass
 

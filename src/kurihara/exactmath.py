@@ -6,6 +6,10 @@ CRT presentation, group rings, and exact linear algebra: one sparse exact
 echelon over Q, on primitive integer rows, serves the Manin quotient, the
 kernels and the eigenlines; group-ring inverses solve over their own
 coefficient ring.
+Group elements are numbered in mixed-radix order (the last coordinate
+fastest).  A group-ring element is stored flat, one coefficient per group
+element in that order, and a homomorphism is an index array (the codomain
+index of each domain element) built from the images of the generators.
 Everything here is immutable after construction and all operations are pure
 functions.
 """
@@ -19,6 +23,7 @@ from .errors import (
     MismatchedGroup,
     MismatchedRing,
     NotAQuotient,
+    NotAHomomorphism,
     NotASurjection,
     NotAUnit,
 )
@@ -109,7 +114,11 @@ class RationalField:
     one = Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
+
+    def reduce_all(self, values):
+        """Tuple of the ints and Fractions `values` as ring elements."""
+        return tuple(map(self.coerce, values))
 
     def add(self, a, b):
         return a + b
@@ -158,12 +167,20 @@ class ResidueRing:
     def coerce(self, x):
         """Reduce an int or Fraction into the ring."""
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise DenominatorDivisibleByP(
-                    f"denominator {x.denominator} not invertible mod {self.p}^{self.m}"
-                )
-            return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
+            num, den = x.as_integer_ratio()
+            if den != 1:
+                if den % self.p == 0:
+                    raise DenominatorDivisibleByP(
+                        f"denominator {den} not invertible mod {self.p}^{self.m}"
+                    )
+                num *= pow(den, -1, self.modulus)
+            return num % self.modulus
         return x % self.modulus
+
+    def reduce_all(self, values):
+        """Tuple of the ints `values` reduced into [0, p^m)."""
+        modulus = self.modulus
+        return tuple([x % modulus for x in values])
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -201,7 +218,12 @@ class ResidueRing:
 
 
 class AbelianGroup:
-    """Product of cyclic groups Z/n1 x ... x Z/nk; elements are int tuples."""
+    """Product of cyclic groups Z/n1 x ... x Z/nk; elements are int tuples.
+
+    `elements()` lists them in mixed-radix order, the last coordinate running
+    fastest, which is also sorted tuple order; `index(g)` is the position of g
+    in that list, and group-ring coefficients are stored in that order.
+    """
 
     def __init__(self, orders):
         orders = tuple(int(n) for n in orders)
@@ -227,6 +249,30 @@ class AbelianGroup:
                 elems = [e + (i,) for e in elems for i in range(n)]
             self._elements = [tuple(e) for e in elems]
         return self._elements
+
+    def index(self, g):
+        """Position of g in elements()."""
+        if len(g) != len(self.orders):
+            raise ValueError(f"{g} is not an element of {self}")
+        i = 0
+        for x, n in zip(g, self.orders):
+            if not 0 <= x < n:
+                raise ValueError(f"{g} is not an element of {self}")
+            i = i * n + x
+        return i
+
+    def basis(self):
+        """The generators of the cyclic factors: 1 in one coordinate, 0 elsewhere."""
+        k = len(self.orders)
+        return [tuple(int(i == j) for i in range(k)) for j in range(k)]
+
+    def _shifted(self, g):
+        """index(g*h) for each element h, in element order."""
+        idx = [0]
+        for x, n in zip(g, self.orders):
+            cycle = [(j + x) % n for j in range(n)]
+            idx = [i * n + y for i in idx for y in cycle]
+        return idx
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and other.orders == self.orders
@@ -317,9 +363,18 @@ class UnitGroup(AbelianGroup):
                 a = a * (mod_part * v * rest + u * qe) % self.n
         return a % self.n if self.n > 1 else 0
 
-    def units(self):
-        """All residues coprime to n, in increasing order."""
-        return [a for a in range(1, self.n + 1) if gcd(a, self.n) == 1] if self.n > 1 else [1]
+    def residues(self):
+        """The residue a mod n of each element, in element order.
+
+        Products of powers of the generators' CRT residues: no sigma, and one
+        `residue` call per cyclic factor.
+        """
+        out = [1]
+        for e, order in zip(self.basis(), self.orders):
+            r = self.residue(e)
+            powers = [pow(r, i, self.n) for i in range(order)]
+            out = [a * q % self.n for a in out for q in powers]
+        return out
 
     def p_part_quotient(self, p):
         """Quotient by the prime-to-p subgroup, as (AbelianGroup, GroupHom).
@@ -327,22 +382,19 @@ class UnitGroup(AbelianGroup):
         Each cyclic factor Z/n maps onto Z/p^{v_p(n)} by reducing the exponent;
         factors with no p-part disappear.
         """
-        keep = []
         orders = []
-        for i, n in enumerate(self.orders):
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            if v > 0:
-                keep.append((i, p**v))
-                orders.append(p**v)
+        slots = []  # position of each factor in the quotient, None if dropped
+        for n in self.orders:
+            pk = 1
+            while n % (pk * p) == 0:
+                pk *= p
+            slots.append(len(orders) if pk > 1 else None)
+            if pk > 1:
+                orders.append(pk)
         quotient = AbelianGroup(tuple(orders))
-
-        def fn(t):
-            return tuple(t[i] % pk for i, pk in keep)
-
-        return quotient, GroupHom(self, quotient, fn, check=False)
+        basis = quotient.basis()
+        images = [quotient.identity if i is None else basis[i] for i in slots]
+        return quotient, GroupHom(self, quotient, images)
 
     def __eq__(self, other):
         return isinstance(other, UnitGroup) and other.n == self.n
@@ -355,30 +407,42 @@ class UnitGroup(AbelianGroup):
 
 
 class GroupHom:
-    """Homomorphism between finite abelian groups, given elementwise.
+    """Surjective homomorphism of finite abelian groups, fixed by generator images.
 
-    Used for the natural projections between levels of the cyclotomic tower;
-    `check=True` verifies surjectivity by enumerating the domain.
+    `images[j]` is the image of the j-th element of `domain.basis()`.  The map
+    is stored as `image`: the codomain index of each domain element, in element
+    order, built by mixed-radix accumulation one codomain coordinate at a time.
+    The constructor checks that each image's order divides its generator's
+    order, so the map is well defined, and that the image covers the codomain.
     """
 
-    def __init__(self, domain, codomain, fn, check=True):
+    def __init__(self, domain, codomain, images):
+        if len(images) != len(domain.orders):
+            raise NotAHomomorphism(
+                f"{len(images)} generator images for {len(domain.orders)} generators of {domain}"
+            )
+        for n, h in zip(domain.orders, images):
+            if len(h) != len(codomain.orders) or any(
+                n * x % m for x, m in zip(h, codomain.orders)
+            ):
+                raise NotAHomomorphism(
+                    f"image {h} in {codomain} of a generator of order {n} of {domain}"
+                )
+        image = [0] * domain.order
+        for k, m in enumerate(codomain.orders):
+            column = [0]  # coordinate k of the image of each domain element
+            for n, h in zip(domain.orders, images):
+                steps = [i * h[k] % m for i in range(n)]
+                column = [(v + s) % m for v in column for s in steps]
+            image = [i * m + v for i, v in zip(image, column)]
+        if len(set(image)) != codomain.order:
+            raise NotASurjection(f"map from {domain} does not cover {codomain}")
         self.domain = domain
         self.codomain = codomain
-        self._map = {g: fn(g) for g in domain.elements()}
-        if check and len(set(self._map.values())) != codomain.order:
-            raise NotASurjection(f"map from {domain} does not cover {codomain}")
-        self._fibers = None
+        self.image = tuple(image)
 
     def __call__(self, g):
-        return self._map[g]
-
-    def fibers(self):
-        if self._fibers is None:
-            fib = {}
-            for g, h in self._map.items():
-                fib.setdefault(h, []).append(g)
-            self._fibers = fib
-        return self._fibers
+        return self.codomain.elements()[self.image[self.domain.index(g)]]
 
     def kernel_size(self):
         return self.domain.order // self.codomain.order
@@ -396,14 +460,14 @@ def unit_group(n):
 
 @lru_cache(maxsize=UNIT_REDUCTION_CACHE)
 def unit_reduction(big, small):
-    """The natural surjection (Z/D)^* -> (Z/e)^* for e | D, cached."""
+    """The natural surjection (Z/D)^* -> (Z/e)^* for e | D, cached.
+
+    Each generator of (Z/D)^* goes to sigma of its residue reduced mod e.
+    """
     if big.n % small.n:
         raise ValueError(f"{small.n} does not divide {big.n}: no reduction (Z/D)^* -> (Z/e)^*")
-    if small.n == 1:
-        return GroupHom(big, small, lambda t: (), check=False)
-    return GroupHom(
-        big, small, lambda t: small.sigma(big.residue(t) % small.n), check=False
-    )
+    images = [small.sigma(big.residue(e) % small.n) for e in big.basis()]
+    return GroupHom(big, small, images)
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +475,42 @@ def unit_reduction(big, small):
 
 
 class GroupRingElement:
-    """Element of R[G]: sparse map from group elements to ring elements.
+    """Element of R[G], stored flat: one coefficient per group element.
 
-    Absent keys mean coefficient zero.  The coefficient ring is one of QQ or a
-    ResidueRing and is homogeneous per element.
+    `coeffs` is a tuple of length |G| in the order of `group.elements()`, with
+    zeros stored as `ring.zero`; it is private to this module, and `items()`
+    and `coefficient(g)` read it.  The coefficient ring is QQ or a
+    ResidueRing, whose elements are Python Fractions or ints, and is
+    homogeneous per element.  The constructor takes a dict {g: c}, absent
+    keys meaning zero, and coerces each coefficient into the ring.
     """
 
     __slots__ = ("group", "ring", "coeffs")
 
     def __init__(self, group, ring, coeffs):
+        flat = [ring.zero] * group.order
+        for g, c in coeffs.items():
+            flat[group.index(g)] = ring.coerce(c)
         self.group = group
         self.ring = ring
-        self.coeffs = {g: c for g, c in coeffs.items() if c != ring.zero}
+        self.coeffs = tuple(flat)
+
+    @classmethod
+    def _of(cls, group, ring, coeffs):
+        """Element from a flat tuple of coefficients already in the ring."""
+        x = object.__new__(cls)
+        x.group = group
+        x.ring = ring
+        x.coeffs = coeffs
+        return x
+
+    @classmethod
+    def from_values(cls, group, ring, values):
+        """Element with the coefficients `values`, in the order of group.elements()."""
+        coeffs = tuple(map(ring.coerce, values))
+        if len(coeffs) != group.order:
+            raise ValueError(f"{len(coeffs)} coefficients for a group of order {group.order}")
+        return cls._of(group, ring, coeffs)
 
     @classmethod
     def zero(cls, group, ring):
@@ -430,8 +518,7 @@ class GroupRingElement:
 
     @classmethod
     def monomial(cls, group, ring, g, c=None):
-        c = ring.one if c is None else ring.coerce(c)
-        return cls(group, ring, {g: c})
+        return cls(group, ring, {g: ring.one if c is None else c})
 
     @classmethod
     def one(cls, group, ring):
@@ -445,61 +532,58 @@ class GroupRingElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = self.ring.add(out.get(g, self.ring.zero), c)
-        return GroupRingElement(self.group, self.ring, out)
+        values = [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        return self._of(self.group, self.ring, self.ring.reduce_all(values))
 
     def __neg__(self):
-        return GroupRingElement(
-            self.group, self.ring, {g: self.ring.neg(c) for g, c in self.coeffs.items()}
-        )
+        return self._of(self.group, self.ring, self.ring.reduce_all([-a for a in self.coeffs]))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        values = [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        return self._of(self.group, self.ring, self.ring.reduce_all(values))
+
+    def _support(self):
+        return len(self.coeffs) - self.coeffs.count(0)
 
     def __mul__(self, other):
+        """Sum of c * (g times the other factor) over the terms c*g of the sparser one.
+
+        Products are summed as plain ints or Fractions and each output
+        coefficient is reduced into the ring once, as in the other operations.
+        """
         self._check(other)
-        mul, add = self.ring.mul, self.ring.add
-        gmul = self.group.mul
-        out = {}
-        zero = self.ring.zero
-        for g, c in self.coeffs.items():
-            for h, d in other.coeffs.items():
-                k = gmul(g, h)
-                out[k] = add(out.get(k, zero), mul(c, d))
-        return GroupRingElement(self.group, self.ring, out)
+        sparse, dense = (self, other) if self._support() <= other._support() else (other, self)
+        group, b = self.group, dense.coeffs
+        out = [0] * group.order
+        for g, c in sparse.items():
+            out = [s + c * b[i] for s, i in zip(out, group._shifted(group.inv(g)))]
+        return self._of(group, self.ring, self.ring.reduce_all(out))
 
     def scale(self, c):
         c = self.ring.coerce(c)
-        return GroupRingElement(
-            self.group, self.ring, {g: self.ring.mul(v, c) for g, v in self.coeffs.items()}
-        )
+        return self._of(self.group, self.ring, self.ring.reduce_all([v * c for v in self.coeffs]))
 
     def translate(self, g):
         """Multiply by the group element g (a monomial with coefficient 1)."""
-        gmul = self.group.mul
-        return GroupRingElement(
-            self.group, self.ring, {gmul(g, h): c for h, c in self.coeffs.items()}
-        )
+        group, c = self.group, self.coeffs
+        return self._of(group, self.ring, tuple([c[i] for i in group._shifted(group.inv(g))]))
+
+    def items(self):
+        """The nonzero coefficients as (g, c), in element order."""
+        return ((g, c) for g, c in zip(self.group.elements(), self.coeffs) if c)
 
     def coefficient(self, g):
-        return self.coeffs.get(g, self.ring.zero)
+        return self.coeffs[self.group.index(g)]
 
     def augmentation(self):
-        total = self.ring.zero
-        for c in self.coeffs.values():
-            total = self.ring.add(total, c)
-        return total
+        return self.ring.coerce(sum(self.coeffs))
 
     def is_zero(self):
-        return not self.coeffs
+        return not any(self.coeffs)
 
     def change_ring(self, ring):
-        out = {}
-        for g, c in self.coeffs.items():
-            out[g] = ring.coerce(c)
-        return GroupRingElement(self.group, ring, out)
+        return self._of(self.group, ring, tuple(map(ring.coerce, self.coeffs)))
 
     def __eq__(self, other):
         return (
@@ -510,16 +594,15 @@ class GroupRingElement:
         )
 
     def __repr__(self):
-        if not self.coeffs:
+        parts = [f"({c})*{g}" for g, c in self.items()]
+        if not parts:
             return "0"
-        parts = [f"({c})*{g}" for g, c in sorted(self.coeffs.items())]
         return " + ".join(parts[:8]) + (" + ..." if len(parts) > 8 else "")
 
     def to_json(self):
-        """Canonical serialization: sorted keys, reduced coefficients."""
+        """Canonical serialization: sorted keys, reduced coefficients, no zeros."""
         coeffs = []
-        for g in sorted(self.coeffs):
-            c = self.coeffs[g]
+        for g, c in self.items():
             if isinstance(c, Fraction):
                 coeffs.append([list(g), f"{c.numerator}/{c.denominator}"])
             else:
@@ -534,10 +617,8 @@ class GroupRingElement:
         for key, val in obj["coeffs"]:
             if isinstance(val, str):
                 num, den = val.split("/")
-                c = Fraction(int(num), int(den))
-            else:
-                c = val
-            coeffs[tuple(key)] = ring.coerce(c)
+                val = Fraction(int(num), int(den))
+            coeffs[tuple(key)] = val
         return cls(group, ring, coeffs)
 
     def invert(self):
@@ -545,49 +626,42 @@ class GroupRingElement:
 
         Cheap only for small groups; the callers keep |G| modest.
         """
-        elems = self.group.elements()
-        index = {g: i for i, g in enumerate(elems)}
-        n = len(elems)
-        ring = self.ring
+        group, ring = self.group, self.ring
+        n = group.order
         # multiplication-by-self matrix acting on coordinate vectors
         rows = [[ring.zero] * n for _ in range(n)]
-        for h, c in self.coeffs.items():
-            for g in elems:
-                rows[index[self.group.mul(h, g)]][index[g]] = c
+        for h, c in self.items():
+            for j, k in enumerate(group._shifted(h)):
+                rows[k][j] = c
         rhs = [ring.zero] * n
-        rhs[index[self.group.identity]] = ring.one
+        rhs[group.index(group.identity)] = ring.one
         sol = solve_residue(rows, rhs, ring)
         if sol is None:
             raise NotAUnit("group-ring element is not invertible")
-        return GroupRingElement(
-            self.group, ring, {g: sol[i] for g, i in index.items()}
-        )
+        return self._of(group, ring, tuple(sol))
 
 
 def norm_map(x, hom):
-    """Lift x in R[H] along the surjection hom: G -> H by summing each fiber."""
+    """Lift x in R[H] along the surjection hom: G -> H by summing each fiber.
+
+    Each g in G takes the coefficient of hom(g).
+    """
     if x.group != hom.codomain:
         raise NotAQuotient(
             f"element lives over {x.group}, not the quotient {hom.codomain}"
         )
-    fibers = hom.fibers()
-    out = {}
-    for h, c in x.coeffs.items():
-        for g in fibers[h]:
-            out[g] = c
-    return GroupRingElement(hom.domain, x.ring, out)
+    c = x.coeffs
+    return GroupRingElement._of(hom.domain, x.ring, tuple([c[i] for i in hom.image]))
 
 
 def projection_map(x, hom):
     """Push x in R[G] forward along hom: G -> H (coefficientwise fiber sums)."""
     if x.group != hom.domain:
         raise MismatchedGroup("element not over the domain of the surjection")
-    ring = x.ring
-    out = {}
-    for g, c in x.coeffs.items():
-        h = hom(g)
-        out[h] = ring.add(out.get(h, ring.zero), c)
-    return GroupRingElement(hom.codomain, ring, out)
+    out = [0] * hom.codomain.order
+    for i, c in zip(hom.image, x.coeffs):
+        out[i] += c
+    return GroupRingElement._of(hom.codomain, x.ring, x.ring.reduce_all(out))
 
 
 # ---------------------------------------------------------------------------

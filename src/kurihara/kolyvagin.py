@@ -242,7 +242,7 @@ def _log_weighted_sum(projected, e_d, modulus):
     """
     ed_inv = pow(e_d, -1, modulus)
     total = 0
-    for g, coeff in projected.coeffs.items():
+    for g, coeff in projected.items():
         weight = 1
         for coord in g:
             weight = weight * (coord * ed_inv) % modulus

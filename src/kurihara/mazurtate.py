@@ -121,10 +121,8 @@ def theta(symbol, d, n=0, p=None):
     _check_level(E, d, p)
     level = d * (p**n if n else 1)
     group = unit_group(level)
-    coeffs = {}
-    for a in group.units():
-        coeffs[group.sigma(a)] = eval_plus(symbol, a, level)
-    elem = GroupRingElement(group, QQ, coeffs)
+    values = [eval_plus(symbol, a, level) for a in group.residues()]
+    elem = GroupRingElement.from_values(group, QQ, values)
     out = ThetaElement(d, n, p if p is not None else 0, elem, str(E))
     cache = symbol._theta_cache
     cache[key] = out

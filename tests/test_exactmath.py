@@ -1,9 +1,17 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from kurihara.errors import MismatchedGroup, NotAQuotient, NotASurjection, NotAUnit
+from kurihara.errors import (
+    MismatchedGroup,
+    NotAHomomorphism,
+    NotAQuotient,
+    NotASurjection,
+    NotAUnit,
+)
 from kurihara.exactmath import (
     QQ,
     AbelianGroup,
@@ -32,14 +40,82 @@ def random_element(group, ring, rng, density=0.7):
     return GroupRingElement(group, ring, coeffs)
 
 
-def naive_convolution(x, y):
+# Group-ring arithmetic on dicts {g: c} with zero coefficients left out, and
+# the homomorphisms element by element: the definitions the flat coefficient
+# tuples and index arrays are checked against.
+
+
+def as_dict(x):
+    return dict(x.items())
+
+
+def _nonzero(ring, coeffs):
+    return {g: c for g, c in coeffs.items() if c != ring.zero}
+
+
+def ref_add(ring, x, y):
+    out = dict(x)
+    for g, c in y.items():
+        out[g] = ring.add(out.get(g, ring.zero), c)
+    return _nonzero(ring, out)
+
+
+def ref_neg(ring, x):
+    return {g: ring.neg(c) for g, c in x.items()}
+
+
+def ref_mul(group, ring, x, y):
     out = {}
-    ring = x.ring
-    for g, c in x.coeffs.items():
-        for h, d in y.coeffs.items():
-            k = x.group.mul(g, h)
+    for g, c in x.items():
+        for h, d in y.items():
+            k = group.mul(g, h)
             out[k] = ring.add(out.get(k, ring.zero), ring.mul(c, d))
-    return GroupRingElement(x.group, ring, out)
+    return _nonzero(ring, out)
+
+
+def ref_scale(ring, x, c):
+    c = ring.coerce(c)
+    return _nonzero(ring, {g: ring.mul(v, c) for g, v in x.items()})
+
+
+def ref_translate(group, x, g):
+    return {group.mul(g, h): c for h, c in x.items()}
+
+
+def ref_change_ring(ring, x):
+    return _nonzero(ring, {g: ring.coerce(c) for g, c in x.items()})
+
+
+def ref_norm_map(mapping, x):
+    fibers = {}
+    for g, h in mapping.items():
+        fibers.setdefault(h, []).append(g)
+    return {g: c for h, c in x.items() for g in fibers[h]}
+
+
+def ref_projection_map(ring, mapping, x):
+    out = {}
+    for g, c in x.items():
+        h = mapping[g]
+        out[h] = ring.add(out.get(h, ring.zero), c)
+    return _nonzero(ring, out)
+
+
+def ref_reduction(big, small):
+    """(Z/D)^* -> (Z/e)^*, element by element."""
+    return {t: small.sigma(big.residue(t) % small.n) for t in big.elements()}
+
+
+def ref_hom(domain, codomain, images):
+    """t -> sum of t_j times the j-th generator image, by repeated multiplication."""
+    out = {}
+    for t in domain.elements():
+        h = codomain.identity
+        for x, image in zip(t, images):
+            for _ in range(x):
+                h = codomain.mul(h, image)
+        out[t] = h
+    return out
 
 
 class TestGroupRing:
@@ -65,7 +141,7 @@ class TestGroupRing:
         for _ in range(25):
             x = random_element(G, R, rng)
             y = random_element(G, R, rng)
-            assert x * y == naive_convolution(x, y)
+            assert as_dict(x * y) == ref_mul(G, R, as_dict(x), as_dict(y))
 
     def test_ring_axioms_spot_check(self):
         G = AbelianGroup((2, 5))
@@ -109,7 +185,7 @@ class TestNormProjection:
         hom = unit_reduction(big, small)
         x = GroupRingElement.one(small, QQ)
         lifted = norm_map(x, hom)
-        assert len(lifted.coeffs) == hom.kernel_size() == 4
+        assert len(list(lifted.items())) == hom.kernel_size() == 4
         assert lifted.augmentation() == 4
 
     def test_projection_after_norm_is_index(self):
@@ -125,14 +201,15 @@ class TestNormProjection:
     def test_norm_bilinearity(self):
         big, small = unit_group(33), unit_group(11)
         hom = unit_reduction(big, small)
+        lift = {}
+        for t in big.elements():
+            lift.setdefault(hom(t), t)
         rng = random.Random(6)
         for _ in range(20):
             x = random_element(small, QQ, rng)
             y = random_element(small, QQ, rng)
             # nu(x * y) = nu(x) * lift(y) for any lift of y through the fibers
-            lift_y = GroupRingElement(
-                big, QQ, {hom.fibers()[g][0]: c for g, c in y.coeffs.items()}
-            )
+            lift_y = GroupRingElement(big, QQ, {lift[g]: c for g, c in y.items()})
             assert norm_map(x * y, hom) == norm_map(x, hom) * lift_y
 
     def test_projection_to_trivial_group_is_augmentation(self):
@@ -151,8 +228,9 @@ class TestNormProjection:
         assert out == GroupRingElement.monomial(small, QQ, small.sigma(13), Fraction(3, 2))
 
     def test_not_a_surjection(self):
+        # the generator of Z/2 sent to 2 in Z/4: a homomorphism onto {0, 2}
         with pytest.raises(NotASurjection):
-            GroupHom(AbelianGroup((2,)), AbelianGroup((4,)), lambda t: (t[0],))
+            GroupHom(AbelianGroup((2,)), AbelianGroup((4,)), [(2,)])
 
     def test_norm_rejects_wrong_quotient(self):
         big, small = unit_group(35), unit_group(7)
@@ -160,6 +238,156 @@ class TestNormProjection:
         x = GroupRingElement.one(unit_group(5), QQ)
         with pytest.raises(NotAQuotient):
             norm_map(x, hom)
+
+
+def _divisors(n):
+    return [e for e in range(1, n + 1) if n % e == 0]
+
+
+class TestHomomorphisms:
+    def test_unit_reduction_matches_elementwise_definition(self):
+        # every divisor pair of D <= 399 and of six larger D with big 2- and
+        # 7-parts; the uncached function keeps the 2,561 maps out of the cache
+        for D in list(range(1, 400)) + [833, 1024, 2000, 3072, 4096, 9800]:
+            big = UnitGroup(D)
+            elems = big.elements()
+            residues = [big.residue(t) for t in elems]
+            for e in _divisors(D):
+                small = UnitGroup(e)
+                hom = unit_reduction.__wrapped__(big, small)
+                assert [hom(t) for t in elems] == [small.sigma(r % e) for r in residues], (D, e)
+
+    @pytest.mark.parametrize("n, p", [(11 * 31, 5), (5**3 * 11, 5), (7**2 * 29 * 43, 7),
+                                      (2**6 * 3**4, 2), (2**6 * 3**4, 3), (13, 7)])
+    def test_p_part_quotient_is_coordinate_reduction(self, n, p):
+        G = unit_group(n)
+        Q, hom = G.p_part_quotient(p)
+        kept = []
+        for i, order in enumerate(G.orders):
+            pk = 1
+            while order % (pk * p) == 0:
+                pk *= p
+            if pk > 1:
+                kept.append((i, pk))
+        assert Q.orders == tuple(pk for _, pk in kept)
+        for t in G.elements():
+            assert hom(t) == tuple(t[i] % pk for i, pk in kept)
+
+    def test_image_of_wrong_order_raises(self):
+        # a generator of order 2 cannot go to 1 in Z/4, nor one of order 3
+        # to a generator of Z/2; and each generator needs one image
+        with pytest.raises(NotAHomomorphism):
+            GroupHom(AbelianGroup((2,)), AbelianGroup((4,)), [(1,)])
+        with pytest.raises(NotAHomomorphism):
+            GroupHom(AbelianGroup((2, 3)), AbelianGroup((2,)), [(1,), (1,)])
+        with pytest.raises(NotAHomomorphism):
+            GroupHom(AbelianGroup((2, 3)), AbelianGroup((2,)), [(1,)])
+
+
+def _homs(G):
+    """Surjections out of G, each with its element-by-element reference map."""
+    if isinstance(G, UnitGroup):
+        return [(unit_reduction(G, unit_group(e)), ref_reduction(G, unit_group(e)))
+                for e in (1, 7, 17, 49, G.n)]
+    images = {
+        (4, 3): [((12,), [(3,), (4,)]), ((2, 3), [(1, 0), (0, 1)]), ((4,), [(1,), (0,)])],
+        (2, 3, 5): [((30,), [(15,), (10,), (6,)]), ((3, 5), [(0, 0), (1, 0), (0, 1)]),
+                    ((), [(), (), ()])],
+    }[G.orders]
+    return [(GroupHom(G, AbelianGroup(h), im), ref_hom(G, AbelianGroup(h), im))
+            for h, im in images]
+
+
+FLAT_GROUPS = [AbelianGroup((4, 3)), AbelianGroup((2, 3, 5)), unit_group(833)]
+
+
+@pytest.mark.parametrize("ring", [QQ, ResidueRing(7, 2)], ids=str)
+@pytest.mark.parametrize("G", FLAT_GROUPS, ids=repr)
+class TestFlatAgainstDict:
+    """Flat coefficient tuples against the dict definitions, on random elements."""
+
+    def test_ring_operations(self, G, ring):
+        rng = random.Random(G.order)
+        for density in (0.0, 0.05, 0.5, 1.0):
+            x = random_element(G, ring, rng, density)
+            y = random_element(G, ring, rng, min(1.0, 12 / G.order))
+            X, Y = as_dict(x), as_dict(y)
+            assert as_dict(x + y) == ref_add(ring, X, Y)
+            assert as_dict(x - y) == ref_add(ring, X, ref_neg(ring, Y))
+            assert as_dict(-x) == ref_neg(ring, X)
+            assert as_dict(x * y) == as_dict(y * x) == ref_mul(G, ring, X, Y)
+            c = rng.randrange(-60, 60)
+            assert as_dict(x.scale(c)) == ref_scale(ring, X, c)
+            g = rng.choice(G.elements())
+            assert as_dict(x.translate(g)) == ref_translate(G, X, g)
+            assert x.is_zero() == (X == {})
+            for h, c in X.items():
+                assert x.coefficient(h) == c
+
+    def test_change_ring(self, G, ring):
+        rng = random.Random(G.order + 1)
+        target = ResidueRing(7, 2) if ring == QQ else ResidueRing(7, 1)
+        x = random_element(G, ring, rng)
+        assert as_dict(x.change_ring(target)) == ref_change_ring(target, as_dict(x))
+
+    def test_norm_and_projection(self, G, ring):
+        rng = random.Random(G.order + 2)
+        for hom, mapping in _homs(G):
+            x = random_element(hom.codomain, ring, rng)
+            y = random_element(G, ring, rng)
+            assert as_dict(norm_map(x, hom)) == ref_norm_map(mapping, as_dict(x))
+            assert as_dict(projection_map(y, hom)) == ref_projection_map(
+                ring, mapping, as_dict(y)
+            )
+
+    def test_json_round_trip(self, G, ring):
+        rng = random.Random(G.order + 3)
+        x = random_element(G, ring, rng, 0.6)
+        text = json.dumps(x.to_json())
+        # the parent format: sorted keys, zeros left out
+        expected = [[list(g), f"{c.numerator}/{c.denominator}" if ring == QQ else c]
+                    for g, c in sorted(as_dict(x).items())]
+        assert x.to_json() == {"group": list(G.orders), "coeffs": expected}
+        back = GroupRingElement.from_json(json.loads(text), ring, G)
+        assert back == x
+        assert json.dumps(back.to_json()) == text
+
+
+@pytest.mark.parametrize("G", FLAT_GROUPS[:2], ids=repr)
+def test_flat_invert(G):
+    # 1 + 7y is a unit of Z/7^2[G]: 7y is nilpotent
+    ring = ResidueRing(7, 2)
+    rng = random.Random(G.order + 4)
+    one = GroupRingElement.one(G, ring)
+    for _ in range(3):
+        x = one + random_element(G, ring, rng).scale(7)
+        assert x * x.invert() == one
+
+
+class TestConstructorCoerces:
+    def test_multiple_of_modulus_is_zero(self):
+        G, R = AbelianGroup((2,)), ResidueRing(7)
+        x = GroupRingElement(G, R, {(0,): 7})
+        assert x.is_zero()
+        assert x == GroupRingElement.zero(G, R)
+        assert GroupRingElement(G, R, {(1,): -5}).coefficient((1,)) == 2
+
+    def test_rational_coefficients_reduce(self):
+        G, R = AbelianGroup((3,)), ResidueRing(5, 2)
+        x = GroupRingElement(G, R, {(2,): Fraction(1, 2)})
+        assert x.coefficient((2,)) == 13
+        assert GroupRingElement(G, QQ, {(1,): 3}).coefficient((1,)) == Fraction(3)
+
+    def test_non_element_raises(self):
+        G = AbelianGroup((2, 3))
+        with pytest.raises(ValueError):
+            GroupRingElement(G, QQ, {(0, 3): 1})
+        with pytest.raises(ValueError):
+            GroupRingElement(G, QQ, {(0,): 1})
+
+
+def _units(n):
+    return [a for a in range(1, n) if gcd(a, n) == 1] if n > 1 else [1]
 
 
 class TestUnitGroup:
@@ -172,13 +400,20 @@ class TestUnitGroup:
     def test_sigma_residue_round_trip(self):
         for n in (15, 16, 24, 35, 77, 98):
             G = unit_group(n)
-            for a in G.units():
+            for a in _units(n):
                 assert G.residue(G.sigma(a)) == a % n
+
+    def test_residues_in_element_order(self):
+        for n in (1, 2, 4, 8, 15, 16, 24, 35, 77, 98, 833, 9800):
+            G = unit_group(n)
+            residues = G.residues()
+            assert residues == [G.residue(t) if n > 1 else 1 for t in G.elements()]
+            assert sorted(residues) == _units(n)
 
     def test_sigma_is_homomorphism(self):
         G = unit_group(77)
         rng = random.Random(8)
-        units = G.units()
+        units = _units(77)
         for _ in range(50):
             a, b = rng.choice(units), rng.choice(units)
             assert G.mul(G.sigma(a), G.sigma(b)) == G.sigma(a * b % 77)
@@ -213,7 +448,6 @@ class TestLinearAlgebra:
             for v in basis:
                 for row in rows:
                     assert sum(c * x for c, x in zip(row, v)) == 0
-                from math import gcd
                 g = 0
                 for x in v:
                     g = gcd(g, x)

@@ -278,7 +278,7 @@ class TestOneWalk:
         def corrupted(theta, registry):
             proj = original(theta, registry)
             el = proj.element
-            coeffs = dict(el.coeffs)
+            coeffs = dict(el.items())
             coeffs[(1,)] = (coeffs.get((1,), 0) + 1) % el.ring.modulus
             return dataclasses.replace(
                 proj, element=GroupRingElement(el.group, el.ring, coeffs)

@@ -18,3 +18,23 @@ def test_no_bare_asserts():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_group_ring_layout_private():
+    # group-ring coefficients and homomorphism index arrays are stored in
+    # exactmath's element order; every other module reads them through
+    # items(), coefficient(g) or hom(g)
+    tests = os.path.dirname(__file__)
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")) + glob.glob(os.path.join(tests, "*.py")))
+    found = []
+    for path in paths:
+        if os.path.basename(path) == "exactmath.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "image")
+        ]
+    assert found == []
