@@ -19,6 +19,7 @@ from .errors import (
     KuriharaError,
     SearchExhausted,
 )
+from .exactmath import is_prime
 from .kolyvagin import sieve, sieved_factors, theta_residues
 from .mazurtate import theta, vartheta, xi_tilde
 from .modsym import build_space, extract_eigensymbol, symbol_from_json
@@ -38,6 +39,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _checked(ok, want):
+    """argparse type: an integer for which ok(value) holds."""
+    def integer(text):
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {value}")
+        return value
+    return integer
+
+
+_POSITIVE = _checked(lambda v: v >= 1, "a positive integer")
+_NONNEGATIVE = _checked(lambda v: v >= 0, "a nonnegative integer")
+_ODD_PRIME = _checked(lambda v: v >= 3 and is_prime(v), "an odd prime")
+
+
 def _parser():
     common = _Parser(add_help=False)
     common.add_argument("--cache-dir", default=os.environ.get("KURIHARA_CACHE_DIR"))
@@ -49,9 +65,9 @@ def _parser():
 
     def curve_opts(sp):
         sp.add_argument("--curve", required=True, help="curve JSON file")
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--m", type=int, default=1)
-        sp.add_argument("--n", type=int, default=0)
+        sp.add_argument("--p", type=_ODD_PRIME, required=True)
+        sp.add_argument("--m", type=_POSITIVE, default=1)
+        sp.add_argument("--n", type=_NONNEGATIVE, default=0)
         sp.add_argument(
             "--assert-surjective", action="store_true",
             help="assert mod-p surjectivity for this p (hypothesis (b))",
@@ -70,12 +86,12 @@ def _parser():
 
     sp = sub.add_parser("theta", parents=[common], help="dump theta / vartheta / xi elements")
     curve_opts(sp)
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--kind", choices=("theta", "vartheta", "xi"), default="theta")
 
     sp = sub.add_parser("delta", parents=[common], help="a single Kurihara number")
     curve_opts(sp)
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--bound", type=int, default=10**4)
 
     sp = sub.add_parser("search", parents=[common], help="full delta-minimal search and report")
@@ -91,7 +107,7 @@ def _parser():
     sp = sub.add_parser("selftest", parents=[common], help="exhaustive verifiers and identity suite")
     sp.add_argument("--coset-dim", type=int, choices=(3, 4), default=3)
     sp.add_argument("--curve", default=None)
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--p", type=_ODD_PRIME, default=None)
     sp.add_argument("--grid", type=int, default=60, help="d*l bound for the identity suite")
     return p
 
@@ -134,7 +150,10 @@ def _load_symbol(args, E):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "selftest" and (args.curve is None) != (args.p is None):
+        parser.error("selftest: --curve and --p go together (the identity suite needs both)")
     try:
         return _dispatch(args)
     except HypothesisViolation as exc:
@@ -181,7 +200,7 @@ def _dispatch(args):
             "cases": cases,
         }]
         ok = rep.ok and covered
-        if args.curve and args.p:
+        if args.curve is not None:
             E = load_curve(args.curve)
             sym = _load_symbol(args, E)
             suite = run_identity_suite(

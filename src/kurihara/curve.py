@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import BadPrime, CorrectnessAlarm, HypothesisViolation
+from .errors import BadCurve, BadPrime, CorrectnessAlarm, HypothesisViolation
 from .exactmath import factorize, is_prime
 
 NAIVE_COUNT_LIMIT = 10**6  # square-table count below, BSGS above
@@ -63,17 +63,19 @@ class CurveData:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def validate(self, stated_discriminant=None):
+        if not all(type(x) is int for x in (*self.ainvs(), self.conductor, self.tamagawa_product)):
+            raise BadCurve("a-invariants, conductor and Tamagawa product must be integers")
         if self.discriminant == 0:
-            raise ValueError("singular Weierstrass model")
+            raise BadCurve("singular Weierstrass model")
         if stated_discriminant is not None and stated_discriminant != self.discriminant:
-            raise ValueError(
+            raise BadCurve(
                 f"stated discriminant {stated_discriminant} != computed {self.discriminant}"
             )
         if self.conductor < 1 or self.tamagawa_product < 1:
-            raise ValueError("conductor and Tamagawa product must be positive")
+            raise BadCurve("conductor and Tamagawa product must be positive")
         for q in factorize(self.conductor):
             if self.discriminant % q != 0:
-                raise ValueError(f"conductor prime {q} does not divide the discriminant")
+                raise BadCurve(f"conductor prime {q} does not divide the discriminant")
         return self
 
     def __str__(self):
@@ -81,20 +83,28 @@ class CurveData:
 
 
 def curve_from_json(obj):
-    a1, a2, a3, a4, a6 = obj["ainvs"]
-    E = CurveData(
-        a1, a2, a3, a4, a6,
-        conductor=obj["conductor"],
-        tamagawa_product=obj["tamagawa_product"],
-        label=obj.get("label", ""),
-        mod_p_surjective=tuple(obj.get("mod_p_surjective", ())),
-    )
+    """A validated curve from its JSON record; BadCurve when it is not one."""
+    try:
+        a1, a2, a3, a4, a6 = obj["ainvs"]
+        E = CurveData(
+            a1, a2, a3, a4, a6,
+            conductor=obj["conductor"],
+            tamagawa_product=obj["tamagawa_product"],
+            label=obj.get("label", ""),
+            mod_p_surjective=tuple(obj.get("mod_p_surjective", ())),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadCurve(f"malformed curve record: {exc!r}") from exc
     return E.validate(obj.get("discriminant"))
 
 
 def load_curve(path):
     with open(path) as f:
-        return curve_from_json(json.load(f))
+        try:
+            obj = json.load(f)
+        except ValueError as exc:  # not JSON, or not text
+            raise BadCurve(f"{path}: not a JSON curve record: {exc}") from exc
+    return curve_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

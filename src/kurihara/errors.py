@@ -31,6 +31,10 @@ class NotAUnit(KuriharaError):
 
 
 # curve data
+class BadCurve(KuriharaError, ValueError):
+    """A curve record that is not valid JSON, lacks a field or is not a curve."""
+
+
 class BadPrime(KuriharaError):
     pass
 

@@ -762,13 +762,6 @@ def echelon_kernel(red, ncols):
     return basis
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of the right kernel of a dense rational matrix (see echelon_kernel)."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return echelon_kernel(sparse_echelon(enumerate(row) for row in rows), ncols)
-
-
 def residue_echelon(rows, ring):
     """Gaussian elimination over Z/p^m pivoting only on units.
 

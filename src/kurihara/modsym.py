@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from . import lseries
 from .curve import primes_upto, trace_of_frobenius
@@ -26,7 +27,10 @@ from .errors import (
     FrickeNotScalar,
     NotCoprime,
 )
-from .exactmath import echelon_kernel, kernel_basis, sparse_echelon, xgcd
+from .exactmath import echelon_kernel, factorize, sparse_echelon, xgcd
+
+QMAX = 100  # the eigenline chains draw the good primes q <= QMAX
+HOLDOUT_COUNT = 3  # further good primes checked on the extracted eigenvectors
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +212,16 @@ class ManinSpace:
     """Plus quotient of weight-2 Manin symbols for Gamma0(N).
 
     Coordinates live on the free basis chosen by row reduction of the 2-term,
-    3-term, and star relations; `proj[i]` expresses generator i in them.
+    3-term, and star relations; generator i is `proj_nums[i]`, sparse integer
+    numerators over `proj_den`, the scale of the boundary and Hecke matrices.
     """
 
-    def __init__(self, N, sign=+1):
-        if sign != +1:
-            raise ValueError("only the plus quotient (sign +1) is implemented")
+    def __init__(self, N):
         self.N = N
-        self.sign = sign
         self.p1 = P1List(N)
         G = len(self.p1)
         expected = N
-        for q, e in _factor_items(N):
+        for q in factorize(N):
             expected = expected // q * (q + 1)
         if G != expected:
             raise CorrectnessAlarm(f"P^1(Z/{N}) has {G} classes, expected {expected}")
@@ -249,47 +251,35 @@ class ManinSpace:
         self.dim = len(self.free)
         free_pos = {j: k for k, j in enumerate(self.free)}
 
-        # proj[i]: coordinates of generator i in the free basis
-        proj = [None] * G
+        # a free generator is its own coordinate, a pivot minus the rest of its row
+        den = self.proj_den = lcm(*(x.denominator for row in red.values() for x in row.values()))
+        nums = [None] * G
         for k, j in enumerate(self.free):
-            v = [Fraction(0)] * self.dim
-            v[k] = Fraction(1)
-            proj[j] = v
+            nums[j] = [(k, den)]
         for c, row in red.items():
-            v = [Fraction(0)] * self.dim
-            for j, x in row.items():
-                if j != c:
-                    v[free_pos[j]] = -x
-            proj[c] = v
-        self.proj = proj
-        # the same coordinates as sparse integer numerators over one denominator
-        self.proj_den = lcm(*(x.denominator for v in proj for x in v))
-        self.proj_nums = [[(r, int(x * self.proj_den)) for r, x in enumerate(v) if x] for v in proj]
+            nums[c] = [(free_pos[j], -x.numerator * (den // x.denominator))
+                       for j, x in sorted(row.items()) if j != c]
+        self.proj_nums = nums
 
-        # boundary map on the free basis
+        # boundary map on the free basis: one sparse integer row per cusp class
         cusps = CuspClasses(N)
         rows = {}
         for k, j in enumerate(self.free):
-            c, d = self.p1.reps[j]
-            a, b, ct, dt = _sl2_lift(c, d, N)
-            i1 = cusps.index(a, ct)
-            i2 = cusps.index(b, dt)
-            rows.setdefault(i1, [Fraction(0)] * self.dim)[k] += 1
-            rows.setdefault(i2, [Fraction(0)] * self.dim)[k] -= 1
-        self.cusp_classes = cusps
-        self.boundary = [rows.get(i, [Fraction(0)] * self.dim) for i in range(len(cusps.reps))]
-        self.cuspidal_basis = kernel_basis(self.boundary, self.dim)
+            a, b, ct, dt = _sl2_lift(*self.p1.reps[j], N)
+            for i, s in ((cusps.index(a, ct), 1), (cusps.index(b, dt), -1)):
+                row = rows.setdefault(i, {})
+                row[k] = row.get(k, 0) + s
+        self.boundary = [{k: x for k, x in rows[i].items() if x} for i in range(len(cusps.reps))]
         self._hecke_cache = {}
-        self._merel_cache = {}
 
     # -- Hecke ------------------------------------------------------------
 
     def hecke_full(self, q):
-        """Matrix of T_q on the plus quotient (columns act on coordinates)."""
+        """proj_den * T_q as an integer matrix (columns act on coordinates)."""
         mat = self._hecke_cache.get(q)
         if mat is not None:
             return mat
-        fam = self._merel_cache.setdefault(q, merel_matrices(q))
+        fam = merel_matrices(q)
         index, nums, dim = self.p1.index, self.proj_nums, self.dim
         # numerators of the image of each generator, over self.proj_den
         images = []
@@ -309,7 +299,7 @@ class ManinSpace:
                     acc[r] += coeff * x
             if any(acc):
                 raise CorrectnessAlarm(f"T_{q} does not descend to the quotient")
-        mat = [[Fraction(images[j][r], self.proj_den) for j in self.free] for r in range(dim)]
+        mat = [[images[j][r] for j in self.free] for r in range(dim)]
         self._hecke_cache[q] = mat
         return mat
 
@@ -345,17 +335,15 @@ class ManinSpace:
         return out
 
     def path_vector(self, a, d):
-        """Coordinates of the path {oo -> a/d} in the plus quotient."""
-        v = [Fraction(0)] * self.dim
+        """Coordinates of the path {oo -> a/d}, as numerators over proj_den."""
+        v = [0] * self.dim
         for i in self.path_symbols(a, d):
-            pv = self.proj[i]
-            for r in range(self.dim):
-                if pv[r]:
-                    v[r] += pv[r]
+            for r, x in self.proj_nums[i]:
+                v[r] += x
         return v
 
     def path_between(self, cusp1, cusp2):
-        """Coordinates of {cusp1 -> cusp2}; cusps are (num, den) pairs."""
+        """Numerators over proj_den of {cusp1 -> cusp2}; cusps are (num, den) pairs."""
         v2 = self.path_vector(cusp2[0], cusp2[1])
         v1 = self.path_vector(cusp1[0], cusp1[1])
         return [x - y for x, y in zip(v2, v1)]
@@ -363,7 +351,8 @@ class ManinSpace:
     def fricke_matrix(self):
         """Columns of the action of [0, -1; N, 0] on the plus quotient.
 
-        Column j is the image of free generator j, in free-basis coordinates.
+        Column j is the image of free generator j, in free-basis coordinates
+        as numerators over proj_den.
         """
         cols = []
         for j in self.free:
@@ -376,14 +365,8 @@ class ManinSpace:
         return cols
 
 
-def _factor_items(N):
-    from .exactmath import factorize
-
-    return sorted(factorize(N).items())
-
-
-def build_space(N, sign=+1):
-    return ManinSpace(N, sign)
+def build_space(N):
+    return ManinSpace(N)
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +450,25 @@ def eval_plus(symbol, a, d):
 def _eigen_chain(space, pairs, dual):
     """Eigenspace of T_q = a_q for the (q, a_q) in `pairs`, one q at a time.
 
-    It is the kernel of stacked rows: for the column (dual=False) the boundary
-    rows and the rows of each T_q - a_q, so it starts from the cuspidal
-    subspace; for the functional (dual=True, w T_q = a_q w) the columns of each
-    T_q - a_q, starting from the whole quotient. Each step reduces the previous
-    RREF rows together with the new ones in one `sparse_echelon`. The chain
-    stops once the eigenspace is zero, or a line after at least one q.
+    It is the kernel of stacked integer rows: for the column (dual=False) the
+    boundary rows and the rows of each proj_den * (T_q - a_q), so it starts
+    from the cuspidal subspace; for the functional (dual=True, w T_q = a_q w)
+    the columns of each proj_den * (T_q - a_q), starting from the whole
+    quotient. Each step reduces the previous RREF rows together with the new
+    ones in one `sparse_echelon`. The chain stops once the eigenspace is zero,
+    or a line after at least one q.
     Returns (kernel basis, used pairs, kernel dimension before and after each q).
     """
     dim = space.dim
-    red = {} if dual else sparse_echelon(enumerate(row) for row in space.boundary)
+    red = {} if dual else sparse_echelon(row.items() for row in space.boundary)
     dims = [dim - len(red)]
     used = []
     for q, aq in pairs:
         if dims[-1] <= 1 and used:
             break
-        T = space.hecke_full(q)
-        if dual:
-            new = ([(r, T[r][j] - (aq if r == j else 0)) for r in range(dim)] for j in range(dim))
-        else:
-            new = ([(j, x - (aq if r == j else 0)) for j, x in enumerate(T[r])] for r in range(dim))
+        T, s = space.hecke_full(q), aq * space.proj_den
+        rows = zip(*T) if dual else T
+        new = ([(j, x - (s if r == j else 0)) for j, x in enumerate(row)] for r, row in enumerate(rows))
         red = sparse_echelon(chain((row.items() for row in red.values()), new))
         used.append((q, aq))
         dims.append(dim - len(red))
@@ -495,7 +477,7 @@ def _eigen_chain(space, pairs, dual):
     return echelon_kernel(red, dim), used, dims
 
 
-def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
+def extract_eigensymbol(space, E, calibrate=True):
     """Cut the eigenline of E out of the plus quotient and package it.
 
     Requires E to be the Gamma0(N)-optimal curve of its class (asserted by the
@@ -505,7 +487,7 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
         raise EigensymbolNotFound(
             f"curve conductor {E.conductor} does not match level {space.N}"
         )
-    good_q = [q for q in primes_upto(qmax) if space.N % q != 0]
+    good_q = [q for q in primes_upto(QMAX) if space.N % q != 0]
 
     def pair_stream():
         for q in good_q:
@@ -519,14 +501,14 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
         )
     if len(col_basis) > 1:
         raise AmbiguousEigenspace(
-            f"eigenspace still {len(col_basis)}-dimensional after q <= {qmax}"
+            f"eigenspace still {len(col_basis)}-dimensional after q <= {QMAX}"
         )
     column = tuple(col_basis[0])
 
     dual_basis, dual_used, _ = _eigen_chain(space, pair_stream(), dual=True)
     if len(dual_basis) != 1:
         raise AmbiguousEigenspace(
-            f"dual eigenspace has dimension {len(dual_basis)} after q <= {qmax}"
+            f"dual eigenspace has dimension {len(dual_basis)} after q <= {QMAX}"
         )
     vector = tuple(dual_basis[0])
 
@@ -536,16 +518,16 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
     for q in good_q:
         if q not in used_qs:
             holdout.append((q, trace_of_frobenius(E, q)))
-            if len(holdout) >= holdout_count:
+            if len(holdout) >= HOLDOUT_COUNT:
                 break
     for q, aq in holdout:
-        T = space.hecke_full(q)
-        if not _is_eigen_column(T, column, aq):
+        T, s = space.hecke_full(q), aq * space.proj_den
+        if any(sum(map(mul, row, column)) != s * v for row, v in zip(T, column)):
             raise CorrectnessAlarm(f"held-out T_{q} fails on the column")
-        if not _is_eigen_row(T, vector, aq):
+        if any(sum(map(mul, vector, col)) != s * w for col, w in zip(zip(*T), vector)):
             raise CorrectnessAlarm(f"held-out T_{q} fails on the functional")
     for row in space.boundary:
-        if sum(Fraction(c) * x for c, x in zip(row, column)) != 0:
+        if sum(x * column[k] for k, x in row.items()):
             raise CorrectnessAlarm("the eigenline is not cuspidal")
 
     status, unit = "uncalibrated", Fraction(1)
@@ -567,35 +549,16 @@ def extract_eigensymbol(space, E, qmax=100, holdout_count=3, calibrate=True):
     )
 
 
-def _is_eigen_column(T, v, aq):
-    n = len(T)
-    for r in range(n):
-        if sum(T[r][j] * v[j] for j in range(n)) != aq * v[r]:
-            return False
-    return True
-
-
-def _is_eigen_row(T, w, aq):
-    n = len(T)
-    for c in range(n):
-        if sum(w[r] * T[r][c] for r in range(n)) != aq * w[c]:
-            return False
-    return True
-
-
 def fricke_eigenvalue(symbol):
     """Eigenvalue of the Fricke involution on the eigensymbol line (+1 or -1)."""
-    w = symbol.vector
+    w, den = symbol.vector, symbol.space.proj_den
+    # numerators over proj_den of the Fricke image of the functional
     img = [sum(x * y for x, y in zip(w, col)) for col in symbol.space.fricke_matrix()]
-    eps = None
-    for x, y in zip(img, w):
-        if y:
-            eps = Fraction(x, y) if x else Fraction(0)
-            break
+    eps = next((Fraction(x, den * y) for x, y in zip(img, w) if y), None)
     if eps is None:
         raise FrickeNotScalar("eigensymbol is zero")
     for x, y in zip(img, w):
-        if Fraction(x) != eps * y:
+        if x != eps * den * y:
             raise FrickeNotScalar("Fricke image is not a scalar multiple; convention bug")
     if eps not in (1, -1):
         raise FrickeNotScalar(f"Fricke eigenvalue {eps} is not a sign")

@@ -295,10 +295,12 @@ def run_identity_suite(
                     q for q in primes_upto(d_ell_max // d)
                     if q != p and E.discriminant % q != 0 and d % q != 0
                 ]
+                if not goods:
+                    continue
+                # the d-level elements, shared by every l
+                xd = xi_tilde(symbol, d, n, p, m)
+                vd = vartheta(symbol, d, n, p, m)
                 for ell in goods:
-                    if d * ell > d_ell_max:
-                        continue
-                    xd = xi_tilde(symbol, d, n, p, m)
                     xdl = xi_tilde(symbol, d * ell, n, p, m)
                     hom = unit_reduction(xdl.group, xd.group)
                     lhs = projection_map(xdl, hom)
@@ -308,7 +310,6 @@ def run_identity_suite(
                         results["xi_norm_relation"].failures.append(
                             (d, ell, n, m)
                         )
-                    vd = vartheta(symbol, d, n, p, m)
                     vdl = vartheta(symbol, d * ell, n, p, m)
                     homv = unit_reduction(vdl.group, vd.group)
                     lhsv = projection_map(vdl, homv)

@@ -138,12 +138,12 @@ def test_criterion_5_modular_symbols_core(sym11, sym37, e37):
     held_out = [q for q in primes_upto(60) if q not in used and q != 37][:3]
     assert len(held_out) == 3
     for q in held_out:
-        aq = trace_of_frobenius(e37, q)
-        T = space.hecke_full(q)
+        s = trace_of_frobenius(e37, q) * space.proj_den
+        T = space.hecke_full(q)  # proj_den * T_q
         n = space.dim
         w = sym37.vector
         assert all(
-            sum(w[r] * T[r][c] for r in range(n)) == aq * w[c] for c in range(n)
+            sum(w[r] * T[r][c] for r in range(n)) == s * w[c] for c in range(n)
         )
     # evenness, exhaustively for d <= 50, on both golden symbols
     for sym in (sym11, sym37):

@@ -61,6 +61,40 @@ class TestExitCodes:
         code = main(["check", "--curve", "/does/not/exist.json", "--p", "7"])
         assert code == 64
 
+    @pytest.mark.parametrize("body", [
+        '{"ainvs": [0, 0, 0, 0, 0], "conductor": 11, "tamagawa_product": 1}',
+        "not json",
+        '{"conductor": 11, "tamagawa_product": 1}',
+        '{"ainvs": ["0", 0, 1, -1, 0], "conductor": 37, "tamagawa_product": 1}',
+    ], ids=["singular", "not_json", "no_ainvs", "not_integers"])
+    def test_malformed_curve_exits_64(self, tmp_path, capsys, body):
+        path = tmp_path / "curve.json"
+        path.write_text(body)
+        assert main(["check", "--curve", str(path), "--p", "5"]) == 64
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["delta", "--curve", curve_path("37a1"), "--p", "5", "--d", "0"],
+        ["delta", "--curve", curve_path("37a1"), "--p", "5", "--d", "-61"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "7", "--d", "0"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "7", "--d", "-61"],
+        ["delta", "--curve", curve_path("37a1"), "--p", "5", "--m", "0"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "7", "--m", "0"],
+        ["search", "--curve", curve_path("37a1"), "--p", "5", "--m", "0"],
+        ["sieve", "--curve", curve_path("37a1"), "--p", "5", "--m", "0"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "7", "--n", "-1"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "4", "--d", "3"],
+        ["selftest", "--curve", curve_path("11a1"), "--p", "0"],
+        ["selftest", "--curve", curve_path("11a1")],
+        ["selftest", "--p", "7"],
+    ])
+    def test_out_of_range_argument_exits_64(self, argv, capsys):
+        # rejected while parsing, before any curve is loaded or suite skipped
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert "error: " in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_sieve_output(self, capsys):

@@ -38,3 +38,21 @@ def test_group_ring_layout_private():
             if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "image")
         ]
     assert found == []
+
+
+def test_quotient_layout_private():
+    # the quotient coordinates, boundary rows and Hecke matrices are integers
+    # on the proj_den scale of modsym; no other module of the package reads them
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "modsym.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("proj_nums", "proj_den", "boundary", "hecke_full")
+        ]
+    assert found == []
