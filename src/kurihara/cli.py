@@ -82,7 +82,7 @@ def _parser():
 
     sp = sub.add_parser("sieve", parents=[common], help="list Kolyvagin primes")
     curve_opts(sp)
-    sp.add_argument("--bound", type=int, default=10**4)
+    sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
     sp = sub.add_parser("theta", parents=[common], help="dump theta / vartheta / xi elements")
     curve_opts(sp)
@@ -92,12 +92,12 @@ def _parser():
     sp = sub.add_parser("delta", parents=[common], help="a single Kurihara number")
     curve_opts(sp)
     sp.add_argument("--d", type=_POSITIVE, default=1)
-    sp.add_argument("--bound", type=int, default=10**4)
+    sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
     sp = sub.add_parser("search", parents=[common], help="full delta-minimal search and report")
     curve_opts(sp)
-    sp.add_argument("--prime-bound", type=int, default=10**4)
-    sp.add_argument("--nu-max", type=int, default=3)
+    sp.add_argument("--prime-bound", type=_POSITIVE, default=10**4)
+    sp.add_argument("--nu-max", type=_NONNEGATIVE, default=3)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--root-number", type=int, choices=(1, -1), default=None)
 
@@ -108,7 +108,7 @@ def _parser():
     sp.add_argument("--coset-dim", type=int, choices=(3, 4), default=3)
     sp.add_argument("--curve", default=None)
     sp.add_argument("--p", type=_ODD_PRIME, default=None)
-    sp.add_argument("--grid", type=int, default=60, help="d*l bound for the identity suite")
+    sp.add_argument("--grid", type=_POSITIVE, default=60, help="d*l bound for the identity suite")
     return p
 
 
@@ -147,6 +147,13 @@ def _load_symbol(args, E):
     if cache:
         cache.put(key, sym.to_json())
     return sym
+
+
+def _verified_report(obj):
+    """A saved report, refused (CorrectnessAlarm) unless its conclusions re-derive."""
+    report = DeltaReport.from_json(obj)
+    report.verify()
+    return report
 
 
 def main(argv=None):
@@ -229,8 +236,7 @@ def _dispatch(args):
 
     if cmd == "report":
         with open(args.path) as f:
-            report = DeltaReport.from_json(json.load(f))
-        report.verify_minimal()
+            report = _verified_report(json.load(f))
         _emit(args, report.to_json(), report.to_text())
         return EXIT_OK
 
@@ -320,8 +326,7 @@ def _dispatch(args):
             if cache:
                 cache.put(key, report.to_json())
         else:
-            report = DeltaReport.from_json(obj)
-            report.verify_minimal()
+            report = _verified_report(obj)
         _emit(args, report.to_json(), report.to_text())
         return EXIT_OK
 

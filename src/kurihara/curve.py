@@ -597,50 +597,23 @@ def full_p_torsion_deterministic(E, l, p):
     return s == [1]
 
 
-def p_torsion_structure(E, l, p, rng=None):
+def p_torsion_structure(E, l, p):
     """Classify the p^infinity-part of E(F_l): 'trivial', 'cyclic', or 'full'.
 
-    'full' means E(F_l) contains (Z/p)^2.  The random-sampling fast path looks
-    for two independent p-torsion points; inconclusive sampling falls back to
-    the deterministic division-polynomial test.
+    'full' means E(F_l) contains (Z/p)^2, which needs p^2 | #E(F_l) and is
+    then decided by the division-polynomial test.
     """
     if E.discriminant % l == 0 or l == p:
         raise BadPrime(f"{l} is bad or equals p")
-    order = count_points(E, l)
-    n = order
+    n = count_points(E, l)
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     if v == 0:
         return ("trivial", 0)
-    if v == 1 or (l - 1) % p != 0:
-        return ("cyclic", v)
-    rng = rng or random.Random(l * 1000003 + p)
-    cofactor = order // p**v
-    first = None
-    for _ in range(32):
-        P = random_point(E, l, rng)
-        Q = ec_mul(E, l, cofactor, P)
-        if Q is None:
-            continue
-        # reduce Q to exact p-torsion
-        while True:
-            R = ec_mul(E, l, p, Q)
-            if R is None:
-                break
-            Q = R
-        if first is None:
-            first = Q
-            first_orbit = set()
-            S = None
-            for _ in range(p):
-                S = ec_add(E, l, S, first)
-                first_orbit.add(S)
-            continue
-        if Q not in first_orbit:
-            return ("full", v)
-    return ("full" if full_p_torsion_deterministic(E, l, p) else "cyclic", v)
+    full = v >= 2 and full_p_torsion_deterministic(E, l, p)
+    return ("full" if full else "cyclic", v)
 
 
 # ---------------------------------------------------------------------------

@@ -109,79 +109,27 @@ def _cubic_roots(c2, c1, c0):
     return roots
 
 
-def _gauss_legendre_nodes(n):
-    nodes = []
-    for k in range(1, n + 1):
-        # Newton from Chebyshev initial guess for the Legendre root
-        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < 1e-16:
-                break
-        w = 2 / ((1 - x * x) * dp * dp)
-        nodes.append((x, w))
-    return nodes
-
-
-_GL = None
-
-
-def _integrate01(f):
-    """Integral of f over [0, 1] by 80-point composite Gauss-Legendre."""
-    global _GL
-    if _GL is None:
-        _GL = _gauss_legendre_nodes(80)
-    total = 0.0
-    pieces = 4
-    for i in range(pieces):
-        a, b = i / pieces, (i + 1) / pieces
-        mid, half = (a + b) / 2, (b - a) / 2
-        total += half * sum(w * f(mid + half * x) for x, w in _GL)
-    return total
-
-
 def real_period(E):
-    """Least positive real period of the Neron differential, by quadrature.
+    """Least positive real period of the Neron differential, by the AGM.
 
-    Omega^+ = 2 * int_{e1}^{inf} dx / sqrt(4x^3 + b2 x^2 + 2 b4 x + b6) with
-    e1 the largest real root; the substitutions x = e1 + t^2 and t = 1/s give
-    two analytic integrals on [0, 1].
+    Omega^+ = 2 * int_{e1}^{inf} dx / sqrt(4x^3 + b2 x^2 + 2 b4 x + b6)
+    = pi / AGM(sqrt(e1 - e2), sqrt(e1 - e3)), with e1 the largest real root
+    and principal square roots.  For a complex pair e2, e3 the two square
+    roots are conjugate, so the AGM is real from its first step on.
     """
     roots = _cubic_roots(
         Fraction(E.b2, 4), Fraction(2 * E.b4, 4), Fraction(E.b6, 4)
     )
-    real_roots = sorted((z.real for z in roots if abs(z.imag) < 1e-7 * (1 + abs(z))),
-                        reverse=True)
-    e1 = real_roots[0]
-    others = []
-    for z in roots:
-        if abs(z.real - e1) > 1e-9 * (1 + abs(z)) or abs(z.imag) > 1e-7 * (1 + abs(z)):
-            others.append(z)
-    if len(others) > 2:
-        others = sorted(others, key=lambda z: abs(z - e1), reverse=True)[:2]
-    A, B = others
-
-    def integrand_t(t):
-        # 1 / sqrt((t^2 + e1 - A)(t^2 + e1 - B)), real and positive
-        val = (t * t + e1 - A) * (t * t + e1 - B)
-        return 1.0 / math.sqrt(abs(val))
-
-    part1 = _integrate01(integrand_t)
-
-    def integrand_s(s):
-        if s == 0.0:
-            return 1.0  # limit of s^2 * integrand_t(1/s) as s -> 0
-        t = 1.0 / s
-        val = (t * t + e1 - A) * (t * t + e1 - B)
-        return 1.0 / (s * s * math.sqrt(abs(val)))
-
-    part2 = _integrate01(integrand_s)
-    return 2.0 * (part1 + part2)
+    i = max(
+        (k for k, z in enumerate(roots) if abs(z.imag) < 1e-7 * (1 + abs(z))),
+        key=lambda k: roots[k].real,
+    )
+    e1 = roots[i].real
+    e2, e3 = roots[:i] + roots[i + 1:]
+    a, b = cmath.sqrt(e1 - e2), cmath.sqrt(e1 - e3)
+    while abs(a - b) > 1e-15 * abs(a):
+        a, b = (a + b) / 2, cmath.sqrt(a * b)
+    return math.pi / a.real
 
 
 def rational_reconstruct(x, max_den=10**6, tol=1e-8):

@@ -2,14 +2,17 @@
 
 Levels are enumerated by the number of prime factors nu; every proper divisor
 of a level-nu integer lives at an earlier level, so delta-minimality is read
-off the memoized table.  The Selmer dimension equals nu(d) of any delta-minimal
-d (conditional on the dictionary theorems), the upper bound comes from any
+off the table.  The Selmer dimension equals nu(d) of any delta-minimal d
+(conditional on the dictionary theorems), the upper bound comes from any
 nonvanishing d, and the parity verdict compares (-1)^nu(d) with the root
-number.
+number.  All of these conclusions are derived in one place, `_conclude`, for
+the search, the readout and the verifier of saved reports alike.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 
 from .curve import require_hypotheses
 from .errors import (
@@ -66,35 +69,47 @@ class DeltaReport:
     nu_max: int
     sieved: tuple
     table: dict          # d -> DeltaRow
-    delta_minimal: tuple
-    selmer_dim: object   # int or None
-    upper_bound: object  # int or None
-    imc_witness: bool
+    # conclusions, set by _conclude from the table, p, m and root_number
+    delta_minimal: tuple = ()
+    selmer_dim: object = None   # int or None
+    upper_bound: object = None  # int or None
+    imc_witness: bool = False
     parity: str = "skipped"
     root_number: object = None
     provenance: dict = field(default_factory=dict)
 
-    def verify_minimal(self):
-        """Re-check the delta-minimal rows against the stored table.
+    def verify(self):
+        """Re-derive every conclusion from the table and refuse a difference.
 
-        Raises CorrectnessAlarm when a recorded minimal d is missing or has
-        delta_d = 0 in Z/p^m, when a proper divisor of it has delta != 0, or
-        when two minimal witnesses differ in nu.
+        Each row must be a checked row: its factors are distinct sieved primes
+        whose product is d, its delta lies in Z/p^m, and its routes agree.
+        The delta-minimal list, the Selmer dimension, the upper bound, the
+        IMC witness, the parity verdict and (when stored) the notes must be
+        what `_conclude` and `_notes` derive.  Raises CorrectnessAlarm naming
+        the first field that differs.
         """
-        pk = self.p**self.m
-        nus = set()
-        for d in self.delta_minimal:
-            row = self.table.get(d)
-            if row is None or row.delta % pk == 0:
-                raise CorrectnessAlarm(f"recorded minimal {d} has delta = 0 or no row")
-            for e, other in self.table.items():
-                if e != d and d % e == 0 and other.delta % pk != 0:
-                    raise CorrectnessAlarm(
-                        f"proper divisor {e} of minimal {d} has delta != 0"
-                    )
-            nus.add(len(row.factors))
-        if len(nus) > 1:
-            raise CorrectnessAlarm(f"delta-minimal witnesses with distinct nu: {nus}")
+        sieved = set(self.sieved)
+        for d, row in self.table.items():
+            factors = list(row.factors)
+            if factors != sorted(sieved.intersection(factors)) or prod(factors) != d:
+                raise CorrectnessAlarm(f"delta_{d}: factors {factors} are not its sieved primes")
+            if not 0 <= row.delta < self.p**self.m:
+                raise CorrectnessAlarm(
+                    f"delta_{d} = {row.delta} is not an element of Z/{self.p}^{self.m}"
+                )
+            if row.routes_agree is not True:
+                raise CorrectnessAlarm(f"delta_{d}: routes_agree is {row.routes_agree}")
+        derived = dataclasses.replace(self)
+        _conclude(derived)
+        for name in ("delta_minimal", "selmer_dim", "upper_bound", "imc_witness", "parity"):
+            stored, want = getattr(self, name), getattr(derived, name)
+            if stored != want:
+                raise CorrectnessAlarm(
+                    f"stored {name} {stored!r} differs from the derived {want!r}"
+                )
+        notes = self.provenance.get("notes")
+        if notes is not None and notes != _notes(derived):
+            raise CorrectnessAlarm("stored notes differ from the derived notes")
         return True
 
     def to_json(self):
@@ -196,29 +211,6 @@ def find_delta_minimal(
     report_h = require_hypotheses(E, p)
     primes = sieve(E, p, m, 0, prime_bound)
     registry = {kp.ell: kp for kp in primes}
-    table = {}
-    minimal = []
-    min_nu = None
-    for nu in range(0, nu_max + 1):
-        if nu > len(primes):
-            break
-        if minimal and not exhaustive:
-            break
-        ds = sorted(
-            _product(c) for c in combinations(sorted(registry), nu)
-        )
-        for d in ds:
-            row = table[d] = delta_row(theta_residues(symbol, d, p, m), registry)
-            if row.delta % p**m != 0:
-                if all(
-                    table[e].delta % p**m == 0
-                    for e in table
-                    if e != d and d % e == 0
-                ):
-                    minimal.append(d)
-                    min_nu = nu if min_nu is None else min_nu
-    nonzero = [d for d, row in table.items() if row.delta % p**m != 0]
-    upper = min((len(table[d].factors) for d in nonzero), default=None)
     report = DeltaReport(
         curve=str(E),
         p=p,
@@ -226,11 +218,7 @@ def find_delta_minimal(
         prime_bound=prime_bound,
         nu_max=nu_max,
         sieved=tuple(kp.ell for kp in primes),
-        table=table,
-        delta_minimal=tuple(sorted(minimal)),
-        selmer_dim=min_nu,
-        upper_bound=upper,
-        imc_witness=bool(nonzero),
+        table={},
         provenance={
             "hypotheses": report_h.to_json(),
             "calibration": {
@@ -241,35 +229,72 @@ def find_delta_minimal(
             "exhaustive": exhaustive,
         },
     )
-    if not minimal:
+    for nu in range(min(nu_max, len(primes)) + 1):
+        for d in sorted(prod(c) for c in combinations(sorted(registry), nu)):
+            report.table[d] = delta_row(theta_residues(symbol, d, p, m), registry)
+        _conclude(report)
+        if report.delta_minimal and not exhaustive:
+            break
+    if not report.delta_minimal:
         raise SearchExhausted(
             f"no delta-minimal d with nu <= {nu_max}, primes <= {prime_bound}",
             report=report,
         )
-    report.verify_minimal()
     return report
 
 
-def _product(items):
-    out = 1
-    for x in items:
-        out *= x
-    return out
+def _conclude(report):
+    """Derive every conclusion of `report` from its table, p, m and root number.
+
+    A d is delta-minimal when delta_d != 0 in Z/p^m and delta_e = 0 at every
+    proper divisor e, looked up from the row's factors; a missing divisor row
+    is an alarm.  Sets delta_minimal, selmer_dim (the common nu of the
+    minimal d), upper_bound (the least nu of a nonvanishing d), imc_witness
+    and parity.  Minimal witnesses of distinct nu, and a parity verdict of
+    "fail", raise CorrectnessAlarm.
+    """
+    pk = report.p**report.m
+    table = report.table
+
+    def is_minimal(d):
+        factors = table[d].factors
+        divisors = [prod(c) for k in range(len(factors)) for c in combinations(factors, k)]
+        missing = [e for e in divisors if e not in table]
+        if missing:
+            raise CorrectnessAlarm(f"no row for {missing}, proper divisors of {d}")
+        return all(table[e].delta % pk == 0 for e in divisors)
+
+    nonzero = [d for d, row in table.items() if row.delta % pk != 0]
+    minimal = tuple(sorted(d for d in nonzero if is_minimal(d)))
+    nus = {len(table[d].factors) for d in minimal}
+    if len(nus) > 1:
+        raise CorrectnessAlarm(f"delta-minimal witnesses with distinct nu: {nus}")
+    report.delta_minimal = minimal
+    report.selmer_dim = nus.pop() if nus else None
+    report.upper_bound = min((len(table[d].factors) for d in nonzero), default=None)
+    report.imc_witness = bool(nonzero)
+    w_E = report.root_number
+    report.parity = (
+        "skipped" if w_E is None or not minimal
+        else "pass" if w_E == (-1) ** report.selmer_dim else "fail"
+    )
+    if report.parity == "fail":
+        raise CorrectnessAlarm(
+            f"parity alarm: w_E = {w_E} but a delta-minimal d has"
+            f" (-1)^nu = {-w_E}; this contradicts a proved statement"
+        )
 
 
-def selmer_report(report):
-    """Attach the dimension readout and its textual interpretation."""
+def _notes(report):
+    """The textual interpretation of a concluded report."""
     notes = []
-    if report.delta_minimal:
-        nu = len(report.table[report.delta_minimal[0]].factors)
-        report.selmer_dim = nu
+    if report.selmer_dim is not None:
         notes.append(
-            f"dim Sel(Q, E[{report.p}]) = {nu}: the localization map at the"
+            f"dim Sel(Q, E[{report.p}]) = {report.selmer_dim}: the localization map at the"
             f" primes dividing a delta-minimal d is an isomorphism onto"
             f" (+) E(Q_l) tensor F_p (conditional on the dictionary theorem)."
         )
     else:
-        report.selmer_dim = None
         notes.append("no delta-minimal d found: no dimension claim.")
     if report.upper_bound is not None:
         notes.append(
@@ -281,42 +306,35 @@ def selmer_report(report):
             "some delta_d != 0: numerical witness for the Iwasawa main"
             " conjecture (equivalence is a theorem, not recomputed here)."
         )
-    report.provenance["notes"] = notes
+    return notes
+
+
+def selmer_report(report):
+    """Attach the dimension readout and its textual interpretation."""
+    _conclude(report)
+    report.provenance["notes"] = _notes(report)
     return report
 
 
 def parity_check(report, w_E):
-    """Verdict pass iff w_E = (-1)^nu(d) for every delta-minimal d."""
+    """Verdict pass iff w_E = (-1)^nu(d) for every delta-minimal d.
+
+    A verdict of "fail" contradicts a proved statement and raises
+    CorrectnessAlarm, after the report records it.
+    """
     if w_E not in (1, -1):
         raise MissingRootNumber(f"root number must be +-1, got {w_E}")
     report.root_number = w_E
-    verdict = "pass"
-    for d in report.delta_minimal:
-        nu = len(report.table[d].factors)
-        if w_E != (-1) ** nu:
-            verdict = "fail"
-    if not report.delta_minimal:
-        verdict = "skipped"
-    report.parity = verdict
-    if verdict == "fail":
-        raise CorrectnessAlarm(
-            f"parity alarm: w_E = {w_E} but a delta-minimal d has"
-            f" (-1)^nu = {-w_E}; this contradicts a proved statement"
-        )
-    return verdict
-
-
-def root_number_fricke(symbol):
-    """w_E = -(Fricke eigenvalue on the eigensymbol line)."""
-    return -fricke_eigenvalue(symbol)
+    _conclude(report)
+    return report.parity
 
 
 def attach_parity(report, symbol, w_override=None):
-    """Root-number hierarchy: ingested value, else Fricke, else skip."""
+    """Root-number hierarchy: ingested value, else w_E = -(Fricke eigenvalue), else skip."""
     if w_override is not None:
         return parity_check(report, w_override)
     try:
-        w = root_number_fricke(symbol)
+        w = -fricke_eigenvalue(symbol)
     except FrickeNotScalar as exc:
         report.parity = "skipped"
         report.provenance["parity_skipped"] = str(exc)

@@ -87,6 +87,11 @@ class TestExitCodes:
         ["selftest", "--curve", curve_path("11a1"), "--p", "0"],
         ["selftest", "--curve", curve_path("11a1")],
         ["selftest", "--p", "7"],
+        ["sieve", "--curve", curve_path("37a1"), "--p", "5", "--bound", "0"],
+        ["delta", "--curve", curve_path("37a1"), "--p", "5", "--bound", "-300"],
+        ["search", "--curve", curve_path("37a1"), "--p", "5", "--prime-bound", "0"],
+        ["search", "--curve", curve_path("37a1"), "--p", "5", "--nu-max", "-1"],
+        ["selftest", "--curve", curve_path("11a1"), "--p", "7", "--grid", "0"],
     ])
     def test_out_of_range_argument_exits_64(self, argv, capsys):
         # rejected while parsing, before any curve is loaded or suite skipped
@@ -291,16 +296,44 @@ def saved_search(tmp_path_factory):
 
 
 def _corrupt(report, kind):
-    """Zero the minimal row 61, or make its proper divisor 1 nonzero."""
-    d, delta = {"zero_minimal": (61, 0), "nonzero_divisor": (1, 1)}[kind]
-    (row,) = [row for row in report["delta_table"] if row["d"] == d]
-    row["delta"] = delta
+    """Tamper with one conclusion or row of the saved golden 37a1 report."""
+    rows = {row["d"]: row for row in report["delta_table"]}
+    if kind == "zero_minimal":
+        rows[61]["delta"] = 0
+    elif kind == "nonzero_divisor":
+        rows[1]["delta"] = 1
+    elif kind == "selmer_dim":
+        report["selmer_dim"] = 3
+    elif kind == "upper_bound":
+        report["upper_bound"] = 0
+    elif kind == "imc_witness":
+        report["imc_witness"] = False
+    elif kind == "root_number":
+        # parity stays "pass", which w_E = +1 contradicts at nu = 1
+        report["root_number"] = 1
+    elif kind == "routes_disagree":
+        for row in rows.values():
+            row["routes_agree"] = False
+    elif kind == "wrong_factors":
+        rows[61]["factors"] = [211]
+    elif kind == "missing_divisor":
+        report["delta_table"].remove(rows[1])
+    elif kind == "delta_out_of_range":
+        rows[61]["delta"] = 9  # 4 mod 5, but not an element of Z/5
+    elif kind == "notes":
+        report["provenance"]["notes"].pop()
+    else:
+        raise ValueError(kind)
 
 
 class TestReverification:
     @pytest.mark.parametrize("optimize", [False, True], ids=["in_process", "python_O"])
     @pytest.mark.parametrize("where", ["report", "cache_hit"])
-    @pytest.mark.parametrize("kind", ["zero_minimal", "nonzero_divisor"])
+    @pytest.mark.parametrize("kind", [
+        "zero_minimal", "nonzero_divisor", "selmer_dim", "upper_bound", "imc_witness",
+        "root_number", "routes_disagree", "wrong_factors", "missing_divisor",
+        "delta_out_of_range", "notes",
+    ])
     def test_broken_minimality_exits_3(self, saved_search, tmp_path, kind, where, optimize):
         cache_dir, saved = saved_search
         if where == "report":

@@ -13,7 +13,6 @@ from kurihara.curve import (
     curve_from_json,
     ec_add,
     ec_mul,
-    full_p_torsion_deterministic,
     on_curve,
     p_torsion_structure,
     primes_upto,
@@ -181,6 +180,26 @@ class TestHypotheses:
         assert rep.passed
 
 
+def _p_torsion_count(E, l, p):
+    """#E(F_l)[p] by brute force: the points P of E(F_l) with [p]P = O.
+
+    It is p^2 exactly when E(F_l)[p] is full.  Independent of the
+    division-polynomial test that p_torsion_structure uses.
+    """
+    roots = {}
+    for r in range(l):
+        roots.setdefault(r * r % l, []).append(r)
+    half = pow(2, -1, l)
+    count = 1  # the point at infinity
+    for x in range(l):
+        # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+        s = (4 * x**3 + E.b2 * x * x + 2 * E.b4 * x + E.b6) % l
+        for r in roots.get(s, ()):
+            P = (x, (r - E.a1 * x - E.a3) * half % l)
+            count += ec_mul(E, l, p, P) is None
+    return count
+
+
 class TestTorsionStructure:
     def test_trivial_when_p_does_not_divide(self, e37):
         kind, v = p_torsion_structure(e37, 7, 5)
@@ -193,8 +212,8 @@ class TestTorsionStructure:
         assert p_torsion_structure(e37, 61, 5) == ("cyclic", 1)
 
     def test_full_torsion_exists_and_sampling_agrees(self, e37):
-        # scan for split and nonsplit p^2 | #E cases and compare both paths
-        rng = random.Random(2)
+        # scan for split and nonsplit p^2 | #E cases and compare the
+        # classification with a brute-force count of E(F_l)[p]
         checked = 0
         for l in primes_upto(4000):
             if l < 7 or e37.discriminant % l == 0:
@@ -203,9 +222,8 @@ class TestTorsionStructure:
             p = 3
             if n % (p * p) != 0 or (l - 1) % p != 0:
                 continue
-            kind, v = p_torsion_structure(e37, l, p, random.Random(l))
-            det = full_p_torsion_deterministic(e37, l, p)
-            assert (kind == "full") == det
+            kind, v = p_torsion_structure(e37, l, p)
+            assert (kind == "full") == (_p_torsion_count(e37, l, p) == p * p)
             checked += 1
             if checked >= 50:
                 break
@@ -264,10 +282,9 @@ class TestBadReduction:
 
 class TestTorsionCrossCheckAtScale:
     def test_fifty_instances_sampled_vs_deterministic(self, e11, e37):
-        # 50 (E, l, p) instances with p^2 | #E(F_l) and p | l - 1: the two
-        # classification paths must agree, and both kinds must occur
-        import random as _r
-
+        # 50 (E, l, p) instances with p^2 | #E(F_l) and p | l - 1: the
+        # classification must agree with a brute-force count of E(F_l)[p],
+        # and both kinds must occur
         curves = [
             e11,
             e37,
@@ -284,9 +301,9 @@ class TestTorsionCrossCheckAtScale:
                 for p in (3, 5, 7):
                     if l == p or n % (p * p) != 0 or (l - 1) % p != 0:
                         continue
-                    kind, v = p_torsion_structure(E, l, p, random.Random(l * p))
-                    det = full_p_torsion_deterministic(E, l, p)
-                    assert (kind == "full") == det, (E.label, l, p)
+                    kind, v = p_torsion_structure(E, l, p)
+                    full = _p_torsion_count(E, l, p) == p * p
+                    assert (kind == "full") == full, (E.label, l, p)
                     kinds.add(kind)
                     checked += 1
         assert checked >= 50

@@ -593,10 +593,9 @@ class TestFrickeCompositeLevel:
     def test_15a1_root_number(self):
         # rank 0 forces w = +1; exercises the Fricke path at composite level
         from kurihara.curve import CurveData
-        from kurihara.search import root_number_fricke
 
         E = CurveData(
             1, 1, 1, -10, -10, conductor=15, tamagawa_product=8, label="15a1"
         )
         sym = extract_eigensymbol(build_space(15), E)
-        assert root_number_fricke(sym) == 1
+        assert -fricke_eigenvalue(sym) == 1

@@ -13,11 +13,11 @@ from kurihara.errors import (
 )
 from kurihara.exactmath import GroupRingElement
 from kurihara.kolyvagin import KolyvaginPrime, sieve, theta_residues
+from kurihara.modsym import fricke_eigenvalue
 from kurihara.search import (
     attach_parity,
     find_delta_minimal,
     parity_check,
-    root_number_fricke,
     selmer_report,
 )
 
@@ -53,17 +53,17 @@ class TestGoldenRuns:
         assert report37.root_number == -1
 
     def test_minimality_reverified(self, report37):
-        assert report37.verify_minimal()
+        assert report37.verify()
 
     def test_minimality_read_in_z_mod_p_m(self, report37):
         # 5 is zero mod p but a nonzero element of Z/25
         rep = copy.deepcopy(report37)
         rep.m = 2
         rep.table[61].delta = 5
-        assert rep.verify_minimal()
+        assert rep.verify()
         rep.table[1].delta = 5
         with pytest.raises(CorrectnessAlarm):
-            rep.verify_minimal()
+            rep.verify()
 
 
 class TestSearchMechanics:
@@ -104,8 +104,9 @@ class TestSearchMechanics:
 
 class TestParity:
     def test_root_numbers_fricke(self, sym11, sym37):
-        assert root_number_fricke(sym11) == 1
-        assert root_number_fricke(sym37) == -1
+        # w_E = -(Fricke eigenvalue on the eigensymbol line)
+        assert -fricke_eigenvalue(sym11) == 1
+        assert -fricke_eigenvalue(sym37) == -1
 
     def test_synthetic_mismatch_alarms(self, sym37):
         rep = find_delta_minimal(sym37, 5, prime_bound=300, nu_max=2)
@@ -127,7 +128,7 @@ class TestParity:
         def not_scalar(symbol):
             raise FrickeNotScalar("Fricke eigenvalue 3 is not a sign")
 
-        monkeypatch.setattr(search, "root_number_fricke", not_scalar)
+        monkeypatch.setattr(search, "fricke_eigenvalue", not_scalar)
         rep = copy.deepcopy(report37)
         assert attach_parity(rep, sym37) == "skipped"
         assert rep.parity == "skipped"
@@ -137,7 +138,7 @@ class TestParity:
         def broken(symbol):
             raise ZeroDivisionError("bug in the Fricke matrix")
 
-        monkeypatch.setattr(search, "root_number_fricke", broken)
+        monkeypatch.setattr(search, "fricke_eigenvalue", broken)
         with pytest.raises(ZeroDivisionError):
             attach_parity(copy.deepcopy(report37), sym37)
 

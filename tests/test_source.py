@@ -56,3 +56,15 @@ def test_quotient_layout_private():
             and node.attr in ("proj_nums", "proj_den", "boundary", "hecke_full")
         ]
     assert found == []
+
+
+def test_grammar_of_python_3_10():
+    # the package supports Python 3.10 (pyproject requires-python); parsing
+    # with feature_version=(3, 10) refuses newer syntax such as `except*`.
+    # It checks the grammar only, not the library calls.
+    tests = os.path.dirname(__file__)
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")) + glob.glob(os.path.join(tests, "*.py")))
+    for path in paths:
+        with open(path) as fh:
+            ast.parse(fh.read(), path, feature_version=(3, 10))
+    assert len(paths) > 20

@@ -355,6 +355,18 @@ class TestIdentitySuite:
         )
         assert rep.vacuous
 
+    def test_one_empty_identity_makes_the_suite_vacuous(self, sym11):
+        # an identity that ran no instance is unchecked, however many
+        # instances the others ran
+        rep = run_identity_suite(
+            sym11, 7, d_ell_max=30, n_max=1, m_max=1, remark_d_max=20,
+            route_prime_bound=300, covariance_samples=0,
+        )
+        assert rep.ok
+        assert rep.results["generator_covariance"].instances == 0
+        assert rep.results["xi_norm_relation"].instances > 0
+        assert rep.vacuous
+
 
 class TestDeeperTower:
     def test_identities_at_n_two(self, sym11):
