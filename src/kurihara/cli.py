@@ -13,6 +13,7 @@ import sys
 from . import cache as cachemod
 from .curve import check_hypotheses, load_curve, require_hypotheses
 from .errors import (
+    BadReport,
     CorrectnessAlarm,
     HypothesisViolation,
     IdentityFailure,
@@ -150,7 +151,11 @@ def _load_symbol(args, E):
 
 
 def _verified_report(obj):
-    """A saved report, refused (CorrectnessAlarm) unless its conclusions re-derive."""
+    """A saved report, refused unless its conclusions re-derive.
+
+    A malformed report is BadReport (exit 64), a well-formed one whose
+    conclusions do not follow from its table CorrectnessAlarm (exit 3).
+    """
     report = DeltaReport.from_json(obj)
     report.verify()
     return report
@@ -236,7 +241,11 @@ def _dispatch(args):
 
     if cmd == "report":
         with open(args.path) as f:
-            report = _verified_report(json.load(f))
+            try:
+                obj = json.load(f)
+            except ValueError as exc:  # not JSON, or not text
+                raise BadReport(f"{args.path}: not a JSON report: {exc}") from exc
+        report = _verified_report(obj)
         _emit(args, report.to_json(), report.to_text())
         return EXIT_OK
 

@@ -82,6 +82,10 @@ class PrimeNotKolyvagin(KuriharaError):
 
 
 # search / reports
+class BadReport(KuriharaError, ValueError):
+    """A saved report that is not JSON, lacks a field or has a mistyped one."""
+
+
 class MissingRootNumber(KuriharaError):
     pass
 

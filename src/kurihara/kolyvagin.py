@@ -153,7 +153,8 @@ class ThetaResidues:
     """theta_d with coefficients in Z/p^m, from one walk of (Z/d)^*.
 
     `units` lists (a, [a/d]^+ mod p^m) for the units a mod d in increasing
-    order.  All three delta_d routes read this one list.
+    order; the second half mirrors the first.  All three delta_d routes read
+    this one list.
     """
 
     d: int
@@ -162,10 +163,15 @@ class ThetaResidues:
 
 
 def theta_residues(symbol, d, p, m=1):
-    """Walk (Z/d)^* once; the only plus-symbol evaluation of this module."""
+    """Walk (Z/d)^* once; the only plus-symbol evaluation of this module.
+
+    For d > 2 only the units a < d/2 are evaluated, and d - a reads the value
+    of a: [(d - a)/d]^+ = [-a/d]^+ = [a/d]^+, the star symmetry that
+    `EigenSymbol.generator_values` certifies.
+    """
     ring = ResidueRing(p, m)
     units = []
-    for a in range(1, d + 1):
+    for a in range(1, d + 1 if d <= 2 else d // 2 + 1):
         if gcd(a, d) != 1:
             continue
         try:
@@ -174,6 +180,8 @@ def theta_residues(symbol, d, p, m=1):
             raise DenominatorDivisibleByP(
                 f"theta at level {d} is not p-integral: {exc}"
             ) from exc
+    if d > 2:
+        units += [(d - a, value) for a, value in reversed(units)]
     return ThetaResidues(d, ring, units)
 
 

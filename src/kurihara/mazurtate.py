@@ -110,6 +110,9 @@ def theta(symbol, d, n=0, p=None):
 
     Cached per symbol and level, at most THETA_CACHE levels: the identity
     suites revisit the same levels many times and the element is immutable.
+    Above level 2 each pair {a, level - a} is evaluated once, at the smaller
+    residue: the two values agree by the star symmetry that
+    `EigenSymbol.generator_values` certifies.
     """
     E = symbol.curve
     if n > 0 and p is None:
@@ -121,7 +124,14 @@ def theta(symbol, d, n=0, p=None):
     _check_level(E, d, p)
     level = d * (p**n if n else 1)
     group = unit_group(level)
-    values = [eval_plus(symbol, a, level) for a in group.residues()]
+    half = {}  # min(a, level - a) -> [a/level]^+
+    values = []
+    for a in group.residues():
+        b = min(a, level - a) if level > 2 else a
+        value = half.get(b)
+        if value is None:
+            value = half[b] = eval_plus(symbol, b, level)
+        values.append(value)
     elem = GroupRingElement.from_values(group, QQ, values)
     out = ThetaElement(d, n, p if p is not None else 0, elem, str(E))
     cache = symbol._theta_cache

@@ -55,14 +55,22 @@ class P1List:
     The representatives are listed in the order of a scan over all N^2 pairs,
     so (0 : 1) comes first and (1 : s) is representative 1 + s. A class
     (u : v) with u a unit mod N is (1 : v u^-1), found without a search
-    (Stein, *Modular Forms: A Computational Approach*, Alg. 8.29); at prime N
-    only u = 0 mod N is left to `normalize` and the dictionary.
+    (Stein, *Modular Forms: A Computational Approach*, Alg. 8.29), with u^-1
+    read from a table of the N residues built once; at prime N only
+    u = 0 mod N is left to `normalize` and the dictionary.
     """
 
     def __init__(self, N):
         if N < 1:
             raise ValueError(f"level must be positive, got {N}")
         self.N = N
+        # u^-1 mod N at each unit u, None elsewhere (and at 0 when N = 1)
+        inv = [None] * N
+        for u in range(1, N):
+            if inv[u] is None and gcd(u, N) == 1:
+                w = pow(u, -1, N)
+                inv[u], inv[w] = w, u
+        self._inv = inv
         seen = {}
         reps = []
         if N == 1:
@@ -93,9 +101,10 @@ class P1List:
         v %= N
         if u == 0:
             return (0, 1) if gcd(v, N) == 1 else None
+        w = self._inv[u]
+        if w is not None:
+            return (1, v * w % N)
         g = gcd(u, N)
-        if g == 1:
-            return (1, v * pow(u, -1, N) % N)
         if gcd(g, v) > 1:
             return None
         _, _, s = xgcd(N, u)  # s*u = g mod N
@@ -108,13 +117,11 @@ class P1List:
     def index(self, u, v):
         """Index of the class of (u : v), or None when gcd(u, v, N) > 1."""
         N = self.N
-        if N == 1:
-            return 0
-        try:
-            return 1 + v * pow(u, -1, N) % N
-        except ValueError:  # u is not a unit mod N
-            r = self.normalize(u, v)
-            return None if r is None else self._index[r]
+        w = self._inv[u % N]
+        if w is not None:
+            return 1 + v * w % N
+        r = self.normalize(u, v)
+        return None if r is None else self._index[r]
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +405,23 @@ class EigenSymbol:
         """Functional evaluated on each Manin generator (pulled back once).
 
         Stored as integer numerators over one common denominator so that the
-        hot evaluation path sums plain ints.
+        hot evaluation path sums plain ints.  The pull-back is also a star
+        certificate: the star involution sends the Manin symbol (c : d) to
+        (-c : d), and the two must carry the same value, as the quotient's
+        star relation says, or CorrectnessAlarm is raised.  With it
+        [-a/d]^+ = [a/d]^+ for every a/d, so a walk of (Z/d)^* evaluates
+        a <= d/2 and reads d - a from its mirror.
         """
         if self._wfree is None:
-            w = self.vector
-            nums = [sum(w[r] * x for r, x in pv) for pv in self.space.proj_nums]
-            self._wfree = (nums, self.space.proj_den)
+            space, w = self.space, self.vector
+            nums = [sum(w[r] * x for r, x in pv) for pv in space.proj_nums]
+            index = space.p1.index
+            for i, (c, d) in enumerate(space.p1.reps):
+                if nums[i] != nums[index(-c, d)]:
+                    raise CorrectnessAlarm(
+                        f"the functional differs on ({c} : {d}) and its star image"
+                    )
+            self._wfree = (nums, space.proj_den)
         return self._wfree
 
     def raw_value(self, a, d):

@@ -16,6 +16,7 @@ from math import prod
 
 from .curve import require_hypotheses
 from .errors import (
+    BadReport,
     CorrectnessAlarm,
     FrickeNotScalar,
     MissingRootNumber,
@@ -30,6 +31,59 @@ from .kolyvagin import (
     theta_residues,
 )
 from .modsym import fricke_eigenvalue
+
+
+def _is_int(x):
+    return type(x) is int  # a JSON true or false is no count
+
+
+def _is_ints(x):
+    return type(x) is list and all(map(_is_int, x))
+
+
+def _is_int_or_null(x):
+    return x is None or _is_int(x)
+
+
+# the fields of a saved report and of each of its rows: (accepts, what it must be)
+_REPORT_FIELDS = {
+    "curve": (lambda x: type(x) is str, "a string"),
+    "p": (lambda x: _is_int(x) and x >= 2, "an integer >= 2"),
+    "m": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
+    "prime_bound": (_is_int, "an integer"),
+    "nu_max": (_is_int, "an integer"),
+    "sieved_primes": (_is_ints, "a list of integers"),
+    "delta_table": (lambda x: type(x) is list, "a list of rows"),
+    "delta_minimal": (_is_ints, "a list of integers"),
+    "selmer_dim": (_is_int_or_null, "an integer or null"),
+    "upper_bound": (_is_int_or_null, "an integer or null"),
+    "imc_witness": (lambda x: type(x) is bool, "true or false"),
+    "parity": (lambda x: type(x) is str, "a string"),
+    "root_number": (_is_int_or_null, "an integer or null"),
+    "provenance": (lambda x: type(x) is dict, "an object"),
+}
+_ROW_FIELDS = {
+    "d": (_is_int, "an integer"),
+    "factors": (_is_ints, "a list of integers"),
+    "delta": (_is_int, "an integer"),
+    "routes_agree": (lambda x: type(x) is bool, "true or false"),
+    "generators": (
+        lambda x: type(x) is dict
+        and all(type(k) is str and k.isdecimal() and _is_int(g) for k, g in x.items()),
+        "an object from primes to integers",
+    ),
+}
+
+
+def _check_fields(obj, fields, where):
+    """Raise BadReport unless `obj` is a JSON object with each field well typed."""
+    if type(obj) is not dict:
+        raise BadReport(f"{where} is not a JSON object")
+    for name, (accepts, want) in fields.items():
+        if name not in obj:
+            raise BadReport(f"{where} has no {name!r}")
+        if not accepts(obj[name]):
+            raise BadReport(f"{where}: {name!r} must be {want}, got {obj[name]!r}")
 
 
 @dataclass
@@ -132,7 +186,17 @@ class DeltaReport:
 
     @classmethod
     def from_json(cls, obj):
-        """Inverse of to_json."""
+        """Inverse of to_json; BadReport when a field is missing or mistyped.
+
+        Only the shape is checked here; `verify` checks what the fields say.
+        """
+        _check_fields(obj, _REPORT_FIELDS, "report")
+        table = {}
+        for row in obj["delta_table"]:
+            _check_fields(row, _ROW_FIELDS, "delta_table row")
+            if row["d"] in table:
+                raise BadReport(f"delta_table lists d={row['d']} twice")
+            table[row["d"]] = DeltaRow.from_json(row)
         return cls(
             curve=obj["curve"],
             p=obj["p"],
@@ -140,7 +204,7 @@ class DeltaReport:
             prime_bound=obj["prime_bound"],
             nu_max=obj["nu_max"],
             sieved=tuple(obj["sieved_primes"]),
-            table={row["d"]: DeltaRow.from_json(row) for row in obj["delta_table"]},
+            table=table,
             delta_minimal=tuple(obj["delta_minimal"]),
             selmer_dim=obj["selmer_dim"],
             upper_bound=obj["upper_bound"],

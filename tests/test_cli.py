@@ -326,6 +326,70 @@ def _corrupt(report, kind):
         raise ValueError(kind)
 
 
+def _malform(report, kind):
+    """Break the shape of the saved golden 37a1 report; returns the new object."""
+    row = report["delta_table"][0]
+    if kind == "no_delta_table":
+        del report["delta_table"]
+    elif kind == "p_not_int":
+        report["p"] = "five"
+    elif kind == "m_bool":
+        report["m"] = True
+    elif kind == "row_without_delta":
+        del row["delta"]
+    elif kind == "factors_not_ints":
+        row["factors"] = [[61]]
+    elif kind == "generator_key":
+        row["generators"] = {"sixty-one": 2}
+    elif kind == "duplicate_row":
+        report["delta_table"].append(copy.deepcopy(row))
+    elif kind == "not_an_object":
+        return report["delta_table"]
+    else:
+        raise ValueError(kind)
+    return report
+
+
+class TestMalformedReport:
+    # a report that lacks a field or has a mistyped one is a usage error
+    # (exit 64) with a one-line message, not a traceback
+    @pytest.mark.parametrize("where", ["report", "cache_hit"])
+    @pytest.mark.parametrize("kind", [
+        "no_delta_table", "p_not_int", "m_bool", "row_without_delta",
+        "factors_not_ints", "generator_key", "duplicate_row", "not_an_object",
+    ])
+    def test_malformed_report_exits_64(self, saved_search, tmp_path, kind, where):
+        cache_dir, saved = saved_search
+        if where == "report":
+            path = tmp_path / "rep.json"
+            path.write_text(json.dumps(_malform(copy.deepcopy(saved), kind)))
+            argv = ["report", str(path)]
+        else:
+            work = tmp_path / "cache"
+            shutil.copytree(cache_dir, work)
+            malformed = 0
+            for entry_path in work.iterdir():
+                entry = json.loads(entry_path.read_text())
+                if "delta_table" in entry["value"]:
+                    entry["value"] = _malform(entry["value"], kind)
+                    entry_path.write_text(json.dumps(entry))
+                    malformed += 1
+            assert malformed == 1
+            argv = SEARCH_37 + ["--cache-dir", str(work)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 64
+        assert err.getvalue().startswith("error: ")
+        assert out.getvalue() == ""
+
+    def test_report_not_json_exits_64(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text("curve 37a1, p = 5\n")
+        assert main(["report", str(path)]) == 64
+        assert "not a JSON report" in capsys.readouterr().err
+
+
 class TestReverification:
     @pytest.mark.parametrize("optimize", [False, True], ids=["in_process", "python_O"])
     @pytest.mark.parametrize("where", ["report", "cache_hit"])

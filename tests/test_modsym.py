@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from kurihara.errors import (
     NotCoprime,
 )
 from kurihara import modsym
+from kurihara.exactmath import QQ, GroupRingElement, ResidueRing, unit_group
 from kurihara.kolyvagin import theta_residues
 from kurihara.mazurtate import theta
 from kurihara.modsym import (
@@ -85,6 +87,14 @@ class TestP1:
         for u in range(-N, 2 * N):
             for v in range(-N, 2 * N):
                 assert p1.index(u, v) == p1._index.get(p1.normalize(u, v))
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 11, 12, 30, 37, 389])
+    def test_unit_inverse_table_matches_pow(self, N):
+        p1 = P1List(N)
+        assert len(p1._inv) == N
+        for u in range(N):
+            want = pow(u, -1, N) if N > 1 and gcd(u, N) == 1 else None
+            assert p1._inv[u] == want
 
     def test_prime_level_needs_no_xgcd(self, space37, monkeypatch):
         # at prime N every first coordinate is a unit or 0 mod N
@@ -477,6 +487,77 @@ class TestEvalPlus:
         assert _digest(theta(sym, 17, 2, 7).element.to_json()) == (
             "57b373573edccd96476136bd2775a1e68a6a0042058d478d89f0e37d5a288114"
         )
+
+
+CURVE_11A1 = os.path.join(os.path.dirname(__file__), "..", "curves", "11a1.json")
+
+
+
+def _break_star_pair(space, vector):
+    """Put one generator value off its star partner's: add (k, 1) to
+    proj_nums[i] for a class i whose star image is another class, at a
+    coordinate k that the functional `vector` reads."""
+    i = next(i for i, (c, d) in enumerate(space.p1.reps) if space.p1.index(-c, d) != i)
+    k = next(k for k, x in enumerate(vector) if x)
+    space.proj_nums[i] = space.proj_nums[i] + [(k, 1)]
+
+
+def _full_walk(symbol, d, p):
+    """Reference: every unit a mod d evaluated, none read from a mirror."""
+    ring = ResidueRing(p, 1)
+    return [(a, ring.coerce(eval_plus(symbol, a, d))) for a in range(1, d + 1) if gcd(a, d) == 1]
+
+
+class TestHalfWalk:
+    """The walkers evaluate a <= d/2 and read d - a from a (star certificate)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 12, 17, 30, 61, 211, 2501])
+    def test_mirrored_walk_equals_full_walk(self, sym11, sym37, sym389, d):
+        for sym, p in ((sym11, 7), (sym37, 5), (sym389, 5)):
+            theta = theta_residues(sym, d, p)
+            assert theta.units == _full_walk(sym, d, p)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mirrored_theta_equals_full_theta(self, sym11, n):
+        level = 17 * 7**n
+        fresh = dataclasses.replace(sym11, _theta_cache={})
+        group = unit_group(level)
+        full = [eval_plus(sym11, a, level) for a in group.residues()]
+        assert theta(fresh, 17, n, 7).element == GroupRingElement.from_values(group, QQ, full)
+
+    def test_star_certificate_on_cached_symbol(self, sym11, e11):
+        # a symbol rebuilt from its cache entry is certified on first use
+        back = symbol_from_json(sym11.to_json(), e11)
+        _break_star_pair(back.space, back.vector)
+        with pytest.raises(CorrectnessAlarm, match="star image"):
+            back.generator_values()
+
+    def test_corrupted_star_pair_alarms_python_O(self, run_python_O):
+        # one generator value off its star partner: the walkers would mirror
+        # a wrong value, so the certificate must hold under -O as well
+        script = (
+            "import dataclasses\n"
+            "from kurihara.curve import load_curve\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "from kurihara.kolyvagin import theta_residues\n"
+            "from kurihara.modsym import build_space, extract_eigensymbol\n"
+            f"E = load_curve({CURVE_11A1!r})\n"
+            "space = build_space(11)\n"
+            "sym = extract_eigensymbol(space, E)\n"
+            "print('BEFORE', theta_residues(sym, 17, 7).units[0])\n"
+            "i = next(i for i, (c, d) in enumerate(space.p1.reps) if space.p1.index(-c, d) != i)\n"
+            "k = next(k for k, x in enumerate(sym.vector) if x)\n"
+            "space.proj_nums[i] = space.proj_nums[i] + [(k, 1)]\n"
+            "try:\n"
+            "    theta_residues(dataclasses.replace(sym, _wfree=None), 17, 7)\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["BEFORE", "ALARM"]
+        assert "star image" in lines[1]
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import pytest
 
 from kurihara import search
 from kurihara.errors import (
+    BadReport,
     CorrectnessAlarm,
     FrickeNotScalar,
     MissingRootNumber,
@@ -54,6 +55,15 @@ class TestGoldenRuns:
 
     def test_minimality_reverified(self, report37):
         assert report37.verify()
+
+    def test_json_round_trip_and_typed_shape_errors(self, report37):
+        obj = json.loads(json.dumps(report37.to_json()))
+        assert search.DeltaReport.from_json(obj).to_json() == obj
+        with pytest.raises(ValueError, match="'selmer_dim' must be an integer or null"):
+            search.DeltaReport.from_json(dict(obj, selmer_dim="1"))  # BadReport is one
+        del obj["delta_table"][1]["routes_agree"]
+        with pytest.raises(BadReport, match="row has no 'routes_agree'"):
+            search.DeltaReport.from_json(obj)
 
     def test_minimality_read_in_z_mod_p_m(self, report37):
         # 5 is zero mod p but a nonzero element of Z/25
@@ -157,24 +167,48 @@ class TestReportShape:
 
 
 class TestRankTwo:
-    def test_389a1_dimension_two(self):
-        # the classical rank-2 curve: delta vanishes at nu <= 1 and a
-        # delta-minimal product of two sieved primes appears, so the
-        # dimension readout is 2 and the parity matches w = +1
+    @pytest.fixture(scope="class")
+    def sym389(self):
         from kurihara.curve import CurveData
         from kurihara.modsym import build_space, extract_eigensymbol
 
         E = CurveData(
             0, 1, 1, -2, 0, conductor=389, tamagawa_product=1, label="389a1"
         ).validate()
-        sym = extract_eigensymbol(build_space(389), E)
-        rep = selmer_report(find_delta_minimal(sym, 5, prime_bound=70, nu_max=2))
+        return extract_eigensymbol(build_space(389), E)
+
+    def test_389a1_dimension_two(self, sym389):
+        # the classical rank-2 curve: delta vanishes at nu <= 1 and a
+        # delta-minimal product of two sieved primes appears, so the
+        # dimension readout is 2 and the parity matches w = +1
+        rep = selmer_report(find_delta_minimal(sym389, 5, prime_bound=70, nu_max=2))
         assert rep.table[1].delta == 0
         assert rep.table[41].delta == 0 and rep.table[61].delta == 0
         assert rep.delta_minimal == (41 * 61,)
         assert rep.table[41 * 61].delta != 0
         assert rep.selmer_dim == 2
-        assert attach_parity(rep, sym) == "pass"
+        assert attach_parity(rep, sym389) == "pass"
+        assert rep.root_number == +1
+
+    def test_389a1_prime_bound_300_frozen(self, sym389):
+        # the full rank-2 golden run (p = 5, prime bound 300, nu <= 2): six
+        # sieved primes, 22 rows, every nu <= 1 row zero and 14 of the 15
+        # products delta-minimal
+        rep = selmer_report(find_delta_minimal(sym389, 5, prime_bound=300, nu_max=2))
+        assert rep.sieved == (41, 61, 131, 211, 251, 271)
+        assert {d: row.delta for d, row in rep.table.items()} == {
+            1: 0, 41: 0, 61: 0, 131: 0, 211: 0, 251: 0, 271: 0,
+            2501: 4, 5371: 1, 7991: 2, 8651: 2, 10291: 3, 11111: 3, 12871: 4,
+            15311: 1, 16531: 4, 27641: 0, 32881: 1, 35501: 4, 52961: 2,
+            57181: 3, 68021: 3,
+        }
+        assert all(row.routes_agree for row in rep.table.values())
+        assert rep.delta_minimal == (
+            2501, 5371, 7991, 8651, 10291, 11111, 12871, 15311, 16531,
+            32881, 35501, 52961, 57181, 68021,
+        )
+        assert (rep.selmer_dim, rep.upper_bound, rep.imc_witness) == (2, 2, True)
+        assert attach_parity(rep, sym389) == "pass"
         assert rep.root_number == +1
 
 
@@ -247,18 +281,21 @@ class TestOneWalk:
         monkeypatch.setattr(kol, "eval_plus", counting)
         return calls
 
+    # phi(d)/2 evaluations for d > 2: the units a < d/2 once each, d - a
+    # read from its mirror (the star symmetry of the plus quotient)
+
     def test_phi_d_evaluations_per_row(self, sym37, reg37, monkeypatch):
         calls = self._count_evaluations(monkeypatch)
         d = 61 * 211
         row = search.delta_row(theta_residues(sym37, d, 5), reg37)
         assert row.factors == (61, 211) and row.routes_agree
-        assert len(calls) == 60 * 210  # phi(d), once each
+        assert len(calls) == 60 * 210 // 2
 
     def test_phi_d_evaluations_per_search(self, sym37, monkeypatch):
         calls = self._count_evaluations(monkeypatch)
         rep = find_delta_minimal(sym37, 5, prime_bound=300, nu_max=2)
-        phi = {1: 1, 61: 60, 211: 210, 281: 280}
-        assert sorted(calls) == sorted(d for d in rep.table for _ in range(phi[d]))
+        walked = {1: 1, 61: 30, 211: 105, 281: 140}
+        assert sorted(calls) == sorted(d for d in rep.table for _ in range(walked[d]))
 
     def test_corrupted_direct_weight_alarms(self, sym37, reg37, monkeypatch):
         theta = theta_residues(sym37, 61, 5)
