@@ -5,18 +5,38 @@ Tamagawa product supplied (not computed: no Tate's algorithm here).  Traces of
 Frobenius come from exact point counting; the module also classifies the
 p-primary part of E(F_l) far enough to recognise Kolyvagin primes and checks
 the running hypotheses on (E, p).
+
+#E(F_l) is counted exactly in one of two ways.  For l <= NAIVE_COUNT_LIMIT a
+table of square roots mod l is summed over every x, O(l).  Above it,
+baby-step/giant-step (Shanks-Mestre) searches the Hasse window
+l + 1 +- isqrt(4l) for the multiples of random points' orders, about
+O(l^(1/4)) group operations a point, and keeps the common ones.  When a
+point leaves the candidates unchanged while more than one remains (the group
+exponent has several multiples in the window), the square-table count
+finishes the job, so every count ends.  Microseconds per count, each row
+averaged over ten primes from l on 11a1, 37a1, 389a1 and 5077a1 (median of
+three runs, 2-vCPU shared host, Python 3.11):
+
+    l        101   211   307   401   1009   3001
+    table     56    94   123   200    544   1590
+    BSGS      85    85   108   146    181    170
+
+The two costs meet near 200-300, and the limit is 300.
 """
 
 import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import BadCurve, BadPrime, CorrectnessAlarm, HypothesisViolation
 from .exactmath import factorize, is_prime
 
-NAIVE_COUNT_LIMIT = 10**6  # square-table count below, BSGS above
+# Square-table count for l up to here; above it BSGS in l + 1 +- isqrt(4l),
+# finished by the square table when the window stays ambiguous.  The two
+# costs meet near 200-300 (measured table in the module docstring).
+NAIVE_COUNT_LIMIT = 300
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
 
 
@@ -207,9 +227,14 @@ def sqrt_mod(a, l):
 
 
 def random_point(E, l, rng):
-    """Uniform-enough random affine point of E(F_l) (l odd, good reduction)."""
-    while True:
-        x = rng.randrange(l)
+    """A random affine point of E(F_l) (l odd, good reduction).
+
+    The x-coordinate is the first one, from a random start, whose right-hand
+    side is a square, so the search ends within l steps.
+    """
+    start = rng.randrange(l)
+    for x in range(start, start + l):
+        x %= l
         # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
         s = (4 * x**3 + E.b2 * x * x + 2 * E.b4 * x + E.b6) % l
         r = sqrt_mod(s, l)
@@ -219,6 +244,7 @@ def random_point(E, l, rng):
             r = -r % l
         y = (r - E.a1 * x - E.a3) * pow(2, -1, l) % l
         return (x, y)
+    raise BadPrime(f"E(F_{l}) has no affine point")
 
 
 # ---------------------------------------------------------------------------
@@ -251,50 +277,58 @@ def _count_naive(E, l):
     return 1 + _affine_points(E, l)
 
 
-def _order_of_point(E, l, P, multiple):
-    """Exact order of P given a multiple of it."""
-    order = multiple
-    for q in factorize(multiple):
-        while order % q == 0 and ec_mul(E, l, order // q, P) is None:
-            order //= q
-    return order
+def _window_multiples(E, l, P, lo, hi):
+    """The set of m in [lo, hi] with mP = O, by baby steps and giant steps.
+
+    The baby steps jP, 0 <= j < w, either meet O first (then P has order
+    j < w and its multiples are listed directly) or are distinct; in the
+    second case each giant block [b, b + w) holds at most one multiple of the
+    order, found as the j with bP + jP = O, so the set is complete.
+    """
+    w = isqrt(hi - lo) + 1
+    baby = {None: 0}
+    R = P
+    for j in range(1, w):
+        if R is None:
+            return set(range(lo + (-lo) % j, hi + 1, j))
+        baby[R] = j
+        R = ec_add(E, l, R, P)
+    found = set()
+    S = ec_mul(E, l, lo, P)
+    for b in range(lo, hi + 1, w):
+        j = baby.get(ec_neg(E, l, S))
+        if j is not None and b + j <= hi:
+            found.add(b + j)
+        S = ec_add(E, l, S, R)  # R = wP
+    return found
 
 
 def _count_bsgs(E, l, rng):
-    """#E(F_l) by baby-step/giant-step in the Hasse window (Shanks/Mestre)."""
-    lo = l + 1 - 2 * isqrt(l)
-    hi = l + 1 + 2 * isqrt(l)
-    lcm_orders = 1
-    while True:
-        P = random_point(E, l, rng)
-        # find all multiples of P's order in the Hasse window
-        width = hi - lo + 1
-        w = isqrt(width) + 1
-        Q = ec_mul(E, l, lo, P)
-        baby = {}
-        R = None
-        for j in range(w):
-            key = R
-            baby.setdefault(key, j)
-            R = ec_add(E, l, R, P)
-        G = ec_mul(E, l, w, P)
-        hits = []
-        S = Q
-        k = 0
-        while lo + k * w <= hi:
-            # S = (lo + k*w) P; S + j P = O  <=>  -S appears in the baby table
-            j = baby.get(ec_neg(E, l, S))
-            if j is not None and lo + k * w + j <= hi:
-                hits.append(lo + k * w + j)
-            S = ec_add(E, l, S, G)
-            k += 1
-        if not hits:
-            raise CorrectnessAlarm(f"no multiple of a point's order in the Hasse window at l={l}")
-        order = _order_of_point(E, l, P, hits[0])
-        lcm_orders = lcm_orders * order // gcd(lcm_orders, order)
-        candidates = [m for m in range(lo + (-lo) % lcm_orders, hi + 1, lcm_orders)]
-        if len(candidates) == 1:
-            return candidates[0]
+    """#E(F_l) by baby-step/giant-step in the Hasse window (Shanks-Mestre).
+
+    #E(F_l) lies in l + 1 +- isqrt(4l) and is a multiple of every point's
+    order.  Each random point keeps the candidates that are multiples of its
+    order; a point that removes none (the lcm of the orders stopped growing
+    while several candidates remain, as when the group exponent is small)
+    ends the search with the square-table count, which must be a candidate.
+    A pass that does not return shrinks the candidate set, so the loop ends.
+    """
+    r = isqrt(4 * l)
+    lo, hi = l + 1 - r, l + 1 + r
+    candidates = set(range(lo, hi + 1))
+    while len(candidates) > 1:
+        narrowed = candidates & _window_multiples(E, l, random_point(E, l, rng), lo, hi)
+        if not narrowed:
+            raise CorrectnessAlarm(f"no multiple of the point orders in the Hasse window at l={l}")
+        if narrowed == candidates:
+            n = _count_naive(E, l)
+            if n not in candidates:
+                raise CorrectnessAlarm(
+                    f"#E(F_{l}) = {n} is not a multiple of the point orders in the Hasse window"
+                )
+            return n
+        candidates = narrowed
+    return candidates.pop()
 
 
 def count_points(E, l):

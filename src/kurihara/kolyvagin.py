@@ -9,7 +9,7 @@ the transport through e_d and the Kolyvagin-derivative expansion, which also
 certifies the closed-form identity the transport rests on.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .curve import count_points, p_torsion_structure, primes_upto
@@ -34,23 +34,18 @@ DLOG_TABLE_LIMIT = 1 << 16  # full table below, baby-step/giant-step above
 
 @dataclass
 class KolyvaginPrime:
-    """A sieved prime with its generator and discrete-log context."""
+    """A sieved prime with its generator and discrete-log context.
+
+    The discrete-log table (for ell <= DLOG_TABLE_LIMIT) is built by the
+    first `dlog` call; it takes no part in equality or repr.
+    """
 
     ell: int
     p: int
     m: int
     n: int
     generator: int
-    _table: dict = None
-
-    def __post_init__(self):
-        if self.ell <= DLOG_TABLE_LIMIT and self._table is None:
-            t = {}
-            x = 1
-            for i in range(self.ell - 1):
-                t[x] = i
-                x = x * self.generator % self.ell
-            self._table = t
+    _table: dict = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def p_part_order(self):
@@ -66,30 +61,40 @@ class KolyvaginPrime:
         a %= self.ell
         if a == 0:
             raise NotAUnit(f"{a} is not a unit mod {self.ell}")
-        if self._table is not None:
-            return self._table[a]
-        # baby-step giant-step
-        l, g = self.ell, self.generator
-        w = isqrt(l - 1) + 1
-        baby = {}
-        x = 1
-        for j in range(w):
-            baby.setdefault(x, j)
-            x = x * g % l
-        ginv_w = pow(g, -(w), l)
-        y = a
-        for i in range(w + 1):
-            j = baby.get(y)
-            if j is not None:
-                return (i * w + j) % (l - 1)
-            y = y * ginv_w % l
-        raise NotAUnit(f"no discrete log for {a} base {g} mod {l}")
+        t = self._table
+        if t is None:
+            if self.ell > DLOG_TABLE_LIMIT:
+                return _dlog_bsgs(a, self.generator, self.ell)
+            t = self._table = {}
+            x = 1
+            for i in range(self.ell - 1):
+                t[x] = i
+                x = x * self.generator % self.ell
+        return t[a]
 
     def dlog_mod(self, a, pk):
         """dlog reduced mod p^k; requires p^k | ell - 1."""
         if (self.ell - 1) % pk:
             raise ValueError(f"{pk} does not divide {self.ell} - 1")
         return self.dlog(a) % pk
+
+
+def _dlog_bsgs(a, g, l):
+    """Exponent k with g^k = a mod the prime l, by baby-step/giant-step."""
+    w = isqrt(l - 1) + 1
+    baby = {}
+    x = 1
+    for j in range(w):
+        baby.setdefault(x, j)
+        x = x * g % l
+    ginv_w = pow(g, -w, l)
+    y = a % l
+    for i in range(w + 1):
+        j = baby.get(y)
+        if j is not None:
+            return (i * w + j) % (l - 1)
+        y = y * ginv_w % l
+    raise NotAUnit(f"no discrete log for {a} base {g} mod {l}")
 
 
 def kolyvagin_predicate(E, ell, p, m=1, n=0):

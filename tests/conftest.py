@@ -44,19 +44,30 @@ def sym37(space37, e37):
     return extract_eigensymbol(space37, e37)
 
 
+def _run_script(script, *flags, timeout=300):
+    """Run a script in a fresh interpreter with the package importable.
+
+    A script still running after `timeout` seconds is killed and
+    subprocess.TimeoutExpired raised, so a hang fails the calling test.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                      env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.fixture
+def run_python():
+    """`run(script, timeout=...)` in a fresh interpreter."""
+    return _run_script
+
+
 @pytest.fixture
 def run_python_O():
     """Run a script in a fresh `python -O` with the package importable."""
-
-    def run(script):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
-                          env.get("PYTHONPATH")])
-        )
-        return subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-
-    return run
+    return lambda script: _run_script(script, "-O")

@@ -56,10 +56,47 @@ class TestCounting:
                 assert on_curve(e37, l, P)
                 assert ec_mul(e37, l, n, P) is None
 
-    def test_bsgs_matches_naive(self, e11):
+    def test_bsgs_matches_naive(self, e11, e37):
+        # every good prime from the crossover to 3000, on the golden curves
+        # and on 32a2 (y^2 = x^3 - x), whose full rational 2-torsion keeps the
+        # group exponent small enough to leave several candidates in the
+        # Hasse window
         rng = random.Random(1)
         for l in (10007, 20011, 99991):
             assert _count_bsgs(e11, l, rng) == _count_naive(e11, l)
+        curves = [
+            e11,
+            e37,
+            CurveData(0, 1, 1, -2, 0, conductor=389, tamagawa_product=1, label="389a1"),
+            CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1"),
+            CurveData(0, 0, 0, -1, 0, conductor=32, tamagawa_product=1, label="32a2"),
+        ]
+        for E in curves:
+            for l in primes_upto(3000):
+                if l > curve.NAIVE_COUNT_LIMIT and E.discriminant % l:
+                    assert _count_bsgs(E, l, random.Random(l)) == _count_naive(E, l), (E, l)
+
+    @pytest.mark.parametrize("ainvs, l, expected", [
+        ((0, -1, 1, -10, -20), 4831, 4900),
+        ((1, 0, 1, 4, -6), 463, 432),
+        ((0, 0, 0, -1, 0), 233, 208),
+        ((1, 1, 1, -10, -10), 223, 216),
+        ((0, 0, 1, -7, 6), 7717, 7543),
+    ], ids=["11a1", "14a1", "32a2", "15a1", "5077a1"])
+    def test_bsgs_finishes(self, run_python, ainvs, l, expected):
+        # the first four groups have more than one multiple of their exponent
+        # in the Hasse window, which the square-table count settles; at
+        # 5077a1, l = 7717, a_l = 175 = isqrt(4l) lies on the window's edge.
+        # A subprocess with a timeout turns a hang into a failure.
+        script = (
+            "import random\n"
+            "import kurihara.curve as C\n"
+            f"E = C.CurveData(*{ainvs}, conductor=1, tamagawa_product=1)\n"
+            f"print(C._count_bsgs(E, {l}, random.Random({l})), C._count_naive(E, {l}))\n"
+        )
+        proc = run_python(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(expected)] * 2
 
     def test_hasse_bound(self, e11):
         a = an_list(e11, 200)
@@ -120,22 +157,38 @@ class TestCounting:
 
     def test_each_count_computed_once(self, monkeypatch):
         # the hypothesis check and the sieve share one bounded cache, and the
-        # surjectivity scan stops at the first prime that settles it
+        # surjectivity scan stops at the first prime that settles it; a count
+        # is one call of either path, and the square-table count that ends a
+        # BSGS count belongs to that call
         E = CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1")
         calls = Counter()
-        naive = curve._count_naive
+        inside_bsgs = []
+        naive, bsgs = curve._count_naive, curve._count_bsgs
 
-        def counting(E, l):
-            calls[l] += 1
+        def counting_naive(E, l):
+            if not inside_bsgs:
+                calls["naive", l] += 1
             return naive(E, l)
 
-        monkeypatch.setattr(curve, "_count_naive", counting)
+        def counting_bsgs(E, l, rng):
+            calls["bsgs", l] += 1
+            inside_bsgs.append(l)
+            try:
+                return bsgs(E, l, rng)
+            finally:
+                inside_bsgs.pop()
+
+        monkeypatch.setattr(curve, "_count_naive", counting_naive)
+        monkeypatch.setattr(curve, "_count_bsgs", counting_bsgs)
         curve._count.cache_clear()
         assert check_hypotheses(E, 7).passed
         primes = sieve(E, 7, 1, 0, 2000)
         assert [kp.ell for kp in primes][:5] == [113, 211, 463, 547, 673]
-        assert max(calls.values()) == 1
-        assert sum(1 for l in calls if l < 1000) < len(primes_upto(1000))
+        counted = Counter(l for _, l in calls)
+        assert max(counted.values()) == 1
+        assert {path for path, _ in calls} == {"naive", "bsgs"}
+        assert all((path == "naive") == (l <= curve.NAIVE_COUNT_LIMIT) for path, l in calls)
+        assert sum(1 for l in counted if l < 1000) < len(primes_upto(1000))
 
 
 class TestApTable:

@@ -6,7 +6,9 @@ import pytest
 from kurihara.curve import count_points, p_torsion_structure, full_p_torsion_deterministic
 from kurihara.errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
 from kurihara.kolyvagin import (
+    DLOG_TABLE_LIMIT,
     KolyvaginPrime,
+    _dlog_bsgs,
     derivative_data,
     kolyvagin_predicate,
     kurihara_number_direct,
@@ -89,17 +91,27 @@ class TestDlog:
                 a = rng.randrange(1, kp.ell)
                 assert pow(kp.generator, kp.dlog(a), kp.ell) == a
 
-    def test_bsgs_agrees_with_table(self):
-        # a prime above the table limit exercises baby-step giant-step
-        ell = 65537 * 2 + 1  # 131075 is not prime; pick a real one
-        ell = 131071  # 2^17 - 1, prime
-        kp = KolyvaginPrime(ell, 3, 1, 0, 3)
-        small = KolyvaginPrime(ell, 3, 1, 0, 3, _table=None)
+    def test_bsgs_agrees_with_table(self, reg37):
+        # below the table limit the table and baby-step/giant-step give the
+        # same logs; above it (2^17 - 1 is prime) dlog takes baby-step/giant-step
+        kp = reg37[281]
+        for a in range(1, kp.ell):
+            assert kp.dlog(a) == _dlog_bsgs(a, kp.generator, kp.ell)
+        big = KolyvaginPrime(131071, 3, 1, 0, 3)
+        assert big.ell > DLOG_TABLE_LIMIT
         rng = random.Random(1)
         for _ in range(25):
-            a = rng.randrange(1, ell)
-            k = kp.dlog(a)
-            assert pow(3, k, ell) == a
+            a = rng.randrange(1, big.ell)
+            assert pow(3, big.dlog(a), big.ell) == a
+        assert big._table is None
+
+    def test_table_is_lazy_and_not_compared(self):
+        built, fresh = KolyvaginPrime(61, 5, 1, 0, 2), KolyvaginPrime(61, 5, 1, 0, 2)
+        assert built._table is None
+        assert built.dlog(2) == 1
+        assert built._table is not None and fresh._table is None
+        assert built == fresh
+        assert repr(built) == repr(fresh)
 
     def test_not_a_unit(self, reg37):
         kp = next(iter(reg37.values()))
