@@ -120,6 +120,8 @@ class RationalField:
         """Tuple of the ints and Fractions `values` as ring elements."""
         return tuple(map(self.coerce, values))
 
+    coerce_all = reduce_all  # every int and Fraction is already exact here
+
     def add(self, a, b):
         return a + b
 
@@ -176,6 +178,24 @@ class ResidueRing:
                 num *= pow(den, -1, self.modulus)
             return num % self.modulus
         return x % self.modulus
+
+    def coerce_all(self, values):
+        """Tuple of the ints and Fractions `values` reduced into [0, p^m).
+
+        One modular inverse per distinct denominator; the first coefficient
+        whose denominator p divides raises DenominatorDivisibleByP, as
+        `coerce` does.
+        """
+        modulus = self.modulus
+        inverses = {1: 1}
+        out = []
+        for x in values:
+            num, den = x.as_integer_ratio()
+            inv = inverses.get(den)
+            if inv is None:
+                inv = inverses[den] = self.coerce(Fraction(1, den))
+            out.append(num * inv % modulus)
+        return tuple(out)
 
     def reduce_all(self, values):
         """Tuple of the ints `values` reduced into [0, p^m)."""
@@ -507,7 +527,7 @@ class GroupRingElement:
     @classmethod
     def from_values(cls, group, ring, values):
         """Element with the coefficients `values`, in the order of group.elements()."""
-        coeffs = tuple(map(ring.coerce, values))
+        coeffs = ring.coerce_all(values)
         if len(coeffs) != group.order:
             raise ValueError(f"{len(coeffs)} coefficients for a group of order {group.order}")
         return cls._of(group, ring, coeffs)
@@ -583,7 +603,7 @@ class GroupRingElement:
         return not any(self.coeffs)
 
     def change_ring(self, ring):
-        return self._of(self.group, ring, tuple(map(ring.coerce, self.coeffs)))
+        return self._of(self.group, ring, ring.coerce_all(self.coeffs))
 
     def __eq__(self, other):
         return (

@@ -231,13 +231,23 @@ def project_theta(theta, registry):
     Gal(Q(d)/Q) = prod of the p-parts G_l; sigma_a lands on the tuple of
     discrete logs of a reduced mod the p-part orders.  e_d = #Gal(Q(mu_d)/Q(d))
     is the prime-to-p index prod (l - 1)/|G_l|.
+
+    A unit whose mirror d - a came first reads the mirror's key:
+    d - a = -a mod l and log(-1) = (l - 1)/2, so
+    key_l(a) = (key_l(d - a) + (l - 1)/2) mod |G_l|, and |G_l|, a power of
+    the odd p dividing l - 1, divides (l - 1)/2.  The walk's second half takes
+    no discrete log.
     """
-    ells = sieved_factors(theta.d, registry)
+    d = theta.d
+    ells = sieved_factors(d, registry)
     orders = [registry[ell].p_part_order for ell in ells]
     modulus = theta.ring.modulus
+    keys = {}
     coeffs = {}
     for a, coeff in theta.units:
-        key = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
+        key = keys.get(d - a)
+        if key is None:
+            key = keys[a] = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         coeffs[key] = (coeffs.get(key, 0) + coeff) % modulus
     e_d = 1
     for ell, n in zip(ells, orders):

@@ -9,15 +9,20 @@ grids {c : c_i != y_i for all i} misses some c.
 
 S is the span of the tuple's k coordinate vectors y_j = (f1[j], .., f4[j]) in
 F_3^4.  The search walks the y_j one coordinate at a time and carries the id of
-the span so far through a table of all 212 subspaces of F_3^4, built once per
-call with each span's dimension and grid union; a tuple then costs one table
-lookup, and every tuple is still visited and judged.
+the span so far through a byte table of all 212 subspaces of F_3^4, built per
+call with each span's dimension and grid union.  The last coordinate is judged
+a prefix at a time: one `itemgetter` picks the dimensions of the spans of all
+the prefix's leaves from a byte row, and `count` tallies them; the leaves are
+looped over one by one only when that row reaches a span whose union is not
+full, to name the counterexamples.  Every tuple is still visited and judged.
 """
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from math import gcd
+from operator import itemgetter, or_
 
 from .curve import primes_upto
 from .errors import IdentityFailure
@@ -43,60 +48,68 @@ FULL81 = (1 << 81) - 1
 _VECS = [tuple(y // 3**i % 3 for i in range(4)) for y in range(81)]  # base-3 digits
 
 
+def _per_digit(tables):
+    """[tables[0][y_0] | .. | tables[3][y_3] for y = y_0 + 3 y_1 + 9 y_2 + 27 y_3]."""
+    return [a | b | c | d for d, c, b, a in product(*reversed(tables))]
+
+
 def _survivor_grids():
-    """grids[y] = bitmask of the 2^4 points c in F_3^4 with c_i != y_i for all i."""
-    grids = []
-    for v in _VECS:
-        m = 0
-        for c in product(*[[x for x in range(3) if x != vi] for vi in v]):
-            m |= 1 << (c[0] + 3 * c[1] + 9 * c[2] + 27 * c[3])
-        grids.append(m)
-    return grids
+    """grids[y] = bitmask of the 2^4 points c in F_3^4 with c_i != y_i for all i.
+
+    The c with c_i == v fill the v-th run of 3^i bits in every 3^(i+1); a grid
+    is the complement of the OR of these per-digit masks over the digits of y.
+    """
+    hits = []
+    for i in range(4):
+        run = 3**i
+        repeat = sum(1 << 3 * run * j for j in range(27 // run))
+        hits.append([((1 << run) - 1) * repeat << v * run for v in range(3)])
+    return [FULL81 ^ m for m in _per_digit(hits)]
 
 
 def _span_lattice():
     """Every subspace of F_3^4, with its transitions, dimension and grid union.
 
     Vectors are base-3 codes y = y_0 + 3 y_1 + 9 y_2 + 27 y_3, the same codes
-    index the bits of a grid mask.  Span id 0 is {0}; rows[s][y] is the id of
-    s + <y>, dims[s] is the dimension of s and unions[s] the union of the
-    survivor grids over the y in s.  Ids, dims and unions are recorded once,
-    when a span is first reached from a smaller one.
+    index the bits of a grid mask.  Span id 0 is {0}; rows[s] is a `bytes` of
+    81 span ids with rows[s][y] the id of s + <y>, dims[s] is the dimension of
+    s and unions[s] the union of the survivor grids over the y in s.
+
+    Spans are keyed by their 81-bit membership mask.  A span s is grown by the
+    vectors outside it taken by lowest set bit, one coset pair {s + y, s + 2y}
+    at a time: every vector of the pair gives the same span s + <y>.  Adding
+    y is a byte translation: the low and the high pair of base-3 digits add
+    independently, so each of the 81 tables is the 81 two-digit sums applied
+    to both pairs.
     """
-    add = [
-        (a[0] + b[0]) % 3 + 3 * ((a[1] + b[1]) % 3)
-        + 9 * ((a[2] + b[2]) % 3) + 27 * ((a[3] + b[3]) % 3)
-        for a in _VECS for b in _VECS
-    ]
+    pair = [(a + b) % 3 + (a // 3 + b // 3) % 3 * 3 for a in range(9) for b in range(9)]
+    pad = bytes(256 - 81)
+    low = [bytes(e - e % 9 + pair[9 * a + e % 9] for e in range(81)) + pad for a in range(9)]
+    high = [bytes(e % 9 + 9 * pair[9 * a + e // 9] for e in range(81)) + pad for a in range(9)]
+    plus = [low[y % 9].translate(high[y // 9]) for y in range(81)]  # plus[y][e] = y + e
+    bit = [1 << y for y in range(81)]
     grids = _survivor_grids()
-    members = [[0]]
-    ids = {frozenset([0]): 0}
+    members, masks = [b"\0"], [1]
+    ids = {1: 0}
     rows, dims, unions = [], [0], [grids[0]]
-    for sid, elems in enumerate(members):  # members grows while it is walked
-        row = [None] * 81
-        for e in elems:
-            row[e] = sid
-        for y in range(81):
-            if row[y] is not None:
-                continue
-            # s + <y> is s, s + y, s + 2y; every y' in the two new cosets
-            # gives the same span, so each coset is handled once
-            y2 = add[82 * y]
-            grown = (elems + [add[81 * e + y] for e in elems]
-                     + [add[81 * e + y2] for e in elems])
-            key = frozenset(grown)
-            nid = ids.get(key)
-            if nid is None:
-                nid = ids[key] = len(members)
-                members.append(grown)
+    for sid, (inside, elems) in enumerate(zip(masks, members)):  # both grow while walked
+        order, labels = [elems], [bytes((sid,)) * len(elems)]
+        outside = FULL81 ^ inside
+        while outside:
+            y = (outside & -outside).bit_length() - 1
+            coset = elems.translate(plus[y]) + elems.translate(plus[plus[y][y]])
+            grown = sum(map(bit.__getitem__, coset))
+            outside ^= grown
+            nid = ids.setdefault(inside | grown, len(members))
+            if nid == len(members):
+                members.append(elems + coset)
+                masks.append(inside | grown)
                 dims.append(dims[sid] + 1)
-                u = 0
-                for e in grown:
-                    u |= grids[e]
-                unions.append(u)
-            for e in grown[len(elems):]:
-                row[e] = nid
-        rows.append(row)
+                unions.append(reduce(or_, map(grids.__getitem__, coset), unions[sid]))
+            order.append(coset)
+            labels.append(bytes((nid,)) * len(coset))
+        # order lists all 81 vectors once, so this table is the row
+        rows.append(bytes.maketrans(b"".join(order), b"".join(labels))[:81])
     return rows, dims, unions
 
 
@@ -105,20 +118,20 @@ def _coordinate_choices(reduced):
 
     inner[mask] lists (y, mask') for a coordinate before the last, last[mask]
     the y that leave every f_i nonzero.  With `reduced`, a functional's first
-    nonzero entry must be 1, so a still-zero f_i takes 0 or 1 next.
+    nonzero entry must be 1, so a still-zero f_i takes 0 or 1 next.  Both
+    come from two per-digit masks of y: its nonzero digits and its digits 2.
     """
+    nonzero = _per_digit([(0, 1 << i, 1 << i) for i in range(4)])
+    twos = _per_digit([(0, 0, 1 << i) for i in range(4)]) if reduced else [0] * 81
     inner, last = [], []
     for mask in range(16):
-        steps, ends = [], []
-        for y, digits in enumerate(_VECS):
-            if reduced and any(mask >> i & 1 and d == 2 for i, d in enumerate(digits)):
-                continue
-            left = mask & ~sum(1 << i for i, d in enumerate(digits) if d)
-            steps.append((y, left))
-            if not left:
-                ends.append(y)
+        steps = [
+            (y, mask & ~nz)
+            for y, (nz, two) in enumerate(zip(nonzero, twos))
+            if not mask & two
+        ]
         inner.append(steps)
-        last.append(ends)
+        last.append([y for y, left in steps if not left])
     return inner, last
 
 
@@ -153,30 +166,52 @@ def verify_coset_lemma(max_dim, reduced=True):
     coordinate vectors y_j = (f1[j], f2[j], f3[j], f4[j]) in F_3^4, one level
     per coordinate, carrying the id of span(y_1..y_j); each leaf is one tuple,
     and every tuple is visited and judged by its span's grid union.
+
+    The lattice, the coordinate choices and the per-span tables below are
+    built here, on every call.  The leaves of one prefix are judged together:
+    `itemgetter(*last[mask])` picks their entries from the span's row
+    translated to dimensions (0 below 3) and `count` tallies dimension 3; the
+    leaves of a prefix whose span already has dimension 3 all have dimension
+    3 or 4, so the rest are 4.  They are taken one by one only when the row
+    reaches a span of dimension >= 3 whose union is not full.
     """
     if max_dim not in (3, 4):
         raise ValueError(f"coset lemma is verified on F_3^3 and F_3^4, not F_3^{max_dim}")
     rows, dims, unions = _span_lattice()
     inner, last = _coordinate_choices(reduced)
+    pad = bytes(256 - len(dims))
+    dim_of = bytes(d if d >= 3 else 0 for d in dims) + pad
+    uncovered = bytes(d >= 3 and u != FULL81 for d, u in zip(dims, unions)) + pad
+    dim_rows = [row.translate(dim_of) for row in rows]
+    flagged = [1 in row.translate(uncovered) for row in rows]
+    # itemgetter of one index returns an int, not a tuple: reduced,
+    # last[15] == [40], so a one-wide slice stands in for it
+    picks = [itemgetter(*ys) if len(ys) > 1 else itemgetter(slice(ys[0], ys[0] + 1))
+             for ys in last]
     instances = {}
     by_dim = [0] * 5
     bad = []
 
     def walk(path, j, sid, mask):
         row = rows[sid]
-        if j == len(path) - 1:
-            for y in last[mask]:
-                s = row[y]
-                d = dims[s]
-                if d >= 3:
-                    by_dim[d] += 1
-                    if unions[s] != FULL81:
-                        path[j] = y
-                        bad.append(_functionals(path))
+        if j < len(path) - 2:
+            for y, left in inner[mask]:
+                path[j] = y
+                walk(path, j + 1, row[y], left)
             return
         for y, left in inner[mask]:
-            path[j] = y
-            walk(path, j + 1, row[y], left)
+            s = row[y]
+            leaves = picks[left](dim_rows[s])
+            threes = leaves.count(3)
+            by_dim[3] += threes
+            if dims[s] == 3:
+                by_dim[4] += len(leaves) - threes
+            if flagged[s]:
+                path[j] = y
+                for z in last[left]:
+                    if uncovered[rows[s][z]]:
+                        path[j + 1] = z
+                        bad.append(_functionals(path))
 
     for k in range(3, max_dim + 1):
         before = by_dim[3] + by_dim[4]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kurihara.curve import CurveData
+from kurihara.curve import CurveData, load_curve
 from kurihara.modsym import build_space, extract_eigensymbol
 
 
@@ -42,6 +42,12 @@ def sym11(space11, e11):
 @pytest.fixture(scope="session")
 def sym37(space37, e37):
     return extract_eigensymbol(space37, e37)
+
+
+@pytest.fixture(scope="session")
+def sym389():
+    E = load_curve(os.path.join(os.path.dirname(__file__), "..", "curves", "389a1.json"))
+    return extract_eigensymbol(build_space(389), E)
 
 
 def _run_script(script, *flags, timeout=300):

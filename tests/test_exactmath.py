@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from kurihara.errors import (
+    DenominatorDivisibleByP,
     MismatchedGroup,
     NotAHomomorphism,
     NotAQuotient,
@@ -377,6 +378,31 @@ class TestConstructorCoerces:
         x = GroupRingElement(G, R, {(2,): Fraction(1, 2)})
         assert x.coefficient((2,)) == 13
         assert GroupRingElement(G, QQ, {(1,): 3}).coefficient((1,)) == Fraction(3)
+
+    def test_change_ring_one_inverse_per_denominator(self, monkeypatch):
+        G, R = AbelianGroup((12,)), ResidueRing(7, 2)
+        x = GroupRingElement(G, QQ, {(i,): Fraction(i - 5, (3, 5, 1)[i % 3]) for i in range(12)})
+        expected = ref_change_ring(R, as_dict(x))
+        inverted = []
+        coerce = ResidueRing.coerce
+
+        def counting(ring, value):
+            inverted.append(value)
+            return coerce(ring, value)
+
+        monkeypatch.setattr(ResidueRing, "coerce", counting)
+        assert as_dict(x.change_ring(R)) == expected
+        assert inverted == [Fraction(1, 3), Fraction(1, 5)]
+
+    def test_change_ring_keeps_denominator_error(self):
+        # one coefficient with p in its denominator is enough, wherever it is
+        G = AbelianGroup((6,))
+        for bad in range(6):
+            coeffs = {(i,): Fraction(1, 7 if i == bad else 3) for i in range(6)}
+            with pytest.raises(DenominatorDivisibleByP, match="denominator 7"):
+                GroupRingElement(G, QQ, coeffs).change_ring(ResidueRing(7, 2))
+            with pytest.raises(DenominatorDivisibleByP):
+                GroupRingElement.from_values(G, ResidueRing(7), list(coeffs.values()))
 
     def test_non_element_raises(self):
         G = AbelianGroup((2, 3))

@@ -5,6 +5,7 @@ import pytest
 
 from kurihara.curve import count_points, p_torsion_structure, full_p_torsion_deterministic
 from kurihara.errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
+from kurihara.exactmath import AbelianGroup, GroupRingElement
 from kurihara.kolyvagin import (
     DLOG_TABLE_LIMIT,
     KolyvaginPrime,
@@ -251,6 +252,51 @@ class TestHigherM:
             v2 = direct_number(sym37, reg, d, 5, m=2).value
             v1 = direct_number(sym37, reg, d, 5, m=1).value
             assert v2 % 5 == v1
+
+
+def _projection_from_every_dlog(theta, registry):
+    """Reference projection: each unit's key from its own discrete logs."""
+    ells = sorted(ell for ell in registry if theta.d % ell == 0)
+    orders = [registry[ell].p_part_order for ell in ells]
+    coeffs = {}
+    for a, coeff in theta.units:
+        key = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
+        coeffs[key] = (coeffs.get(key, 0) + coeff) % theta.ring.modulus
+    return GroupRingElement(AbelianGroup(orders), theta.ring, coeffs)
+
+
+class TestMirroredKeys:
+    """project_theta reads the key of a > d/2 from the key of d - a."""
+
+    @staticmethod
+    def _count_dlogs(monkeypatch):
+        calls = []
+        original = KolyvaginPrime.dlog
+
+        def counting(self, a):
+            calls.append((self.ell, a))
+            return original(self, a)
+
+        monkeypatch.setattr(KolyvaginPrime, "dlog", counting)
+        return calls
+
+    @pytest.mark.parametrize("d", [1, 61, 211, 281, 61 * 211])
+    def test_37a1_rows_match_every_dlog(self, sym37, reg37, d, monkeypatch):
+        theta = theta_residues(sym37, d, 5)
+        expected = _projection_from_every_dlog(theta, reg37)
+        calls = self._count_dlogs(monkeypatch)
+        projection = project_theta(theta, reg37)
+        assert projection.element == expected
+        # one discrete log per prime of d for each walked unit a < d/2
+        assert len(calls) == len(projection.ells) * len(theta.units) // 2
+
+    def test_389a1_nu_two_matches_every_dlog(self, sym389):
+        reg = {kp.ell: kp for kp in sieve(sym389.curve, 5, 1, 0, 70)}
+        theta = theta_residues(sym389, 41 * 61, 5)
+        projection = project_theta(theta, reg)
+        assert projection.ells == (41, 61)
+        assert projection.element == _projection_from_every_dlog(theta, reg)
+        assert not projection.element.is_zero()
 
 
 class TestNuTwo:

@@ -560,12 +560,6 @@ class TestHalfWalk:
         assert "star image" in lines[1]
 
 
-@pytest.fixture(scope="module")
-def sym389():
-    E = load_curve(os.path.join(os.path.dirname(__file__), "..", "curves", "389a1.json"))
-    return extract_eigensymbol(build_space(389), E)
-
-
 def _two_list_path_symbols(space, a, d):
     """Reference walk: all quotients first, then the convergent lists, then the
     dictionary index of each normalised bottom row."""

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -161,6 +162,66 @@ def _covered_by_value_image(fns):
         all(y[0] == c0 or y[1] == c1 or y[2] == c2 or y[3] == c3 for y in image)
         for c0, c1, c2, c3 in product(range(3), repeat=4)
     )
+
+
+def _reference_coordinate_choices(reduced):
+    """The verifier's former construction: an any() per mask and vector."""
+    vecs = [tuple(y // 3**i % 3 for i in range(4)) for y in range(81)]
+    inner, last = [], []
+    for mask in range(16):
+        steps, ends = [], []
+        for y, digits in enumerate(vecs):
+            if reduced and any(mask >> i & 1 and d == 2 for i, d in enumerate(digits)):
+                continue
+            left = mask & ~sum(1 << i for i, d in enumerate(digits) if d)
+            steps.append((y, left))
+            if not left:
+                ends.append(y)
+        inner.append(steps)
+        last.append(ends)
+    return inner, last
+
+
+class TestTables:
+    def test_span_lattice_against_brute_force(self):
+        # every span and every transition recomputed from the members alone,
+        # with addition from _enc_add rather than the lattice's byte tables
+        rows, dims, unions = verifiers._span_lattice()
+        assert len(rows) == len(dims) == len(unions) == 212
+        assert all(type(row) is bytes and len(row) == 81 for row in rows)
+        add = [[_enc_add(a, b) for b in range(81)] for a in range(81)]
+        members = [frozenset(y for y in range(81) if row[y] == s) for s, row in enumerate(rows)]
+        ids = {m: s for s, m in enumerate(members)}
+        assert len(ids) == 212 and members[0] == {0}
+        grids = verifiers._survivor_grids()
+        assert grids == _grid_masks()
+        transitions = 0
+        for s, m in enumerate(members):
+            # a subspace: it holds 0 and is closed under addition (so under
+            # scalars too), with 3^dim elements
+            assert 0 in m and all(add[a][b] in m for a in m for b in m)
+            assert len(m) == 3 ** dims[s]
+            union = 0
+            for y in m:
+                union |= grids[y]
+            assert unions[s] == union
+            for y in range(81):
+                grown = frozenset(add[a][j] for a in m for j in (0, y, add[y][y]))
+                assert rows[s][y] == ids[grown]
+                transitions += 1
+        assert transitions == 17172
+        assert Counter(dims) == {0: 1, 1: 40, 2: 130, 3: 40, 4: 1}
+
+    @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+    def test_coordinate_choices_match_reference(self, reduced):
+        inner, last = verifiers._coordinate_choices(reduced)
+        assert (inner, last) == _reference_coordinate_choices(reduced)
+        # mask 15 ends only on vectors with four nonzero digits; reduced,
+        # that is (1, 1, 1, 1) alone, a one-element list the leaf picker
+        # must not turn into a scalar
+        ones = [y for y in range(81) if all(y // 3**i % 3 for i in range(4))]
+        assert last[15] == ([40] if reduced else ones)
+        assert len(ones) == 16
 
 
 class TestCosetLemma:
