@@ -14,19 +14,30 @@ import tempfile
 SCHEMA_VERSION = 1
 
 
-def cache_key(kind, payload):
-    body = json.dumps(
-        {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(body.encode()).hexdigest()
-
-
 class JsonCache:
     def __init__(self, directory):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
+
+    @staticmethod
+    def key(kind, payload):
+        body = json.dumps(
+            {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(body.encode()).hexdigest()
+
+    def eigensymbol_key(self, E, calibrated=True):
+        return self.key(
+            "eigensymbol",
+            {
+                "ainvs": list(E.ainvs()),
+                "conductor": E.conductor,
+                "sign": 1,
+                "calibrated": calibrated,
+            },
+        )
 
     def _path(self, key):
         return os.path.join(self.directory, f"{key}.json")
@@ -57,14 +68,3 @@ class JsonCache:
                 os.unlink(tmp)
         return key
 
-
-def eigensymbol_key(E, calibrated=True):
-    return cache_key(
-        "eigensymbol",
-        {
-            "ainvs": list(E.ainvs()),
-            "conductor": E.conductor,
-            "sign": 1,
-            "calibrated": calibrated,
-        },
-    )

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 
-from . import cache as cachemod
 from .curve import check_hypotheses, load_curve, require_hypotheses
 from .errors import (
     BadReport,
@@ -24,6 +23,7 @@ from .exactmath import is_prime
 from .kolyvagin import sieve, sieved_factors, theta_residues
 from .mazurtate import theta, vartheta, xi_tilde
 from .modsym import build_space, extract_eigensymbol, symbol_from_json
+from .records import replace
 from .verifiers import span_two_covering_witness, run_identity_suite, verify_coset_lemma
 from .search import DeltaReport, attach_parity, delta_row, find_delta_minimal, selmer_report
 
@@ -123,23 +123,28 @@ def _emit(args, obj, text):
 def _load_curve(args):
     E = load_curve(args.curve)
     if getattr(args, "assert_surjective", False) and args.p not in E.mod_p_surjective:
-        import dataclasses
-
-        E = dataclasses.replace(
-            E, mod_p_surjective=tuple(E.mod_p_surjective) + (args.p,)
-        )
+        E = replace(E, mod_p_surjective=tuple(E.mod_p_surjective) + (args.p,))
     return E
 
 
 def _cache(args):
-    return cachemod.JsonCache(args.cache_dir) if args.cache_dir else None
+    """The JSON cache under --cache-dir, or None.
+
+    The cache module, which loads hashlib and tempfile, is imported only when
+    there is a cache, and every key is computed only then.
+    """
+    if not args.cache_dir:
+        return None
+    from .cache import JsonCache
+
+    return JsonCache(args.cache_dir)
 
 
 def _load_symbol(args, E):
     calibrate = getattr(args, "assume_optimal", True)
     cache = _cache(args)
-    key = cachemod.eigensymbol_key(E, calibrate)
     if cache:
+        key = cache.eigensymbol_key(E, calibrate)
         entry = cache.get(key)
         if entry is not None:
             return symbol_from_json(entry, E)
@@ -271,15 +276,17 @@ def _dispatch(args):
 
     if cmd == "theta":
         cache = _cache(args)
-        key = cachemod.cache_key(
-            "theta",
-            {
-                "curve": str(E), "ainvs": list(E.ainvs()), "kind": args.kind,
-                "d": args.d, "n": args.n, "p": args.p, "m": args.m,
-                "calibrated": getattr(args, "assume_optimal", True),
-            },
-        )
-        obj = cache.get(key) if cache else None
+        obj = None
+        if cache:
+            key = cache.key(
+                "theta",
+                {
+                    "curve": str(E), "ainvs": list(E.ainvs()), "kind": args.kind,
+                    "d": args.d, "n": args.n, "p": args.p, "m": args.m,
+                    "calibrated": getattr(args, "assume_optimal", True),
+                },
+            )
+            obj = cache.get(key)
         if obj is None:
             sym = _load_symbol(args, E)
             if args.kind == "theta":
@@ -311,16 +318,18 @@ def _dispatch(args):
         require_hypotheses(E, args.p)
         sym = _load_symbol(args, E)
         cache = _cache(args)
-        key = cachemod.cache_key(
-            "search",
-            {
-                "ainvs": list(E.ainvs()), "p": args.p, "m": args.m,
-                "prime_bound": args.prime_bound, "nu_max": args.nu_max,
-                "exhaustive": args.exhaustive, "root_number": args.root_number,
-                "eigensymbol": sym.to_json(),
-            },
-        )
-        obj = cache.get(key) if cache else None
+        obj = None
+        if cache:
+            key = cache.key(
+                "search",
+                {
+                    "ainvs": list(E.ainvs()), "p": args.p, "m": args.m,
+                    "prime_bound": args.prime_bound, "nu_max": args.nu_max,
+                    "exhaustive": args.exhaustive, "root_number": args.root_number,
+                    "eigensymbol": sym.to_json(),
+                },
+            )
+            obj = cache.get(key)
         if obj is None:
             report = find_delta_minimal(
                 sym,

@@ -26,12 +26,12 @@ The two costs meet near 200-300, and the limit is 300.
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
 from .errors import BadCurve, BadPrime, CorrectnessAlarm, HypothesisViolation
 from .exactmath import factorize, is_prime
+from .records import record
 
 # Square-table count for l up to here; above it BSGS in l + 1 +- isqrt(4l),
 # finished by the square table when the window stays ambiguous.  The two
@@ -40,7 +40,7 @@ NAIVE_COUNT_LIMIT = 300
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CurveData:
     a1: int
     a2: int
@@ -364,7 +364,7 @@ def primes_upto(n):
 # hypotheses (a), (b), (c)
 
 
-@dataclass
+@record
 class HypothesisReport:
     p: int
     ordinary: bool          # (a): p good and a_p != 0 mod p

@@ -9,7 +9,6 @@ the transport through e_d and the Kolyvagin-derivative expansion, which also
 certifies the closed-form identity the transport rests on.
 """
 
-from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .curve import count_points, p_torsion_structure, primes_upto
@@ -28,11 +27,12 @@ from .exactmath import (
     primitive_root,
 )
 from .modsym import eval_plus
+from .records import field, record
 
 DLOG_TABLE_LIMIT = 1 << 16  # full table below, baby-step/giant-step above
 
 
-@dataclass
+@record
 class KolyvaginPrime:
     """A sieved prime with its generator and discrete-log context.
 
@@ -138,7 +138,7 @@ def sieved_factors(d, registry):
     return ells
 
 
-@dataclass
+@record
 class KuriharaNumber:
     d: int
     factors: tuple
@@ -153,7 +153,7 @@ class KuriharaNumber:
         return self.value % self.p**self.m != 0
 
 
-@dataclass
+@record
 class ThetaResidues:
     """theta_d with coefficients in Z/p^m, from one walk of (Z/d)^*.
 
@@ -214,7 +214,7 @@ def kurihara_number_direct(theta, registry):
     return KuriharaNumber(theta.d, tuple(ells), total, ring.p, ring.m, "direct", gens)
 
 
-@dataclass
+@record
 class ThetaProjection:
     """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], shared by via-e_d and the derivative."""
 
@@ -290,7 +290,7 @@ def kurihara_number_via_ed(projection):
     )
 
 
-@dataclass
+@record
 class DerivativeData:
     norm_coefficient: int  # coefficient at the identity of D_d theta_d mod p
     closed_form: int       # (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma)

@@ -7,8 +7,6 @@ limits exist only level-by-level here, and the limit relations are exercised
 as finite identities by the verifier suite.
 """
 
-from dataclasses import dataclass
-
 from .curve import trace_of_frobenius
 from .errors import (
     BadPrime,
@@ -30,11 +28,12 @@ from .exactmath import (
     xgcd,
 )
 from .modsym import eval_plus
+from .records import record
 
 THETA_CACHE = 2**9  # theta elements kept per symbol; the oldest goes first
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnitRoot:
     p: int
     m: int
@@ -80,7 +79,7 @@ def _check_level(E, d, p=None):
             raise BadPrime(f"d = {d} is not coprime to p = {p}")
 
 
-@dataclass
+@record
 class ThetaElement:
     """theta over Q(mu_{d p^n}): sigma_a-coefficient is the value [a/(d p^n)]+."""
 
@@ -207,6 +206,15 @@ def xi_tilde(symbol, d, n, p, m):
     then xi_tilde twists by prod_{l | d} (-l sigma_l)^{-1}.  Exactly 2^nu(d)
     terms enter the sum.
     """
+    return kurihara_combination(symbol, d, n, p, m, lambda e: vartheta(symbol, e, n, p, m))
+
+
+def kurihara_combination(symbol, d, n, p, m, stabilized):
+    """xi_tilde with vartheta_e read from `stabilized(e)` for each e | d.
+
+    The identity suite passes its memo of vartheta here, so that the
+    divisors shared by many levels are stabilized once.
+    """
     E = symbol.curve
     _check_level(E, d, p)
     ring = ResidueRing(p, m)
@@ -221,7 +229,7 @@ def xi_tilde(symbol, d, n, p, m):
         for i, ell in enumerate(primes):
             if mask & (1 << i):
                 e *= ell
-        v = vartheta(symbol, e, n, p, m)
+        v = stabilized(e)
         for ell in primes:
             if e % ell:
                 s_inv = v.group.inv(_sigma_ell(v.group, ell))

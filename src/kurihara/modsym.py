@@ -11,7 +11,6 @@ dual Hecke eigenvector): pairing it with the unimodular decomposition of
 exactly, up to the recorded calibration unit.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -28,6 +27,7 @@ from .errors import (
     NotCoprime,
 )
 from .exactmath import echelon_kernel, factorize, sparse_echelon, xgcd
+from .records import field, record
 
 QMAX = 100  # the eigenline chains draw the good primes q <= QMAX
 HOLDOUT_COUNT = 3  # further good primes checked on the extracted eigenvectors
@@ -380,7 +380,7 @@ def build_space(N):
 # eigensymbol
 
 
-@dataclass
+@record
 class EigenSymbol:
     """The rational Hecke eigensymbol of a curve, as an evaluation functional.
 

@@ -9,8 +9,6 @@ number.  All of these conclusions are derived in one place, `_conclude`, for
 the search, the readout and the verifier of saved reports alike.
 """
 
-import dataclasses
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
 
@@ -31,6 +29,7 @@ from .kolyvagin import (
     theta_residues,
 )
 from .modsym import fricke_eigenvalue
+from .records import field, record, replace
 
 
 def _is_int(x):
@@ -86,7 +85,7 @@ def _check_fields(obj, fields, where):
             raise BadReport(f"{where}: {name!r} must be {want}, got {obj[name]!r}")
 
 
-@dataclass
+@record
 class DeltaRow:
     d: int
     factors: tuple
@@ -114,7 +113,7 @@ class DeltaRow:
         )
 
 
-@dataclass
+@record
 class DeltaReport:
     curve: str
     p: int
@@ -153,7 +152,7 @@ class DeltaReport:
                 )
             if row.routes_agree is not True:
                 raise CorrectnessAlarm(f"delta_{d}: routes_agree is {row.routes_agree}")
-        derived = dataclasses.replace(self)
+        derived = replace(self)
         _conclude(derived)
         for name in ("delta_minimal", "selmer_dim", "upper_bound", "imc_witness", "parity"):
             stored, want = getattr(self, name), getattr(derived, name)

@@ -18,8 +18,7 @@ full, to name the counterexamples.  Every tuple is still visited and judged.
 """
 
 import random
-from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import gcd
 from operator import itemgetter, or_
@@ -37,13 +36,15 @@ from .kolyvagin import KolyvaginPrime, sieve, theta_residues
 from .mazurtate import (
     euler_factor,
     frobenius_factor,
+    kurihara_combination,
     stabilization_scalar,
     unit_root,
     vartheta,
-    xi_tilde,
 )
+from .records import field, record
 from .search import delta_row
 
+STABILIZED_MEMO = 2**11  # vartheta elements one suite run keeps (the golden grid: 808)
 FULL81 = (1 << 81) - 1
 _VECS = [tuple(y // 3**i % 3 for i in range(4)) for y in range(81)]  # base-3 digits
 
@@ -142,7 +143,7 @@ def _functionals(path):
     )
 
 
-@dataclass
+@record
 class CosetReport:
     max_dim: int
     reduced: bool
@@ -240,7 +241,7 @@ def span_two_covering_witness():
 # cross-identity suite
 
 
-@dataclass
+@record
 class SuiteResult:
     identity: str
     instances: int
@@ -251,7 +252,7 @@ class SuiteResult:
         return not self.failures
 
 
-@dataclass
+@record
 class SuiteReport:
     results: dict
     vacuous: bool = False
@@ -304,8 +305,19 @@ def run_identity_suite(
     of (Z/d)^* and raises CorrectnessAlarm on a disagreement.  Any other
     failure is reported through IdentityFailure naming the (identity,
     instance) pair.
+
+    Each stabilized element vartheta is computed once per run and shared by
+    every identity and every xi_tilde that reads it, up to STABILIZED_MEMO
+    elements (least recently used go first).
     """
     E = symbol.curve
+    stabilized = lru_cache(maxsize=STABILIZED_MEMO)(
+        lambda d, n, m: vartheta(symbol, d, n, p, m)
+    )
+
+    def xi(d, n, m):
+        return kurihara_combination(symbol, d, n, p, m, lambda e: stabilized(e, n, m))
+
     results = {
         name: SuiteResult(name, 0)
         for name in (
@@ -333,10 +345,10 @@ def run_identity_suite(
                 if not goods:
                     continue
                 # the d-level elements, shared by every l
-                xd = xi_tilde(symbol, d, n, p, m)
-                vd = vartheta(symbol, d, n, p, m)
+                xd = xi(d, n, m)
+                vd = stabilized(d, n, m)
                 for ell in goods:
-                    xdl = xi_tilde(symbol, d * ell, n, p, m)
+                    xdl = xi(d * ell, n, m)
                     hom = unit_reduction(xdl.group, xd.group)
                     lhs = projection_map(xdl, hom)
                     rhs = frobenius_factor(E, ell, xd.group, ring) * xd
@@ -345,7 +357,7 @@ def run_identity_suite(
                         results["xi_norm_relation"].failures.append(
                             (d, ell, n, m)
                         )
-                    vdl = vartheta(symbol, d * ell, n, p, m)
+                    vdl = stabilized(d * ell, n, m)
                     homv = unit_reduction(vdl.group, vd.group)
                     lhsv = projection_map(vdl, homv)
                     rhsv = euler_factor(E, ell, vd.group, ring) * vd
@@ -359,8 +371,8 @@ def run_identity_suite(
     for m in range(1, m_max + 1):
         root = unit_root(E, p, m)
         for d in _squarefree_good(E, p, remark_d_max):
-            v1 = vartheta(symbol, d, 1, p, m)
-            v0 = vartheta(symbol, d, 0, p, m)
+            v1 = stabilized(d, 1, m)
+            v0 = stabilized(d, 0, m)
             hom = unit_reduction(v1.group, v0.group)
             results["stabilization_bridge"].instances += 1
             if projection_map(v1, hom) != v0:
@@ -414,8 +426,8 @@ def run_identity_suite(
     # projective system across n for small d
     for d in _squarefree_good(E, p, min(20, d_ell_max)):
         for n in range(1, n_max + 1):
-            vtop = vartheta(symbol, d, n + 1, p, 1)
-            vlow = vartheta(symbol, d, n, p, 1)
+            vtop = stabilized(d, n + 1, 1)
+            vlow = stabilized(d, n, 1)
             hom = unit_reduction(vtop.group, vlow.group)
             results["projective_system"].instances += 1
             if projection_map(vtop, hom) != vlow:

@@ -124,14 +124,13 @@ class TestSubcommands:
     def test_delta_checks_derivative_route(self, monkeypatch, capsys):
         # `delta` runs the same three-route row as `search`: a derivative
         # route that no longer matches the other two is an alarm
-        import dataclasses
-
         from kurihara import search
+        from kurihara.records import replace
 
         original = search.derivative_data
 
         def corrupted(projection):
-            return dataclasses.replace(original(projection), is_norm_multiple=False)
+            return replace(original(projection), is_norm_multiple=False)
 
         monkeypatch.setattr(search, "derivative_data", corrupted)
         code = main(
@@ -213,6 +212,22 @@ class TestCaching:
         assert main(args) == 0
         assert capsys.readouterr().out == cold
         assert entry.read_text() == written
+
+    def test_no_cache_module_without_a_cache(self, run_python):
+        # without --cache-dir or KURIHARA_CACHE_DIR no key is computed, and the
+        # cache module, with hashlib and tempfile, is never imported
+        script = (
+            "import os, sys\n"
+            "os.environ.pop('KURIHARA_CACHE_DIR', None)\n"
+            "from kurihara.cli import main\n"
+            f"code = main(['sieve', '--curve', {curve_path('11a1')!r}, '--p', '7',"
+            " '--bound', '300'])\n"
+            "print(code, sorted(m for m in ('kurihara.cache', 'hashlib', 'tempfile')"
+            " if m in sys.modules))\n"
+        )
+        proc = run_python(script, "-S")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_same_seed_byte_identical(self, capsys):
         args = ["search", "--curve", curve_path("37a1"), "--p", "5",

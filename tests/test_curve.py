@@ -24,6 +24,7 @@ from kurihara.curve import (
 from kurihara.errors import BadPrime
 from kurihara.kolyvagin import sieve
 from kurihara.lseries import an_list
+from kurihara.records import replace
 
 
 class TestCounting:
@@ -302,6 +303,27 @@ class TestCurveData:
         }
         E = curve_from_json(obj)
         assert E == e11
+
+    def test_equal_records_hash_alike_and_are_immutable(self, e11):
+        # the point-count cache is keyed by (curve, l)
+        again = curve_from_json({"label": "11a1", "ainvs": [0, -1, 1, -10, -20],
+                                 "conductor": 11, "tamagawa_product": 5,
+                                 "mod_p_surjective": [7]})
+        assert again is not e11 and again == e11 and hash(again) == hash(e11)
+        assert {e11: "cached"}[again] == "cached"
+        with pytest.raises(AttributeError, match="cannot assign to field 'a4'"):
+            again.a4 = 0
+        with pytest.raises(AttributeError):
+            del again.label
+        assert again == e11
+
+    def test_replace_copies(self, e11):
+        changed = replace(e11, mod_p_surjective=(3, 7))
+        assert changed.mod_p_surjective == (3, 7) and e11.mod_p_surjective == (7,)
+        assert changed != e11 and changed.ainvs() == e11.ainvs()
+        assert replace(e11) == e11 and replace(e11) is not e11
+        with pytest.raises(TypeError):
+            replace(e11, rank=1)
 
     def test_conductor_prime_must_divide_disc(self):
         with pytest.raises(ValueError):

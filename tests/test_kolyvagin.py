@@ -109,10 +109,15 @@ class TestDlog:
     def test_table_is_lazy_and_not_compared(self):
         built, fresh = KolyvaginPrime(61, 5, 1, 0, 2), KolyvaginPrime(61, 5, 1, 0, 2)
         assert built._table is None
+        before = repr(built)
+        assert before == "KolyvaginPrime(ell=61, p=5, m=1, n=0, generator=2)"
+        assert built == fresh
         assert built.dlog(2) == 1
         assert built._table is not None and fresh._table is None
         assert built == fresh
-        assert repr(built) == repr(fresh)
+        assert repr(built) == repr(fresh) == before
+        with pytest.raises(TypeError):
+            KolyvaginPrime(61, 5, 1, 0, 2, {})  # the table is no argument
 
     def test_not_a_unit(self, reg37):
         kp = next(iter(reg37.values()))

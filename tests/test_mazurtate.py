@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -32,6 +31,7 @@ from kurihara.mazurtate import (
     vartheta,
     xi_tilde,
 )
+from kurihara.records import replace
 
 
 CURVE_11A1 = os.path.join(os.path.dirname(__file__), "..", "curves", "11a1.json")
@@ -95,12 +95,12 @@ class TestTheta:
         # same element as a cache that keeps them all
         import kurihara.mazurtate as mt
 
-        fresh = dataclasses.replace(sym11, _theta_cache={})
+        fresh = replace(sym11, _theta_cache={})
         full = xi_tilde(fresh, 17, 2, 7, 2)
         # theta at n = 2 and n = 1 for d = 1 and d = 17
         assert list(fresh._theta_cache) == [(1, 2, 7), (1, 1, 7), (17, 2, 7), (17, 1, 7)]
         monkeypatch.setattr(mt, "THETA_CACHE", 1)
-        small = dataclasses.replace(sym11, _theta_cache={})
+        small = replace(sym11, _theta_cache={})
         assert xi_tilde(small, 17, 2, 7, 2) == full
         assert list(small._theta_cache) == [(17, 1, 7)]
         # refilling a full cache drops it back to the bound, oldest first

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -29,6 +28,7 @@ from kurihara.modsym import (
     merel_matrices,
     symbol_from_json,
 )
+from kurihara.records import replace
 
 
 class TestP1:
@@ -333,6 +333,13 @@ class TestEigenChain:
 
 
 class TestEigensymbol:
+    def test_repr_leaves_out_the_caches(self, sym11):
+        sym11.generator_values()  # _wfree is filled
+        text = repr(sym11)
+        assert text.startswith("EigenSymbol(space=")
+        assert text.endswith(f"calibration_unit={sym11.calibration_unit!r})")
+        assert "_wfree" not in text and "_theta_cache" not in text
+
     def test_389a1_frozen(self):
         # SHA-256 of the eigensymbol from the dense Bareiss chains
         E = load_curve(os.path.join(os.path.dirname(__file__), "..", "curves", "389a1.json"))
@@ -520,7 +527,7 @@ class TestHalfWalk:
     @pytest.mark.parametrize("n", [1, 2])
     def test_mirrored_theta_equals_full_theta(self, sym11, n):
         level = 17 * 7**n
-        fresh = dataclasses.replace(sym11, _theta_cache={})
+        fresh = replace(sym11, _theta_cache={})
         group = unit_group(level)
         full = [eval_plus(sym11, a, level) for a in group.residues()]
         assert theta(fresh, 17, n, 7).element == GroupRingElement.from_values(group, QQ, full)
@@ -536,11 +543,11 @@ class TestHalfWalk:
         # one generator value off its star partner: the walkers would mirror
         # a wrong value, so the certificate must hold under -O as well
         script = (
-            "import dataclasses\n"
             "from kurihara.curve import load_curve\n"
             "from kurihara.errors import CorrectnessAlarm\n"
             "from kurihara.kolyvagin import theta_residues\n"
             "from kurihara.modsym import build_space, extract_eigensymbol\n"
+            "from kurihara.records import replace\n"
             f"E = load_curve({CURVE_11A1!r})\n"
             "space = build_space(11)\n"
             "sym = extract_eigensymbol(space, E)\n"
@@ -549,7 +556,7 @@ class TestHalfWalk:
             "k = next(k for k, x in enumerate(sym.vector) if x)\n"
             "space.proj_nums[i] = space.proj_nums[i] + [(k, 1)]\n"
             "try:\n"
-            "    theta_residues(dataclasses.replace(sym, _wfree=None), 17, 7)\n"
+            "    theta_residues(replace(sym, _wfree=None), 17, 7)\n"
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
         )

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 
 import pytest
@@ -15,7 +14,9 @@ from kurihara.errors import (
 from kurihara.exactmath import GroupRingElement
 from kurihara.kolyvagin import KolyvaginPrime, sieve, theta_residues
 from kurihara.modsym import fricke_eigenvalue
+from kurihara.records import replace
 from kurihara.search import (
+    DeltaReport,
     attach_parity,
     find_delta_minimal,
     parity_check,
@@ -154,6 +155,19 @@ class TestParity:
 
 
 class TestReportShape:
+    def test_fresh_provenance_each(self):
+        a = DeltaReport("11a1", 7, 1, 300, 1, (), {})
+        b = DeltaReport("11a1", 7, 1, 300, 1, (), {})
+        a.provenance["notes"] = ["only a"]
+        assert b.provenance == {} and a.provenance is not b.provenance
+        assert (b.delta_minimal, b.selmer_dim, b.parity) == ((), None, "skipped")
+
+    def test_replace_leaves_the_original(self, report37):
+        copy_ = replace(report37, parity="mismatch")
+        assert copy_.parity == "mismatch" and report37.parity != "mismatch"
+        assert copy_.table is report37.table  # fields are passed on, not copied
+        assert copy_ != report37 and replace(report37) == report37
+
     def test_json_fields(self, report37):
         obj = report37.to_json()
         for key in (
@@ -217,13 +231,11 @@ class TestSmallPrime:
         # mod 3 the split-eigenvalue-ratio test can never fire ((Z/3)^* = {1,-1}),
         # so the verdict stays unknown without an assertion; with the assertion
         # the rank-0 run goes through with delta_1 = 1/5 = 2 mod 3
-        import dataclasses
-
         from kurihara.curve import check_hypotheses
         from kurihara.modsym import build_space, extract_eigensymbol
 
         assert check_hypotheses(e11, 3).surjectivity == "unknown"
-        E = dataclasses.replace(e11, mod_p_surjective=(3, 7))
+        E = replace(e11, mod_p_surjective=(3, 7))
         assert check_hypotheses(E, 3).passed
         sym = extract_eigensymbol(build_space(11), E)
         rep = selmer_report(find_delta_minimal(sym, 3, prime_bound=200, nu_max=1))
@@ -318,7 +330,7 @@ class TestOneWalk:
             el = proj.element
             coeffs = dict(el.items())
             coeffs[(1,)] = (coeffs.get((1,), 0) + 1) % el.ring.modulus
-            return dataclasses.replace(
+            return replace(
                 proj, element=GroupRingElement(el.group, el.ring, coeffs)
             )
 

@@ -68,3 +68,40 @@ def test_grammar_of_python_3_10():
         with open(path) as fh:
             ast.parse(fh.read(), path, feature_version=(3, 10))
     assert len(paths) > 20
+
+
+# the modules a run of the package imports; `cli` adds argparse and json only
+PACKAGE_MODULES = (
+    "curve", "exactmath", "kolyvagin", "lseries", "mazurtate", "modsym", "search", "verifiers",
+)
+
+
+def test_import_path_without_dataclasses(run_python):
+    # records.py stands in for dataclasses, whose import loads inspect, ast,
+    # dis, tokenize and copy, and whose classes exec generated source
+    script = (
+        "import sys\n"
+        + "".join(f"import kurihara.{name}\n" for name in PACKAGE_MODULES)
+        + "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n"
+    )
+    proc = run_python(script, "-S")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_no_exec_eval_or_dataclasses():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        where = os.path.basename(path)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval")):
+                found.append(f"{where}:{node.lineno} {node.func.id}")
+            elif isinstance(node, ast.Import):
+                found += [f"{where}:{node.lineno} import" for a in node.names
+                          if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(f"{where}:{node.lineno} import")
+    assert found == []

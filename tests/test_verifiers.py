@@ -8,6 +8,7 @@ from kurihara.errors import CorrectnessAlarm, IdentityFailure
 from kurihara.modsym import EigenSymbol
 from kurihara.verifiers import (
     FULL81,
+    SuiteResult,
     span_two_covering_witness,
     run_identity_suite,
     verify_coset_lemma,
@@ -330,6 +331,12 @@ class TestCosetLemma:
 
 
 class TestIdentitySuite:
+    def test_fresh_failures_each(self):
+        a, b = SuiteResult("x", 0), SuiteResult("x", 0)
+        a.failures.append((1, 2))
+        assert b.failures == [] and b.ok and not a.ok
+        assert repr(b) == "SuiteResult(identity='x', instances=0, failures=[])"
+
     def test_small_grid_passes(self, sym11):
         rep = run_identity_suite(
             sym11, 7, d_ell_max=30, n_max=1, m_max=1, remark_d_max=20,
@@ -362,6 +369,26 @@ class TestIdentitySuite:
                 route_prime_bound=300, covariance_samples=0,
             )
 
+    def test_each_stabilized_element_once(self, sym11, monkeypatch):
+        # the norm, Euler, bridge and projective identities and every xi_tilde
+        # read one memo of vartheta per run
+        from kurihara import mazurtate
+
+        calls, vartheta = [], mazurtate.vartheta
+
+        def counting(symbol, d, n, p, m):
+            calls.append((d, n, p, m))
+            return vartheta(symbol, d, n, p, m)
+
+        monkeypatch.setattr(verifiers, "vartheta", counting)
+        monkeypatch.setattr(mazurtate, "vartheta", counting)
+        rep = run_identity_suite(
+            sym11, 7, d_ell_max=30, n_max=1, m_max=2, remark_d_max=20,
+            route_prime_bound=1, covariance_samples=0,
+        )
+        assert rep.results["xi_norm_relation"].instances > 0
+        assert len(calls) == len(set(calls)) == 66
+
     def test_route_rows_go_through_delta_row(self, sym11, monkeypatch):
         # the route block and the covariance block check all three routes by
         # the search's row function; the covariance block walks each sampled
@@ -393,14 +420,13 @@ class TestIdentitySuite:
         assert rows == walks[:products] + [d for d in walks[products:] for _ in range(2)]
 
     def test_route_disagreement_alarms(self, sym11, monkeypatch):
-        import dataclasses
-
         from kurihara import search
+        from kurihara.records import replace
 
         original = search.derivative_data
 
         def corrupted(projection):
-            return dataclasses.replace(original(projection), is_norm_multiple=False)
+            return replace(original(projection), is_norm_multiple=False)
 
         monkeypatch.setattr(search, "derivative_data", corrupted)
         with pytest.raises(CorrectnessAlarm, match="route disagreement at d=1"):
