@@ -38,6 +38,7 @@ from .records import record
 # costs meet near 200-300 (measured table in the module docstring).
 NAIVE_COUNT_LIMIT = 300
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
+SURJECTIVITY_SCAN = 1000  # Frobenius samples at the good primes below this
 
 
 @record(frozen=True)
@@ -129,15 +130,6 @@ def load_curve(path):
 
 # ---------------------------------------------------------------------------
 # arithmetic of points over F_l (general Weierstrass model; None = infinity)
-
-
-def on_curve(E, l, P):
-    if P is None:
-        return True
-    x, y = P
-    lhs = (y * y + E.a1 * x * y + E.a3 * y) % l
-    rhs = (x**3 + E.a2 * x * x + E.a4 * x + E.a6) % l
-    return lhs == rhs
 
 
 def ec_neg(E, l, P):
@@ -394,7 +386,7 @@ class HypothesisReport:
         }
 
 
-def _surjectivity_heuristic(E, p, scan_bound=1000):
+def _surjectivity_heuristic(E, p):
     """Sufficient criterion for mod-p surjectivity from Frobenius samples.
 
     Looks for (i) an irreducible characteristic polynomial x^2 - a_l x + l
@@ -406,7 +398,7 @@ def _surjectivity_heuristic(E, p, scan_bound=1000):
     seen_irreducible = False
     seen_split_generic = False
     det_subgroup = {1 % p}
-    for l in primes_upto(scan_bound):
+    for l in primes_upto(SURJECTIVITY_SCAN):
         if l == p or E.discriminant % l == 0:
             continue
         a = trace_of_frobenius(E, l)
@@ -435,7 +427,7 @@ def _surjectivity_heuristic(E, p, scan_bound=1000):
     return False
 
 
-def check_hypotheses(E, p, scan_bound=1000):
+def check_hypotheses(E, p):
     """Report on hypotheses (a)-(c) for the pair (E, p)."""
     if p < 3:
         raise BadPrime("p must be an odd prime >= 3")
@@ -449,7 +441,7 @@ def check_hypotheses(E, p, scan_bound=1000):
     tamagawa_ok = E.tamagawa_product % p != 0
     if p in E.mod_p_surjective:
         verdict = "asserted"
-    elif _surjectivity_heuristic(E, p, scan_bound):
+    elif _surjectivity_heuristic(E, p):
         verdict = "heuristically-confirmed"
     else:
         verdict = "unknown"

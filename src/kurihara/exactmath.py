@@ -4,8 +4,7 @@ Coefficient rings (arbitrary-precision rationals and Z/p^m), finite abelian
 groups presented as products of cyclic groups, unit groups (Z/n)^* with their
 CRT presentation, group rings, and exact linear algebra: one sparse exact
 echelon over Q, on primitive integer rows, serves the Manin quotient, the
-kernels and the eigenlines; group-ring inverses solve over their own
-coefficient ring.
+kernels and the eigenlines.
 Group elements are numbered in mixed-radix order (the last coordinate
 fastest).  A group-ring element is stored flat, one coefficient per group
 element in that order, and a homomorphism is an index array (the codomain
@@ -122,9 +121,6 @@ class RationalField:
 
     coerce_all = reduce_all  # every int and Fraction is already exact here
 
-    def add(self, a, b):
-        return a + b
-
     def mul(self, a, b):
         return a * b
 
@@ -201,9 +197,6 @@ class ResidueRing:
         """Tuple of the ints `values` reduced into [0, p^m)."""
         modulus = self.modulus
         return tuple([x % modulus for x in values])
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
 
     def mul(self, a, b):
         return (a * b) % self.modulus
@@ -396,26 +389,6 @@ class UnitGroup(AbelianGroup):
             out = [a * q % self.n for a in out for q in powers]
         return out
 
-    def p_part_quotient(self, p):
-        """Quotient by the prime-to-p subgroup, as (AbelianGroup, GroupHom).
-
-        Each cyclic factor Z/n maps onto Z/p^{v_p(n)} by reducing the exponent;
-        factors with no p-part disappear.
-        """
-        orders = []
-        slots = []  # position of each factor in the quotient, None if dropped
-        for n in self.orders:
-            pk = 1
-            while n % (pk * p) == 0:
-                pk *= p
-            slots.append(len(orders) if pk > 1 else None)
-            if pk > 1:
-                orders.append(pk)
-        quotient = AbelianGroup(tuple(orders))
-        basis = quotient.basis()
-        images = [quotient.identity if i is None else basis[i] for i in slots]
-        return quotient, GroupHom(self, quotient, images)
-
     def __eq__(self, other):
         return isinstance(other, UnitGroup) and other.n == self.n
 
@@ -463,9 +436,6 @@ class GroupHom:
 
     def __call__(self, g):
         return self.codomain.elements()[self.image[self.domain.index(g)]]
-
-    def kernel_size(self):
-        return self.domain.order // self.codomain.order
 
 
 UNIT_GROUP_CACHE = 1 << 10  # levels n whose (Z/n)^* is kept
@@ -629,37 +599,6 @@ class GroupRingElement:
                 coeffs.append([list(g), int(c)])
         return {"group": list(self.group.orders), "coeffs": coeffs}
 
-    @classmethod
-    def from_json(cls, obj, ring, group=None):
-        if group is None:
-            group = AbelianGroup(tuple(obj["group"]))
-        coeffs = {}
-        for key, val in obj["coeffs"]:
-            if isinstance(val, str):
-                num, den = val.split("/")
-                val = Fraction(int(num), int(den))
-            coeffs[tuple(key)] = val
-        return cls(group, ring, coeffs)
-
-    def invert(self):
-        """Inverse in R[G] via a linear solve; raises NotAUnit if singular.
-
-        Cheap only for small groups; the callers keep |G| modest.
-        """
-        group, ring = self.group, self.ring
-        n = group.order
-        # multiplication-by-self matrix acting on coordinate vectors
-        rows = [[ring.zero] * n for _ in range(n)]
-        for h, c in self.items():
-            for j, k in enumerate(group._shifted(h)):
-                rows[k][j] = c
-        rhs = [ring.zero] * n
-        rhs[group.index(group.identity)] = ring.one
-        sol = solve_residue(rows, rhs, ring)
-        if sol is None:
-            raise NotAUnit("group-ring element is not invertible")
-        return self._of(group, ring, tuple(sol))
-
 
 def norm_map(x, hom):
     """Lift x in R[H] along the surjection hom: G -> H by summing each fiber.
@@ -780,61 +719,3 @@ def echelon_kernel(red, ncols):
                 v[c] = -x
         basis.append(primitive_vector(v))
     return basis
-
-
-def residue_echelon(rows, ring):
-    """Gaussian elimination over Z/p^m pivoting only on units.
-
-    Returns (matrix, pivot_columns, nonunit_columns): columns where no unit
-    pivot was available are reported rather than silently divided by.
-    """
-    mat = [[ring.coerce(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    nonunit = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if ring.is_unit(mat[i][c]):
-                pr = i
-                break
-        if pr is None:
-            if any(mat[i][c] for i in range(r, nrows)):
-                nonunit.append(c)
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = ring.inv(mat[r][c])
-        mat[r] = [ring.mul(x, inv) for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [ring.add(x, ring.neg(ring.mul(f, y))) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots, nonunit
-
-
-def solve_residue(rows, rhs, ring):
-    """Solve A x = b over Z/p^m; None when elimination meets a non-unit pivot."""
-    n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    mat, pivots, nonunit = residue_echelon(aug, ring)
-    if nonunit and any(c < ncols for c in nonunit):
-        return None
-    if ncols in pivots:
-        return None
-    sol = [ring.zero] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = mat[r][ncols]
-    for i in range(n):
-        acc = ring.zero
-        for j in range(ncols):
-            acc = ring.add(acc, ring.mul(ring.coerce(rows[i][j]), sol[j]))
-        if acc != ring.coerce(rhs[i]):
-            return None
-    return sol

@@ -27,7 +27,7 @@ from .exactmath import (
     primitive_root,
 )
 from .modsym import eval_plus
-from .records import field, record
+from .records import record
 
 DLOG_TABLE_LIMIT = 1 << 16  # full table below, baby-step/giant-step above
 
@@ -45,7 +45,7 @@ class KolyvaginPrime:
     m: int
     n: int
     generator: int
-    _table: dict = field(default=None, init=False, compare=False, repr=False)
+    _table = None
 
     @property
     def p_part_order(self):
@@ -150,7 +150,8 @@ class KuriharaNumber:
 
     @property
     def nonzero(self):
-        return self.value % self.p**self.m != 0
+        """delta_d != 0 mod p, as the derivative route reads it at every m."""
+        return self.value % self.p != 0
 
 
 @record

@@ -12,6 +12,8 @@ from fractions import Fraction
 from .curve import bad_prime_aq, primes_upto, trace_of_frobenius
 from .errors import CorrectnessAlarm
 
+LRATIO_MAX_DEN = 10**4  # largest denominator L(E,1)/Omega+ is reconstructed with
+
 
 def an_list(E, nmax):
     """Fourier coefficients a_1..a_nmax from multiplicativity."""
@@ -132,7 +134,7 @@ def real_period(E):
     return math.pi / a.real
 
 
-def rational_reconstruct(x, max_den=10**6, tol=1e-8):
+def rational_reconstruct(x, max_den, tol=1e-8):
     """Nearest rational with small denominator, or None when ambiguous."""
     if not math.isfinite(x):
         return None
@@ -142,7 +144,7 @@ def rational_reconstruct(x, max_den=10**6, tol=1e-8):
     return None
 
 
-def lratio(E, max_den=10**4):
+def lratio(E):
     """(float L(E,1)/Omega+, reconstructed Fraction or None).
 
     A reconstructed 0 means the L-value vanishes to working precision (odd
@@ -151,5 +153,5 @@ def lratio(E, max_den=10**4):
     L, _ = lvalue_and_sign(E)
     omega = real_period(E)
     ratio = L / omega
-    rec = rational_reconstruct(ratio, max_den=max_den, tol=1e-6)
+    rec = rational_reconstruct(ratio, LRATIO_MAX_DEN, tol=1e-6)
     return ratio, rec

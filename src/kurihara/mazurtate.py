@@ -117,7 +117,10 @@ def theta(symbol, d, n=0, p=None):
     if n > 0 and p is None:
         raise ValueError("n > 0 requires p")
     key = (d, n, p)
-    cached = symbol._theta_cache.get(key)
+    cache = symbol._theta_cache
+    if cache is None:
+        cache = symbol._theta_cache = {}
+    cached = cache.get(key)
     if cached is not None:
         return cached
     _check_level(E, d, p)
@@ -133,7 +136,6 @@ def theta(symbol, d, n=0, p=None):
         values.append(value)
     elem = GroupRingElement.from_values(group, QQ, values)
     out = ThetaElement(d, n, p if p is not None else 0, elem, str(E))
-    cache = symbol._theta_cache
     cache[key] = out
     while len(cache) > THETA_CACHE:
         del cache[next(iter(cache))]

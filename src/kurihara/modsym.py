@@ -27,7 +27,7 @@ from .errors import (
     NotCoprime,
 )
 from .exactmath import echelon_kernel, factorize, sparse_echelon, xgcd
-from .records import field, record
+from .records import record
 
 QMAX = 100  # the eigenline chains draw the good primes q <= QMAX
 HOLDOUT_COUNT = 3  # further good primes checked on the extracted eigenvectors
@@ -398,8 +398,8 @@ class EigenSymbol:
     chain_dims: tuple
     calibration_status: str
     calibration_unit: Fraction
-    _wfree: list = field(default=None, repr=False)
-    _theta_cache: dict = field(default_factory=dict, repr=False)  # theta per (d, n, p)
+    _wfree = None  # (generator numerators, denominator), filled on first use
+    _theta_cache = None  # theta per (d, n, p), made by mazurtate.theta
 
     def generator_values(self):
         """Functional evaluated on each Manin generator (pulled back once).
@@ -424,18 +424,6 @@ class EigenSymbol:
             self._wfree = (nums, space.proj_den)
         return self._wfree
 
-    def raw_value(self, a, d):
-        """Uncalibrated pairing of the functional with {oo -> a/d}.
-
-        Returned as (numerator, denominator) ints, the numerators of
-        `generator_values()` summed over the pieces of the path.
-        """
-        nums, den = self.generator_values()
-        total = 0
-        for i in self.space.path_symbols(a, d):
-            total += nums[i]
-        return total, den
-
     def to_json(self):
         return {
             "N": self.space.N,
@@ -454,13 +442,18 @@ def eval_plus(symbol, a, d):
     """[a/d]+ = Re([a/d])/Omega+ as an exact rational, up to the calibration unit.
 
     The path {oo -> a/d} is decomposed into unimodular pieces through the
-    continued-fraction convergents of a/d; the result depends only on a mod d.
+    continued-fraction convergents of a/d, and the numerators of
+    `generator_values()` are summed over the pieces; the result depends only
+    on a mod d.
     """
     if d <= 0:
         raise NotCoprime("denominator must be positive")
     if gcd(a, d) != 1:
         raise NotCoprime(f"gcd({a}, {d}) != 1")
-    total, den = symbol.raw_value(a, d)
+    nums, den = symbol.generator_values()
+    total = 0
+    for i in symbol.space.path_symbols(a, d):
+        total += nums[i]
     unit = symbol.calibration_unit
     return Fraction(total * unit.numerator, den * unit.denominator)
 
@@ -556,7 +549,7 @@ def extract_eigensymbol(space, E, calibrate=True):
                 space, E, vector, column, pairs, tuple(holdout), tuple(chain_dims),
                 "uncalibrated", Fraction(1),
             )
-            raw0 = Fraction(*sym0.raw_value(0, 1))
+            raw0 = eval_plus(sym0, 0, 1)
             if raw0 == 0:
                 raise CalibrationError(
                     "L(E,1) != 0 numerically but the symbol vanishes at {oo -> 0}"

@@ -2,12 +2,14 @@
 
 `record` gives a class of annotated fields what `@dataclass` would give it: a
 constructor taking the fields in order with their defaults (a
-`default_factory` called on each construction), equality over the compared
-fields, a repr of the shown fields, and with `frozen=True` a hash and no
-assignment; a non-frozen record is unhashable.  `replace` copies a record
-with some fields changed.  Every method is a closure over the class's field
-table, compiled with this module: no source is generated or exec'd, and the
-module imports only `operator`.
+`default_factory` called on each construction), equality over the fields, a
+repr of the fields, and with `frozen=True` a hash and no assignment; a
+non-frozen record is unhashable.  `replace` copies a record with some fields
+changed.  A cache a record fills in is an unannotated class attribute (say
+`_table = None`), not a field, so it takes no part in construction, equality
+or repr.  Every method is a closure over the class's field table, compiled
+with this module: no source is generated or exec'd, and the module imports
+only `operator`.
 
 `dataclasses` is not used because of what it costs at start-up: importing it
 loads inspect, ast, dis, tokenize and copy, and each class it builds execs
@@ -24,17 +26,12 @@ _set = object.__setattr__
 
 
 class field:
-    """A field's default and flags, as `dataclasses.field` takes them."""
+    """A default made anew for each record, as `dataclasses.field(default_factory=...)`."""
 
-    __slots__ = ("default", "default_factory", "init", "repr", "compare")
+    __slots__ = ("default_factory",)
 
-    def __init__(self, *, default=_MISSING, default_factory=None, init=True,
-                 repr=True, compare=True):
-        self.default = default
+    def __init__(self, *, default_factory):
         self.default_factory = default_factory
-        self.init = init
-        self.repr = repr
-        self.compare = compare
 
 
 def _getter(names):
@@ -48,67 +45,57 @@ def record(cls=None, *, frozen=False):
     """Class decorator: constructor, ==, repr (and hash if frozen) from the fields."""
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
-    specs = []
+    defaults = {}  # name -> plain default, or the field making one
     for name in cls.__dict__.get("__annotations__", {}):
         spec = cls.__dict__.get(name, _MISSING)
         if isinstance(spec, field):
-            # the class keeps a plain default as its attribute, and no other
-            if spec.default is _MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, spec.default)
-        else:
-            spec = field(default=spec)
-        specs.append((name, spec))
-    names = tuple(name for name, _ in specs)
-    init_names = tuple(name for name, spec in specs if spec.init)
-    every = len(names) if init_names == names else -1  # arity of the fast path
-    compared = _getter([name for name, spec in specs if spec.compare])
-    shown = [name for name, spec in specs if spec.repr]
-    shown_values = _getter(shown)
+            delattr(cls, name)  # the class keeps a plain default, and no other
+        defaults[name] = spec
+    names = tuple(defaults)
+    values = _getter(names)
     qualname = cls.__qualname__
 
     def complete(args, kwargs):
         """Every field's value, in order, from the arguments and the defaults."""
-        if len(args) > len(init_names):
+        if len(args) > len(names):
             raise TypeError(
-                f"{qualname}() takes {len(init_names)} positional arguments"
+                f"{qualname}() takes {len(names)} positional arguments"
                 f" but {len(args)} were given"
             )
-        values = dict(zip(init_names, args))
+        given = dict(zip(names, args))
         for name, value in kwargs.items():
-            if name not in init_names or name in values:
+            if name not in defaults or name in given:
                 raise TypeError(f"{qualname}() got an unexpected or repeated argument {name!r}")
-            values[name] = value
+            given[name] = value
         out = []
-        for name, spec in specs:
-            if name in values:
-                out.append(values[name])
-            elif spec.default is not _MISSING:
-                out.append(spec.default)
-            elif spec.default_factory is not None:
+        for name, spec in defaults.items():
+            if name in given:
+                out.append(given[name])
+            elif isinstance(spec, field):
                 out.append(spec.default_factory())
+            elif spec is not _MISSING:
+                out.append(spec)
             else:
                 raise TypeError(f"{qualname}() missing required argument {name!r}")
         return out
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != every:
+        if kwargs or len(args) != len(names):
             args = complete(args, kwargs)
         for name, value in zip(names, args):
             _set(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return compared(self) == compared(other)
+            return values(self) == values(other)
         return NotImplemented
 
     def __repr__(self):
-        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(shown, shown_values(self)))
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
         return f"{self.__class__.__qualname__}({pairs})"
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    cls.__record_init__ = init_names
+    cls.__record_fields__ = names
     if not frozen:
         cls.__hash__ = None
         return cls
@@ -119,7 +106,7 @@ def record(cls=None, *, frozen=False):
         try:
             return self._record_hash
         except AttributeError:
-            h = hash(compared(self))
+            h = hash(values(self))
             _set(self, "_record_hash", h)
             return h
 
@@ -136,10 +123,10 @@ def record(cls=None, *, frozen=False):
 def replace(obj, **changes):
     """A new record like `obj` with `changes`, as `dataclasses.replace` makes it.
 
-    Unchanged fields are passed on as they are (not copied); fields outside
-    the constructor take their defaults again.
+    Unchanged fields are passed on as they are (not copied); the caches a
+    record keeps as class attributes start empty again.
     """
-    for name in obj.__record_init__:
+    for name in obj.__record_fields__:
         if name not in changes:
             changes[name] = getattr(obj, name)
     return obj.__class__(**changes)

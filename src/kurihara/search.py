@@ -309,14 +309,16 @@ def find_delta_minimal(
 def _conclude(report):
     """Derive every conclusion of `report` from its table, p, m and root number.
 
-    A d is delta-minimal when delta_d != 0 in Z/p^m and delta_e = 0 at every
-    proper divisor e, looked up from the row's factors; a missing divisor row
-    is an alarm.  Sets delta_minimal, selmer_dim (the common nu of the
-    minimal d), upper_bound (the least nu of a nonvanishing d), imc_witness
-    and parity.  Minimal witnesses of distinct nu, and a parity verdict of
-    "fail", raise CorrectnessAlarm.
+    A d is delta-minimal when delta_d != 0 mod p and delta_e = 0 mod p at
+    every proper divisor e, looked up from the row's factors; a missing
+    divisor row is an alarm.  The dimension statement is about delta_d mod p,
+    so at m >= 2 a row with delta_d = p*u counts as vanishing.  Sets
+    delta_minimal, selmer_dim (the common nu of the minimal d), upper_bound
+    (the least nu of a d nonvanishing mod p), imc_witness (some delta_d != 0
+    in Z/p^m) and parity.  Minimal witnesses of distinct nu, and a parity
+    verdict of "fail", raise CorrectnessAlarm.
     """
-    pk = report.p**report.m
+    p, pk = report.p, report.p**report.m
     table = report.table
 
     def is_minimal(d):
@@ -325,9 +327,9 @@ def _conclude(report):
         missing = [e for e in divisors if e not in table]
         if missing:
             raise CorrectnessAlarm(f"no row for {missing}, proper divisors of {d}")
-        return all(table[e].delta % pk == 0 for e in divisors)
+        return all(table[e].delta % p == 0 for e in divisors)
 
-    nonzero = [d for d, row in table.items() if row.delta % pk != 0]
+    nonzero = [d for d, row in table.items() if row.delta % p != 0]
     minimal = tuple(sorted(d for d in nonzero if is_minimal(d)))
     nus = {len(table[d].factors) for d in minimal}
     if len(nus) > 1:
@@ -335,7 +337,7 @@ def _conclude(report):
     report.delta_minimal = minimal
     report.selmer_dim = nus.pop() if nus else None
     report.upper_bound = min((len(table[d].factors) for d in nonzero), default=None)
-    report.imc_witness = bool(nonzero)
+    report.imc_witness = any(row.delta % pk for row in table.values())
     w_E = report.root_number
     report.parity = (
         "skipped" if w_E is None or not minimal

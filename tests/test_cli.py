@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -212,6 +213,27 @@ class TestCaching:
         assert main(args) == 0
         assert capsys.readouterr().out == cold
         assert entry.read_text() == written
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_theta_hit_prints_the_miss_bytes(self, tmp_path, capsys, monkeypatch, fmt):
+        # the cache stores the element with sorted keys; a hit still prints
+        # the miss's bytes ("group" before "coeffs" in the text format)
+        import kurihara.cli as cli
+
+        cache_dir = str(tmp_path / "cache")
+        args = ["theta", "--curve", curve_path("11a1"), "--kind", "xi", "--d=17", "--n=2",
+                "--p=7", "--m=2", "--cache-dir", cache_dir, "--format", fmt]
+        assert main(args) == 0
+        miss = capsys.readouterr().out
+        if fmt == "text":
+            assert hashlib.sha256(miss.encode()).hexdigest().startswith("d93e1a9d")
+
+        def recomputed(*args):
+            raise AssertionError("the second run must be a cache hit")
+
+        monkeypatch.setattr(cli, "xi_tilde", recomputed)
+        assert main(args) == 0
+        assert capsys.readouterr().out == miss
 
     def test_no_cache_module_without_a_cache(self, run_python):
         # without --cache-dir or KURIHARA_CACHE_DIR no key is computed, and the

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -11,7 +10,6 @@ from kurihara.errors import (
     NotAHomomorphism,
     NotAQuotient,
     NotASurjection,
-    NotAUnit,
 )
 from kurihara.exactmath import (
     QQ,
@@ -57,7 +55,7 @@ def _nonzero(ring, coeffs):
 def ref_add(ring, x, y):
     out = dict(x)
     for g, c in y.items():
-        out[g] = ring.add(out.get(g, ring.zero), c)
+        out[g] = ring.coerce(out.get(g, ring.zero) + c)
     return _nonzero(ring, out)
 
 
@@ -70,7 +68,7 @@ def ref_mul(group, ring, x, y):
     for g, c in x.items():
         for h, d in y.items():
             k = group.mul(g, h)
-            out[k] = ring.add(out.get(k, ring.zero), ring.mul(c, d))
+            out[k] = ring.coerce(out.get(k, ring.zero) + ring.mul(c, d))
     return _nonzero(ring, out)
 
 
@@ -98,7 +96,7 @@ def ref_projection_map(ring, mapping, x):
     out = {}
     for g, c in x.items():
         h = mapping[g]
-        out[h] = ring.add(out.get(h, ring.zero), c)
+        out[h] = ring.coerce(out.get(h, ring.zero) + c)
     return _nonzero(ring, out)
 
 
@@ -117,6 +115,53 @@ def ref_hom(domain, codomain, images):
                 h = codomain.mul(h, image)
         out[t] = h
     return out
+
+
+def dense_inverse(x):
+    """x^-1 in Z/p^m[G], or None when x is no unit.
+
+    Gauss-Jordan on the matrix of multiplication by x (column j is x times
+    the j-th group element), pivoting only on units: a square matrix over the
+    local ring Z/p^m is invertible exactly when it is so mod p.  A dense solve
+    in |G| unknowns, independent of the augmentation criterion it checks.
+    """
+    group, ring = x.group, x.ring
+    n, mod = group.order, ring.modulus
+    rows = [[0] * (n + 1) for _ in range(n)]
+    for j, g in enumerate(group.elements()):
+        for h, c in x.translate(g).items():
+            rows[group.index(h)][j] = c
+    rows[group.index(group.identity)][n] = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] % ring.p), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, mod)
+        rows[c] = [v * inv % mod for v in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [(v - f * w) % mod for v, w in zip(rows[i], rows[c])]
+    return GroupRingElement.from_values(group, ring, [row[n] for row in rows])
+
+
+def p_part_quotient(G, p):
+    """G onto its quotient by the prime-to-p part, as (AbelianGroup, GroupHom).
+
+    Each cyclic factor Z/n maps onto Z/p^{v_p(n)} by reducing the exponent;
+    factors with no p-part disappear.
+    """
+    pks = []
+    for n in G.orders:
+        pk = 1
+        while n % (pk * p) == 0:
+            pk *= p
+        pks.append(pk)
+    quotient = AbelianGroup(tuple(pk for pk in pks if pk > 1))
+    basis = iter(quotient.basis())
+    images = [next(basis) if pk > 1 else quotient.identity for pk in pks]
+    return quotient, GroupHom(G, quotient, images)
 
 
 class TestGroupRing:
@@ -159,25 +204,34 @@ class TestGroupRing:
         with pytest.raises(MismatchedGroup):
             x * y
 
-    def test_serialization_round_trip(self):
-        G = UnitGroup(15)
-        R = ResidueRing(7, 2)
-        rng = random.Random(4)
-        x = random_element(G, R, rng)
-        obj = x.to_json()
-        back = GroupRingElement.from_json(obj, R, G)
-        assert back == x
-        assert back.to_json() == obj  # bit-exact for cache round-trips
-
     def test_invert_unit(self):
         G = AbelianGroup((3,))
         R = ResidueRing(5, 2)
         # 1 - 5*s is a unit (augmentation 1 - 5 = -4 is a unit, p-group ring)
         x = GroupRingElement(G, R, {(0,): 1, (1,): 20})
-        inv = x.invert()
+        inv = dense_inverse(x)
         assert x * inv == GroupRingElement.one(G, R)
-        with pytest.raises(NotAUnit):
-            GroupRingElement(G, R, {(0,): 5}).invert()
+        assert dense_inverse(GroupRingElement(G, R, {(0,): 5})) is None
+
+    @pytest.mark.parametrize("p, m, orders", [(5, 1, (5,)), (5, 2, (5, 5)), (7, 2, (7,)),
+                                              (5, 1, (25,)), (3, 2, (3, 9))])
+    def test_unit_exactly_when_augmentation_is(self, p, m, orders):
+        # Z/p^m[P] is local for a p-group P: the augmentation criterion the
+        # identity suite uses agrees with the dense solve
+        G, R = AbelianGroup(orders), ResidueRing(p, m)
+        one = GroupRingElement.one(G, R)
+        rng = random.Random(p * 100 + G.order)
+        units = 0
+        for _ in range(30):
+            x = random_element(G, R, rng)
+            # and an element of augmentation 0, never a unit
+            for y in (x, x - one.scale(x.augmentation())):
+                inv = dense_inverse(y)
+                assert (inv is not None) == R.is_unit(y.augmentation())
+                if inv is not None:
+                    assert y * inv == one
+                    units += 1
+        assert units > 0
 
 
 class TestNormProjection:
@@ -186,7 +240,7 @@ class TestNormProjection:
         hom = unit_reduction(big, small)
         x = GroupRingElement.one(small, QQ)
         lifted = norm_map(x, hom)
-        assert len(list(lifted.items())) == hom.kernel_size() == 4
+        assert len(list(lifted.items())) == big.order // small.order == 4
         assert lifted.augmentation() == 4
 
     def test_projection_after_norm_is_index(self):
@@ -194,7 +248,7 @@ class TestNormProjection:
         for nbig, nsmall in [(35, 7), (45, 9), (21, 3)]:
             big, small = unit_group(nbig), unit_group(nsmall)
             hom = unit_reduction(big, small)
-            k = hom.kernel_size()
+            k = big.order // small.order
             for _ in range(100):
                 x = random_element(small, QQ, rng)
                 assert projection_map(norm_map(x, hom), hom) == x.scale(k)
@@ -262,7 +316,7 @@ class TestHomomorphisms:
                                       (2**6 * 3**4, 2), (2**6 * 3**4, 3), (13, 7)])
     def test_p_part_quotient_is_coordinate_reduction(self, n, p):
         G = unit_group(n)
-        Q, hom = G.p_part_quotient(p)
+        Q, hom = p_part_quotient(G, p)
         kept = []
         for i, order in enumerate(G.orders):
             pk = 1
@@ -344,14 +398,10 @@ class TestFlatAgainstDict:
     def test_json_round_trip(self, G, ring):
         rng = random.Random(G.order + 3)
         x = random_element(G, ring, rng, 0.6)
-        text = json.dumps(x.to_json())
         # the parent format: sorted keys, zeros left out
         expected = [[list(g), f"{c.numerator}/{c.denominator}" if ring == QQ else c]
                     for g, c in sorted(as_dict(x).items())]
         assert x.to_json() == {"group": list(G.orders), "coeffs": expected}
-        back = GroupRingElement.from_json(json.loads(text), ring, G)
-        assert back == x
-        assert json.dumps(back.to_json()) == text
 
 
 @pytest.mark.parametrize("G", FLAT_GROUPS[:2], ids=repr)
@@ -362,7 +412,7 @@ def test_flat_invert(G):
     one = GroupRingElement.one(G, ring)
     for _ in range(3):
         x = one + random_element(G, ring, rng).scale(7)
-        assert x * x.invert() == one
+        assert x * dense_inverse(x) == one
 
 
 class TestConstructorCoerces:
@@ -446,7 +496,7 @@ class TestUnitGroup:
 
     def test_p_part_quotient(self):
         G = unit_group(11 * 31)  # orders 10 and 30; 5-parts 5 and 5
-        Q, hom = G.p_part_quotient(5)
+        Q, hom = p_part_quotient(G, 5)
         assert Q.orders == (5, 5)
         seen = {hom(g) for g in G.elements()}
         assert len(seen) == 25

@@ -118,6 +118,8 @@ class TestDlog:
         assert repr(built) == repr(fresh) == before
         with pytest.raises(TypeError):
             KolyvaginPrime(61, 5, 1, 0, 2, {})  # the table is no argument
+        with pytest.raises(TypeError):
+            KolyvaginPrime(61, 5, 1, 0, 2, _table={})
 
     def test_not_a_unit(self, reg37):
         kp = next(iter(reg37.values()))

@@ -340,6 +340,19 @@ class TestEigensymbol:
         assert text.endswith(f"calibration_unit={sym11.calibration_unit!r})")
         assert "_wfree" not in text and "_theta_cache" not in text
 
+    def test_caches_take_no_part_in_equality(self, e11):
+        # the generator values and the theta cache are filled on first use;
+        # a copy made before, or after, compares equal and starts empty
+        sym = extract_eigensymbol(build_space(11), e11)
+        cold = replace(sym)
+        sym.generator_values()
+        theta(sym, 17, 1, 7)
+        assert cold._wfree is None and cold._theta_cache is None
+        assert cold == sym
+        warm = replace(sym)
+        assert warm == sym
+        assert warm._wfree is None and warm._theta_cache is None
+
     def test_389a1_frozen(self):
         # SHA-256 of the eigensymbol from the dense Bareiss chains
         E = load_curve(os.path.join(os.path.dirname(__file__), "..", "curves", "389a1.json"))
@@ -527,7 +540,7 @@ class TestHalfWalk:
     @pytest.mark.parametrize("n", [1, 2])
     def test_mirrored_theta_equals_full_theta(self, sym11, n):
         level = 17 * 7**n
-        fresh = replace(sym11, _theta_cache={})
+        fresh = replace(sym11)
         group = unit_group(level)
         full = [eval_plus(sym11, a, level) for a in group.residues()]
         assert theta(fresh, 17, n, 7).element == GroupRingElement.from_values(group, QQ, full)
@@ -556,7 +569,7 @@ class TestHalfWalk:
             "k = next(k for k, x in enumerate(sym.vector) if x)\n"
             "space.proj_nums[i] = space.proj_nums[i] + [(k, 1)]\n"
             "try:\n"
-            "    theta_residues(replace(sym, _wfree=None), 17, 7)\n"
+            "    theta_residues(replace(sym), 17, 7)\n"
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
         )

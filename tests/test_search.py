@@ -66,15 +66,33 @@ class TestGoldenRuns:
         with pytest.raises(BadReport, match="row has no 'routes_agree'"):
             search.DeltaReport.from_json(obj)
 
-    def test_minimality_read_in_z_mod_p_m(self, report37):
-        # 5 is zero mod p but a nonzero element of Z/25
+    def test_minimality_read_mod_p(self, report37):
+        # 5 is a nonzero element of Z/25 but zero mod p: at m = 2 it no
+        # longer makes 61 delta-minimal, and a report that says so is refused
         rep = copy.deepcopy(report37)
         rep.m = 2
         rep.table[61].delta = 5
-        assert rep.verify()
-        rep.table[1].delta = 5
-        with pytest.raises(CorrectnessAlarm):
+        with pytest.raises(CorrectnessAlarm, match="delta_minimal"):
             rep.verify()
+        search._conclude(rep)
+        assert rep.delta_minimal == (281,)
+        assert rep.verify()
+
+    def test_delta_1_divisible_by_p_makes_no_dim_0_claim(self, report37):
+        # delta_1 = p at m = 2: nonzero in Z/p^m, but the dimension is read
+        # mod p, where it vanishes; it is still an IMC witness
+        rep = copy.deepcopy(report37)
+        rep.m = 2
+        for d in rep.table:
+            rep.table[d].delta = 5 if d == 1 else 0
+        search._conclude(rep)
+        assert rep.delta_minimal == ()
+        assert rep.selmer_dim is None and rep.upper_bound is None
+        assert rep.imc_witness
+        rep.table[61].delta = 7
+        search._conclude(rep)
+        assert rep.delta_minimal == (61,)
+        assert rep.selmer_dim == 1 and rep.upper_bound == 1
 
 
 class TestSearchMechanics:
@@ -308,6 +326,16 @@ class TestOneWalk:
         rep = find_delta_minimal(sym37, 5, prime_bound=300, nu_max=2)
         walked = {1: 1, 61: 30, 211: 105, 281: 140}
         assert sorted(calls) == sorted(d for d in rep.table for _ in range(walked[d]))
+
+    def test_p_times_unit_agrees_at_m_2(self, sym37, e37):
+        # theta scaled by p gives delta_d = p*u in Z/p^2: nonzero in Z/25 but
+        # zero mod p, which is what the derivative route reads
+        reg = {kp.ell: kp for kp in sieve(e37, 5, 2, 0, 2251)}
+        theta = theta_residues(sym37, 2251, 5, 2)
+        assert search.delta_row(theta, reg).delta == 3
+        scaled = replace(theta, units=[(a, 5 * v % 25) for a, v in theta.units])
+        row = search.delta_row(scaled, reg)
+        assert row.delta == 15 and row.routes_agree
 
     def test_corrupted_direct_weight_alarms(self, sym37, reg37, monkeypatch):
         theta = theta_residues(sym37, 61, 5)

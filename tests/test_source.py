@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import re
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kurihara")
 
@@ -105,3 +106,27 @@ def test_no_exec_eval_or_dataclasses():
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 found.append(f"{where}:{node.lineno} import")
     assert found == []
+
+
+def test_every_definition_used_in_the_package():
+    # a function or class that only the tests call belongs in the tests: each
+    # name defined in the package must also appear in it somewhere besides
+    # its definitions (a call, a reference, an export, or a docstring)
+    texts = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            texts.append((os.path.basename(path), fh.read()))
+    package = "\n".join(text for _, text in texts)
+    unused = []
+    for where, text in texts:
+        for node in ast.walk(ast.parse(text, where)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            mentions = len(re.findall(rf"\b{name}\b", package))
+            definitions = len(re.findall(rf"\b(?:def|class)\s+{name}\b", package))
+            if mentions <= definitions:
+                unused.append(f"{where}:{node.lineno} {name}")
+    assert unused == []
