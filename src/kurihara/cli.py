@@ -19,9 +19,9 @@ from .errors import (
     KuriharaError,
     SearchExhausted,
 )
-from .exactmath import is_prime
-from .kolyvagin import sieve, sieved_factors, theta_residues
-from .mazurtate import theta, vartheta, xi_tilde
+from .exactmath import ResidueRing, is_prime
+from .kolyvagin import sieve, sieved_factors
+from .mazurtate import plus_element, theta, vartheta, xi_tilde
 from .modsym import build_space, extract_eigensymbol, symbol_from_json
 from .records import replace
 from .verifiers import span_two_covering_witness, run_identity_suite, verify_coset_lemma
@@ -64,39 +64,44 @@ def _parser():
     p = _Parser(prog="kurihara")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def curve_opts(sp):
+    def curve_opts(sp, *read):
+        # --m, --n, --assert-surjective, --no-assume-optimal: only those read
         sp.add_argument("--curve", required=True, help="curve JSON file")
         sp.add_argument("--p", type=_ODD_PRIME, required=True)
-        sp.add_argument("--m", type=_POSITIVE, default=1)
-        sp.add_argument("--n", type=_NONNEGATIVE, default=0)
-        sp.add_argument(
-            "--assert-surjective", action="store_true",
-            help="assert mod-p surjectivity for this p (hypothesis (b))",
-        )
-        sp.add_argument(
-            "--no-assume-optimal", dest="assume_optimal", action="store_false",
-            help="do not assert Gamma0(N)-optimality; skips calibration",
-        )
+        if "m" in read:
+            sp.add_argument("--m", type=_POSITIVE, default=1)
+        if "n" in read:
+            sp.add_argument("--n", type=_NONNEGATIVE, default=0)
+        if "assert_surjective" in read:
+            sp.add_argument(
+                "--assert-surjective", action="store_true",
+                help="assert mod-p surjectivity for this p (hypothesis (b))",
+            )
+        if "assume_optimal" in read:
+            sp.add_argument(
+                "--no-assume-optimal", dest="assume_optimal", action="store_false",
+                help="do not assert Gamma0(N)-optimality; skips calibration",
+            )
 
     sp = sub.add_parser("check", parents=[common], help="hypothesis report for (E, p)")
-    curve_opts(sp)
+    curve_opts(sp, "assert_surjective")
 
     sp = sub.add_parser("sieve", parents=[common], help="list Kolyvagin primes")
-    curve_opts(sp)
+    curve_opts(sp, "m", "n", "assert_surjective")
     sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
     sp = sub.add_parser("theta", parents=[common], help="dump theta / vartheta / xi elements")
-    curve_opts(sp)
+    curve_opts(sp, "m", "n", "assume_optimal")
     sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--kind", choices=("theta", "vartheta", "xi"), default="theta")
 
     sp = sub.add_parser("delta", parents=[common], help="a single Kurihara number")
-    curve_opts(sp)
+    curve_opts(sp, "m", "n", "assert_surjective", "assume_optimal")
     sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
     sp = sub.add_parser("search", parents=[common], help="full delta-minimal search and report")
-    curve_opts(sp)
+    curve_opts(sp, "m", "assert_surjective", "assume_optimal")
     sp.add_argument("--prime-bound", type=_POSITIVE, default=10**4)
     sp.add_argument("--nu-max", type=_NONNEGATIVE, default=3)
     sp.add_argument("--exhaustive", action="store_true")
@@ -294,7 +299,7 @@ def _dispatch(args):
         if obj is None:
             sym = _load_symbol(args, E)
             if args.kind == "theta":
-                el = theta(sym, args.d, args.n, args.p).element
+                el = theta(sym, args.d, args.n, args.p)
             elif args.kind == "vartheta":
                 el = vartheta(sym, args.d, args.n, args.p, args.m)
             else:
@@ -311,7 +316,7 @@ def _dispatch(args):
         primes = sieve(E, args.p, args.m, args.n, args.bound)
         registry = {kp.ell: kp for kp in primes}
         sieved_factors(args.d, registry)  # reject a bad d before walking (Z/d)^*
-        row = delta_row(theta_residues(sym, args.d, args.p, args.m), registry)
+        row = delta_row(plus_element(sym, args.d, ResidueRing(args.p, args.m)), registry)
         # the reported value is the direct route's, checked against the other two
         obj = dict(row.to_json(), route="direct")
         _emit(args, obj, f"delta_{args.d} = {row.delta} (mod {args.p}^{args.m}),"

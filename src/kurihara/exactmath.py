@@ -379,14 +379,20 @@ class UnitGroup(AbelianGroup):
     def residues(self):
         """The residue a mod n of each element, in element order.
 
-        Products of powers of the generators' CRT residues: no sigma, and one
-        `residue` call per cyclic factor.
+        Products of powers of the generators' CRT residues, each power one
+        multiplication from the last: no sigma, and one `residue` call per
+        cyclic factor.
         """
+        n = self.n
         out = [1]
         for e, order in zip(self.basis(), self.orders):
             r = self.residue(e)
-            powers = [pow(r, i, self.n) for i in range(order)]
-            out = [a * q % self.n for a in out for q in powers]
+            x = 1
+            powers = [x]
+            for _ in range(order - 1):
+                x = x * r % n
+                powers.append(x)
+            out = [a * q % n for a in out for q in powers] if len(out) > 1 else powers
         return out
 
     def __eq__(self, other):
@@ -496,8 +502,8 @@ class GroupRingElement:
 
     @classmethod
     def from_values(cls, group, ring, values):
-        """Element with the coefficients `values`, in the order of group.elements()."""
-        coeffs = ring.coerce_all(values)
+        """Element with the coefficients `values`, already in the ring, in element order."""
+        coeffs = tuple(values)
         if len(coeffs) != group.order:
             raise ValueError(f"{len(coeffs)} coefficients for a group of order {group.order}")
         return cls._of(group, ring, coeffs)
@@ -565,6 +571,10 @@ class GroupRingElement:
 
     def coefficient(self, g):
         return self.coeffs[self.group.index(g)]
+
+    def residue_items(self):
+        """(a, c) per unit a mod n, zeros included, over a UnitGroup (Z/n)^*."""
+        return zip(self.group.residues(), self.coeffs)
 
     def augmentation(self):
         return self.ring.coerce(sum(self.coeffs))

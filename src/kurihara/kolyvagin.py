@@ -2,31 +2,27 @@
 
 The sieve picks the primes l with l = 1 mod p^max(m, n+1) whose reduction has
 cyclic p^m-torsion; each carries a fixed generator h_l of (Z/l)^* and discrete
-logarithms to that base.  theta_d mod p^m is walked once over (Z/d)^*, and
-delta_d is then computed by three routes: the direct weighted sum over the
-walked units, and, from one projection to the p-part quotient Gal(Q(d)/Q),
-the transport through e_d and the Kolyvagin-derivative expansion, which also
+logarithms to that base.  delta_d is read from theta_d in Z/p^m[(Z/d)^*]
+(`mazurtate.plus_element`) by three routes: the direct weighted sum over the
+units, and, from one projection to the p-part quotient Gal(Q(d)/Q), the
+transport through e_d and the Kolyvagin-derivative expansion, which also
 certifies the closed-form identity the transport rests on.
 """
 
-from math import gcd, isqrt
+from math import isqrt, prod
 
 from .curve import count_points, p_torsion_structure, primes_upto
-from .errors import (
-    DenominatorDivisibleByP,
-    NotAUnit,
-    NotSquarefree,
-    PrimeNotKolyvagin,
-)
+from .errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
 from .exactmath import (
     AbelianGroup,
+    GroupHom,
     GroupRingElement,
     ResidueRing,
     factorize,
     is_prime,
     primitive_root,
+    projection_map,
 )
-from .modsym import eval_plus
 from .records import record
 
 DLOG_TABLE_LIMIT = 1 << 16  # full table below, baby-step/giant-step above
@@ -154,57 +150,20 @@ class KuriharaNumber:
         return self.value % self.p != 0
 
 
-@record
-class ThetaResidues:
-    """theta_d with coefficients in Z/p^m, from one walk of (Z/d)^*.
-
-    `units` lists (a, [a/d]^+ mod p^m) for the units a mod d in increasing
-    order; the second half mirrors the first.  All three delta_d routes read
-    this one list.
-    """
-
-    d: int
-    ring: ResidueRing
-    units: list
-
-
-def theta_residues(symbol, d, p, m=1):
-    """Walk (Z/d)^* once; the only plus-symbol evaluation of this module.
-
-    For d > 2 only the units a < d/2 are evaluated, and d - a reads the value
-    of a: [(d - a)/d]^+ = [-a/d]^+ = [a/d]^+, the star symmetry that
-    `EigenSymbol.generator_values` certifies.
-    """
-    ring = ResidueRing(p, m)
-    units = []
-    for a in range(1, d + 1 if d <= 2 else d // 2 + 1):
-        if gcd(a, d) != 1:
-            continue
-        try:
-            units.append((a, ring.coerce(eval_plus(symbol, a, d))))
-        except DenominatorDivisibleByP as exc:
-            raise DenominatorDivisibleByP(
-                f"theta at level {d} is not p-integral: {exc}"
-            ) from exc
-    if d > 2:
-        units += [(d - a, value) for a, value in reversed(units)]
-    return ThetaResidues(d, ring, units)
-
-
 def kurihara_number_direct(theta, registry):
-    """delta_d as the plain weighted sum over units a mod d.
+    """delta_d as the plain weighted sum over units a mod d of theta_d in Z/p^m.
 
     Weights are products over l | d of the discrete log of a base h_l, taken
     mod p^m; the empty product makes delta_1 the L-value mod p^m.  The sum is
-    taken straight from the walked residues with its own `dlog_mod` weights,
-    with no group-ring machinery, so it stays independent of the projection
-    the other two routes share.
+    read straight from the units with its own `dlog_mod` weights, with no
+    projection, so it stays independent of the one the other two routes share.
     """
     ring = theta.ring
     pk = ring.modulus
-    ells = sieved_factors(theta.d, registry)
+    d = theta.group.n
+    ells = sieved_factors(d, registry)
     total = 0
-    for a, coeff in theta.units:
+    for a, coeff in theta.residue_items():
         if not coeff:
             continue
         weight = 1
@@ -212,7 +171,7 @@ def kurihara_number_direct(theta, registry):
             weight = weight * registry[ell].dlog_mod(a, pk) % pk
         total = (total + coeff * weight) % pk
     gens = {ell: registry[ell].generator for ell in ells}
-    return KuriharaNumber(theta.d, tuple(ells), total, ring.p, ring.m, "direct", gens)
+    return KuriharaNumber(d, tuple(ells), total, ring.p, ring.m, "direct", gens)
 
 
 @record
@@ -227,35 +186,24 @@ class ThetaProjection:
 
 
 def project_theta(theta, registry):
-    """Push the walked theta_d to Z/p^m[Gal(Q(d)/Q)].
+    """Push theta_d over (Z/d)^* to Z/p^m[Gal(Q(d)/Q)].
 
     Gal(Q(d)/Q) = prod of the p-parts G_l; sigma_a lands on the tuple of
-    discrete logs of a reduced mod the p-part orders.  e_d = #Gal(Q(mu_d)/Q(d))
-    is the prime-to-p index prod (l - 1)/|G_l|.
-
-    A unit whose mirror d - a came first reads the mirror's key:
-    d - a = -a mod l and log(-1) = (l - 1)/2, so
-    key_l(a) = (key_l(d - a) + (l - 1)/2) mod |G_l|, and |G_l|, a power of
-    the odd p dividing l - 1, divides (l - 1)/2.  The walk's second half takes
-    no discrete log.
+    discrete logs of a reduced mod the p-part orders, so the quotient map is
+    fixed by the logs of the generators' residues, nu(d)^2 logs in all.
+    e_d = #Gal(Q(mu_d)/Q(d)) is the prime-to-p index prod (l - 1)/|G_l|.
     """
-    d = theta.d
-    ells = sieved_factors(d, registry)
+    group = theta.group
+    ells = sieved_factors(group.n, registry)
     orders = [registry[ell].p_part_order for ell in ells]
-    modulus = theta.ring.modulus
-    keys = {}
-    coeffs = {}
-    for a, coeff in theta.units:
-        key = keys.get(d - a)
-        if key is None:
-            key = keys[a] = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
-        coeffs[key] = (coeffs.get(key, 0) + coeff) % modulus
-    e_d = 1
-    for ell, n in zip(ells, orders):
-        e_d *= (ell - 1) // n
-    element = GroupRingElement(AbelianGroup(orders), theta.ring, coeffs)
+    images = [
+        tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
+        for a in map(group.residue, group.basis())
+    ]
+    element = projection_map(theta, GroupHom(group, AbelianGroup(orders), images))
+    e_d = prod((ell - 1) // n for ell, n in zip(ells, orders))
     gens = {ell: registry[ell].generator for ell in ells}
-    return ThetaProjection(theta.d, element, tuple(ells), e_d, gens)
+    return ThetaProjection(group.n, element, tuple(ells), e_d, gens)
 
 
 def _log_weighted_sum(projected, e_d, modulus):

@@ -1,8 +1,9 @@
 """Mazur-Tate modular elements and their ordinary stabilizations.
 
-theta(d, n) collects the plus-symbol values over (Z/dp^n)^*; vartheta applies
-the unit-root stabilization, xi_tilde assembles the Kurihara combination over
-the divisor lattice of d.  Everything is a finite truncation: the projective
+theta(d, n) collects the plus-symbol values over (Z/dp^n)^* by the one walk,
+`plus_element`, which the delta_d routes also read; vartheta applies the
+unit-root stabilization, xi_tilde assembles the Kurihara combination over the
+divisor lattice of d.  Everything is a finite truncation: the projective
 limits exist only level-by-level here, and the limit relations are exercised
 as finite identities by the verifier suite.
 """
@@ -79,41 +80,36 @@ def _check_level(E, d, p=None):
             raise BadPrime(f"d = {d} is not coprime to p = {p}")
 
 
-@record
-class ThetaElement:
-    """theta over Q(mu_{d p^n}): sigma_a-coefficient is the value [a/(d p^n)]+."""
+def plus_element(symbol, level, ring):
+    """[a/level]^+ at sigma_a over (Z/level)^*, with coefficients in `ring`.
 
-    d: int
-    n: int
-    p: int
-    element: GroupRingElement  # rational coefficients over (Z/dp^n)^*
-    curve_label: str = ""
-
-    @property
-    def level(self):
-        return self.d * (self.p**self.n if self.n else 1)
-
-    def reduce_mod(self, p, m):
-        """Coefficients in Z/p^m; a denominator divisible by p is a hard error."""
-        ring = ResidueRing(p, m)
-        try:
-            return self.element.change_ring(ring)
-        except DenominatorDivisibleByP as exc:
-            raise DenominatorDivisibleByP(
-                f"theta at level {self.level} is not p-integral: {exc}"
-            ) from exc
+    The one walk of the plus symbol over a unit group; uncached.  Above
+    level 2 each pair {a, level - a} is evaluated once, at the smaller
+    residue: the two values agree by the star symmetry that
+    `EigenSymbol.generator_values` certifies.  Each value is reduced into
+    `ring` as it is evaluated, so in Z/p^m no Fraction outlives its
+    evaluation (fewer garbage collections on long walks); a value whose
+    denominator p divides raises DenominatorDivisibleByP.
+    """
+    group = unit_group(level)
+    residues = group.residues()
+    firsts = [a for a in residues if 2 * a < level] if level > 2 else residues
+    try:
+        value = dict(zip(firsts, ring.coerce_all(eval_plus(symbol, a, level) for a in firsts)))
+    except DenominatorDivisibleByP as exc:
+        raise DenominatorDivisibleByP(
+            f"theta at level {level} is not p-integral: {exc}"
+        ) from exc
+    values = [value[a] if a in value else value[level - a] for a in residues]
+    return GroupRingElement.from_values(group, ring, values)
 
 
 def theta(symbol, d, n=0, p=None):
-    """The modular element over (Z/dp^n)^* built from plus-symbol values.
+    """The modular element over (Z/dp^n)^* with rational coefficients.
 
     Cached per symbol and level, at most THETA_CACHE levels: the identity
     suites revisit the same levels many times and the element is immutable.
-    Above level 2 each pair {a, level - a} is evaluated once, at the smaller
-    residue: the two values agree by the star symmetry that
-    `EigenSymbol.generator_values` certifies.
     """
-    E = symbol.curve
     if n > 0 and p is None:
         raise ValueError("n > 0 requires p")
     key = (d, n, p)
@@ -123,20 +119,8 @@ def theta(symbol, d, n=0, p=None):
     cached = cache.get(key)
     if cached is not None:
         return cached
-    _check_level(E, d, p)
-    level = d * (p**n if n else 1)
-    group = unit_group(level)
-    half = {}  # min(a, level - a) -> [a/level]^+
-    values = []
-    for a in group.residues():
-        b = min(a, level - a) if level > 2 else a
-        value = half.get(b)
-        if value is None:
-            value = half[b] = eval_plus(symbol, b, level)
-        values.append(value)
-    elem = GroupRingElement.from_values(group, QQ, values)
-    out = ThetaElement(d, n, p if p is not None else 0, elem, str(E))
-    cache[key] = out
+    _check_level(symbol.curve, d, p)
+    out = cache[key] = plus_element(symbol, d * (p**n if n else 1), QQ)
     while len(cache) > THETA_CACHE:
         del cache[next(iter(cache))]
     return out
@@ -191,10 +175,10 @@ def vartheta(symbol, d, n, p, m):
     ring = root.ring
     ainv = ring.inv(root.alpha)
     if n == 0:
-        th = theta(symbol, d, 0, p).reduce_mod(p, m)
+        th = theta(symbol, d, 0, p).change_ring(ring)
         return stabilization_scalar(th.group, root) * th
-    top = theta(symbol, d, n, p).reduce_mod(p, m)
-    below = theta(symbol, d, n - 1, p).reduce_mod(p, m)
+    top = theta(symbol, d, n, p).change_ring(ring)
+    below = theta(symbol, d, n - 1, p).change_ring(ring)
     hom = unit_reduction(top.group, below.group)
     lifted = norm_map(below, hom)
     diff = top - lifted.scale(ainv)

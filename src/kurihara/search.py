@@ -20,14 +20,15 @@ from .errors import (
     MissingRootNumber,
     SearchExhausted,
 )
+from .exactmath import ResidueRing
 from .kolyvagin import (
     derivative_data,
     kurihara_number_direct,
     kurihara_number_via_ed,
     project_theta,
     sieve,
-    theta_residues,
 )
+from .mazurtate import plus_element
 from .modsym import fricke_eigenvalue
 from .records import field, record, replace
 
@@ -236,11 +237,12 @@ class DeltaReport:
 def delta_row(theta, registry):
     """delta_d by all three routes from one walk of (Z/d)^*, as a checked row.
 
-    `theta` is `theta_residues(symbol, d, p, m)`.  The direct route reads the
-    walked units with its own dlog weights; one projection to
+    `theta` is `plus_element(symbol, d, ResidueRing(p, m))`.  The direct
+    route reads its units with its own dlog weights; one projection to
     Z/p^m[Gal(Q(d)/Q)] serves both via-e_d and the derivative.  Any
     disagreement raises CorrectnessAlarm.
     """
+    d = theta.group.n
     direct = kurihara_number_direct(theta, registry)
     projection = project_theta(theta, registry)
     via = kurihara_number_via_ed(projection)
@@ -252,10 +254,10 @@ def delta_row(theta, registry):
     )
     if not agree:
         raise CorrectnessAlarm(
-            f"route disagreement at d={theta.d}: direct={direct.value}, "
+            f"route disagreement at d={d}: direct={direct.value}, "
             f"via_ed={via.value}, derivative={deriv}"
         )
-    return DeltaRow(theta.d, direct.factors, direct.value, agree, direct.generators)
+    return DeltaRow(d, direct.factors, direct.value, agree, direct.generators)
 
 
 def find_delta_minimal(
@@ -292,9 +294,10 @@ def find_delta_minimal(
             "exhaustive": exhaustive,
         },
     )
+    ring = ResidueRing(p, m)
     for nu in range(min(nu_max, len(primes)) + 1):
         for d in sorted(prod(c) for c in combinations(sorted(registry), nu)):
-            report.table[d] = delta_row(theta_residues(symbol, d, p, m), registry)
+            report.table[d] = delta_row(plus_element(symbol, d, ring), registry)
         _conclude(report)
         if report.delta_minimal and not exhaustive:
             break

@@ -31,11 +31,12 @@ from .exactmath import (
     projection_map,
     unit_reduction,
 )
-from .kolyvagin import KolyvaginPrime, sieve, theta_residues
+from .kolyvagin import KolyvaginPrime, sieve
 from .mazurtate import (
     euler_factor,
     frobenius_factor,
     kurihara_combination,
+    plus_element,
     stabilization_scalar,
     unit_root,
     vartheta,
@@ -389,6 +390,7 @@ def run_identity_suite(
     # route identities over sieved products (vacuous when the sieve is empty)
     primes = sieve(E, p, 1, 0, route_prime_bound)
     registry = {kp.ell: kp for kp in primes}
+    mod_p = ResidueRing(p, 1)
     products = []
     if registry:
         products = [1]
@@ -398,7 +400,7 @@ def run_identity_suite(
             )
         products = sorted(set(products))
     for d in products:
-        delta_row(theta_residues(symbol, d, p, 1), registry)
+        delta_row(plus_element(symbol, d, mod_p), registry)
         for name in ("ed_route_agreement", "derivative_closed_form", "derivative_vanishing"):
             results[name].instances += 1
 
@@ -415,7 +417,7 @@ def run_identity_suite(
         )
         alt_reg = dict(registry)
         alt_reg[kp.ell] = alt
-        theta = theta_residues(symbol, kp.ell, p, 1)
+        theta = plus_element(symbol, kp.ell, mod_p)
         base = delta_row(theta, registry)
         twisted = delta_row(theta, alt_reg)
         results["generator_covariance"].instances += 1

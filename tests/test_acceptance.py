@@ -8,14 +8,11 @@ failed assert is the FAIL line.
 import random
 import time
 from fractions import Fraction
-from itertools import product
 from math import gcd
-
-import pytest
 
 from kurihara.cli import main as cli_main
 from kurihara.curve import check_hypotheses, trace_of_frobenius, primes_upto
-from kurihara.errors import SearchExhausted
+from kurihara.exactmath import ResidueRing
 from kurihara.kolyvagin import (
     KolyvaginPrime,
     derivative_data,
@@ -23,9 +20,9 @@ from kurihara.kolyvagin import (
     kurihara_number_via_ed,
     project_theta,
     sieve,
-    theta_residues,
 )
 from kurihara.lseries import lratio
+from kurihara.mazurtate import plus_element
 from kurihara.modsym import eval_plus
 from kurihara.verifiers import (
     span_two_covering_witness,
@@ -96,7 +93,7 @@ def test_criterion_3_route_agreement(sym11, sym37):
     for sym, p in ((sym11, 7), (sym37, 5)):
         registry = {kp.ell: kp for kp in sieve(sym.curve, p, 1, 0, 500)}
         for d in _squarefree_products(sorted(registry), 500):
-            theta = theta_residues(sym, d, p)
+            theta = plus_element(sym, d, ResidueRing(p))
             direct = kurihara_number_direct(theta, registry)
             projection = project_theta(theta, registry)
             via = kurihara_number_via_ed(projection)
@@ -171,7 +168,7 @@ def test_criterion_6_generator_covariance(sym37):
     registry = {kp.ell: kp for kp in sieve(sym37.curve, p, 1, 0, 500)}
     ds = [d for d in _squarefree_products(sorted(registry), 500) if d > 1]
     rng = random.Random(1)
-    thetas = {d: theta_residues(sym37, d, p) for d in ds}
+    thetas = {d: plus_element(sym37, d, ResidueRing(p)) for d in ds}
     done = 0
     while done < 50:
         d = rng.choice(ds)
@@ -212,7 +209,6 @@ def test_criterion_7_appendix_verifier():
 def test_criterion_8_hypothesis_negatives(tmp_path):
     """11a1 p=5 fails (c) with exit 65; a supersingular p fails (a)."""
     t0 = time.monotonic()
-    import json
     import os
 
     curve = os.path.join(os.path.dirname(__file__), "..", "curves", "11a1.json")

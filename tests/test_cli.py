@@ -143,12 +143,12 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("d", [61 * 61, 13 * 10**6 + 1])
     def test_delta_bad_d_rejected_before_walk(self, d, monkeypatch, capsys):
-        import kurihara.kolyvagin as kol
+        import kurihara.mazurtate as mt
 
         def no_walk(*args):
             raise AssertionError("walked (Z/d)^* for an invalid d")
 
-        monkeypatch.setattr(kol, "eval_plus", no_walk)
+        monkeypatch.setattr(mt, "eval_plus", no_walk)
         code = main(
             ["delta", "--curve", curve_path("37a1"), "--p", "5",
              "--d", str(d), "--bound", "300"]
@@ -269,6 +269,39 @@ class TestFlags:
             main(SEARCH_37 + ["--workers", "2"])
         assert exc.value.code == 64
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # the search sieves at n = 0; argparse reads `--n` as an ambiguous
+        # prefix of --nu-max and --no-assume-optimal
+        SEARCH_37 + ["--n", "1"],
+        ["check", "--curve", curve_path("37a1"), "--p", "5", "--m", "2"],
+        ["check", "--curve", curve_path("37a1"), "--p", "5", "--no-assume-optimal"],
+        ["sieve", "--curve", curve_path("37a1"), "--p", "5", "--no-assume-optimal"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "7", "--assert-surjective"],
+    ])
+    def test_option_the_command_ignores_exits_64(self, argv, capsys):
+        # each option is offered only where it is read
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "ambiguous option: --n" in err
+
+    def test_routes_leave_the_theta_cache_as_found(self, sym37, monkeypatch, capsys):
+        # the delta routes walk (Z/d)^* uncached; only theta fills the cache
+        import kurihara.cli as cli
+        from kurihara.mazurtate import theta
+        from kurihara.records import replace
+
+        sym = replace(sym37)
+        theta(sym, 3)
+        before = dict(sym._theta_cache)
+        monkeypatch.setattr(cli, "_load_symbol", lambda args, E: sym)
+        assert main(SEARCH_37) == 0
+        assert main(["delta", "--curve", curve_path("37a1"), "--p", "5",
+                     "--d", "12871", "--bound", "300"]) == 0
+        assert "delta_12871 = " in capsys.readouterr().out
+        assert sym._theta_cache == before
 
     def test_assert_surjective_flag(self, capsys):
         args = ["check", "--curve", curve_path("37a1"), "--p", "13",

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from math import isqrt
 
 import pytest
 
@@ -11,7 +10,6 @@ from kurihara.curve import (
     check_hypotheses,
     count_points,
     curve_from_json,
-    ec_add,
     ec_mul,
     p_torsion_structure,
     primes_upto,

@@ -5,7 +5,7 @@ import pytest
 
 from kurihara.curve import count_points, p_torsion_structure, full_p_torsion_deterministic
 from kurihara.errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
-from kurihara.exactmath import AbelianGroup, GroupRingElement
+from kurihara.exactmath import AbelianGroup, GroupRingElement, ResidueRing
 from kurihara.kolyvagin import (
     DLOG_TABLE_LIMIT,
     KolyvaginPrime,
@@ -16,17 +16,21 @@ from kurihara.kolyvagin import (
     kurihara_number_via_ed,
     project_theta,
     sieve,
-    theta_residues,
 )
+from kurihara.mazurtate import plus_element
+
+
+def walk(sym, d, p, m=1):
+    return plus_element(sym, d, ResidueRing(p, m))
 
 
 def direct_number(sym, reg, d, p, m=1):
-    return kurihara_number_direct(theta_residues(sym, d, p, m), reg)
+    return kurihara_number_direct(walk(sym, d, p, m), reg)
 
 
 def routes(sym, reg, d, p, m=1):
     """(direct, via_ed, derivative) from one walk and one projection."""
-    theta = theta_residues(sym, d, p, m)
+    theta = walk(sym, d, p, m)
     projection = project_theta(theta, reg)
     return (
         kurihara_number_direct(theta, reg),
@@ -160,9 +164,9 @@ class TestKuriharaNumbers:
         with pytest.raises(PrimeNotKolyvagin):
             direct_number(sym37, reg37, 13, 5)
         with pytest.raises(NotSquarefree):
-            project_theta(theta_residues(sym37, 61 * 61, 5), reg37)
+            project_theta(walk(sym37, 61 * 61, 5), reg37)
         with pytest.raises(PrimeNotKolyvagin):
-            project_theta(theta_residues(sym37, 13, 5), reg37)
+            project_theta(walk(sym37, 13, 5), reg37)
 
     def test_well_defined_under_rebuild(self, e37, reg37, sym37):
         from kurihara.modsym import build_space, extract_eigensymbol
@@ -211,7 +215,7 @@ class TestGeneratorCovariance:
             kp = reg37[ell]
             alt = dict(reg37)
             alt[ell] = KolyvaginPrime(ell, 5, 1, 0, pow(kp.generator, u, ell))
-            theta = theta_residues(sym37, ell, p)
+            theta = walk(sym37, ell, p)
             base = kurihara_number_direct(theta, reg37)
             twisted = kurihara_number_direct(theta, alt)
             assert twisted.value == base.value * pow(u, -1, p) % p
@@ -263,17 +267,17 @@ class TestHigherM:
 
 def _projection_from_every_dlog(theta, registry):
     """Reference projection: each unit's key from its own discrete logs."""
-    ells = sorted(ell for ell in registry if theta.d % ell == 0)
+    ells = sorted(ell for ell in registry if theta.group.n % ell == 0)
     orders = [registry[ell].p_part_order for ell in ells]
     coeffs = {}
-    for a, coeff in theta.units:
+    for a, coeff in theta.residue_items():
         key = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         coeffs[key] = (coeffs.get(key, 0) + coeff) % theta.ring.modulus
     return GroupRingElement(AbelianGroup(orders), theta.ring, coeffs)
 
 
 class TestMirroredKeys:
-    """project_theta reads the key of a > d/2 from the key of d - a."""
+    """project_theta's quotient map against a key per unit from its own logs."""
 
     @staticmethod
     def _count_dlogs(monkeypatch):
@@ -289,17 +293,17 @@ class TestMirroredKeys:
 
     @pytest.mark.parametrize("d", [1, 61, 211, 281, 61 * 211])
     def test_37a1_rows_match_every_dlog(self, sym37, reg37, d, monkeypatch):
-        theta = theta_residues(sym37, d, 5)
+        theta = walk(sym37, d, 5)
         expected = _projection_from_every_dlog(theta, reg37)
         calls = self._count_dlogs(monkeypatch)
         projection = project_theta(theta, reg37)
         assert projection.element == expected
-        # one discrete log per prime of d for each walked unit a < d/2
-        assert len(calls) == len(projection.ells) * len(theta.units) // 2
+        # one discrete log per prime of d for each generator of (Z/d)^*
+        assert len(calls) == len(projection.ells) ** 2
 
     def test_389a1_nu_two_matches_every_dlog(self, sym389):
         reg = {kp.ell: kp for kp in sieve(sym389.curve, 5, 1, 0, 70)}
-        theta = theta_residues(sym389, 41 * 61, 5)
+        theta = walk(sym389, 41 * 61, 5)
         projection = project_theta(theta, reg)
         assert projection.ells == (41, 61)
         assert projection.element == _projection_from_every_dlog(theta, reg)

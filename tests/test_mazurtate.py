@@ -24,6 +24,7 @@ from kurihara.exactmath import (
 from kurihara.mazurtate import (
     euler_factor,
     frobenius_factor,
+    plus_element,
     stabilization_scalar,
     theta,
     unit_root,
@@ -62,15 +63,13 @@ class TestUnitRoot:
 class TestTheta:
     def test_augmentation_case(self, sym11):
         t = theta(sym11, 1, 0)
-        assert dict(t.element.items()) == {(): Fraction(1, 5)}
+        assert dict(t.items()) == {(): Fraction(1, 5)}
 
     def test_conjugation_symmetry(self, sym11):
         t = theta(sym11, 13, 0)
-        G = t.element.group
+        G = t.group
         for a in range(1, 13):
-            assert t.element.coefficient(G.sigma(a)) == t.element.coefficient(
-                G.sigma(13 - a)
-            )
+            assert t.coefficient(G.sigma(a)) == t.coefficient(G.sigma(13 - a))
 
     def test_level_validation(self, sym11):
         with pytest.raises(NotSquarefree):
@@ -81,14 +80,14 @@ class TestTheta:
             theta(sym11, 7, 1, 7)  # gcd(d, p) != 1
 
     def test_p_integral_reduction(self, sym11):
-        t = theta(sym11, 3, 1, 7)
-        reduced = t.reduce_mod(7, 2)
+        reduced = plus_element(sym11, 21, ResidueRing(7, 2))
         assert reduced.ring == ResidueRing(7, 2)
+        assert reduced == theta(sym11, 3, 1, 7).change_ring(ResidueRing(7, 2))
 
     def test_non_integral_denominator_is_hard_error(self, sym11):
-        t = theta(sym11, 1, 0)  # value 1/5
+        # theta at level 1 is the value 1/5
         with pytest.raises(DenominatorDivisibleByP, match="level 1"):
-            t.reduce_mod(5, 1)
+            plus_element(sym11, 1, ResidueRing(5, 1))
 
     def test_bounded_cache_same_xi(self, sym11, monkeypatch):
         # a cache of one level evicts on every new level and still gives the
@@ -164,7 +163,7 @@ class TestVartheta:
         # (1 - a^{-1}s_p)(1 - a^{-1}s_p^{-1}) applied to theta_d
         p, m, d = 7, 2, 5
         v1 = vartheta(sym11, d, 1, p, m)
-        th = theta(sym11, d, 0, p).reduce_mod(p, m)
+        th = theta(sym11, d, 0, p).change_ring(ResidueRing(p, m))
         root = unit_root(e11, p, m)
         hom = unit_reduction(v1.group, th.group)
         assert projection_map(v1, hom) == stabilization_scalar(th.group, root) * th

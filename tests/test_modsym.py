@@ -9,15 +9,13 @@ import pytest
 
 from kurihara.curve import CurveData, load_curve, trace_of_frobenius, primes_upto, bad_prime_aq
 from kurihara.errors import (
-    AmbiguousEigenspace,
     CorrectnessAlarm,
     EigensymbolNotFound,
     NotCoprime,
 )
 from kurihara import modsym
 from kurihara.exactmath import QQ, GroupRingElement, ResidueRing, unit_group
-from kurihara.kolyvagin import theta_residues
-from kurihara.mazurtate import theta
+from kurihara.mazurtate import plus_element, theta
 from kurihara.modsym import (
     P1List,
     _eigen_chain,
@@ -494,8 +492,9 @@ class TestEvalPlus:
         (5371, 5200, "5d70d5f623cf2b4f37e217683ebbf6d60aca6c75d374ae03c9f6a68fc4c23cc1"),
     ])
     def test_389a1_walk_frozen(self, sym389, d, count, digest):
-        # SHA-256 of the residues from the two-list walk and the P^1 dictionary
-        units = theta_residues(sym389, d, 5).units
+        # SHA-256 of the sorted (a, value) pairs of the walk, from the
+        # two-list path symbols and the P^1 dictionary
+        units = sorted(plus_element(sym389, d, ResidueRing(5)).residue_items())
         assert len(units) == count
         assert _digest([list(u) for u in units]) == digest
 
@@ -504,7 +503,7 @@ class TestEvalPlus:
         # fresh symbol so that no cached theta answers
         sym = extract_eigensymbol(space11, e11)
         assert sym.calibration_unit == Fraction(1, 5)
-        assert _digest(theta(sym, 17, 2, 7).element.to_json()) == (
+        assert _digest(theta(sym, 17, 2, 7).to_json()) == (
             "57b373573edccd96476136bd2775a1e68a6a0042058d478d89f0e37d5a288114"
         )
 
@@ -529,13 +528,13 @@ def _full_walk(symbol, d, p):
 
 
 class TestHalfWalk:
-    """The walkers evaluate a <= d/2 and read d - a from a (star certificate)."""
+    """The walk evaluates a <= d/2 and reads d - a from a (star certificate)."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 12, 17, 30, 61, 211, 2501])
     def test_mirrored_walk_equals_full_walk(self, sym11, sym37, sym389, d):
         for sym, p in ((sym11, 7), (sym37, 5), (sym389, 5)):
-            theta = theta_residues(sym, d, p)
-            assert theta.units == _full_walk(sym, d, p)
+            walked = plus_element(sym, d, ResidueRing(p))
+            assert sorted(walked.residue_items()) == _full_walk(sym, d, p)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_mirrored_theta_equals_full_theta(self, sym11, n):
@@ -543,7 +542,7 @@ class TestHalfWalk:
         fresh = replace(sym11)
         group = unit_group(level)
         full = [eval_plus(sym11, a, level) for a in group.residues()]
-        assert theta(fresh, 17, n, 7).element == GroupRingElement.from_values(group, QQ, full)
+        assert theta(fresh, 17, n, 7) == GroupRingElement.from_values(group, QQ, full)
 
     def test_star_certificate_on_cached_symbol(self, sym11, e11):
         # a symbol rebuilt from its cache entry is certified on first use
@@ -553,23 +552,24 @@ class TestHalfWalk:
             back.generator_values()
 
     def test_corrupted_star_pair_alarms_python_O(self, run_python_O):
-        # one generator value off its star partner: the walkers would mirror
+        # one generator value off its star partner: the walk would mirror
         # a wrong value, so the certificate must hold under -O as well
         script = (
             "from kurihara.curve import load_curve\n"
             "from kurihara.errors import CorrectnessAlarm\n"
-            "from kurihara.kolyvagin import theta_residues\n"
+            "from kurihara.exactmath import ResidueRing\n"
+            "from kurihara.mazurtate import plus_element\n"
             "from kurihara.modsym import build_space, extract_eigensymbol\n"
             "from kurihara.records import replace\n"
             f"E = load_curve({CURVE_11A1!r})\n"
             "space = build_space(11)\n"
             "sym = extract_eigensymbol(space, E)\n"
-            "print('BEFORE', theta_residues(sym, 17, 7).units[0])\n"
+            "print('BEFORE', next(plus_element(sym, 17, ResidueRing(7)).residue_items()))\n"
             "i = next(i for i, (c, d) in enumerate(space.p1.reps) if space.p1.index(-c, d) != i)\n"
             "k = next(k for k, x in enumerate(sym.vector) if x)\n"
             "space.proj_nums[i] = space.proj_nums[i] + [(k, 1)]\n"
             "try:\n"
-            "    theta_residues(replace(sym), 17, 7)\n"
+            "    plus_element(replace(sym), 17, ResidueRing(7))\n"
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
         )

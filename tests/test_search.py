@@ -11,8 +11,9 @@ from kurihara.errors import (
     MissingRootNumber,
     SearchExhausted,
 )
-from kurihara.exactmath import GroupRingElement
-from kurihara.kolyvagin import KolyvaginPrime, sieve, theta_residues
+from kurihara.exactmath import GroupRingElement, ResidueRing
+from kurihara.kolyvagin import KolyvaginPrime, sieve
+from kurihara.mazurtate import plus_element
 from kurihara.modsym import fricke_eigenvalue
 from kurihara.records import replace
 from kurihara.search import (
@@ -299,16 +300,16 @@ class TestOneWalk:
 
     @staticmethod
     def _count_evaluations(monkeypatch):
-        import kurihara.kolyvagin as kol
+        import kurihara.mazurtate as mt
 
         calls = []
-        original = kol.eval_plus
+        original = mt.eval_plus
 
         def counting(symbol, a, d):
             calls.append(d)
             return original(symbol, a, d)
 
-        monkeypatch.setattr(kol, "eval_plus", counting)
+        monkeypatch.setattr(mt, "eval_plus", counting)
         return calls
 
     # phi(d)/2 evaluations for d > 2: the units a < d/2 once each, d - a
@@ -317,7 +318,7 @@ class TestOneWalk:
     def test_phi_d_evaluations_per_row(self, sym37, reg37, monkeypatch):
         calls = self._count_evaluations(monkeypatch)
         d = 61 * 211
-        row = search.delta_row(theta_residues(sym37, d, 5), reg37)
+        row = search.delta_row(plus_element(sym37, d, ResidueRing(5)), reg37)
         assert row.factors == (61, 211) and row.routes_agree
         assert len(calls) == 60 * 210 // 2
 
@@ -331,15 +332,14 @@ class TestOneWalk:
         # theta scaled by p gives delta_d = p*u in Z/p^2: nonzero in Z/25 but
         # zero mod p, which is what the derivative route reads
         reg = {kp.ell: kp for kp in sieve(e37, 5, 2, 0, 2251)}
-        theta = theta_residues(sym37, 2251, 5, 2)
+        theta = plus_element(sym37, 2251, ResidueRing(5, 2))
         assert search.delta_row(theta, reg).delta == 3
-        scaled = replace(theta, units=[(a, 5 * v % 25) for a, v in theta.units])
-        row = search.delta_row(scaled, reg)
+        row = search.delta_row(theta.scale(5), reg)
         assert row.delta == 15 and row.routes_agree
 
     def test_corrupted_direct_weight_alarms(self, sym37, reg37, monkeypatch):
-        theta = theta_residues(sym37, 61, 5)
-        a0 = next(a for a, coeff in theta.units if coeff)
+        theta = plus_element(sym37, 61, ResidueRing(5))
+        a0 = next(a for a, coeff in theta.residue_items() if coeff)
         original = KolyvaginPrime.dlog_mod
 
         def corrupted(self, a, pk):
@@ -364,4 +364,4 @@ class TestOneWalk:
 
         monkeypatch.setattr(search, "project_theta", corrupted)
         with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
-            search.delta_row(theta_residues(sym37, 61, 5), reg37)
+            search.delta_row(plus_element(sym37, 61, ResidueRing(5)), reg37)

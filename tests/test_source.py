@@ -130,3 +130,28 @@ def test_every_definition_used_in_the_package():
             if mentions <= definitions:
                 unused.append(f"{where}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_unused_imports():
+    # every name a module imports is read in it; the package's __init__.py
+    # imports to re-export, so it is the one exception
+    tests = os.path.dirname(__file__)
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")) + glob.glob(os.path.join(tests, "*.py")))
+    unused = []
+    for path in paths:
+        if os.path.normpath(path) == os.path.normpath(os.path.join(SRC, "__init__.py")):
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{os.path.basename(path)}:{line} {name}"
+            for name, line in imported.items() if name not in read
+        ]
+    assert unused == []

@@ -393,20 +393,20 @@ class TestIdentitySuite:
         # the route block and the covariance block check all three routes by
         # the search's row function; the covariance block walks each sampled
         # prime once for both registries
-        from kurihara import kolyvagin, search
+        from kurihara import mazurtate, search
 
         walks, rows = [], []
-        walk, row = kolyvagin.theta_residues, search.delta_row
+        walk, row = mazurtate.plus_element, search.delta_row
 
         def counting_walk(*args):
             walks.append(args[1])
             return walk(*args)
 
         def counting_row(theta, registry):
-            rows.append(theta.d)
+            rows.append(theta.group.n)
             return row(theta, registry)
 
-        monkeypatch.setattr(verifiers, "theta_residues", counting_walk)
+        monkeypatch.setattr(verifiers, "plus_element", counting_walk)
         monkeypatch.setattr(verifiers, "delta_row", counting_row)
         rep = run_identity_suite(
             sym11, 7, d_ell_max=1, n_max=-1, m_max=0, remark_d_max=0,
