@@ -56,13 +56,19 @@ _ODD_PRIME = _checked(lambda v: v >= 3 and is_prime(v), "an odd prime")
 
 
 def _parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--cache-dir", default=os.environ.get("KURIHARA_CACHE_DIR"))
+    # allow_abbrev=False everywhere: an option a command lacks is never read
+    # as a longer one it has
+    common = _Parser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--seed", type=int, default=0)
+    # --cache-dir only on the commands that open a cache
+    cached = _Parser(add_help=False, allow_abbrev=False)
+    cached.add_argument("--cache-dir", default=os.environ.get("KURIHARA_CACHE_DIR"))
 
-    p = _Parser(prog="kurihara")
+    p = _Parser(prog="kurihara", allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    def command(name, summary, *parents):
+        return sub.add_parser(name, parents=[common, *parents], help=summary, allow_abbrev=False)
 
     def curve_opts(sp, *read):
         # --m, --n, --assert-surjective, --no-assume-optimal: only those read
@@ -83,34 +89,35 @@ def _parser():
                 help="do not assert Gamma0(N)-optimality; skips calibration",
             )
 
-    sp = sub.add_parser("check", parents=[common], help="hypothesis report for (E, p)")
+    sp = command("check", "hypothesis report for (E, p)")
     curve_opts(sp, "assert_surjective")
 
-    sp = sub.add_parser("sieve", parents=[common], help="list Kolyvagin primes")
+    sp = command("sieve", "list Kolyvagin primes")
     curve_opts(sp, "m", "n", "assert_surjective")
     sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
-    sp = sub.add_parser("theta", parents=[common], help="dump theta / vartheta / xi elements")
+    sp = command("theta", "dump theta / vartheta / xi elements", cached)
     curve_opts(sp, "m", "n", "assume_optimal")
     sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--kind", choices=("theta", "vartheta", "xi"), default="theta")
 
-    sp = sub.add_parser("delta", parents=[common], help="a single Kurihara number")
+    sp = command("delta", "a single Kurihara number", cached)
     curve_opts(sp, "m", "n", "assert_surjective", "assume_optimal")
     sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
-    sp = sub.add_parser("search", parents=[common], help="full delta-minimal search and report")
+    sp = command("search", "full delta-minimal search and report", cached)
     curve_opts(sp, "m", "assert_surjective", "assume_optimal")
     sp.add_argument("--prime-bound", type=_POSITIVE, default=10**4)
     sp.add_argument("--nu-max", type=_NONNEGATIVE, default=3)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--root-number", type=int, choices=(1, -1), default=None)
 
-    sp = sub.add_parser("report", parents=[common], help="re-render and re-verify a saved report")
+    sp = command("report", "re-render and re-verify a saved report")
     sp.add_argument("path")
 
-    sp = sub.add_parser("selftest", parents=[common], help="exhaustive verifiers and identity suite")
+    sp = command("selftest", "exhaustive verifiers and identity suite", cached)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--coset-dim", type=int, choices=(3, 4), default=3)
     sp.add_argument("--curve", default=None)
     sp.add_argument("--p", type=_ODD_PRIME, default=None)

@@ -22,6 +22,17 @@ three runs, 2-vCPU shared host, Python 3.11):
     BSGS      85    85   108   146    181    170
 
 The two costs meet near 200-300, and the limit is 300.
+
+The p-primary part S of E(F_l), of order p^v, is cyclic exactly when it has
+a point of order p^v.  For v >= 2 and p | l - 1, p_torsion_structure looks
+for one: a few random points P, each multiplied by the prime-to-p part of
+#E(F_l); a result of order p^v is a certificate, and a result whose order
+does not divide p^v means the count is wrong (CorrectnessAlarm).  Only when
+no draw certifies (full p-torsion, or an unlucky cyclic case) does the
+p-division polynomial decide, through x^l mod psi_p.  On 11a1, 37a1, 389a1
+and 5077a1 with p in {3, 5, 7, 11} and l < 8000, four draws certify 257 of
+the 261 cyclic cases with p^2 | #E(F_l) and p | l - 1; the other 320 cases
+have full p-torsion.
 """
 
 import json
@@ -39,6 +50,9 @@ from .records import record
 NAIVE_COUNT_LIMIT = 300
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
 SURJECTIVITY_SCAN = 1000  # Frobenius samples at the good primes below this
+# Random points tried for a cyclic certificate of E(F_l)[p^oo] before the
+# division-polynomial test decides (see p_torsion_structure).
+CYCLIC_CERTIFICATE_DRAWS = 4
 
 
 @record(frozen=True)
@@ -626,19 +640,35 @@ def full_p_torsion_deterministic(E, l, p):
 def p_torsion_structure(E, l, p):
     """Classify the p^infinity-part of E(F_l): 'trivial', 'cyclic', or 'full'.
 
-    'full' means E(F_l) contains (Z/p)^2, which needs p^2 | #E(F_l) and is
-    then decided by the division-polynomial test.
+    With n = #E(F_l) = p^v n' and p not dividing n', S = n' E(F_l) is the
+    p-primary part, of order p^v; 'full' means E(F_l) contains (Z/p)^2.  S is
+    cyclic when v <= 1, and when p does not divide l - 1 (full p-torsion puts
+    mu_p in F_l, by the Weil pairing).  Otherwise each of up to
+    CYCLIC_CERTIFICATE_DRAWS points P, drawn from random.Random(l) so that
+    reruns agree, gives Q = n' P: p^v Q must be O, or the count is wrong
+    (CorrectnessAlarm), and p^(v-1) Q != O certifies a point of order p^v,
+    so S is cyclic.  When no draw certifies, the division-polynomial test
+    (`full_p_torsion_deterministic`) decides.
     """
     if E.discriminant % l == 0 or l == p:
         raise BadPrime(f"{l} is bad or equals p")
     n = count_points(E, l)
-    v = 0
-    while n % p == 0:
-        n //= p
+    cofactor, v = n, 0
+    while cofactor % p == 0:
+        cofactor //= p
         v += 1
     if v == 0:
         return ("trivial", 0)
-    full = v >= 2 and full_p_torsion_deterministic(E, l, p)
+    if v == 1 or (l - 1) % p != 0:
+        return ("cyclic", v)
+    rng = random.Random(l)
+    for _ in range(CYCLIC_CERTIFICATE_DRAWS):
+        R = ec_mul(E, l, cofactor * p ** (v - 1), random_point(E, l, rng))  # p^(v-1) Q
+        if ec_mul(E, l, p, R) is not None:
+            raise CorrectnessAlarm(f"#E(F_{l}) = {n} does not kill a point of E(F_{l})")
+        if R is not None:
+            return ("cyclic", v)
+    full = full_p_torsion_deterministic(E, l, p)
     return ("full" if full else "cyclic", v)
 
 

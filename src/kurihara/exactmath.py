@@ -40,18 +40,42 @@ def xgcd(a, b):
     return a, x0, y0
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): Miller-Rabin to the first k primes is proved correct for every
+# n < psi_k, the least strong pseudoprime to all of them (Pomerance-Selfridge-
+# Wagstaff 1980 to k = 4, Jaeschke 1993 to k = 8, Sorenson-Webster 2015 for
+# k = 9 and 12; psi_8 = psi_7 and psi_10 = psi_11 = psi_12).
+_MR_BANDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
+
+
 def is_prime(n):
+    """Primality by trial division to 37, then Miller-Rabin.
+
+    The bases are the shortest prefix of the first twelve primes proved
+    sufficient below n (`_MR_BANDS`), so the answer is exact for n below
+    3.18e23; above that all twelve run, a probable-prime test.
+    """
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin for 64-bit-ish inputs, fine far beyond desk scale
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    k = next((k for bound, k in _MR_BANDS if n < bound), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -295,6 +295,66 @@ class TestTorsionStructure:
         assert len(results) == 1
 
 
+def _fallback_calls(monkeypatch):
+    """A list that records each (l, p) the division-polynomial test decides."""
+    calls = []
+    decide = curve.full_p_torsion_deterministic
+
+    def recorded(E, l, p):
+        calls.append((l, p))
+        return decide(E, l, p)
+
+    monkeypatch.setattr(curve, "full_p_torsion_deterministic", recorded)
+    return calls
+
+
+class TestCyclicCertificate:
+    def test_5077a1_sieve_is_certified_without_division_polynomials(self, monkeypatch):
+        # the benchmark's sieve: every p^2 | #E(F_l) case there is cyclic and
+        # a point of order p^v is found, so psi_7 is never built
+        E = CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1")
+        calls = _fallback_calls(monkeypatch)
+        primes = sieve(E, 7, 1, 0, 2000)
+        assert [kp.ell for kp in primes] == [113, 211, 463, 547, 673, 743, 757, 1933]
+        assert calls == []
+        kind, v = p_torsion_structure(E, 547, 7)
+        assert kind == "cyclic" and v >= 2 and calls == []
+
+    def test_full_torsion_reaches_the_fallback(self, e11, monkeypatch):
+        # E(F_31) = (Z/5)^2 on 11a1: no point has order 25, so no draw
+        # certifies and psi_5 decides
+        calls = _fallback_calls(monkeypatch)
+        assert p_torsion_structure(e11, 31, 5) == ("full", 2)
+        assert calls == [(31, 5)]
+        assert _p_torsion_count(e11, 31, 5) == 25
+
+    def test_uncertified_cyclic_case_reaches_the_fallback(self, e37, monkeypatch):
+        # #E(F_157) = 135 on 37a1 with cyclic 3-part, where the four seeded
+        # draws all land in 3E(F_157)
+        calls = _fallback_calls(monkeypatch)
+        assert p_torsion_structure(e37, 157, 3) == ("cyclic", 3)
+        assert calls == [(157, 3)]
+        assert _p_torsion_count(e37, 157, 3) == 3
+
+    def test_wrong_count_alarms_python_O(self, run_python_O):
+        # E(F_31) = (Z/5)^2 on 11a1; a count of 27 would ask for 3-torsion of
+        # order 27, and 27P = 2P != O for every affine P, so the certificate
+        # must refuse the count rather than classify it, under -O too
+        script = (
+            "import kurihara.curve as C\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "E = C.CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5)\n"
+            "C.count_points = lambda E, l: 27\n"
+            "try:\n"
+            "    print('VERDICT', C.p_torsion_structure(E, 31, 3))\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ALARM #E(F_31) = 27 "), proc.stdout
+
+
 class TestCurveData:
     def test_discriminants(self, e11, e37):
         assert e11.discriminant == -161051

@@ -19,6 +19,7 @@ from kurihara.exactmath import (
     ResidueRing,
     UnitGroup,
     echelon_kernel,
+    is_prime,
     norm_map,
     projection_map,
     sparse_echelon,
@@ -26,6 +27,7 @@ from kurihara.exactmath import (
     unit_reduction,
 )
 from test_modsym import _dense_rref
+from kurihara.curve import primes_upto
 
 
 def random_element(group, ring, rng, density=0.7):
@@ -580,3 +582,41 @@ class TestBadInputPythonO:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True"] * 6
+
+
+def _strong_probable_prime(n, a):
+    """n passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestIsPrime:
+    def test_agrees_with_eratosthenes(self):
+        primes = set(primes_upto(20000))
+        assert [n for n in range(-2, 20000) if is_prime(n)] == sorted(primes)
+
+    @pytest.mark.parametrize("n, k", [
+        # psi_k, the least strong pseudoprime to the first k prime bases:
+        # each band edge, where the k bases used below it stop sufficing
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 8),
+        (3825123056546413051, 9),
+    ])
+    def test_strong_pseudoprimes_at_band_edges(self, n, k):
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23)[:k]
+        assert all(n % q for q in bases)  # no trial division finds a factor
+        assert all(_strong_probable_prime(n, a) for a in bases)
+        assert not is_prime(n)
