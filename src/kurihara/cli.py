@@ -115,6 +115,7 @@ def _parser():
 
     sp = command("report", "re-render and re-verify a saved report")
     sp.add_argument("path")
+    sp.add_argument("--curve", help="curve JSON file: walk every row of the report again")
 
     sp = command("selftest", "exhaustive verifiers and identity suite", cached)
     sp.add_argument("--seed", type=int, default=0)
@@ -176,6 +177,47 @@ def _verified_report(obj):
     report = DeltaReport.from_json(obj)
     report.verify()
     return report
+
+
+def _rewalk(report, curve_path):
+    """Refuse a verified report whose rows the curve does not give.
+
+    The curve must be the report's: its name (label, or a-invariants) is the
+    report's `curve`, or BadReport.  The sieve to the report's prime bound
+    must give its sieved primes, and the symbol, rebuilt with the report's
+    calibration, its calibration unit.  Each row is then walked again through
+    `plus_element` and `delta_row`; a stored row that differs is
+    CorrectnessAlarm.
+    """
+    E = load_curve(curve_path)
+    if str(E) != report.curve:
+        raise BadReport(f"the report is for curve {report.curve}, not {E}")
+    calibration = report.provenance.get("calibration")
+    if type(calibration) is not dict:
+        raise BadReport("the report's provenance has no calibration object")
+    p, m = report.p, report.m
+    if p < 3 or not is_prime(p):
+        raise BadReport(f"the report's p = {p} is not an odd prime")
+    primes = sieve(E, p, m, 0, report.prime_bound)
+    sieved = [kp.ell for kp in primes]
+    if tuple(sieved) != report.sieved:
+        raise CorrectnessAlarm(
+            f"stored sieved primes {list(report.sieved)} differ from the sieve's {sieved}"
+        )
+    sym = extract_eigensymbol(
+        build_space(E.conductor), E, calibrate=calibration.get("status") == "calibrated"
+    )
+    derived = {"status": sym.calibration_status, "unit": str(sym.calibration_unit)}
+    if derived != calibration:
+        raise CorrectnessAlarm(f"stored calibration {calibration} differs from the curve's {derived}")
+    registry = {kp.ell: kp for kp in primes}
+    ring = ResidueRing(p, m)
+    for d, stored in sorted(report.table.items()):
+        row = delta_row(plus_element(sym, d, ring), registry)
+        if row != stored:
+            raise CorrectnessAlarm(
+                f"stored row {stored.to_json()} differs from the walked {row.to_json()}"
+            )
 
 
 def main(argv=None):
@@ -249,6 +291,8 @@ def _dispatch(args):
                 "tests": len(icases),
                 "failures": sum(1 for case in icases if case["status"] == "fail"),
                 "vacuous": suite.vacuous,
+                "seed": args.seed,
+                "covariance_samples": [list(s) for s in suite.samples],
                 "cases": icases,
             })
             ok = ok and suite.ok
@@ -263,6 +307,8 @@ def _dispatch(args):
             except ValueError as exc:  # not JSON, or not text
                 raise BadReport(f"{args.path}: not a JSON report: {exc}") from exc
         report = _verified_report(obj)
+        if args.curve is not None:
+            _rewalk(report, args.curve)
         _emit(args, report.to_json(), report.to_text())
         return EXIT_OK
 

@@ -145,6 +145,11 @@ class RationalField:
 
     coerce_all = reduce_all  # every int and Fraction is already exact here
 
+    def scale_all(self, values, c):
+        """Tuple of the ints `values` times the rational c."""
+        num, den = c.as_integer_ratio()
+        return tuple([Fraction(t * num, den) for t in values])
+
     def mul(self, a, b):
         return a * b
 
@@ -215,6 +220,19 @@ class ResidueRing:
             if inv is None:
                 inv = inverses[den] = self.coerce(Fraction(1, den))
             out.append(num * inv % modulus)
+        return tuple(out)
+
+    def scale_all(self, values, c):
+        """Tuple of the ints `values` times the rational c, reduced into [0, p^m)."""
+        num, den = c.as_integer_ratio()
+        pv = gcd(den, self.p ** den.bit_length())  # t * c is p-integral iff pv | t * num
+        k = pow(den // pv, -1, self.modulus)
+        out = []
+        for t in values:
+            x, r = divmod(t * num, pv)
+            if r:
+                self.coerce(t * c)  # raises DenominatorDivisibleByP
+            out.append(x * k % self.modulus)
         return tuple(out)
 
     def reduce_all(self, values):
@@ -400,13 +418,20 @@ class UnitGroup(AbelianGroup):
                 a = a * (mod_part * v * rest + u * qe) % self.n
         return a % self.n if self.n > 1 else 0
 
+    _built_residues = (0, None)  # (n, residues) of the last build, until read again
+
     def residues(self):
-        """The residue a mod n of each element, in element order.
+        """The residue a mod n of each element, in element order; read-only.
 
         Products of powers of the generators' CRT residues, each power one
         multiplication from the last: no sigma, and one `residue` call per
-        cyclic factor.
+        cyclic factor.  A built list is kept for one more call at its level,
+        so that the walk and then the direct route read one list.
         """
+        n, out = UnitGroup._built_residues
+        UnitGroup._built_residues = (0, None)
+        if n == self.n:
+            return out
         n = self.n
         out = [1]
         for e, order in zip(self.basis(), self.orders):
@@ -417,6 +442,7 @@ class UnitGroup(AbelianGroup):
                 x = x * r % n
                 powers.append(x)
             out = [a * q % n for a in out for q in powers] if len(out) > 1 else powers
+        UnitGroup._built_residues = (n, out)
         return out
 
     def __eq__(self, other):

@@ -86,20 +86,23 @@ def plus_element(symbol, level, ring):
     The one walk of the plus symbol over a unit group; uncached.  Above
     level 2 each pair {a, level - a} is evaluated once, at the smaller
     residue: the two values agree by the star symmetry that
-    `EigenSymbol.generator_values` certifies.  Each value is reduced into
-    `ring` as it is evaluated, so in Z/p^m no Fraction outlives its
-    evaluation (fewer garbage collections on long walks); a value whose
-    denominator p divides raises DenominatorDivisibleByP.
+    `EigenSymbol.generator_values` certifies.  The integer totals of
+    `EigenSymbol.plus_numerators` are scaled into `ring` once per level; a
+    value whose denominator p divides raises DenominatorDivisibleByP.  The
+    largest walked a is checked against `eval_plus` (CorrectnessAlarm).
     """
     group = unit_group(level)
     residues = group.residues()
     firsts = [a for a in residues if 2 * a < level] if level > 2 else residues
     try:
-        value = dict(zip(firsts, ring.coerce_all(eval_plus(symbol, a, level) for a in firsts)))
+        value = dict(zip(firsts, ring.scale_all(*symbol.plus_numerators(level, firsts))))
     except DenominatorDivisibleByP as exc:
         raise DenominatorDivisibleByP(
             f"theta at level {level} is not p-integral: {exc}"
         ) from exc
+    a = max(firsts)
+    if value[a] != ring.coerce(eval_plus(symbol, a, level)):
+        raise CorrectnessAlarm(f"the integer walk differs from eval_plus at {a}/{level}")
     values = [value[a] if a in value else value[level - a] for a in residues]
     return GroupRingElement.from_values(group, ring, values)
 

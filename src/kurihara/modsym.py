@@ -424,6 +424,37 @@ class EigenSymbol:
             self._wfree = (nums, space.proj_den)
         return self._wfree
 
+    def plus_numerators(self, level, residues):
+        """The integer walk: (totals, scale) with [a/level]^+ = total * scale.
+
+        `totals` yields, for each a in `residues`, the sum of the
+        `generator_values()` numerators over the pieces of {oo -> a/level},
+        by the convergent loop of `path_symbols` with its alarm.  A bottom
+        row (u : v) with u a unit mod N is the class 1 + v u^-1 mod N, read
+        inline; `P1List.index` takes the rest.
+        """
+        nums, den = self.generator_values()
+        N, inv, index = self.space.N, self.space.p1._inv, self.space.p1.index
+
+        def totals():
+            for a in residues:
+                total = 0
+                x, y = a, level
+                p_prev, q_prev, p, q = 0, 1, 1, 0
+                while y:
+                    quot, r = divmod(x, y)
+                    x, y = y, r
+                    p_prev, q_prev, p, q = p, q, quot * p + p_prev, quot * q + q_prev
+                    det = p * q_prev - p_prev * q
+                    if det != 1 and det != -1:
+                        raise CorrectnessAlarm(f"convergents of {a}/{level} are not unimodular")
+                    v = det * q_prev
+                    w = inv[q % N]
+                    total += nums[1 + v * w % N if w is not None else index(q, v)]
+                yield total
+
+        return totals(), self.calibration_unit / den
+
     def to_json(self):
         return {
             "N": self.space.N,
@@ -442,9 +473,12 @@ def eval_plus(symbol, a, d):
     """[a/d]+ = Re([a/d])/Omega+ as an exact rational, up to the calibration unit.
 
     The path {oo -> a/d} is decomposed into unimodular pieces through the
-    continued-fraction convergents of a/d, and the numerators of
-    `generator_values()` are summed over the pieces; the result depends only
-    on a mod d.
+    continued-fraction convergents of a/d (`path_symbols`), and the
+    numerators of `generator_values()` are summed over the pieces; the
+    result depends only on a mod d.  This is the exact reference: the
+    calibration reads it, and `mazurtate.plus_element`, which walks the
+    units by `EigenSymbol.plus_numerators` instead, checks one unit per
+    level against it.
     """
     if d <= 0:
         raise NotCoprime("denominator must be positive")

@@ -256,6 +256,7 @@ class SuiteResult:
 class SuiteReport:
     results: dict
     vacuous: bool = False
+    samples: tuple = ()  # the (l, u) the seed drew for generator_covariance
 
     @property
     def ok(self):
@@ -407,11 +408,13 @@ def run_identity_suite(
     # generator covariance on single sieved primes: one walk serves both
     # registries
     rng = random.Random(seed)
+    samples = []
     for _ in range(covariance_samples if primes else 0):
         kp = rng.choice(primes)
         u = rng.randrange(2, kp.ell - 1)
         while gcd(u, kp.ell - 1) != 1:
             u = rng.randrange(2, kp.ell - 1)
+        samples.append((kp.ell, u))
         alt = KolyvaginPrime(
             kp.ell, kp.p, kp.m, kp.n, pow(kp.generator, u, kp.ell)
         )
@@ -434,7 +437,8 @@ def run_identity_suite(
             if projection_map(vtop, hom) != vlow:
                 results["projective_system"].failures.append((d, n))
 
-    report = SuiteReport(results, vacuous=any(r.instances == 0 for r in results.values()))
+    vacuous = any(r.instances == 0 for r in results.values())
+    report = SuiteReport(results, vacuous, tuple(samples))
     failures = [
         (name, inst) for name, r in results.items() for inst in r.failures
     ]

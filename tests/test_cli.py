@@ -262,6 +262,21 @@ class TestCaching:
         b = capsys.readouterr().out
         assert a == b
 
+    def test_seed_shows_in_the_report(self, capsys):
+        # the seed and the samples it draws are data of the identity suite,
+        # so two seeds give two reports
+        args = ["selftest", "--coset-dim", "3", "--curve", curve_path("11a1"),
+                "--p", "7", "--grid", "20", "--format", "json"]
+        outs = []
+        for seed in ("1", "2", "1"):
+            assert main(args + ["--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1] and outs[0] == outs[2]
+        suite = json.loads(outs[1])["suites"][1]
+        assert suite["seed"] == 2
+        assert len(suite["covariance_samples"]) == 10
+        assert {ell for ell, _ in suite["covariance_samples"]} == {113}  # the one sieved prime
+
 
 class TestFlags:
     def test_workers_flag_exits_64(self, capsys):
@@ -522,6 +537,48 @@ class TestReverification:
             err = err_buf.getvalue()
         assert code == 3
         assert "CORRECTNESS ALARM" in err
+
+    def test_consistent_edit_caught_by_rewalk(self, saved_search, tmp_path, capsys):
+        # delta_61 edited to 0 together with the conclusions: the report
+        # re-derives, and only walking its rows again from the curve finds it
+        report = copy.deepcopy(saved_search[1])
+        for row in report["delta_table"]:
+            if row["d"] == 61:
+                row["delta"] = 0
+        report["delta_minimal"] = [281]
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(path), "--curve", curve_path("37a1")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'d': 61" in captured.err and "'delta': 4" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rewalk_keeps_the_golden_bytes(self, saved_search, tmp_path, capsys, fmt):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(saved_search[1]))
+        outs = []
+        for extra in ([], ["--curve", curve_path("37a1")]):
+            assert main(["report", str(path), "--format", fmt] + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind", ["other_curve", "relabelled", "sieved"])
+    def test_rewalk_refuses_another_curve_or_sieve(self, saved_search, tmp_path, capsys, kind):
+        report = copy.deepcopy(saved_search[1])
+        curve = curve_path("11a1" if kind == "other_curve" else "37a1")
+        if kind == "relabelled":
+            report["curve"] = "37b1"
+        elif kind == "sieved":
+            report["sieved_primes"].append(311)  # a prime the sieve to 300 cannot give
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(report))
+        code = main(["report", str(path), "--curve", curve])
+        assert code == (3 if kind == "sieved" else 64)
+        err = capsys.readouterr().err
+        assert ("stored sieved primes" if kind == "sieved" else "is for curve") in err
 
     @pytest.mark.parametrize("command", ["search", "delta"])
     def test_corrupted_eigensymbol_cache_exits_3(self, saved_search, tmp_path, command):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -455,6 +456,24 @@ class TestConstructorCoerces:
                 GroupRingElement(G, QQ, coeffs).change_ring(ResidueRing(7, 2))
             with pytest.raises(DenominatorDivisibleByP):
                 ResidueRing(7).coerce_all(list(coeffs.values()))
+
+    def test_scale_all_is_coerce_of_each_product(self):
+        # p^v is split out of the scale's denominator: t * c is p-integral
+        # exactly when p^v divides t times its numerator, even where p
+        # divides the denominator of c
+        values = [0, 1, -3, 5, 10, 25, -50, 7 * 25]
+        for R in (ResidueRing(5), ResidueRing(5, 2), ResidueRing(7, 2)):
+            for c in (Fraction(1), Fraction(-3, 2), Fraction(2, 5), Fraction(4, 75),
+                      Fraction(7, 25)):
+                for t in values:
+                    try:
+                        want = R.coerce(t * c)
+                    except DenominatorDivisibleByP as exc:
+                        with pytest.raises(DenominatorDivisibleByP, match=re.escape(str(exc))):
+                            R.scale_all([t], c)
+                    else:
+                        assert R.scale_all([t], c) == (want,)
+        assert QQ.scale_all(values, Fraction(2, 5)) == tuple(t * Fraction(2, 5) for t in values)
 
     def test_non_element_raises(self):
         G = AbelianGroup((2, 3))

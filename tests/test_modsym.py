@@ -10,6 +10,7 @@ import pytest
 from kurihara.curve import CurveData, load_curve, trace_of_frobenius, primes_upto, bad_prime_aq
 from kurihara.errors import (
     CorrectnessAlarm,
+    DenominatorDivisibleByP,
     EigensymbolNotFound,
     NotCoprime,
 )
@@ -17,6 +18,7 @@ from kurihara import modsym
 from kurihara.exactmath import QQ, GroupRingElement, ResidueRing, unit_group
 from kurihara.mazurtate import plus_element, theta
 from kurihara.modsym import (
+    EigenSymbol,
     P1List,
     _eigen_chain,
     build_space,
@@ -509,6 +511,7 @@ class TestEvalPlus:
 
 
 CURVE_11A1 = os.path.join(os.path.dirname(__file__), "..", "curves", "11a1.json")
+CURVE_37A1 = os.path.join(os.path.dirname(__file__), "..", "curves", "37a1.json")
 
 
 
@@ -578,6 +581,91 @@ class TestHalfWalk:
         lines = proc.stdout.splitlines()
         assert [line.split()[0] for line in lines] == ["BEFORE", "ALARM"]
         assert "star image" in lines[1]
+
+
+def _walk_against_eval_plus(sym, level, ring):
+    """(walked coefficients, reference) at each unit, in element order; a
+    DenominatorDivisibleByP of either side is returned as its message."""
+    try:
+        walked = [c for _, c in plus_element(sym, level, ring).residue_items()]
+    except DenominatorDivisibleByP as exc:
+        walked = str(exc)
+    residues = unit_group(level).residues()
+    firsts = [a for a in residues if 2 * a < level] if level > 2 else residues
+    try:
+        for a in firsts:  # the walk's order, so the first failure is the same one
+            ring.coerce(eval_plus(sym, a, level))
+        reference = [ring.coerce(eval_plus(sym, a, level)) for a in residues]
+    except DenominatorDivisibleByP as exc:
+        reference = f"theta at level {level} is not p-integral: {exc}"
+    return walked, reference
+
+
+RINGS = (QQ, ResidueRing(5), ResidueRing(5, 2), ResidueRing(7, 2))
+
+
+class TestIntegerWalk:
+    """plus_element's integer walk against ring.coerce(eval_plus(...))."""
+
+    @pytest.mark.parametrize("curve, level", [
+        ("sym11", 17 * 49), ("sym37", 61 * 211), ("sym389", 2501),
+    ])
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_every_unit_equals_eval_plus(self, request, curve, level, ring):
+        walked, reference = _walk_against_eval_plus(request.getfixturevalue(curve), level, ring)
+        assert walked == reference
+        # 11a1's calibration unit 1/5 leaves theta not 5-integral there
+        assert isinstance(walked, str) == (curve == "sym11" and getattr(ring, "p", None) == 5)
+
+    def test_denominator_p_raised_where_coerce_raises(self, sym11):
+        # unit 1/5 on 11a1: at p = 5 a level is refused exactly when one of
+        # its values has 5 in its denominator, with the same message; a
+        # symbol scaled by 5 is 5-integral at every level
+        fives = replace(sym11, calibration_unit=Fraction(1))
+        for level in range(1, 60):
+            if level % 11:
+                walked, reference = _walk_against_eval_plus(sym11, level, ResidueRing(5))
+                assert walked == reference and isinstance(walked, str), level
+                walked, reference = _walk_against_eval_plus(fives, level, ResidueRing(5, 2))
+                assert walked == reference and not isinstance(walked, str), level
+
+    def test_off_by_one_walk_alarms(self, sym37, monkeypatch):
+        original = EigenSymbol.plus_numerators
+
+        def off_by_one(symbol, level, residues):
+            totals, scale = original(symbol, level, residues)
+            return (t + 1 for t in totals), scale
+
+        monkeypatch.setattr(EigenSymbol, "plus_numerators", off_by_one)
+        for ring in (QQ, ResidueRing(5)):
+            with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 30/61"):
+                plus_element(sym37, 61, ring)
+
+    def test_off_by_one_walk_alarms_python_O(self, run_python_O):
+        script = (
+            "from kurihara.curve import load_curve\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "from kurihara.exactmath import ResidueRing\n"
+            "from kurihara.mazurtate import plus_element\n"
+            "from kurihara.modsym import EigenSymbol, build_space, extract_eigensymbol\n"
+            f"E = load_curve({CURVE_37A1!r})\n"
+            "sym = extract_eigensymbol(build_space(37), E)\n"
+            "print('BEFORE', plus_element(sym, 61, ResidueRing(5)).is_zero())\n"
+            "original = EigenSymbol.plus_numerators\n"
+            "def off_by_one(symbol, level, residues):\n"
+            "    totals, scale = original(symbol, level, residues)\n"
+            "    return (t + 1 for t in totals), scale\n"
+            "EigenSymbol.plus_numerators = off_by_one\n"
+            "try:\n"
+            "    plus_element(sym, 61, ResidueRing(5))\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "BEFORE False", "ALARM the integer walk differs from eval_plus at 30/61",
+        ]
 
 
 def _two_list_path_symbols(space, a, d):

@@ -14,7 +14,7 @@ from kurihara.errors import (
 from kurihara.exactmath import GroupRingElement, ResidueRing
 from kurihara.kolyvagin import KolyvaginPrime, sieve
 from kurihara.mazurtate import plus_element
-from kurihara.modsym import fricke_eigenvalue
+from kurihara.modsym import EigenSymbol, fricke_eigenvalue
 from kurihara.records import replace
 from kurihara.search import (
     DeltaReport,
@@ -300,16 +300,15 @@ class TestOneWalk:
 
     @staticmethod
     def _count_evaluations(monkeypatch):
-        import kurihara.mazurtate as mt
-
+        # the level of each unit the integer walk evaluates
         calls = []
-        original = mt.eval_plus
+        original = EigenSymbol.plus_numerators
 
-        def counting(symbol, a, d):
-            calls.append(d)
-            return original(symbol, a, d)
+        def counting(symbol, level, residues):
+            calls.extend(level for _ in residues)
+            return original(symbol, level, residues)
 
-        monkeypatch.setattr(mt, "eval_plus", counting)
+        monkeypatch.setattr(EigenSymbol, "plus_numerators", counting)
         return calls
 
     # phi(d)/2 evaluations for d > 2: the units a < d/2 once each, d - a

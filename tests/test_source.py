@@ -43,7 +43,9 @@ def test_group_ring_layout_private():
 
 def test_quotient_layout_private():
     # the quotient coordinates, boundary rows and Hecke matrices are integers
-    # on the proj_den scale of modsym; no other module of the package reads them
+    # on the proj_den scale of modsym; no other module of the package reads
+    # them, nor the generator numerators and the P^1 inverse table that the
+    # integer walk reads (EigenSymbol.plus_numerators hands out its scale)
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         if os.path.basename(path) == "modsym.py":
@@ -54,7 +56,9 @@ def test_quotient_layout_private():
             f"{os.path.basename(path)}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and node.attr in ("proj_nums", "proj_den", "boundary", "hecke_full")
+            and node.attr in (
+                "proj_nums", "proj_den", "boundary", "hecke_full", "_inv", "generator_values",
+            )
         ]
     assert found == []
 
