@@ -23,16 +23,16 @@ three runs, 2-vCPU shared host, Python 3.11):
 
 The two costs meet near 200-300, and the limit is 300.
 
-The p-primary part S of E(F_l), of order p^v, is cyclic exactly when it has
-a point of order p^v.  For v >= 2 and p | l - 1, p_torsion_structure looks
-for one: a few random points P, each multiplied by the prime-to-p part of
-#E(F_l); a result of order p^v is a certificate, and a result whose order
-does not divide p^v means the count is wrong (CorrectnessAlarm).  Only when
-no draw certifies (full p-torsion, or an unlucky cyclic case) does the
-p-division polynomial decide, through x^l mod psi_p.  On 11a1, 37a1, 389a1
-and 5077a1 with p in {3, 5, 7, 11} and l < 8000, four draws certify 257 of
-the 261 cyclic cases with p^2 | #E(F_l) and p | l - 1; the other 320 cases
-have full p-torsion.
+The p-primary part S of E(F_l), of order p^v, is classified by points
+alone.  For v >= 2 and p | l - 1, p_torsion_structure multiplies random
+points by the prime-to-p part of #E(F_l) until one of two exact certificates
+appears: a point of order p^v (S is cyclic), or two points of order p, one
+not a multiple of the other (E(F_l)[p] is full).  A point whose order does
+not divide p^v, or TORSION_CERTIFICATE_DRAWS points with neither
+certificate, means the count is wrong (CorrectnessAlarm).  On 11a1, 37a1,
+389a1 and 5077a1 with p in {3, 5, 7, 11} and l < 30000, the 1,947 cases with
+p^2 | #E(F_l) and p | l - 1 (1,078 full, 869 cyclic) took at most 6 draws,
+and 1,597 of them one or two.
 """
 
 import json
@@ -50,9 +50,9 @@ from .records import record
 NAIVE_COUNT_LIMIT = 300
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
 SURJECTIVITY_SCAN = 1000  # Frobenius samples at the good primes below this
-# Random points tried for a cyclic certificate of E(F_l)[p^oo] before the
-# division-polynomial test decides (see p_torsion_structure).
-CYCLIC_CERTIFICATE_DRAWS = 4
+# Random points drawn for a certificate of E(F_l)[p^oo]; none in this many
+# means the count is wrong (see p_torsion_structure).
+TORSION_CERTIFICATE_DRAWS = 64
 
 
 @record(frozen=True)
@@ -470,171 +470,7 @@ def require_hypotheses(E, p):
 
 
 # ---------------------------------------------------------------------------
-# division polynomials and the p-primary structure of E(F_l)
-
-
-def _polytrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polymul(a, b, l):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % l
-    return _polytrim(out)
-
-
-def _polysub(a, b, l):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % l
-    return _polytrim(out)
-
-
-def _polymod(a, b, l):
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv = pow(lead, -1, l)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv % l
-        shift = len(a) - 1 - db
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * y) % l
-        _polytrim(a)
-    return a
-
-
-def _polygcd(a, b, l):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _polymod(a, b, l)
-    if a:
-        inv = pow(a[-1], -1, l)
-        a = [x * inv % l for x in a]
-    return a
-
-
-def _polypow_mod(base, e, mod, l):
-    result = [1]
-    base = _polymod(list(base), mod, l)
-    while e:
-        if e & 1:
-            result = _polymod(_polymul(result, base, l), mod, l)
-        base = _polymod(_polymul(base, base, l), mod, l)
-        e >>= 1
-    return result
-
-
-def division_polynomial(E, n, l):
-    """psi_n mod l for odd n, as a polynomial in x (list of coefficients).
-
-    Uses the b-invariant recurrences with psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6.
-    """
-    if n % 2 != 1:
-        raise ValueError(f"division polynomial of even index {n} is not a polynomial in x")
-    b2, b4, b6, b8 = E.b2 % l, E.b4 % l, E.b6 % l, E.b8 % l
-    B = [b6, 2 * b4 % l, b2, 4 % l]  # psi_2^2
-    cache = {}
-
-    def psi(k):
-        # value: (poly, e) meaning poly * psi_2^e with e in {0, 1}
-        if k in cache:
-            return cache[k]
-        if k == 0:
-            v = ([], 0)
-        elif k == 1:
-            v = ([1], 0)
-        elif k == 2:
-            v = ([1], 1)
-        elif k == 3:
-            v = (_polytrim([b8, 3 * b6 % l, 3 * b4 % l, b2, 3 % l]), 0)
-        elif k == 4:
-            poly = _polytrim(
-                [
-                    (b4 * b8 - b6 * b6) % l,
-                    (b2 * b8 - b4 * b6) % l,
-                    10 * b8 % l,
-                    10 * b6 % l,
-                    5 * b4 % l,
-                    b2,
-                    2 % l,
-                ]
-            )
-            v = (poly, 1)
-        elif k % 2 == 1:
-            m = (k - 1) // 2
-            a_, ae = psi(m + 2)
-            b_, be = psi(m)
-            c_, ce = psi(m - 1)
-            d_, de = psi(m + 1)
-            t1 = _polymul(a_, _polymul(b_, _polymul(b_, b_, l), l), l)
-            e1 = ae + 3 * be
-            t2 = _polymul(c_, _polymul(d_, _polymul(d_, d_, l), l), l)
-            e2 = ce + 3 * de
-            # both sides have the same psi_2 parity; reduce psi_2^2 -> B
-            while e1 >= 2:
-                t1 = _polymul(t1, B, l)
-                e1 -= 2
-            while e2 >= 2:
-                t2 = _polymul(t2, B, l)
-                e2 -= 2
-            if not e1 == e2 == 0:  # odd-index psi is a polynomial in x
-                raise CorrectnessAlarm(f"psi_{k} mod {l} kept a power of psi_2")
-            v = (_polysub(t1, t2, l), 0)
-        else:
-            # psi_2m = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) / psi_2;
-            # both products carry the same raw psi_2 power, and the total power
-            # before division is always 2, so no polynomial division is needed.
-            m = k // 2
-            a_, ae = psi(m + 2)
-            b_, be = psi(m - 1)
-            c_, ce = psi(m - 2)
-            d_, de = psi(m + 1)
-            e_, ee = psi(m)
-            t1 = _polymul(a_, _polymul(b_, b_, l), l)
-            e1 = ae + 2 * be
-            t2 = _polymul(c_, _polymul(d_, d_, l), l)
-            e2 = ce + 2 * de
-            if not (e1 == e2 and ee + e1 == 2):
-                raise CorrectnessAlarm(f"psi_{k} mod {l}: unbalanced powers of psi_2")
-            v = (_polymul(e_, _polysub(t1, t2, l), l), 1)
-        cache[k] = v
-        return v
-
-    poly, e = psi(n)
-    if e != 0:
-        raise CorrectnessAlarm(f"psi_{n} mod {l} kept a power of psi_2")
-    return poly
-
-
-def full_p_torsion_deterministic(E, l, p):
-    """True iff E(F_l) contains (Z/p)^2, via the p-division polynomial.
-
-    Full rational p-torsion needs every root of psi_p in F_l (checked through
-    gcd with x^l - x) and a rational y above each root (quadratic characters,
-    batched as (4x^3+b2x^2+2b4x+b6)^((l-1)/2) = 1 mod psi_p).
-    """
-    if (l - 1) % p != 0:
-        return False  # Weil pairing forces mu_p in F_l
-    psi = division_polynomial(E, p, l)
-    deg = len(psi) - 1
-    if deg != (p * p - 1) // 2:
-        raise CorrectnessAlarm(f"psi_{p} mod {l} has degree {deg}, not {(p * p - 1) // 2}")
-    xl = _polypow_mod([0, 1], l, psi, l)
-    g = _polygcd(_polysub(xl, [0, 1], l), psi, l)
-    if len(g) - 1 != deg:
-        return False
-    B = [E.b6 % l, 2 * E.b4 % l, E.b2 % l, 4 % l]
-    s = _polypow_mod(B, (l - 1) // 2, psi, l)
-    return s == [1]
+# the p-primary structure of E(F_l)
 
 
 def p_torsion_structure(E, l, p):
@@ -643,12 +479,23 @@ def p_torsion_structure(E, l, p):
     With n = #E(F_l) = p^v n' and p not dividing n', S = n' E(F_l) is the
     p-primary part, of order p^v; 'full' means E(F_l) contains (Z/p)^2.  S is
     cyclic when v <= 1, and when p does not divide l - 1 (full p-torsion puts
-    mu_p in F_l, by the Weil pairing).  Otherwise each of up to
-    CYCLIC_CERTIFICATE_DRAWS points P, drawn from random.Random(l) so that
-    reruns agree, gives Q = n' P: p^v Q must be O, or the count is wrong
-    (CorrectnessAlarm), and p^(v-1) Q != O certifies a point of order p^v,
-    so S is cyclic.  When no draw certifies, the division-polynomial test
-    (`full_p_torsion_deterministic`) decides.
+    mu_p in F_l, by the Weil pairing).  Otherwise points P drawn from
+    random.Random(l), so that reruns agree, give Q = n' P, whose order p^k
+    must divide p^v, or the count is wrong (CorrectnessAlarm).  Each Q ends
+    in one of two certificates or in nothing:
+
+    - k = v: Q generates a subgroup of order p^v = |S|, so S is cyclic.
+    - Against G, the drawn point of largest order p^g, with T = p^(g-1) G:
+      U = p^(k-1) Q must be a multiple i T (0 < i < p), and then
+      Q - i p^(g-k) G has smaller order; a U outside <T> is a second point
+      of order p, so E(F_l)[p] = (Z/p)^2 whatever the count.  A Q that
+      reaches O lies in <G>, and a Q of larger order than G takes its place.
+
+    Once G has the larger order p^a of S = Z/p^a x Z/p^b, a draw certifies
+    full torsion unless it falls into <G>, with probability p^-b (the draw
+    counts are in the module docstring).  Reaching TORSION_CERTIFICATE_DRAWS
+    means S has neither certificate, so the count is wrong
+    (CorrectnessAlarm).
     """
     if E.discriminant % l == 0 or l == p:
         raise BadPrime(f"{l} is bad or equals p")
@@ -662,14 +509,29 @@ def p_torsion_structure(E, l, p):
     if v == 1 or (l - 1) % p != 0:
         return ("cyclic", v)
     rng = random.Random(l)
-    for _ in range(CYCLIC_CERTIFICATE_DRAWS):
-        R = ec_mul(E, l, cofactor * p ** (v - 1), random_point(E, l, rng))  # p^(v-1) Q
-        if ec_mul(E, l, p, R) is not None:
-            raise CorrectnessAlarm(f"#E(F_{l}) = {n} does not kill a point of E(F_{l})")
-        if R is not None:
-            return ("cyclic", v)
-    full = full_p_torsion_deterministic(E, l, p)
-    return ("full" if full else "cyclic", v)
+    G, g = None, 0
+    for _ in range(TORSION_CERTIFICATE_DRAWS):
+        Q = ec_mul(E, l, cofactor, random_point(E, l, rng))
+        while Q is not None:
+            k, R = 0, Q  # p^k is the order of Q, U = p^(k-1) Q
+            while R is not None:
+                if k == v:
+                    raise CorrectnessAlarm(f"#E(F_{l}) = {n} does not kill a point of E(F_{l})")
+                k, U, R = k + 1, R, ec_mul(E, l, p, R)
+            if k == v:
+                return ("cyclic", v)
+            if k > g:  # Q takes G's place, and the old G is reduced next
+                G, g, Q = Q, k, G
+                digits = {ec_mul(E, l, i, U): i for i in range(1, p)}  # {i T: i}, T = U
+                continue
+            i = digits.get(U)
+            if i is None:
+                return ("full", v)
+            Q = ec_add(E, l, Q, ec_mul(E, l, -i * p ** (g - k), G))
+    raise CorrectnessAlarm(
+        f"#E(F_{l}) = {n}: no certificate of E(F_{l})[{p}^oo] in "
+        f"{TORSION_CERTIFICATE_DRAWS} points"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,8 @@ class TestCounting:
             assert _count_naive(E, l) == expected, l
 
     def test_count_invariants_alarm_python_O(self, run_python_O):
-        # a Hasse window with no multiple of a point's order and an even
-        # division-polynomial index must stop the run under -O too
+        # a Hasse window with no multiple of a point's order must stop the
+        # run under -O too
         script = (
             "import kurihara.curve as C\n"
             "from kurihara.errors import CorrectnessAlarm\n"
@@ -152,15 +152,11 @@ class TestCounting:
             "    C._count_bsgs(E, 10007, C.random.Random(0))\n"
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
-            "try:\n"
-            "    C.division_polynomial(E, 4, 7)\n"
-            "except ValueError as exc:\n"
-            "    print('REJECTED', exc)\n"
         )
         proc = run_python_O(script)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert [line.split()[0] for line in lines] == ["ALARM", "REJECTED"]
+        assert [line.split()[0] for line in lines] == ["ALARM"]
         assert "Hasse window" in lines[0]
 
     def test_each_count_computed_once(self, monkeypatch):
@@ -244,8 +240,9 @@ class TestHypotheses:
 def _p_torsion_count(E, l, p):
     """#E(F_l)[p] by brute force: the points P of E(F_l) with [p]P = O.
 
-    It is p^2 exactly when E(F_l)[p] is full.  Independent of the
-    division-polynomial test that p_torsion_structure uses.
+    It is p^2 exactly when E(F_l)[p] is full.  Independent of the point
+    certificates that p_torsion_structure draws: it walks every point and
+    never reads #E(F_l).
     """
     roots = {}
     for r in range(l):
@@ -295,46 +292,59 @@ class TestTorsionStructure:
         assert len(results) == 1
 
 
-def _fallback_calls(monkeypatch):
-    """A list that records each (l, p) the division-polynomial test decides."""
-    calls = []
-    decide = curve.full_p_torsion_deterministic
-
-    def recorded(E, l, p):
-        calls.append((l, p))
-        return decide(E, l, p)
-
-    monkeypatch.setattr(curve, "full_p_torsion_deterministic", recorded)
-    return calls
-
-
 class TestCyclicCertificate:
-    def test_5077a1_sieve_is_certified_without_division_polynomials(self, monkeypatch):
-        # the benchmark's sieve: every p^2 | #E(F_l) case there is cyclic and
-        # a point of order p^v is found, so psi_7 is never built
+    def test_5077a1_sieve_is_certified_without_division_polynomials(self):
+        # the benchmark's sieve: every p^2 | #E(F_l) case there is cyclic,
+        # certified by a point of order p^v
         E = CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1")
-        calls = _fallback_calls(monkeypatch)
         primes = sieve(E, 7, 1, 0, 2000)
         assert [kp.ell for kp in primes] == [113, 211, 463, 547, 673, 743, 757, 1933]
-        assert calls == []
         kind, v = p_torsion_structure(E, 547, 7)
-        assert kind == "cyclic" and v >= 2 and calls == []
+        assert kind == "cyclic" and v >= 2
+        assert _p_torsion_count(E, 547, 7) == 7
 
-    def test_full_torsion_reaches_the_fallback(self, e11, monkeypatch):
-        # E(F_31) = (Z/5)^2 on 11a1: no point has order 25, so no draw
-        # certifies and psi_5 decides
-        calls = _fallback_calls(monkeypatch)
+    def test_full_torsion_is_certified_by_two_points(self, e11):
+        # E(F_31) = (Z/5)^2 on 11a1: no point has order 25, and a second
+        # point of order 5 outside the first one's span proves it
         assert p_torsion_structure(e11, 31, 5) == ("full", 2)
-        assert calls == [(31, 5)]
         assert _p_torsion_count(e11, 31, 5) == 25
 
-    def test_uncertified_cyclic_case_reaches_the_fallback(self, e37, monkeypatch):
-        # #E(F_157) = 135 on 37a1 with cyclic 3-part, where the four seeded
-        # draws all land in 3E(F_157)
-        calls = _fallback_calls(monkeypatch)
+    def test_cyclic_case_past_the_first_draws(self, e37):
+        # #E(F_157) = 135 on 37a1 with cyclic 3-part, where the first four
+        # seeded draws all land in 3E(F_157) and the sixth has order 27
         assert p_torsion_structure(e37, 157, 3) == ("cyclic", 3)
-        assert calls == [(157, 3)]
         assert _p_torsion_count(e37, 157, 3) == 3
+
+    def test_5077a1_full_torsion_at_scale(self):
+        # the one full case in the 5077a1 sieve to 20000 at p = 7
+        E = CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1")
+        assert p_torsion_structure(E, 14071, 7) == ("full", 2)
+        assert _p_torsion_count(E, 14071, 7) == 49
+        primes = [kp.ell for kp in sieve(E, 7, 1, 0, 20000)]
+        assert len(primes) == 52 and 14071 not in primes
+        assert primes[:4] == [113, 211, 463, 547] and primes[-3:] == [19013, 19139, 19531]
+
+    def test_count_off_by_p_alarms_python_O(self, run_python_O):
+        # #E(F_547) = 539 = 7^2 * 11 on 5077a1 with cyclic 7-part; a count of
+        # 7 * 539 asks for a point of order 7^3, which no draw finds, while
+        # every draw falls into the span of the first: the cap must refuse
+        # the count rather than call it cyclic, under -O too
+        script = (
+            "import kurihara.curve as C\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "E = C.CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1)\n"
+            "print('TRUE', C.p_torsion_structure(E, 547, 7))\n"
+            "C.count_points = lambda E, l: 7 * 539\n"
+            "try:\n"
+            "    print('VERDICT', C.p_torsion_structure(E, 547, 7))\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "TRUE ('cyclic', 2)"
+        assert lines[1].startswith("ALARM #E(F_547) = 3773: no certificate"), proc.stdout
 
     def test_wrong_count_alarms_python_O(self, run_python_O):
         # E(F_31) = (Z/5)^2 on 11a1; a count of 27 would ask for 3-torsion of
@@ -423,10 +433,20 @@ class TestBadReduction:
 
 
 class TestTorsionCrossCheckAtScale:
-    def test_fifty_instances_sampled_vs_deterministic(self, e11, e37):
+    def test_fifty_instances_sampled_vs_deterministic(self, e11, e37, monkeypatch):
         # 50 (E, l, p) instances with p^2 | #E(F_l) and p | l - 1: the
         # classification must agree with a brute-force count of E(F_l)[p],
-        # and both kinds must occur
+        # both kinds must occur, and no classification draws more than 8
+        # points (a certificate that compared only order-p multiples would
+        # need about p^(a-b) draws on Z/p^a x Z/p^b)
+        draws = []
+        draw = curve.random_point
+
+        def counted(E, l, rng):
+            draws.append(l)
+            return draw(E, l, rng)
+
+        monkeypatch.setattr(curve, "random_point", counted)
         curves = [
             e11,
             e37,
@@ -443,7 +463,9 @@ class TestTorsionCrossCheckAtScale:
                 for p in (3, 5, 7):
                     if l == p or n % (p * p) != 0 or (l - 1) % p != 0:
                         continue
+                    draws.clear()
                     kind, v = p_torsion_structure(E, l, p)
+                    assert 1 <= len(draws) <= 8, (E.label, l, p, len(draws))
                     full = _p_torsion_count(E, l, p) == p * p
                     assert (kind == "full") == full, (E.label, l, p)
                     kinds.add(kind)

@@ -115,15 +115,34 @@ def test_no_exec_eval_or_dataclasses():
 def test_every_definition_used_in_the_package():
     # a function or class that only the tests call belongs in the tests: each
     # name defined in the package must also appear in it somewhere besides
-    # its definitions (a call, a reference, an export, or a docstring)
+    # its definitions (a call, a reference, an export, or a docstring).  A
+    # module-level UPPER_CASE constant must be read by code, as a name or an
+    # attribute: a docstring or a comment that names it is not a use
     texts = []
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
             texts.append((os.path.basename(path), fh.read()))
     package = "\n".join(text for _, text in texts)
+    trees = [(where, ast.parse(text, where)) for where, text in texts]
+    read = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
     unused = []
-    for where, text in texts:
-        for node in ast.walk(ast.parse(text, where)):
+    constants = 0
+    for where, tree in trees:
+        for node in tree.body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                    constants += 1
+                    if target.id not in read:
+                        unused.append(f"{where}:{node.lineno} {target.id}")
+    assert constants > 15
+    for where, tree in trees:
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
