@@ -1,5 +1,7 @@
-"""Versioned content-addressed JSON cache.
+"""Versioned content-addressed JSON cache of search reports.
 
+`kurihara search --cache-dir` is its one user: a finished search is the one
+result worth keeping, and a hit is re-verified as `kurihara report` does.
 Keys are SHA-256 hashes of a canonical JSON encoding of the inputs; entries
 are written atomically (temp file + rename) so concurrent readers never see a
 torn file.  Breaking schema changes bump SCHEMA_VERSION, which participates in
@@ -27,17 +29,6 @@ class JsonCache:
             separators=(",", ":"),
         )
         return hashlib.sha256(body.encode()).hexdigest()
-
-    def eigensymbol_key(self, E, calibrated=True):
-        return self.key(
-            "eigensymbol",
-            {
-                "ainvs": list(E.ainvs()),
-                "conductor": E.conductor,
-                "sign": 1,
-                "calibrated": calibrated,
-            },
-        )
 
     def _path(self, key):
         return os.path.join(self.directory, f"{key}.json")

@@ -22,7 +22,7 @@ from .errors import (
 from .exactmath import ResidueRing, is_prime
 from .kolyvagin import sieve, sieved_factors
 from .mazurtate import plus_element, theta, vartheta, xi_tilde
-from .modsym import build_space, extract_eigensymbol, symbol_from_json
+from .modsym import build_space, extract_eigensymbol
 from .records import replace
 from .verifiers import span_two_covering_witness, run_identity_suite, verify_coset_lemma
 from .search import DeltaReport, attach_parity, delta_row, find_delta_minimal, selmer_report
@@ -60,15 +60,12 @@ def _parser():
     # as a longer one it has
     common = _Parser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
-    # --cache-dir only on the commands that open a cache
-    cached = _Parser(add_help=False, allow_abbrev=False)
-    cached.add_argument("--cache-dir", default=os.environ.get("KURIHARA_CACHE_DIR"))
 
     p = _Parser(prog="kurihara", allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def command(name, summary, *parents):
-        return sub.add_parser(name, parents=[common, *parents], help=summary, allow_abbrev=False)
+    def command(name, summary):
+        return sub.add_parser(name, parents=[common], help=summary, allow_abbrev=False)
 
     def curve_opts(sp, *read):
         # --m, --n, --assert-surjective, --no-assume-optimal: only those read
@@ -96,18 +93,20 @@ def _parser():
     curve_opts(sp, "m", "n", "assert_surjective")
     sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
-    sp = command("theta", "dump theta / vartheta / xi elements", cached)
+    sp = command("theta", "dump theta / vartheta / xi elements")
     curve_opts(sp, "m", "n", "assume_optimal")
     sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--kind", choices=("theta", "vartheta", "xi"), default="theta")
 
-    sp = command("delta", "a single Kurihara number", cached)
+    sp = command("delta", "a single Kurihara number")
     curve_opts(sp, "m", "n", "assert_surjective", "assume_optimal")
     sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--bound", type=_POSITIVE, default=10**4)
 
-    sp = command("search", "full delta-minimal search and report", cached)
+    sp = command("search", "full delta-minimal search and report")
     curve_opts(sp, "m", "assert_surjective", "assume_optimal")
+    # the one command with a cache: a finished search is worth keeping
+    sp.add_argument("--cache-dir", default=os.environ.get("KURIHARA_CACHE_DIR"))
     sp.add_argument("--prime-bound", type=_POSITIVE, default=10**4)
     sp.add_argument("--nu-max", type=_NONNEGATIVE, default=3)
     sp.add_argument("--exhaustive", action="store_true")
@@ -117,7 +116,7 @@ def _parser():
     sp.add_argument("path")
     sp.add_argument("--curve", help="curve JSON file: walk every row of the report again")
 
-    sp = command("selftest", "exhaustive verifiers and identity suite", cached)
+    sp = command("selftest", "exhaustive verifiers and identity suite")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--coset-dim", type=int, choices=(3, 4), default=3)
     sp.add_argument("--curve", default=None)
@@ -141,10 +140,10 @@ def _load_curve(args):
 
 
 def _cache(args):
-    """The JSON cache under --cache-dir, or None.
+    """The search cache under `search --cache-dir`, or None.
 
     The cache module, which loads hashlib and tempfile, is imported only when
-    there is a cache, and every key is computed only then.
+    there is a cache, and the key is computed only then.
     """
     if not args.cache_dir:
         return None
@@ -153,19 +152,10 @@ def _cache(args):
     return JsonCache(args.cache_dir)
 
 
-def _load_symbol(args, E):
-    calibrate = getattr(args, "assume_optimal", True)
-    cache = _cache(args)
-    if cache:
-        key = cache.eigensymbol_key(E, calibrate)
-        entry = cache.get(key)
-        if entry is not None:
-            return symbol_from_json(entry, E)
-    space = build_space(E.conductor)
-    sym = extract_eigensymbol(space, E, calibrate=calibrate)
-    if cache:
-        cache.put(key, sym.to_json())
-    return sym
+def _load_symbol(E, calibrate):
+    """The eigensymbol of E, extracted afresh: a stored one would have to run
+    both eigenline chains again to be certified, which is most of the work."""
+    return extract_eigensymbol(build_space(E.conductor), E, calibrate=calibrate)
 
 
 def _verified_report(obj):
@@ -204,9 +194,7 @@ def _rewalk(report, curve_path):
         raise CorrectnessAlarm(
             f"stored sieved primes {list(report.sieved)} differ from the sieve's {sieved}"
         )
-    sym = extract_eigensymbol(
-        build_space(E.conductor), E, calibrate=calibration.get("status") == "calibrated"
-    )
+    sym = _load_symbol(E, calibration.get("status") == "calibrated")
     derived = {"status": sym.calibration_status, "unit": str(sym.calibration_unit)}
     if derived != calibration:
         raise CorrectnessAlarm(f"stored calibration {calibration} differs from the curve's {derived}")
@@ -273,7 +261,7 @@ def _dispatch(args):
         ok = rep.ok and covered
         if args.curve is not None:
             E = load_curve(args.curve)
-            sym = _load_symbol(args, E)
+            sym = _load_symbol(E, True)
             suite = run_identity_suite(
                 sym, args.p, d_ell_max=args.grid, seed=args.seed
             )
@@ -333,39 +321,20 @@ def _dispatch(args):
         return EXIT_OK
 
     if cmd == "theta":
-        cache = _cache(args)
-        obj = None
-        if cache:
-            key = cache.key(
-                "theta",
-                {
-                    "curve": str(E), "ainvs": list(E.ainvs()), "kind": args.kind,
-                    "d": args.d, "n": args.n, "p": args.p, "m": args.m,
-                    "calibrated": getattr(args, "assume_optimal", True),
-                },
-            )
-            entry = cache.get(key)
-            if isinstance(entry, dict) and entry.keys() == {"group", "coeffs"}:
-                # in to_json's key order, which the cache's sorted JSON loses,
-                # so that a hit prints the bytes of a miss
-                obj = {"group": entry["group"], "coeffs": entry["coeffs"]}
-        if obj is None:
-            sym = _load_symbol(args, E)
-            if args.kind == "theta":
-                el = theta(sym, args.d, args.n, args.p)
-            elif args.kind == "vartheta":
-                el = vartheta(sym, args.d, args.n, args.p, args.m)
-            else:
-                el = xi_tilde(sym, args.d, args.n, args.p, args.m)
-            obj = el.to_json()
-            if cache:
-                cache.put(key, obj)
+        sym = _load_symbol(E, args.assume_optimal)
+        if args.kind == "theta":
+            el = theta(sym, args.d, args.n, args.p)
+        elif args.kind == "vartheta":
+            el = vartheta(sym, args.d, args.n, args.p, args.m)
+        else:
+            el = xi_tilde(sym, args.d, args.n, args.p, args.m)
+        obj = el.to_json()
         _emit(args, obj, json.dumps(obj))
         return EXIT_OK
 
     if cmd == "delta":
         require_hypotheses(E, args.p)
-        sym = _load_symbol(args, E)
+        sym = _load_symbol(E, args.assume_optimal)
         primes = sieve(E, args.p, args.m, args.n, args.bound)
         registry = {kp.ell: kp for kp in primes}
         sieved_factors(args.d, registry)  # reject a bad d before walking (Z/d)^*
@@ -378,7 +347,7 @@ def _dispatch(args):
 
     if cmd == "search":
         require_hypotheses(E, args.p)
-        sym = _load_symbol(args, E)
+        sym = _load_symbol(E, args.assume_optimal)
         cache = _cache(args)
         obj = None
         if cache:
@@ -403,11 +372,14 @@ def _dispatch(args):
             )
             report = selmer_report(report)
             attach_parity(report, sym, w_override=args.root_number)
-            if cache:
-                cache.put(key, report.to_json())
         else:
             report = _verified_report(obj)
-        _emit(args, report.to_json(), report.to_text())
+        out = report.to_json()
+        _emit(args, out, report.to_text())
+        if cache and obj is None:
+            # after the report is printed, so that a failed write (a full
+            # disk, a read-only directory) loses no finished search
+            cache.put(key, out)
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {cmd}")

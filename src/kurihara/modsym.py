@@ -608,43 +608,3 @@ def fricke_eigenvalue(symbol):
     if eps not in (1, -1):
         raise FrickeNotScalar(f"Fricke eigenvalue {eps} is not a sign")
     return int(eps)
-
-
-# ---------------------------------------------------------------------------
-# cache round-trip
-
-
-def symbol_from_json(obj, E):
-    """Rebuild an EigenSymbol from its cache entry, re-certified.
-
-    The space is reconstructed, and both eigenline chains are run again on the
-    cached (q, a_q) pairs: the column must be a line and the functional must
-    equal the cached vector, or CorrectnessAlarm is raised.
-    """
-    if obj["sign"] != 1:
-        raise CorrectnessAlarm(f"cache entry has sign {obj['sign']}, not the plus quotient")
-    space = ManinSpace(obj["N"])
-    if space.dim != obj["basis_dim"]:
-        raise CorrectnessAlarm("cache schema/level mismatch")
-    vector = tuple(int(x) for x in obj["vector"])
-    pairs = tuple((int(q), int(aq)) for q, aq in obj["hecke_pairs"])
-    col_basis, _, chain_dims = _eigen_chain(space, pairs, dual=False)
-    if len(col_basis) != 1:
-        raise CorrectnessAlarm("cached hecke pairs no longer cut a line")
-    dual_basis, _, _ = _eigen_chain(space, pairs, dual=True)
-    if len(dual_basis) != 1 or tuple(dual_basis[0]) != vector:
-        raise CorrectnessAlarm(
-            "cached eigensymbol vector is not the functional the cached hecke pairs cut out"
-        )
-    num, den = obj["calibration"]["unit"].split("/")
-    return EigenSymbol(
-        space,
-        E,
-        vector,
-        tuple(col_basis[0]),
-        pairs,
-        (),
-        tuple(chain_dims),
-        obj["calibration"]["status"],
-        Fraction(int(num), int(den)),
-    )

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -166,6 +167,13 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["group"] == [2]
 
+    def test_theta_xi_golden_bytes(self, capsys):
+        # the theta-11a1 benchmark's command; "group" prints before "coeffs"
+        assert main(["theta", "--curve", curve_path("11a1"), "--kind", "xi", "--d=17",
+                     "--n=2", "--p=7", "--m=2"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest().startswith("d93e1a9d")
+
     def test_report_round_trip(self, tmp_path, capsys):
         assert main(SEARCH_37) == 0
         text = capsys.readouterr().out
@@ -179,32 +187,18 @@ class TestSubcommands:
         assert capsys.readouterr().out == report
 
 
-class TestCaching:
-    def test_eigensymbol_cache_round_trip(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        args = ["delta", "--curve", curve_path("11a1"), "--p", "7",
-                "--d", "1", "--bound", "300", "--cache-dir", cache_dir,
-                "--format", "json"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        files = os.listdir(cache_dir)
-        assert len(files) == 1
-        entry = Path(cache_dir, files[0])
-        before = entry.read_text()
-        # second run consumes the cache and reproduces the output exactly
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        after = entry.read_text()
-        assert before == after
+# a small 11a1 search, the one command with a cache
+SEARCH_11 = ["search", "--curve", curve_path("11a1"), "--p", "7",
+             "--prime-bound", "200", "--nu-max", "1"]
 
+
+class TestCaching:
     @pytest.mark.parametrize("body", ["[1, 2]", '{"schema": 1}'], ids=["list", "no_value"])
     def test_malformed_entry_is_a_miss(self, tmp_path, capsys, body):
         # JSON that is not a cache entry is recomputed and rewritten, like
         # unreadable JSON, instead of crashing the run
         cache_dir = str(tmp_path / "cache")
-        args = ["delta", "--curve", curve_path("11a1"), "--p", "7",
-                "--d", "1", "--bound", "300", "--cache-dir", cache_dir]
+        args = SEARCH_11 + ["--cache-dir", cache_dir]
         assert main(args) == 0
         cold = capsys.readouterr().out
         (entry,) = Path(cache_dir).iterdir()
@@ -215,41 +209,47 @@ class TestCaching:
         assert entry.read_text() == written
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_theta_hit_prints_the_miss_bytes(self, tmp_path, capsys, monkeypatch, fmt):
-        # the cache stores the element with sorted keys; a hit still prints
-        # the miss's bytes ("group" before "coeffs" in the text format)
-        import kurihara.cli as cli
+    def test_failed_write_keeps_the_report(self, tmp_path, capsys, monkeypatch, fmt):
+        # the report is printed before the entry is written: a full disk
+        # loses no finished search, and still ends as a usage error
+        from kurihara.cache import JsonCache
 
-        cache_dir = str(tmp_path / "cache")
-        args = ["theta", "--curve", curve_path("11a1"), "--kind", "xi", "--d=17", "--n=2",
-                "--p=7", "--m=2", "--cache-dir", cache_dir, "--format", fmt]
-        assert main(args) == 0
-        miss = capsys.readouterr().out
-        if fmt == "text":
-            assert hashlib.sha256(miss.encode()).hexdigest().startswith("d93e1a9d")
+        assert main(SEARCH_11 + ["--format", fmt]) == 0
+        uncached = capsys.readouterr().out
 
-        def recomputed(*args):
-            raise AssertionError("the second run must be a cache hit")
+        def disk_full(self, key, value):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "xi_tilde", recomputed)
-        assert main(args) == 0
-        assert capsys.readouterr().out == miss
+        monkeypatch.setattr(JsonCache, "put", disk_full)
+        argv = SEARCH_11 + ["--format", fmt, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == uncached
+        assert captured.err.startswith("error: ") and "No space left" in captured.err
 
-    def test_no_cache_module_without_a_cache(self, run_python):
+    def test_no_cache_module_without_a_cache(self, run_python, tmp_path):
         # without --cache-dir or KURIHARA_CACHE_DIR no key is computed, and the
-        # cache module, with hashlib and tempfile, is never imported
+        # cache module, with hashlib and tempfile, is never imported; theta
+        # and delta keep no cache, so KURIHARA_CACHE_DIR leaves them alone
+        unused = tmp_path / "never-made"
         script = (
             "import os, sys\n"
             "os.environ.pop('KURIHARA_CACHE_DIR', None)\n"
             "from kurihara.cli import main\n"
-            f"code = main(['sieve', '--curve', {curve_path('11a1')!r}, '--p', '7',"
-            " '--bound', '300'])\n"
-            "print(code, sorted(m for m in ('kurihara.cache', 'hashlib', 'tempfile')"
+            f"codes = [main(['sieve', '--curve', {curve_path('11a1')!r}, '--p', '7',"
+            " '--bound', '300'])]\n"
+            f"os.environ['KURIHARA_CACHE_DIR'] = {str(unused)!r}\n"
+            f"codes.append(main(['theta', '--curve', {curve_path('11a1')!r}, '--p', '7',"
+            " '--d', '3']))\n"
+            f"codes.append(main(['delta', '--curve', {curve_path('37a1')!r}, '--p', '5',"
+            " '--d', '61', '--bound', '300']))\n"
+            "print(codes, sorted(m for m in ('kurihara.cache', 'hashlib', 'tempfile')"
             " if m in sys.modules))\n"
         )
         proc = run_python(script, "-S")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+        assert not unused.exists()
 
     def test_same_seed_byte_identical(self, capsys):
         # selftest is the one command that reads --seed (the identity
@@ -292,11 +292,13 @@ class TestFlags:
         ["check", "--curve", curve_path("37a1"), "--p", "5", "--no-assume-optimal"],
         ["sieve", "--curve", curve_path("37a1"), "--p", "5", "--no-assume-optimal"],
         ["theta", "--curve", curve_path("11a1"), "--p", "7", "--assert-surjective"],
-        # only selftest reads --seed; only selftest, theta, delta and search
-        # open a cache
+        # only selftest reads --seed; only search opens a cache
         ["check", "--curve", curve_path("37a1"), "--p", "5", "--seed", "5"],
         ["sieve", "--curve", curve_path("37a1"), "--p", "5", "--cache-dir", "X"],
         ["report", "saved-report.json", "--seed", "1"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "7", "--cache-dir", "X"],
+        ["delta", "--curve", curve_path("37a1"), "--p", "5", "--cache-dir", "X"],
+        ["selftest", "--coset-dim", "3", "--cache-dir", "X"],
     ])
     def test_option_the_command_ignores_exits_64(self, argv, capsys):
         # each option is offered only where it is read
@@ -327,7 +329,7 @@ class TestFlags:
         sym = replace(sym37)
         theta(sym, 3)
         before = dict(sym._theta_cache)
-        monkeypatch.setattr(cli, "_load_symbol", lambda args, E: sym)
+        monkeypatch.setattr(cli, "_load_symbol", lambda E, calibrate: sym)
         assert main(SEARCH_37) == 0
         assert main(["delta", "--curve", curve_path("37a1"), "--p", "5",
                      "--d", "12871", "--bound", "300"]) == 0
@@ -353,15 +355,23 @@ class TestFlags:
         assert out["coeffs"][0][1] != "1/5"
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_search_result_cached(self, tmp_path, capsys, fmt):
+    def test_search_result_cached(self, tmp_path, capsys, monkeypatch, fmt):
+        import kurihara.cli as cli
+
         cache_dir = str(tmp_path / "c")
-        args = ["search", "--curve", curve_path("11a1"), "--p", "7",
-                "--prime-bound", "200", "--nu-max", "1",
-                "--cache-dir", cache_dir, "--format", fmt]
+        args = SEARCH_11 + ["--cache-dir", cache_dir, "--format", fmt]
         assert main(args) == 0
         first = capsys.readouterr().out
-        kinds = len(os.listdir(cache_dir))
-        assert kinds == 2  # eigensymbol + search report
+        # the search report alone, under the key that earlier versions wrote
+        # (it holds the eigensymbol's JSON), so their cache directories hit
+        assert os.listdir(cache_dir) == [
+            "438ca4da47b099c6754f487ed92947acc85934af7b4c23a6d4bf7e2d7361e2a5.json"
+        ]
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("the second run must be a cache hit")
+
+        monkeypatch.setattr(cli, "find_delta_minimal", recomputed)
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
@@ -579,31 +589,3 @@ class TestReverification:
         assert code == (3 if kind == "sieved" else 64)
         err = capsys.readouterr().err
         assert ("stored sieved primes" if kind == "sieved" else "is for curve") in err
-
-    @pytest.mark.parametrize("command", ["search", "delta"])
-    def test_corrupted_eigensymbol_cache_exits_3(self, saved_search, tmp_path, command):
-        # the cached functional is re-derived from the cached Hecke pairs on
-        # load; a vector that is not the eigen-functional is refused
-        cache_dir, _ = saved_search
-        work = tmp_path / "cache"
-        shutil.copytree(cache_dir, work)
-        corrupted = 0
-        for entry_path in work.iterdir():
-            entry = json.loads(entry_path.read_text())
-            if "hecke_pairs" in entry["value"]:
-                vector = entry["value"]["vector"]
-                vector[0] = str(int(vector[0]) + 1)
-                entry_path.write_text(json.dumps(entry))
-                corrupted += 1
-        assert corrupted == 1
-        if command == "search":
-            argv = SEARCH_37 + ["--cache-dir", str(work)]
-        else:
-            argv = ["delta", "--curve", curve_path("37a1"), "--p", "5", "--d", "61",
-                    "--bound", "300", "--cache-dir", str(work)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code == 3
-        assert "CORRECTNESS ALARM" in err.getvalue()
-        assert out.getvalue() == ""

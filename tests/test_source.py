@@ -2,6 +2,7 @@ import ast
 import glob
 import os
 import re
+from collections import Counter
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kurihara")
 
@@ -141,6 +142,10 @@ def test_every_definition_used_in_the_package():
                     if target.id not in read:
                         unused.append(f"{where}:{node.lineno} {target.id}")
     assert constants > 15
+    # one count of identifier tokens, and of the names after def and class,
+    # gives each name's number of `\bname\b` matches in one pass
+    mentions = Counter(re.findall(r"\w+", package))
+    definitions = Counter(re.findall(r"\b(?:def|class)\s+(\w+)", package))
     for where, tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -148,9 +153,7 @@ def test_every_definition_used_in_the_package():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            mentions = len(re.findall(rf"\b{name}\b", package))
-            definitions = len(re.findall(rf"\b(?:def|class)\s+{name}\b", package))
-            if mentions <= definitions:
+            if mentions[name] <= definitions[name]:
                 unused.append(f"{where}:{node.lineno} {name}")
     assert unused == []
 
