@@ -651,12 +651,11 @@ class GroupRingElement:
 
     def to_json(self):
         """Canonical serialization: sorted keys, reduced coefficients, no zeros."""
-        coeffs = []
-        for g, c in self.items():
-            if isinstance(c, Fraction):
-                coeffs.append([list(g), f"{c.numerator}/{c.denominator}"])
-            else:
-                coeffs.append([list(g), int(c)])
+        coeffs = [
+            [list(g), f"{c.numerator}/{c.denominator}" if type(c) is Fraction else int(c)]
+            for g, c in zip(self.group.elements(), self.coeffs)
+            if c
+        ]
         return {"group": list(self.group.orders), "coeffs": coeffs}
 
 

@@ -11,7 +11,7 @@ certifies the closed-form identity the transport rests on.
 
 from math import isqrt, prod
 
-from .curve import count_points, p_torsion_structure, primes_upto
+from .curve import count_divisible, p_torsion_structure, primes_upto
 from .errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
 from .exactmath import (
     AbelianGroup,
@@ -94,14 +94,19 @@ def _dlog_bsgs(a, g, l):
 
 
 def kolyvagin_predicate(E, ell, p, m=1, n=0):
-    """Membership test for the sieve, evaluated from scratch."""
+    """Membership test for the sieve, evaluated from scratch.
+
+    ell must be a prime of good reduction other than p with
+    ell = 1 mod p^max(m, n+1), p^m must divide #E(F_ell) (`count_divisible`,
+    which refuses most candidates from one point, without a count), and the
+    p-primary part of E(F_ell) must be cyclic.
+    """
     if ell == p or not is_prime(ell) or E.discriminant % ell == 0:
         return False
     modulus = p ** max(m, n + 1)
     if (ell - 1) % modulus != 0:
         return False
-    order = count_points(E, ell)
-    if order % (p**m) != 0:
+    if not count_divisible(E, ell, p**m):
         return False
     kind, _ = p_torsion_structure(E, ell, p)
     return kind == "cyclic"

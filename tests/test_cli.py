@@ -113,6 +113,31 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert [row["ell"] for row in out] == [61, 211, 281]
 
+    @pytest.mark.parametrize("name, args, count, head, tail, digests", [
+        ("5077a1", ["--p", "7", "--bound", "20000"], 52,
+         [113, 211, 463, 547], [19013, 19139, 19531], ["5915828f", "759715d4"]),
+        ("37a1", ["--p", "5", "--m", "2", "--bound", "20000"], 4,
+         [2251, 4651, 10151, 18451], [], ["bee8bbeb", "965913c7"]),
+    ], ids=["5077a1-p7", "37a1-p5-m2"])
+    def test_sieve_golden_bytes(self, capsys, name, args, count, head, tail, digests):
+        # the text and JSON bytes of two sieves to 20000: 5077a1 leaves out
+        # l = 14071, its one full case (test_curve), and 37a1 at m = 2 keeps
+        # the l = 1 mod 25 with 25 | #E(F_l)
+        argv = ["sieve", "--curve", curve_path(name)] + args
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        rows = json.loads(out)
+        primes = [row["ell"] for row in rows]
+        assert len(primes) == count and 14071 not in primes
+        assert primes[:len(head)] == head and primes[len(primes) - len(tail):] == tail
+        assert text.splitlines() == [
+            f"l = {row['ell']}  h_l = {row['generator']}  |G_l| = {row['p_part']}"
+            for row in rows
+        ]
+        assert [hashlib.sha256(x.encode()).hexdigest()[:8] for x in (text, out)] == digests
+
     def test_delta_route_agreement(self, capsys):
         code = main(
             ["delta", "--curve", curve_path("37a1"), "--p", "5",

@@ -64,6 +64,26 @@ def test_quotient_layout_private():
     assert found == []
 
 
+def test_one_window_search_and_count_threshold():
+    # the baby-step/giant-step window search and the square-table threshold
+    # live in curve: the other modules ask count_points or count_divisible
+    names = {"_window_multiples", "NAIVE_COUNT_LIMIT"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "curve.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.alias) and node.name in names
+        ]
+    assert found == []
+
+
 def test_grammar_of_python_3_10():
     # the package supports Python 3.10 (pyproject requires-python); parsing
     # with feature_version=(3, 10) refuses newer syntax such as `except*`.
