@@ -4,9 +4,10 @@ The sieve picks the primes l with l = 1 mod p^max(m, n+1) whose reduction has
 cyclic p^m-torsion; each carries a fixed generator h_l of (Z/l)^* and discrete
 logarithms to that base.  delta_d is read from theta_d in Z/p^m[(Z/d)^*]
 (`mazurtate.plus_element`) by three routes: the direct weighted sum over the
-units, and, from one projection to the p-part quotient Gal(Q(d)/Q), the
-transport through e_d and the Kolyvagin-derivative expansion, which also
-certifies the closed-form identity the transport rests on.
+units, whose weights come from one list of logs per prime indexed by residue,
+and, from one projection to the p-part quotient Gal(Q(d)/Q), the transport
+through e_d and the Kolyvagin-derivative expansion, which also certifies the
+closed-form identity the transport rests on.
 """
 
 from math import isqrt, prod
@@ -32,8 +33,9 @@ DLOG_TABLE_LIMIT = 1 << 16  # full table below, baby-step/giant-step above
 class KolyvaginPrime:
     """A sieved prime with its generator and discrete-log context.
 
-    The discrete-log table (for ell <= DLOG_TABLE_LIMIT) is built by the
-    first `dlog` call; it takes no part in equality or repr.
+    The discrete-log list, indexed by residue (for ell <= DLOG_TABLE_LIMIT),
+    is built on first use by `dlog` or the direct route; it takes no part
+    in equality or repr.
     """
 
     ell: int
@@ -52,27 +54,27 @@ class KolyvaginPrime:
             k *= self.p
         return k
 
+    def _logs(self):
+        """The discrete log of each residue mod ell, as a list (None at 0).
+
+        Built on first use for ell <= DLOG_TABLE_LIMIT; None above it.
+        """
+        t = self._table
+        if t is None and self.ell <= DLOG_TABLE_LIMIT:
+            t = self._table = [None] * self.ell
+            x = 1
+            for i in range(self.ell - 1):
+                t[x] = i
+                x = x * self.generator % self.ell
+        return t
+
     def dlog(self, a):
         """Exponent k with generator^k = a mod ell, in Z/(ell-1)."""
         a %= self.ell
         if a == 0:
             raise NotAUnit(f"{a} is not a unit mod {self.ell}")
-        t = self._table
-        if t is None:
-            if self.ell > DLOG_TABLE_LIMIT:
-                return _dlog_bsgs(a, self.generator, self.ell)
-            t = self._table = {}
-            x = 1
-            for i in range(self.ell - 1):
-                t[x] = i
-                x = x * self.generator % self.ell
-        return t[a]
-
-    def dlog_mod(self, a, pk):
-        """dlog reduced mod p^k; requires p^k | ell - 1."""
-        if (self.ell - 1) % pk:
-            raise ValueError(f"{pk} does not divide {self.ell} - 1")
-        return self.dlog(a) % pk
+        t = self._logs()
+        return t[a] if t is not None else _dlog_bsgs(a, self.generator, self.ell)
 
 
 def _dlog_bsgs(a, g, l):
@@ -159,22 +161,27 @@ def kurihara_number_direct(theta, registry):
     """delta_d as the plain weighted sum over units a mod d of theta_d in Z/p^m.
 
     Weights are products over l | d of the discrete log of a base h_l, taken
-    mod p^m; the empty product makes delta_1 the L-value mod p^m.  The sum is
-    read straight from the units with its own `dlog_mod` weights, with no
-    projection, so it stays independent of the one the other two routes share.
+    mod p^m; the empty product makes delta_1 the L-value mod p^m.  p^m must
+    divide each l - 1 (ValueError otherwise).  Each unit reads its logs from
+    the per-prime lists, t[a % l] (`dlog` above DLOG_TABLE_LIMIT), and the
+    weighted sum is reduced mod p^m once per unit.  It uses no projection,
+    so it stays independent of the one the other two routes share.
     """
     ring = theta.ring
     pk = ring.modulus
     d = theta.group.n
     ells = sieved_factors(d, registry)
+    for ell in ells:
+        if (ell - 1) % pk:
+            raise ValueError(f"{pk} does not divide {ell} - 1")
+    logs = [(ell, registry[ell]._logs(), registry[ell].dlog) for ell in ells]
     total = 0
     for a, coeff in theta.residue_items():
         if not coeff:
             continue
-        weight = 1
-        for ell in ells:
-            weight = weight * registry[ell].dlog_mod(a, pk) % pk
-        total = (total + coeff * weight) % pk
+        for ell, t, dlog in logs:
+            coeff *= t[a % ell] if t is not None else dlog(a)
+        total = (total + coeff) % pk
     gens = {ell: registry[ell].generator for ell in ells}
     return KuriharaNumber(d, tuple(ells), total, ring.p, ring.m, "direct", gens)
 

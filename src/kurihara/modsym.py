@@ -8,7 +8,10 @@ extraction of the rational eigensymbol attached to a curve.
 The eigensymbol is stored as a linear functional on the plus quotient (the
 dual Hecke eigenvector): pairing it with the unimodular decomposition of
 {oo -> a/d} evaluates the normalized plus modular symbol at the cusp a/d,
-exactly, up to the recorded calibration unit.
+exactly, up to the recorded calibration unit.  Two loops decompose a/d: the
+convergent loop of `ManinSpace.path_symbols`, the exact reference that
+`eval_plus` reads, and the walk `EigenSymbol.plus_numerators`, which reads
+the same pieces backwards as the Euclidean remainders of (d, a^-1 mod d).
 """
 
 from fractions import Fraction
@@ -427,30 +430,34 @@ class EigenSymbol:
     def plus_numerators(self, level, residues):
         """The integer walk: (totals, scale) with [a/level]^+ = total * scale.
 
-        `totals` yields, for each a in `residues`, the sum of the
-        `generator_values()` numerators over the pieces of {oo -> a/level},
-        by the convergent loop of `path_symbols` with its alarm.  A bottom
-        row (u : v) with u a unit mod N is the class 1 + v u^-1 mod N, read
-        inline; `P1List.index` takes the rest.
+        `totals` yields, for each unit a in `residues`, the sum of the
+        `generator_values()` numerators over the pieces of {oo -> a/level}.
+        Their bottom rows (q_k : +-q_{k-1}) come from the convergent
+        denominators of a/level (or of its star image (level - a)/level),
+        which read backwards are the remainders of Euclid's algorithm on
+        (level, a^-1 mod level): the reversal of continuants (Knuth, TAOCP
+        vol. 2, 4.5.3).  So the total sums the pieces (x : y) over
+        consecutive remainders and the closing piece (1 : 0); the signs drop
+        out by the star symmetry that `generator_values()` certifies.  A row
+        with x a unit mod N is the class 1 + y x^-1 mod N, read inline;
+        `P1List.index` takes the rest.  A non-unit a raises CorrectnessAlarm.
+        The forward loop of `path_symbols` stays the reference (`eval_plus`).
         """
         nums, den = self.generator_values()
         N, inv, index = self.space.N, self.space.p1._inv, self.space.p1.index
+        closing = nums[1]
 
         def totals():
             for a in residues:
-                total = 0
-                x, y = a, level
-                p_prev, q_prev, p, q = 0, 1, 1, 0
+                try:
+                    x, y = level, pow(a, -1, level)
+                except ValueError:
+                    raise CorrectnessAlarm(f"{a} is not a unit mod {level}") from None
+                total = closing
                 while y:
-                    quot, r = divmod(x, y)
-                    x, y = y, r
-                    p_prev, q_prev, p, q = p, q, quot * p + p_prev, quot * q + q_prev
-                    det = p * q_prev - p_prev * q
-                    if det != 1 and det != -1:
-                        raise CorrectnessAlarm(f"convergents of {a}/{level} are not unimodular")
-                    v = det * q_prev
-                    w = inv[q % N]
-                    total += nums[1 + v * w % N if w is not None else index(q, v)]
+                    w = inv[x % N]
+                    total += nums[1 + y * w % N if w is not None else index(x, y)]
+                    x, y = y, x % y
                 yield total
 
         return totals(), self.calibration_unit / den

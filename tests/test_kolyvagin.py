@@ -5,7 +5,8 @@ import pytest
 
 from kurihara.curve import count_points, p_torsion_structure
 from kurihara.errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
-from kurihara.exactmath import AbelianGroup, GroupRingElement, ResidueRing
+from kurihara.exactmath import AbelianGroup, GroupRingElement, ResidueRing, primitive_root
+from kurihara import kolyvagin
 from kurihara.kolyvagin import (
     DLOG_TABLE_LIMIT,
     KolyvaginPrime,
@@ -118,13 +119,24 @@ class TestDlog:
         assert before == "KolyvaginPrime(ell=61, p=5, m=1, n=0, generator=2)"
         assert built == fresh
         assert built.dlog(2) == 1
-        assert built._table is not None and fresh._table is None
+        assert type(built._table) is list and len(built._table) == 61
+        assert fresh._table is None
         assert built == fresh
         assert repr(built) == repr(fresh) == before
         with pytest.raises(TypeError):
-            KolyvaginPrime(61, 5, 1, 0, 2, {})  # the table is no argument
+            KolyvaginPrime(61, 5, 1, 0, 2, [])  # the table is no argument
         with pytest.raises(TypeError):
-            KolyvaginPrime(61, 5, 1, 0, 2, _table={})
+            KolyvaginPrime(61, 5, 1, 0, 2, _table=[])
+
+    @pytest.mark.parametrize("ell, p, m", [(61, 5, 1), (211, 5, 1), (2251, 5, 2)])
+    def test_log_list_equals_dlog_at_every_residue(self, ell, p, m):
+        # the list the direct route reads, index a mod ell, against dlog and
+        # baby-step/giant-step; index 0 holds no log
+        kp = KolyvaginPrime(ell, p, m, 0, primitive_root(ell))
+        logs = [kp.dlog(a) for a in range(1, ell)]
+        assert kp._table == [None] + logs
+        assert logs == [_dlog_bsgs(a, kp.generator, ell) for a in range(1, ell)]
+        assert sorted(logs) == list(range(ell - 1))
 
     def test_not_a_unit(self, reg37):
         kp = next(iter(reg37.values()))
@@ -168,6 +180,17 @@ class TestKuriharaNumbers:
             project_theta(walk(sym37, 61 * 61, 5), reg37)
         with pytest.raises(PrimeNotKolyvagin):
             project_theta(walk(sym37, 13, 5), reg37)
+
+    def test_direct_route_above_table_limit(self, sym37, reg37, monkeypatch):
+        # with the limit between 61 and 281, the prime 281 has no log list
+        # and the direct route asks dlog (baby-step/giant-step) per unit
+        thetas = [walk(sym37, d, 5) for d in (281, 61 * 281)]
+        expected = [kurihara_number_direct(theta, reg37).value for theta in thetas]
+        assert expected[0] == 4
+        monkeypatch.setattr(kolyvagin, "DLOG_TABLE_LIMIT", 100)
+        fresh = {ell: KolyvaginPrime(ell, 5, 1, 0, kp.generator) for ell, kp in reg37.items()}
+        assert [kurihara_number_direct(theta, fresh).value for theta in thetas] == expected
+        assert fresh[61]._table is not None and fresh[281]._table is None
 
     def test_well_defined_under_rebuild(self, e37, reg37, sym37):
         from kurihara.modsym import build_space, extract_eigensymbol

@@ -30,6 +30,15 @@ from kurihara.modsym import (
 from kurihara.records import replace
 
 
+@pytest.fixture(scope="module")
+def sym15():
+    # 15a1: conductor 15 is composite, unlike that of every golden curve
+    E = CurveData(
+        1, 1, 1, -10, -10, conductor=15, tamagawa_product=8, label="15a1"
+    ).validate()
+    return extract_eigensymbol(build_space(15), E)
+
+
 class TestP1:
     def test_sizes(self):
         # |P^1(Z/N)| = N prod (1 + 1/q)
@@ -618,6 +627,73 @@ class TestIntegerWalk:
                 assert walked == reference and isinstance(walked, str), level
                 walked, reference = _walk_against_eval_plus(fives, level, ResidueRing(5, 2))
                 assert walked == reference and not isinstance(walked, str), level
+
+    @pytest.mark.parametrize("level", [7 * 13, 17 * 49, 2 * 7 * 13, 3001])
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_composite_conductor_every_unit(self, sym15, monkeypatch, level, ring):
+        # N = 15: a remainder x that shares 3 or 5 with N, x != 0 mod N, has
+        # no inline P^1 read, so the walk takes P1List.index mid-chain
+        p1 = sym15.space.p1
+        original = p1.index
+        shared = []
+
+        def counting(u, v):
+            if gcd(u, 15) > 1 and u % 15:
+                shared.append(u)
+            return original(u, v)
+
+        monkeypatch.setattr(p1, "index", counting)
+        walked = [c for _, c in plus_element(sym15, level, ring).residue_items()]
+        monkeypatch.undo()
+        assert len(shared) > 1
+        assert walked == [ring.coerce(eval_plus(sym15, a, level))
+                          for a in unit_group(level).residues()]
+
+    def test_inverse_mix_up_alarms(self, sym37, monkeypatch):
+        # Euclid on (41, 20) in place of (41, 20^-1) walks {oo -> 2/41}; the
+        # checked unit 20 has 20^2 != +-1 mod 41, and [2/41]^+ != [20/41]^+
+        assert pow(20, 2, 41) not in (1, 40)
+        assert eval_plus(sym37, 2, 41) != eval_plus(sym37, 20, 41)
+        monkeypatch.setattr(modsym, "pow", lambda a, e, m: a % m, raising=False)
+        for ring in (QQ, ResidueRing(5)):
+            with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 20/41"):
+                plus_element(sym37, 41, ring)
+
+    def test_non_unit_residue_alarms(self, sym37):
+        # the units 1 and 2 are walked, then 7 | 91 is refused
+        totals, _ = sym37.plus_numerators(91, [1, 2, 7])
+        next(totals), next(totals)
+        with pytest.raises(CorrectnessAlarm, match="7 is not a unit mod 91"):
+            list(totals)
+
+    def test_new_walk_alarms_python_O(self, run_python_O):
+        script = (
+            "from kurihara import modsym\n"
+            "from kurihara.curve import load_curve\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "from kurihara.exactmath import ResidueRing\n"
+            "from kurihara.mazurtate import plus_element\n"
+            "from kurihara.modsym import build_space, extract_eigensymbol\n"
+            f"E = load_curve({CURVE_37A1!r})\n"
+            "sym = extract_eigensymbol(build_space(37), E)\n"
+            "print('BEFORE', plus_element(sym, 41, ResidueRing(5)).is_zero())\n"
+            "try:\n"
+            "    list(sym.plus_numerators(91, [1, 2, 7])[0])\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+            "modsym.pow = lambda a, e, m: a % m\n"
+            "try:\n"
+            "    plus_element(sym, 41, ResidueRing(5))\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    print('ALARM', exc)\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "BEFORE False",
+            "ALARM 7 is not a unit mod 91",
+            "ALARM the integer walk differs from eval_plus at 20/41",
+        ]
 
     def test_off_by_one_walk_alarms(self, sym37, monkeypatch):
         original = EigenSymbol.plus_numerators

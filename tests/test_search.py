@@ -336,18 +336,20 @@ class TestOneWalk:
         row = search.delta_row(theta.scale(5), reg)
         assert row.delta == 15 and row.routes_agree
 
-    def test_corrupted_direct_weight_alarms(self, sym37, reg37, monkeypatch):
+    def test_corrupted_direct_weight_alarms(self, sym37, reg37):
+        # one entry of a fresh prime's log list off by one, at a unit with a
+        # nonzero coefficient that is no generator residue, so only the
+        # direct route reads it
         theta = plus_element(sym37, 61, ResidueRing(5))
-        a0 = next(a for a, coeff in theta.residue_items() if coeff)
-        original = KolyvaginPrime.dlog_mod
-
-        def corrupted(self, a, pk):
-            return (original(self, a, pk) + (a == a0)) % pk
-
+        group = theta.group
+        gens = {group.residue(g) for g in group.basis()}
+        a0 = next(a for a, coeff in theta.residue_items() if coeff and a not in gens)
         assert search.delta_row(theta, reg37).delta == 4
-        monkeypatch.setattr(KolyvaginPrime, "dlog_mod", corrupted)
+        bad = KolyvaginPrime(61, 5, 1, 0, reg37[61].generator)
+        assert bad.dlog(a0) == reg37[61].dlog(a0)
+        bad._table[a0] += 1
         with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
-            search.delta_row(theta, reg37)
+            search.delta_row(theta, {**reg37, 61: bad})
 
     def test_corrupted_projection_alarms(self, sym37, reg37, monkeypatch):
         original = search.project_theta

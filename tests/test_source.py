@@ -64,6 +64,67 @@ def test_quotient_layout_private():
     assert found == []
 
 
+def test_dlog_list_read_in_kolyvagin_only():
+    # the per-prime discrete-log list is laid out by residue inside
+    # kolyvagin; every other module asks KolyvaginPrime.dlog
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "kolyvagin.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_table", "_logs")
+        ]
+    assert found == []
+
+
+def _decomposition_loops(tree, where):
+    """`module:Class.method` of each while loop that takes remainders (`%` or
+    divmod) and looks up P^1 classes (a call of `index`): a decomposition
+    of a/d into unimodular pieces.  Nested functions report their method."""
+    found = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, names + [child.name] if len(names) < 2 else names)
+                continue
+            if isinstance(child, ast.While):
+                inner = list(ast.walk(child))
+                remainder = any(
+                    isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+                    or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "divmod"
+                    for n in inner
+                )
+                lookup = any(
+                    isinstance(n, ast.Call)
+                    and "index" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                    for n in inner
+                )
+                if remainder and lookup:
+                    found.append(f"{where}:{'.'.join(names)}")
+            visit(child, names)
+
+    visit(tree, [])
+    return found
+
+
+def test_two_decompositions_of_a_over_d():
+    # ManinSpace.path_symbols (the convergent loop, the exact reference that
+    # eval_plus reads) and EigenSymbol.plus_numerators (the walk, Euclid on
+    # (d, a^-1)) are the only loops that cut {oo -> a/d} into pieces
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            found += _decomposition_loops(ast.parse(fh.read(), path), os.path.basename(path))
+    assert sorted(found) == [
+        "modsym.py:EigenSymbol.plus_numerators", "modsym.py:ManinSpace.path_symbols",
+    ]
+
+
 def test_one_window_search_and_count_threshold():
     # the baby-step/giant-step window search and the square-table threshold
     # live in curve: the other modules ask count_points or count_divisible
