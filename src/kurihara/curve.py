@@ -8,31 +8,34 @@ the running hypotheses on (E, p).
 
 #E(F_l) is counted exactly in one of two ways.  For l <= NAIVE_COUNT_LIMIT a
 table of square roots mod l is summed over every x, O(l).  Above it,
-baby-step/giant-step (Shanks-Mestre) searches the Hasse window
-l + 1 +- isqrt(4l) for the multiples of random points' orders, about
-O(l^(1/4)) group operations a point, and keeps the common ones.  When a
-point leaves the candidates unchanged while more than one remains (the group
-exponent has several multiples in the window), the square-table count
-finishes the job, so every count ends.  Microseconds per count, each row
-averaged over ten primes from l on 11a1, 37a1, 389a1 and 5077a1 (median of
-three runs, 2-vCPU shared host, Python 3.11):
+baby-step/giant-step (Shanks-Mestre; Cremona, Algorithms for Modular
+Elliptic Curves, ch. 3) searches the Hasse window l + 1 +- isqrt(4l) for
+the multiples of random points' orders, O(l^(1/4)) group operations a point,
+and keeps the common ones.  When a point leaves the candidates unchanged
+while more than one remains (the group exponent has several multiples in the
+window), the square-table count finishes the job, so every count ends.
+Points are added on short_model's Y^2 = X^3 + A X + B.  Microseconds per
+count, each row averaged over ten primes from l on 11a1, 37a1, 389a1 and
+5077a1 (median of three runs, 2-vCPU shared host, Python 3.11):
 
     l        101   211   307   401   1009   3001
-    table     56    94   123   200    544   1590
-    BSGS      85    85   108   146    181    170
+    table     29    56    84   115    291    941
+    BSGS      42    46    56    61     62    109
 
-The two costs meet near 200-300, and the limit is 300.
+The two costs meet near 150-200; the limit stays at 300.
 
 The sieve asks only whether k = p^m divides #E(F_l).  Above the limit,
-count_divisible takes P, the first point of random.Random(l), and searches
-j in [ceil(lo/k), floor(hi/k)] for j(kP) = O (_window_multiples).  The count
-lies in the window and kills P, so an empty search proves k does not divide
-it; otherwise count_points decides, and the point sets only the speed.  On
-the sieves of 5077a1 (p = 7), 37a1 (p = 5, 7 and p^m = 25) and 11a1 (p = 7)
-to 20000 and 389a1 (p = 5) to 30000, it refused 2,130 of the 2,163
-candidates above the limit that p^m does not divide, at 50 us each for
-l < 2000 and 115-120 us to 30000, against 72 and 200 us for a count (best
-of five).  When E(Q) has a point of order p (11a1, p = 5) it never refuses.
+count_divisible takes P, the point with the first X from DIVISIBILITY_POINT_X
+mod l that has a square right-hand side, and searches j in
+[ceil(lo/k), floor(hi/k)] for j(kP) = O (_window_multiples).  The count lies
+in the window and kills P, so an empty search proves k does not divide it;
+otherwise count_points decides, and the point sets only the speed.  On the
+sieves of 5077a1 (p = 7), 37a1 (p = 5, 7 and p^m = 25) and 11a1 (p = 7) to
+20000 and 389a1 (p = 5) to 30000, it refused 2,121 of the 2,163 candidates
+above the limit that p^m does not divide, at 25 us each for l < 2000 and 53
+us from 20000 to 30000, against 54 and 116 us for a count (k = 7 on the four
+curves, median of the best of five).  When E(Q) has a point of order p
+(11a1, p = 5) it never refuses.
 
 The p-primary part S of E(F_l), of order p^v, is classified by points
 alone.  For v >= 2 and p | l - 1, p_torsion_structure multiplies random
@@ -43,13 +46,13 @@ not divide p^v, or TORSION_CERTIFICATE_DRAWS points with neither
 certificate, means the count is wrong (CorrectnessAlarm).  On 11a1, 37a1,
 389a1 and 5077a1 with p in {3, 5, 7, 11} and l < 30000, the 1,947 cases with
 p^2 | #E(F_l) and p | l - 1 (1,078 full, 869 cyclic) took at most 6 draws,
-and 1,597 of them one or two.
+and 1,590 of them one or two.
 """
 
 import json
 import random
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import BadCurve, BadPrime, CorrectnessAlarm, HypothesisViolation
 from .exactmath import factorize, is_prime
@@ -64,6 +67,9 @@ SURJECTIVITY_SCAN = 1000  # Frobenius samples at the good primes below this
 # Random points drawn for a certificate of E(F_l)[p^oo]; none in this many
 # means the count is wrong (see p_torsion_structure).
 TORSION_CERTIFICATE_DRAWS = 64
+# count_divisible's point: the first X from here mod l with a square right-hand
+# side (from X = 0 it refused 2,000 of test_curve's 2,652 cases, not 2,515)
+DIVISIBILITY_POINT_X = 0x9E3779B97F4A7C15
 
 
 @record(frozen=True)
@@ -95,21 +101,19 @@ class CurveData:
         return self.a3 * self.a3 + 4 * self.a6
 
     @property
-    def b8(self):
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
+    def c4(self):
+        return self.b2 * self.b2 - 24 * self.b4
+
+    @property
+    def c6(self):
+        b2 = self.b2
+        return b2 * (36 * self.b4 - b2 * b2) - 216 * self.b6
 
     @property
     def discriminant(self):
         d = self._discriminant
         if d is None:
-            b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-            d = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+            d = (self.c4**3 - self.c6**2) // 1728
             object.__setattr__(self, "_discriminant", d)
         return d
 
@@ -159,45 +163,49 @@ def load_curve(path):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic of points over F_l (general Weierstrass model; None = infinity)
+# arithmetic of points over F_l, on the short model Y^2 = X^3 + A X + B
+# (None = infinity)
 
 
-def ec_neg(E, l, P):
-    if P is None:
-        return None
-    x, y = P
-    return (x, (-y - E.a1 * x - E.a3) % l)
+def short_model(E, l):
+    """(-27 c4, -54 c6) mod l: Y^2 = X^3 + A X + B is isomorphic to E over F_l.
+
+    X = 36x + 3 b2 and Y = 108 (2y + a1 x + a3) carry E onto it (Silverman,
+    AEC III.1), an isomorphism when 6 is a unit mod l, so l must exceed 3
+    (BadPrime otherwise).
+    """
+    if l <= 3:
+        raise BadPrime(f"the short model needs l > 3, not {l}")
+    return -27 * E.c4 % l, -54 * E.c6 % l
 
 
-def ec_add(E, l, P, Q):
+def ec_neg(l, P):
+    return None if P is None else (P[0], -P[1] % l)
+
+
+def ec_add(A, l, P, Q):
     if P is None:
         return Q
     if Q is None:
         return P
     x1, y1 = P
     x2, y2 = Q
-    if x1 == x2 and (y1 + y2 + E.a1 * x1 + E.a3) % l == 0:
+    if x1 != x2:
+        lam = (y2 - y1) * pow(x2 - x1, -1, l) % l
+    elif (y1 + y2) % l == 0:
         return None
-    if P == Q:
-        num = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) % l
-        den = (2 * y1 + E.a1 * x1 + E.a3) % l
-    else:
-        num = (y2 - y1) % l
-        den = (x2 - x1) % l
-    lam = num * pow(den, -1, l) % l
-    x3 = (lam * lam + E.a1 * lam - E.a2 - x1 - x2) % l
-    y3 = (-(lam + E.a1) * x3 + lam * x1 - y1 - E.a3) % l
-    return (x3, y3)
+    else:  # P = Q, not of order 2
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, l) % l
+    x3 = (lam * lam - x1 - x2) % l
+    return (x3, (lam * (x1 - x3) - y1) % l)
 
 
-def ec_mul(E, l, k, P):
-    if k < 0:
-        return ec_mul(E, l, -k, ec_neg(E, l, P))
+def ec_mul(A, l, k, P):
     R = None
     while k:
         if k & 1:
-            R = ec_add(E, l, R, P)
-        P = ec_add(E, l, P, P)
+            R = ec_add(A, l, R, P)
+        P = ec_add(A, l, P, P)
         k >>= 1
     return R
 
@@ -248,25 +256,20 @@ def sqrt_mod(a, l):
     return r
 
 
-def random_point(E, l, rng):
-    """A random affine point of E(F_l) (l odd, good reduction).
-
-    The x-coordinate is the first one, from a random start, whose right-hand
-    side is a square, so the search ends within l steps.
-    """
-    start = rng.randrange(l)
+def _first_point(A, B, l, start):
+    """The point (X, Y) of the short model at the first X from `start` with a square Y^2."""
     for x in range(start, start + l):
         x %= l
-        # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-        s = (4 * x**3 + E.b2 * x * x + 2 * E.b4 * x + E.b6) % l
-        r = sqrt_mod(s, l)
-        if r is None:
-            continue
-        if rng.randrange(2):
-            r = -r % l
-        y = (r - E.a1 * x - E.a3) * pow(2, -1, l) % l
-        return (x, y)
+        r = sqrt_mod((x * x + A) * x + B, l)
+        if r is not None:
+            return (x, r)
     raise BadPrime(f"E(F_{l}) has no affine point")
+
+
+def random_point(A, B, l, rng):
+    """A random affine point of the short model mod l."""
+    P = _first_point(A, B, l, rng.randrange(l))
+    return ec_neg(l, P) if rng.randrange(2) else P
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,7 @@ def _count_naive(E, l):
     return 1 + _affine_points(E, l)
 
 
-def _window_multiples(E, l, P, lo, hi):
+def _window_multiples(A, l, P, lo, hi):
     """The set of m in [lo, hi] with mP = O, by baby steps and giant steps.
 
     The baby steps jP, 0 <= j < w, either meet O first (then P has order
@@ -314,14 +317,14 @@ def _window_multiples(E, l, P, lo, hi):
         if R is None:
             return set(range(lo + (-lo) % j, hi + 1, j))
         baby[R] = j
-        R = ec_add(E, l, R, P)
+        R = ec_add(A, l, R, P)
     found = set()
-    S = ec_mul(E, l, lo, P)
+    S = ec_mul(A, l, lo, P)
     for b in range(lo, hi + 1, w):
-        j = baby.get(ec_neg(E, l, S))
+        j = baby.get(ec_neg(l, S))
         if j is not None and b + j <= hi:
             found.add(b + j)
-        S = ec_add(E, l, S, R)  # R = wP
+        S = ec_add(A, l, S, R)  # R = wP
     return found
 
 
@@ -335,11 +338,12 @@ def _count_bsgs(E, l, rng):
     ends the search with the square-table count, which must be a candidate.
     A pass that does not return shrinks the candidate set, so the loop ends.
     """
+    A, B = short_model(E, l)
     r = isqrt(4 * l)
     lo, hi = l + 1 - r, l + 1 + r
     candidates = set(range(lo, hi + 1))
     while len(candidates) > 1:
-        narrowed = candidates & _window_multiples(E, l, random_point(E, l, rng), lo, hi)
+        narrowed = candidates & _window_multiples(A, l, random_point(A, B, l, rng), lo, hi)
         if not narrowed:
             raise CorrectnessAlarm(f"no multiple of the point orders in the Hasse window at l={l}")
         if narrowed == candidates:
@@ -372,7 +376,7 @@ def _count(E, l):
 def count_divisible(E, l, k):
     """Whether k divides #E(F_l), for a prime l of good reduction.
 
-    Above NAIVE_COUNT_LIMIT one seeded point refuses most k that do not
+    Above NAIVE_COUNT_LIMIT one point fixed by l refuses most k that do not
     divide the count without counting (module docstring); count_points
     decides the rest.
     """
@@ -381,8 +385,9 @@ def count_divisible(E, l, k):
         lo, hi = -(-(l + 1 - r) // k), (l + 1 + r) // k
         if lo > hi:
             return False
-        Q = ec_mul(E, l, k, random_point(E, l, random.Random(l)))
-        if Q is not None and not _window_multiples(E, l, Q, lo, hi):
+        A, B = short_model(E, l)
+        Q = ec_mul(A, l, k, _first_point(A, B, l, DIVISIBILITY_POINT_X % l))
+        if Q is not None and not _window_multiples(A, l, Q, lo, hi):
             return False
     return count_points(E, l) % k == 0
 
@@ -445,7 +450,7 @@ def _surjectivity_heuristic(E, p):
     """
     seen_irreducible = False
     seen_split_generic = False
-    det_subgroup = {1 % p}
+    det_order = 1  # of the subgroup of the cyclic (Z/p)^* that the l mod p generate
     for l in primes_upto(SURJECTIVITY_SCAN):
         if l == p or E.discriminant % l == 0:
             continue
@@ -461,16 +466,8 @@ def _surjectivity_heuristic(E, p):
                 ratio = e1 * pow(e2, -1, p) % p
                 if ratio not in (1 % p, (p - 1) % p):
                     seen_split_generic = True
-        new = {l % p}
-        frontier = set(det_subgroup)
-        while new:
-            x = new.pop()
-            if x in frontier:
-                continue
-            frontier.add(x)
-            new.update({x * y % p for y in frontier})
-        det_subgroup = frontier
-        if seen_irreducible and seen_split_generic and len(det_subgroup) == p - 1:
+        det_order = lcm(det_order, next(d for d in range(1, p) if pow(l, d, p) == 1))
+        if seen_irreducible and seen_split_generic and det_order == p - 1:
             return True
     return False
 
@@ -542,26 +539,27 @@ def p_torsion_structure(E, l, p):
         return ("trivial", 0)
     if v == 1 or (l - 1) % p != 0:
         return ("cyclic", v)
+    A, B = short_model(E, l)
     rng = random.Random(l)
     G, g = None, 0
     for _ in range(TORSION_CERTIFICATE_DRAWS):
-        Q = ec_mul(E, l, cofactor, random_point(E, l, rng))
+        Q = ec_mul(A, l, cofactor, random_point(A, B, l, rng))
         while Q is not None:
             k, R = 0, Q  # p^k is the order of Q, U = p^(k-1) Q
             while R is not None:
                 if k == v:
                     raise CorrectnessAlarm(f"#E(F_{l}) = {n} does not kill a point of E(F_{l})")
-                k, U, R = k + 1, R, ec_mul(E, l, p, R)
+                k, U, R = k + 1, R, ec_mul(A, l, p, R)
             if k == v:
                 return ("cyclic", v)
             if k > g:  # Q takes G's place, and the old G is reduced next
                 G, g, Q = Q, k, G
-                digits = {ec_mul(E, l, i, U): i for i in range(1, p)}  # {i T: i}, T = U
+                digits = {ec_mul(A, l, i, U): i for i in range(1, p)}  # {i T: i}, T = U
                 continue
             i = digits.get(U)
             if i is None:
                 return ("full", v)
-            Q = ec_add(E, l, Q, ec_mul(E, l, -i * p ** (g - k), G))
+            Q = ec_add(A, l, Q, ec_neg(l, ec_mul(A, l, i * p ** (g - k), G)))
     raise CorrectnessAlarm(
         f"#E(F_{l}) = {n}: no certificate of E(F_{l})[{p}^oo] in "
         f"{TORSION_CERTIFICATE_DRAWS} points"

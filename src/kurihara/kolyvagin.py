@@ -34,8 +34,8 @@ class KolyvaginPrime:
     """A sieved prime with its generator and discrete-log context.
 
     The discrete-log list, indexed by residue (for ell <= DLOG_TABLE_LIMIT),
-    is built on first use by `dlog` or the direct route; it takes no part
-    in equality or repr.
+    or above the limit the baby steps of `_dlog_bsgs`, is built on first use
+    by `dlog` or the direct route; neither takes part in equality or repr.
     """
 
     ell: int
@@ -44,6 +44,7 @@ class KolyvaginPrime:
     n: int
     generator: int
     _table = None
+    _baby = None
 
     @property
     def p_part_order(self):
@@ -74,17 +75,21 @@ class KolyvaginPrime:
         if a == 0:
             raise NotAUnit(f"{a} is not a unit mod {self.ell}")
         t = self._logs()
-        return t[a] if t is not None else _dlog_bsgs(a, self.generator, self.ell)
+        if t is not None:
+            return t[a]
+        if self._baby is None:
+            self._baby = _baby_steps(self.generator, self.ell)
+        return _dlog_bsgs(a, self.generator, self.ell, self._baby)
 
 
-def _dlog_bsgs(a, g, l):
+def _baby_steps(g, l):
+    """{g^j mod l: j} for 0 <= j <= isqrt(l - 1), the baby steps of `_dlog_bsgs`."""
+    return {pow(g, j, l): j for j in range(isqrt(l - 1) + 1)}
+
+
+def _dlog_bsgs(a, g, l, baby):
     """Exponent k with g^k = a mod the prime l, by baby-step/giant-step."""
     w = isqrt(l - 1) + 1
-    baby = {}
-    x = 1
-    for j in range(w):
-        baby.setdefault(x, j)
-        x = x * g % l
     ginv_w = pow(g, -w, l)
     y = a % l
     for i in range(w + 1):
@@ -95,23 +100,20 @@ def _dlog_bsgs(a, g, l):
     raise NotAUnit(f"no discrete log for {a} base {g} mod {l}")
 
 
-def kolyvagin_predicate(E, ell, p, m=1, n=0):
+def kolyvagin_predicate(E, ell, p, m=1, n=0, *, sieved=False):
     """Membership test for the sieve, evaluated from scratch.
 
     ell must be a prime of good reduction other than p with
     ell = 1 mod p^max(m, n+1), p^m must divide #E(F_ell) (`count_divisible`,
     which refuses most candidates from one point, without a count), and the
-    p-primary part of E(F_ell) must be cyclic.
+    p-primary part of E(F_ell) must be cyclic.  With `sieved=True` (the
+    sieve's candidates) ell is a prime = 1 mod p^max(m, n+1), not tested again.
     """
-    if ell == p or not is_prime(ell) or E.discriminant % ell == 0:
+    if not sieved and (ell == p or not is_prime(ell) or (ell - 1) % p ** max(m, n + 1)):
         return False
-    modulus = p ** max(m, n + 1)
-    if (ell - 1) % modulus != 0:
+    if E.discriminant % ell == 0 or not count_divisible(E, ell, p**m):
         return False
-    if not count_divisible(E, ell, p**m):
-        return False
-    kind, _ = p_torsion_structure(E, ell, p)
-    return kind == "cyclic"
+    return p_torsion_structure(E, ell, p)[0] == "cyclic"
 
 
 def sieve(E, p, m, n, bound, workers=1):
@@ -125,7 +127,7 @@ def sieve(E, p, m, n, bound, workers=1):
     return [
         KolyvaginPrime(ell, p, m, n, primitive_root(ell))
         for ell in (primes_upto(bound) if bound >= 2 else [])
-        if (ell - 1) % modulus == 0 and kolyvagin_predicate(E, ell, p, m, n)
+        if (ell - 1) % modulus == 0 and kolyvagin_predicate(E, ell, p, m, n, sieved=True)
     ]
 
 

@@ -16,6 +16,7 @@ from kurihara.curve import (
     p_torsion_structure,
     primes_upto,
     random_point,
+    short_model,
     trace_of_frobenius,
     _count_bsgs,
     _count_naive,
@@ -27,14 +28,12 @@ from kurihara.lseries import an_list
 from kurihara.records import replace
 
 
-def on_curve(E, l, P):
-    """P (None for the point at infinity) satisfies E's Weierstrass equation mod l."""
+def on_curve(A, B, l, P):
+    """P (None for the point at infinity) satisfies Y^2 = X^3 + A X + B mod l."""
     if P is None:
         return True
     x, y = P
-    lhs = (y * y + E.a1 * x * y + E.a3 * y) % l
-    rhs = (x**3 + E.a2 * x * x + E.a4 * x + E.a6) % l
-    return lhs == rhs
+    return (y * y - x**3 - A * x - B) % l == 0
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +80,11 @@ class TestCounting:
         rng = random.Random(0)
         for l in (13, 101, 1009):
             n = count_points(e37, l)
+            A, B = short_model(e37, l)
             for _ in range(20):
-                P = random_point(e37, l, rng)
-                assert on_curve(e37, l, P)
-                assert ec_mul(e37, l, n, P) is None
+                P = random_point(A, B, l, rng)
+                assert on_curve(A, B, l, P)
+                assert ec_mul(A, l, n, P) is None
 
     def test_bsgs_matches_naive(self, e11, naive_counts):
         # every good prime from the crossover to 3000, on the golden curves
@@ -101,9 +101,10 @@ class TestCounting:
         # on the same primes: no prime power k dividing the count may be
         # excluded, also where the count is the top or the bottom multiple
         # of k in the Hasse window; k = 5 or 7 not dividing it must be
-        # refused, nearly always by the point alone (1,027 of 1,070 and
-        # 1,503 of 1,582 cases).  The count a fallback asks for is read
-        # from the square table
+        # refused, nearly always by the point alone (1,020 of 1,070 and
+        # 1,495 of 1,582 cases, from the first square right-hand side at or
+        # after DIVISIBILITY_POINT_X mod l).  The count a fallback asks for
+        # is read from the square table
         counted = []
         monkeypatch.setattr(
             curve, "count_points", lambda E, l: counted.append(l) or naive_counts[E, l]
@@ -201,7 +202,7 @@ class TestCounting:
             "import kurihara.curve as C\n"
             "from kurihara.errors import CorrectnessAlarm\n"
             "E = C.CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5)\n"
-            "C.ec_neg = lambda E, l, P: (-1, -1)\n"
+            "C.ec_neg = lambda l, P: (-1, -1)\n"
             "try:\n"
             "    C._count_bsgs(E, 10007, C.random.Random(0))\n"
             "except CorrectnessAlarm as exc:\n"
@@ -249,6 +250,70 @@ class TestCounting:
         assert sum(1 for l in counted if l < 1000) < len(primes_upto(1000))
 
 
+class TestShortModel:
+    CURVES = [
+        CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5, label="11a1"),
+        CurveData(0, 0, 1, -1, 0, conductor=37, tamagawa_product=1, label="37a1"),
+        CurveData(0, 1, 1, -2, 0, conductor=389, tamagawa_product=1, label="389a1"),
+        CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1"),
+        CurveData(0, 0, 0, -1, 0, conductor=32, tamagawa_product=1, label="32a2"),
+    ]
+
+    @pytest.mark.parametrize("E", CURVES, ids=str)
+    def test_point_count_equals_square_table(self, E):
+        # Y^2 = X^3 + A X + B counted point by point at every good
+        # 5 <= l < 1000 has #E(F_l) as the square table reads it from E's
+        # own equation
+        for l in primes_upto(1000):
+            if l < 5 or E.discriminant % l == 0:
+                continue
+            A, B = short_model(E, l)
+            squares = Counter(y * y % l for y in range(l))
+            n = 1 + sum(squares[(x**3 + A * x + B) % l] for x in range(l))
+            assert n == _count_naive(E, l), l
+
+    @pytest.mark.parametrize("E", CURVES, ids=str)
+    def test_change_of_variables_maps_points(self, E):
+        # X = 36x + 3 b2, Y = 108 (2y + a1 x + a3) takes every affine point of
+        # E's own equation onto the short model, and no two to one point
+        for l in (5, 7, 101):
+            if E.discriminant % l == 0:
+                continue
+            A, B = short_model(E, l)
+            images = {
+                ((36 * x + 3 * E.b2) % l, 108 * (2 * y + E.a1 * x + E.a3) % l)
+                for x in range(l)
+                for y in range(l)
+                if (y * y + E.a1 * x * y + E.a3 * y
+                    - x**3 - E.a2 * x * x - E.a4 * x - E.a6) % l == 0
+            }
+            assert all(on_curve(A, B, l, P) for P in images)
+            assert len(images) + 1 == _count_naive(E, l)
+
+    def test_needs_l_above_3(self, e37):
+        for l in (2, 3):
+            with pytest.raises(BadPrime, match="l > 3"):
+                short_model(e37, l)
+        assert short_model(e37, 5) == (-27 * 48 % 5, -54 * -216 % 5)  # c4 = 48, c6 = -216
+
+    def test_divisibility_point_needs_no_random(self, naive_counts, monkeypatch):
+        # count_divisible's point is fixed by l alone: the 2,652 refusals of
+        # test_divisibility_is_exact_at_the_window_edges build no
+        # random.Random, and the fallback count is read from the square table
+        def no_random(seed):
+            raise AssertionError(f"random.Random({seed}) built")
+
+        monkeypatch.setattr(curve.random, "Random", no_random)
+        monkeypatch.setattr(curve, "count_points", lambda E, l: naive_counts[E, l])
+        refused = 0
+        for (E, l), n in naive_counts.items():
+            for k in (5, 7):
+                if n % k:
+                    assert not count_divisible(E, l, k), (E, l, k)
+                    refused += 1
+        assert refused == 2652
+
+
 class TestApTable:
     def test_frozen_11a1(self, e11):
         good = {l: trace_of_frobenius(e11, l) for l in (2, 3, 5, 7, 13)}
@@ -292,23 +357,20 @@ class TestHypotheses:
 
 
 def _p_torsion_count(E, l, p):
-    """#E(F_l)[p] by brute force: the points P of E(F_l) with [p]P = O.
+    """#E(F_l)[p] by brute force: the points P of the short model with [p]P = O.
 
     It is p^2 exactly when E(F_l)[p] is full.  Independent of the point
     certificates that p_torsion_structure draws: it walks every point and
     never reads #E(F_l).
     """
+    A, B = short_model(E, l)
     roots = {}
     for r in range(l):
         roots.setdefault(r * r % l, []).append(r)
-    half = pow(2, -1, l)
     count = 1  # the point at infinity
     for x in range(l):
-        # (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-        s = (4 * x**3 + E.b2 * x * x + 2 * E.b4 * x + E.b6) % l
-        for r in roots.get(s, ()):
-            P = (x, (r - E.a1 * x - E.a3) * half % l)
-            count += ec_mul(E, l, p, P) is None
+        for y in roots.get((x**3 + A * x + B) % l, ()):
+            count += ec_mul(A, l, p, (x, y)) is None
     return count
 
 
@@ -364,10 +426,14 @@ class TestCyclicCertificate:
         assert _p_torsion_count(e11, 31, 5) == 25
 
     def test_cyclic_case_past_the_first_draws(self, e37):
-        # #E(F_157) = 135 on 37a1 with cyclic 3-part, where the first four
-        # seeded draws all land in 3E(F_157) and the sixth has order 27
+        # #E(F_157) = 135 on 37a1 with cyclic 3-part, where the first seeded
+        # draw has order 3 and the second order 27; #E(F_787) = 756 on 389a1,
+        # where the first four land in 3E(F_787) and the fifth has order 27
         assert p_torsion_structure(e37, 157, 3) == ("cyclic", 3)
         assert _p_torsion_count(e37, 157, 3) == 3
+        E = CurveData(0, 1, 1, -2, 0, conductor=389, tamagawa_product=1, label="389a1")
+        assert p_torsion_structure(E, 787, 3) == ("cyclic", 3)
+        assert _p_torsion_count(E, 787, 3) == 3
 
     def test_5077a1_full_torsion_at_scale(self):
         # the one full case in the 5077a1 sieve to 20000 at p = 7, whose
@@ -510,9 +576,9 @@ class TestTorsionCrossCheckAtScale:
         draws = []
         draw = curve.random_point
 
-        def counted(E, l, rng):
+        def counted(A, B, l, rng):
             draws.append(l)
-            return draw(E, l, rng)
+            return draw(A, B, l, rng)
 
         monkeypatch.setattr(curve, "random_point", counted)
         curves = [

@@ -102,8 +102,9 @@ class TestDlog:
         # below the table limit the table and baby-step/giant-step give the
         # same logs; above it (2^17 - 1 is prime) dlog takes baby-step/giant-step
         kp = reg37[281]
+        baby = kolyvagin._baby_steps(kp.generator, kp.ell)
         for a in range(1, kp.ell):
-            assert kp.dlog(a) == _dlog_bsgs(a, kp.generator, kp.ell)
+            assert kp.dlog(a) == _dlog_bsgs(a, kp.generator, kp.ell, baby)
         big = KolyvaginPrime(131071, 3, 1, 0, 3)
         assert big.ell > DLOG_TABLE_LIMIT
         rng = random.Random(1)
@@ -127,6 +128,28 @@ class TestDlog:
             KolyvaginPrime(61, 5, 1, 0, 2, [])  # the table is no argument
         with pytest.raises(TypeError):
             KolyvaginPrime(61, 5, 1, 0, 2, _table=[])
+        with pytest.raises(TypeError):
+            KolyvaginPrime(61, 5, 1, 0, 2, _baby={})
+
+    def test_baby_steps_built_once_per_prime(self, monkeypatch):
+        # above DLOG_TABLE_LIMIT (patched low) dlog builds the baby steps on
+        # its first call and keeps them on the prime, outside == and repr;
+        # its logs are the list's at every residue
+        ell = 2251
+        listed = KolyvaginPrime(ell, 5, 2, 0, primitive_root(ell))
+        logs = listed._logs()
+        monkeypatch.setattr(kolyvagin, "DLOG_TABLE_LIMIT", 100)
+        built, steps = [], kolyvagin._baby_steps
+        monkeypatch.setattr(
+            kolyvagin, "_baby_steps", lambda g, l: built.append(l) or steps(g, l)
+        )
+        kp, fresh = (KolyvaginPrime(ell, 5, 2, 0, listed.generator) for _ in range(2))
+        assert kp._baby is None
+        assert [None] + [kp.dlog(a) for a in range(1, ell)] == logs
+        assert built == [ell]
+        assert kp._table is None and type(kp._baby) is dict
+        assert kp == fresh == listed and repr(kp) == repr(fresh)
+        assert fresh._baby is None
 
     @pytest.mark.parametrize("ell, p, m", [(61, 5, 1), (211, 5, 1), (2251, 5, 2)])
     def test_log_list_equals_dlog_at_every_residue(self, ell, p, m):
@@ -135,7 +158,8 @@ class TestDlog:
         kp = KolyvaginPrime(ell, p, m, 0, primitive_root(ell))
         logs = [kp.dlog(a) for a in range(1, ell)]
         assert kp._table == [None] + logs
-        assert logs == [_dlog_bsgs(a, kp.generator, ell) for a in range(1, ell)]
+        baby = kolyvagin._baby_steps(kp.generator, ell)
+        assert logs == [_dlog_bsgs(a, kp.generator, ell, baby) for a in range(1, ell)]
         assert sorted(logs) == list(range(ell - 1))
 
     def test_not_a_unit(self, reg37):
@@ -269,6 +293,23 @@ class TestPredicateExamples:
             assert kolyvagin_predicate(e37, ell, 5, 1, 0)
         assert not kolyvagin_predicate(e37, 11, 5, 1, 0)  # 5 | l - 1 fails
         assert not kolyvagin_predicate(e37, 37, 5, 1, 0)  # bad reduction
+        assert not kolyvagin_predicate(e37, 91, 5, 1, 0)  # 91 = 7 * 13 composite
+        assert not kolyvagin_predicate(e37, 5, 5, 1, 0)  # l = p
+
+    def test_sieve_does_not_repeat_the_primality_test(self, e37, reg37, monkeypatch):
+        # the sieve's candidates are primes = 1 mod p^max(m, n+1) from
+        # primes_upto, so it tells the predicate (sieved=True) and no
+        # Miller-Rabin test runs again; each candidate's verdict is the
+        # predicate's from scratch
+        candidates = [ell for ell in range(11, 500, 10) if kolyvagin.is_prime(ell)]
+        verdicts = [kolyvagin_predicate(e37, ell, 5) for ell in candidates]
+        tested = []
+        is_prime = kolyvagin.is_prime
+        monkeypatch.setattr(kolyvagin, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        assert [kp.ell for kp in sieve(e37, 5, 1, 0, 500)] == list(reg37)
+        assert tested == []
+        assert [kolyvagin_predicate(e37, ell, 5, sieved=True) for ell in candidates] == verdicts
+        assert sum(verdicts) == len(reg37) and tested == []
 
 
 class TestHigherM:

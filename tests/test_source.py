@@ -145,6 +145,54 @@ def test_one_window_search_and_count_threshold():
     assert found == []
 
 
+# the point arithmetic over F_l: the short model and the invariants c4, c6
+# it reads, its operations and the searches that step through points
+POINT_ARITHMETIC = {
+    "short_model", "c4", "c6", "ec_neg", "ec_add", "ec_mul", "random_point",
+    "_first_point", "_window_multiples", "DIVISIBILITY_POINT_X",
+}
+
+
+def test_one_point_arithmetic():
+    # points over F_l are added in curve alone, on the short model: no other
+    # module defines, calls or imports an operation on points or reads the
+    # short-model constants, and inside curve the functions that step
+    # through points read no Weierstrass coefficient (each asks short_model)
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        if os.path.basename(path) == "curve.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in POINT_ARITHMETIC
+            or isinstance(node, ast.Name) and node.id in POINT_ARITHMETIC
+            or isinstance(node, ast.Attribute) and node.attr in POINT_ARITHMETIC
+            or isinstance(node, ast.alias) and node.name in POINT_ARITHMETIC
+        ]
+    assert found == []
+    with open(os.path.join(SRC, "curve.py")) as fh:
+        tree = ast.parse(fh.read())
+    coefficients = {"a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "c4", "c6", "ainvs"}
+    stepping = {
+        node.name: {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name != "short_model"
+        and any(
+            isinstance(n, ast.Name) and n.id in POINT_ARITHMETIC
+            or isinstance(n, ast.FunctionDef) and n.name in POINT_ARITHMETIC
+            for n in ast.walk(node)
+        )
+    }
+    assert {"ec_add", "_window_multiples", "_count_bsgs", "count_divisible",
+            "p_torsion_structure"} <= set(stepping)
+    assert {name: attrs & coefficients for name, attrs in stepping.items()
+            if attrs & coefficients} == {}
+
+
 def test_grammar_of_python_3_10():
     # the package supports Python 3.10 (pyproject requires-python); parsing
     # with feature_version=(3, 10) refuses newer syntax such as `except*`.
