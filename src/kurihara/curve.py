@@ -52,7 +52,7 @@ and 1,590 of them one or two.
 import json
 import random
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import BadCurve, BadPrime, CorrectnessAlarm, HypothesisViolation
 from .exactmath import factorize, is_prime
@@ -62,7 +62,7 @@ from .records import record
 # finished by the square table when the window stays ambiguous.  The two
 # costs meet near 200-300 (measured table in the module docstring).
 NAIVE_COUNT_LIMIT = 300
-POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) is kept
+POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) and short model are kept
 SURJECTIVITY_SCAN = 1000  # Frobenius samples at the good primes below this
 # Random points drawn for a certificate of E(F_l)[p^oo]; none in this many
 # means the count is wrong (see p_torsion_structure).
@@ -167,12 +167,14 @@ def load_curve(path):
 # (None = infinity)
 
 
+@lru_cache(maxsize=POINT_COUNT_CACHE)
 def short_model(E, l):
     """(-27 c4, -54 c6) mod l: Y^2 = X^3 + A X + B is isomorphic to E over F_l.
 
     X = 36x + 3 b2 and Y = 108 (2y + a1 x + a3) carry E onto it (Silverman,
     AEC III.1), an isomorphism when 6 is a unit mod l, so l must exceed 3
-    (BadPrime otherwise).
+    (BadPrime otherwise).  Kept per (E, l) like the point count, so
+    count_divisible, _count_bsgs and p_torsion_structure share one pair.
     """
     if l <= 3:
         raise BadPrime(f"the short model needs l > 3, not {l}")
@@ -268,8 +270,8 @@ def _first_point(A, B, l, start):
 
 def random_point(A, B, l, rng):
     """A random affine point of the short model mod l."""
-    P = _first_point(A, B, l, rng.randrange(l))
-    return ec_neg(l, P) if rng.randrange(2) else P
+    x, y = _first_point(A, B, l, rng.randrange(l))
+    return (x, -y % l) if rng.randrange(2) else (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +452,7 @@ def _surjectivity_heuristic(E, p):
     """
     seen_irreducible = False
     seen_split_generic = False
-    det_order = 1  # of the subgroup of the cyclic (Z/p)^* that the l mod p generate
+    det_subgroup = {1 % p}
     for l in primes_upto(SURJECTIVITY_SCAN):
         if l == p or E.discriminant % l == 0:
             continue
@@ -466,8 +468,16 @@ def _surjectivity_heuristic(E, p):
                 ratio = e1 * pow(e2, -1, p) % p
                 if ratio not in (1 % p, (p - 1) % p):
                     seen_split_generic = True
-        det_order = lcm(det_order, next(d for d in range(1, p) if pow(l, d, p) == 1))
-        if seen_irreducible and seen_split_generic and det_order == p - 1:
+        new = {l % p}
+        frontier = set(det_subgroup)
+        while new:
+            x = new.pop()
+            if x in frontier:
+                continue
+            frontier.add(x)
+            new.update({x * y % p for y in frontier})
+        det_subgroup = frontier
+        if seen_irreducible and seen_split_generic and len(det_subgroup) == p - 1:
             return True
     return False
 

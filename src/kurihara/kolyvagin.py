@@ -100,20 +100,23 @@ def _dlog_bsgs(a, g, l, baby):
     raise NotAUnit(f"no discrete log for {a} base {g} mod {l}")
 
 
-def kolyvagin_predicate(E, ell, p, m=1, n=0, *, sieved=False):
+def kolyvagin_predicate(E, ell, p, m=1, n=0):
     """Membership test for the sieve, evaluated from scratch.
 
     ell must be a prime of good reduction other than p with
     ell = 1 mod p^max(m, n+1), p^m must divide #E(F_ell) (`count_divisible`,
     which refuses most candidates from one point, without a count), and the
-    p-primary part of E(F_ell) must be cyclic.  With `sieved=True` (the
-    sieve's candidates) ell is a prime = 1 mod p^max(m, n+1), not tested again.
+    p-primary part of E(F_ell) must be cyclic.
     """
-    if not sieved and (ell == p or not is_prime(ell) or (ell - 1) % p ** max(m, n + 1)):
+    if ell == p or not is_prime(ell) or E.discriminant % ell == 0:
         return False
-    if E.discriminant % ell == 0 or not count_divisible(E, ell, p**m):
+    modulus = p ** max(m, n + 1)
+    if (ell - 1) % modulus != 0:
         return False
-    return p_torsion_structure(E, ell, p)[0] == "cyclic"
+    if not count_divisible(E, ell, p**m):
+        return False
+    kind, _ = p_torsion_structure(E, ell, p)
+    return kind == "cyclic"
 
 
 def sieve(E, p, m, n, bound, workers=1):
@@ -127,7 +130,7 @@ def sieve(E, p, m, n, bound, workers=1):
     return [
         KolyvaginPrime(ell, p, m, n, primitive_root(ell))
         for ell in (primes_upto(bound) if bound >= 2 else [])
-        if (ell - 1) % modulus == 0 and kolyvagin_predicate(E, ell, p, m, n, sieved=True)
+        if (ell - 1) % modulus == 0 and kolyvagin_predicate(E, ell, p, m, n)
     ]
 
 

@@ -197,7 +197,9 @@ class TestCounting:
 
     def test_count_invariants_alarm_python_O(self, run_python_O):
         # a Hasse window with no multiple of a point's order must stop the
-        # run under -O too
+        # run under -O too.  The broken negation reaches only the giant steps
+        # of _window_multiples (random_point negates on its own), so no baby
+        # step is ever met, whatever points the seed draws
         script = (
             "import kurihara.curve as C\n"
             "from kurihara.errors import CorrectnessAlarm\n"

@@ -296,21 +296,6 @@ class TestPredicateExamples:
         assert not kolyvagin_predicate(e37, 91, 5, 1, 0)  # 91 = 7 * 13 composite
         assert not kolyvagin_predicate(e37, 5, 5, 1, 0)  # l = p
 
-    def test_sieve_does_not_repeat_the_primality_test(self, e37, reg37, monkeypatch):
-        # the sieve's candidates are primes = 1 mod p^max(m, n+1) from
-        # primes_upto, so it tells the predicate (sieved=True) and no
-        # Miller-Rabin test runs again; each candidate's verdict is the
-        # predicate's from scratch
-        candidates = [ell for ell in range(11, 500, 10) if kolyvagin.is_prime(ell)]
-        verdicts = [kolyvagin_predicate(e37, ell, 5) for ell in candidates]
-        tested = []
-        is_prime = kolyvagin.is_prime
-        monkeypatch.setattr(kolyvagin, "is_prime", lambda n: tested.append(n) or is_prime(n))
-        assert [kp.ell for kp in sieve(e37, 5, 1, 0, 500)] == list(reg37)
-        assert tested == []
-        assert [kolyvagin_predicate(e37, ell, 5, sieved=True) for ell in candidates] == verdicts
-        assert sum(verdicts) == len(reg37) and tested == []
-
 
 class TestHigherM:
     def test_route_agreement_mod_p_squared(self, sym37, e37):
