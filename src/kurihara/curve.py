@@ -10,48 +10,53 @@ the running hypotheses on (E, p).
 table of square roots mod l is summed over every x, O(l).  Above it,
 baby-step/giant-step (Shanks-Mestre; Cremona, Algorithms for Modular
 Elliptic Curves, ch. 3) searches the Hasse window l + 1 +- isqrt(4l) for
-the multiples of random points' orders, O(l^(1/4)) group operations a point,
+the multiples of drawn points' orders, O(l^(1/4)) group operations a point,
 and keeps the common ones.  When a point leaves the candidates unchanged
 while more than one remains (the group exponent has several multiples in the
 window), the square-table count finishes the job, so every count ends.
-Points are added on short_model's Y^2 = X^3 + A X + B.  Microseconds per
-count, each row averaged over ten primes from l on 11a1, 37a1, 389a1 and
-5077a1 (median of three runs, 2-vCPU shared host, Python 3.11):
+Points are added on short_model's Y^2 = X^3 + A X + B; ec_mul runs
+double-and-add inline.  Microseconds per count, each row averaged over ten
+primes from l on 11a1, 37a1, 389a1 and 5077a1 (median of three runs, 2-vCPU
+shared host, Python 3.11):
 
-    l        101   211   307   401   1009   3001
-    table     29    56    84   115    291    941
-    BSGS      42    46    56    61     62    109
+    l        53    71   101   151   211   307   401   1009   3001
+    table    17    21    26    38    50    79   106    278    833
+    BSGS     21    23    23    26    27    35    45     51     51
 
-The two costs meet near 150-200; the limit stays at 300.
+The two costs meet near 80-100, so the limit is 100.
 
-The sieve asks only whether k = p^m divides #E(F_l).  Above the limit,
-count_divisible takes P, the point with the first X from DIVISIBILITY_POINT_X
-mod l that has a square right-hand side, and searches j in
+The points are fixed, not random: draw_point(A, B, l, i) is the first X with
+a square right-hand side from DRAW_START + i floor(l / phi) mod l, with Y
+negated at odd i, so a count, a refusal and a certificate depend on (E, l)
+alone and no module state.
+
+The sieve asks only whether k = p^m divides #E(F_l).  For every l > 3,
+count_divisible takes P = draw_point(A, B, l, 0) and searches j in
 [ceil(lo/k), floor(hi/k)] for j(kP) = O (_window_multiples).  The count lies
 in the window and kills P, so an empty search proves k does not divide it;
 otherwise count_points decides, and the point sets only the speed.  On the
 sieves of 5077a1 (p = 7), 37a1 (p = 5, 7 and p^m = 25) and 11a1 (p = 7) to
-20000 and 389a1 (p = 5) to 30000, it refused 2,121 of the 2,163 candidates
-above the limit that p^m does not divide, at 25 us each for l < 2000 and 53
-us from 20000 to 30000, against 54 and 116 us for a count (k = 7 on the four
-curves, median of the best of five).  When E(Q) has a point of order p
-(11a1, p = 5) it never refuses.
+20000 and 389a1 (p = 5) to 30000, it refused 2,165 of the 2,209 candidates
+that p^m does not divide (44 of the 46 with l <= 300), at 13 us each for
+l <= 300, 23 us for l < 2000 and 46 us from 20000 to 30000, against 18, 39
+and 92 us for a count (k = 7 on the four curves, median of the best of
+five).  When E(Q) has a point of order p (11a1, p = 5) it never refuses.
 
 The p-primary part S of E(F_l), of order p^v, is classified by points
-alone.  For v >= 2 and p | l - 1, p_torsion_structure multiplies random
+alone.  For v >= 2 and p | l - 1, p_torsion_structure multiplies the drawn
 points by the prime-to-p part of #E(F_l) until one of two exact certificates
 appears: a point of order p^v (S is cyclic), or two points of order p, one
 not a multiple of the other (E(F_l)[p] is full).  A point whose order does
 not divide p^v, or TORSION_CERTIFICATE_DRAWS points with neither
 certificate, means the count is wrong (CorrectnessAlarm).  On 11a1, 37a1,
 389a1 and 5077a1 with p in {3, 5, 7, 11} and l < 30000, the 1,947 cases with
-p^2 | #E(F_l) and p | l - 1 (1,078 full, 869 cyclic) took at most 6 draws,
-and 1,590 of them one or two.
+p^2 | #E(F_l) and p | l - 1 (1,078 full, 869 cyclic) took at most 7 draws,
+and 1,595 of them one or two.
 """
 
 import json
-import random
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import BadCurve, BadPrime, CorrectnessAlarm, HypothesisViolation
@@ -60,16 +65,15 @@ from .records import record
 
 # Square-table count for l up to here; above it BSGS in l + 1 +- isqrt(4l),
 # finished by the square table when the window stays ambiguous.  The two
-# costs meet near 200-300 (measured table in the module docstring).
-NAIVE_COUNT_LIMIT = 300
+# costs meet near 80-100 (measured table in the module docstring).
+NAIVE_COUNT_LIMIT = 100
 POINT_COUNT_CACHE = 1 << 14  # (curve, l) pairs whose #E(F_l) and short model are kept
 SURJECTIVITY_SCAN = 1000  # Frobenius samples at the good primes below this
-# Random points drawn for a certificate of E(F_l)[p^oo]; none in this many
-# means the count is wrong (see p_torsion_structure).
+# Points drawn for a certificate of E(F_l)[p^oo]; none in this many means the
+# count is wrong (see p_torsion_structure).
 TORSION_CERTIFICATE_DRAWS = 64
-# count_divisible's point: the first X from here mod l with a square right-hand
-# side (from X = 0 it refused 2,000 of test_curve's 2,652 cases, not 2,515)
-DIVISIBILITY_POINT_X = 0x9E3779B97F4A7C15
+# 2^64 / phi: draw_point's first start mod l, and its step l / phi
+DRAW_START = 0x9E3779B97F4A7C15
 
 
 @record(frozen=True)
@@ -203,29 +207,33 @@ def ec_add(A, l, P, Q):
 
 
 def ec_mul(A, l, k, P):
-    R = None
-    while k:
-        if k & 1:
-            R = ec_add(A, l, R, P)
-        P = ec_add(A, l, P, P)
-        k >>= 1
-    return R
+    """kP for k >= 0, by left-to-right double-and-add.
 
-
-def jacobi(a, n):
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    The tangent and chord steps run inline on (x, y), with x = None for O.
+    Doubling O or a point of order 2 gives O, and a sum whose first term is
+    +-P goes through ec_add, the one general addition.
+    """
+    if P is None or not k:
+        return None
+    px, py = P
+    x, y = P
+    for bit in bin(k)[3:]:
+        if y:
+            lam = (3 * x * x + A) * pow(2 * y, -1, l) % l
+            x3 = (lam * lam - 2 * x) % l
+            x, y = x3, (lam * (x - x3) - y) % l
+        else:  # O, or a point of order 2
+            x = None
+        if bit == "1":
+            if x is None:
+                x, y = P
+            elif x != px:
+                lam = (py - y) * pow(px - x, -1, l) % l
+                x3 = (lam * lam - x - px) % l
+                x, y = x3, (lam * (x - x3) - y) % l
+            else:
+                x, y = ec_add(A, l, (x, y), P) or (None, 0)
+    return None if x is None else (x, y)
 
 
 def sqrt_mod(a, l):
@@ -235,7 +243,7 @@ def sqrt_mod(a, l):
         return 0
     if l == 2:
         return a
-    if jacobi(a, l) != 1:
+    if pow(a, (l - 1) // 2, l) != 1:  # Euler's criterion
         return None
     if l % 4 == 3:
         return pow(a, (l + 1) // 4, l)
@@ -244,7 +252,7 @@ def sqrt_mod(a, l):
         q //= 2
         s += 1
     z = 2
-    while jacobi(z, l) != -1:
+    while pow(z, (l - 1) // 2, l) != l - 1:
         z += 1
     m, c, t, r = s, pow(z, q, l), pow(a, q, l), pow(a, (q + 1) // 2, l)
     while t != 1:
@@ -258,20 +266,21 @@ def sqrt_mod(a, l):
     return r
 
 
-def _first_point(A, B, l, start):
-    """The point (X, Y) of the short model at the first X from `start` with a square Y^2."""
+def draw_point(A, B, l, i):
+    """The i-th fixed point of the short model mod l, for i >= 0.
+
+    The first X with a square right-hand side from DRAW_START + i floor(l /
+    phi) mod l, a golden-ratio sequence of starts that spreads over F_l for
+    every l, with Y negated at odd i.  It depends on (l, i) alone, so reruns
+    agree and no generator is kept.
+    """
+    start = (DRAW_START + i * (l * DRAW_START >> 64)) % l
     for x in range(start, start + l):
         x %= l
-        r = sqrt_mod((x * x + A) * x + B, l)
-        if r is not None:
-            return (x, r)
+        y = sqrt_mod((x * x + A) * x + B, l)
+        if y is not None:
+            return (x, -y % l) if i & 1 else (x, y)
     raise BadPrime(f"E(F_{l}) has no affine point")
-
-
-def random_point(A, B, l, rng):
-    """A random affine point of the short model mod l."""
-    x, y = _first_point(A, B, l, rng.randrange(l))
-    return (x, -y % l) if rng.randrange(2) else (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +339,11 @@ def _window_multiples(A, l, P, lo, hi):
     return found
 
 
-def _count_bsgs(E, l, rng):
+def _count_bsgs(E, l):
     """#E(F_l) by baby-step/giant-step in the Hasse window (Shanks-Mestre).
 
     #E(F_l) lies in l + 1 +- isqrt(4l) and is a multiple of every point's
-    order.  Each random point keeps the candidates that are multiples of its
+    order.  Each drawn point keeps the candidates that are multiples of its
     order; a point that removes none (the lcm of the orders stopped growing
     while several candidates remain, as when the group exponent is small)
     ends the search with the square-table count, which must be a candidate.
@@ -344,8 +353,10 @@ def _count_bsgs(E, l, rng):
     r = isqrt(4 * l)
     lo, hi = l + 1 - r, l + 1 + r
     candidates = set(range(lo, hi + 1))
+    i = 0
     while len(candidates) > 1:
-        narrowed = candidates & _window_multiples(A, l, random_point(A, B, l, rng), lo, hi)
+        narrowed = candidates & _window_multiples(A, l, draw_point(A, B, l, i), lo, hi)
+        i += 1
         if not narrowed:
             raise CorrectnessAlarm(f"no multiple of the point orders in the Hasse window at l={l}")
         if narrowed == candidates:
@@ -359,12 +370,17 @@ def _count_bsgs(E, l, rng):
     return candidates.pop()
 
 
-def count_points(E, l):
-    """#E(F_l) for a prime of good reduction, including the point at infinity."""
+def _require_good(E, l):
+    # a composite l can hang sqrt_mod's Tonelli-Shanks loop
     if not is_prime(l):
         raise BadPrime(f"{l} is not prime")
     if E.discriminant % l == 0:
         raise BadPrime(f"{l} divides the discriminant")
+
+
+def count_points(E, l):
+    """#E(F_l) for a prime of good reduction, including the point at infinity."""
+    _require_good(E, l)
     return _count(E, l)
 
 
@@ -372,23 +388,24 @@ def count_points(E, l):
 def _count(E, l):
     if l <= NAIVE_COUNT_LIMIT:
         return _count_naive(E, l)
-    return _count_bsgs(E, l, random.Random(l))
+    return _count_bsgs(E, l)
 
 
 def count_divisible(E, l, k):
     """Whether k divides #E(F_l), for a prime l of good reduction.
 
-    Above NAIVE_COUNT_LIMIT one point fixed by l refuses most k that do not
-    divide the count without counting (module docstring); count_points
-    decides the rest.
+    For l > 3 one point fixed by l refuses most k that do not divide the
+    count without counting (module docstring); count_points decides the rest.
+    BadPrime for any other l, as from count_points.
     """
-    if l > NAIVE_COUNT_LIMIT:
+    _require_good(E, l)
+    if l > 3:
         r = isqrt(4 * l)
         lo, hi = -(-(l + 1 - r) // k), (l + 1 + r) // k
         if lo > hi:
             return False
         A, B = short_model(E, l)
-        Q = ec_mul(A, l, k, _first_point(A, B, l, DIVISIBILITY_POINT_X % l))
+        Q = ec_mul(A, l, k, draw_point(A, B, l, 0))
         if Q is not None and not _window_multiples(A, l, Q, lo, hi):
             return False
     return count_points(E, l) % k == 0
@@ -404,7 +421,7 @@ def primes_upto(n):
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 # ---------------------------------------------------------------------------
@@ -441,45 +458,45 @@ class HypothesisReport:
         }
 
 
-def _surjectivity_heuristic(E, p):
-    """Sufficient criterion for mod-p surjectivity from Frobenius samples.
+def _surjectivity_witnesses(E, p):
+    """Three primes whose Frobenius elements prove rho_{E,p} surjective, or None.
 
-    Looks for (i) an irreducible characteristic polynomial x^2 - a_l x + l
-    mod p, (ii) a split sample with eigenvalue ratio not +-1, and (iii) full
-    determinant image (the l mod p generate (Z/p)^*).  All three together
-    rule out the proper subgroup classes of GL_2(F_p) for p >= 5; for p = 3
-    the verdict stays heuristic and is reported, never silently passed.
+    Serre's criterion (Propriétés galoisiennes des points d'ordre fini des
+    courbes elliptiques, Invent. Math. 15 (1972), §2, Prop. 19): for p >= 5,
+    a subgroup of GL_2(F_p) containing elements of these three kinds
+    contains SL_2(F_p):
+
+    - s1 with u = tr^2 / det not in {0, 1, 2, 4} and u^2 - 3u + 1 != 0, so
+      its image in PGL_2(F_p) has order above 5 (no exceptional image);
+    - s2 with tr != 0 and tr^2 - 4 det a nonzero square (not in the
+      normalizer of a non-split Cartan);
+    - s3 with tr != 0 and tr^2 - 4 det a non-square (not in a Borel or in
+      the normalizer of a split Cartan).
+
+    Frob_l at a good l != p has trace a_l and determinant l mod p, and det
+    rho_{E,p} is the mod-p cyclotomic character, onto F_p^*, so the image is
+    then all of GL_2(F_p).  Returns the least l below SURJECTIVITY_SCAN of
+    each kind, (l1, l2, l3), one l serving more than one kind; None for
+    p < 5 or when some kind is not found.
     """
-    seen_irreducible = False
-    seen_split_generic = False
-    det_subgroup = {1 % p}
+    if p < 5:
+        return None
+    found = [None, None, None]
     for l in primes_upto(SURJECTIVITY_SCAN):
         if l == p or E.discriminant % l == 0:
             continue
-        a = trace_of_frobenius(E, l)
-        disc = (a * a - 4 * l) % p
-        if jacobi(disc, p) == -1:
-            seen_irreducible = True
-        elif disc % p != 0:
-            s = sqrt_mod(disc, p)
-            e1 = (a + s) * pow(2, -1, p) % p
-            e2 = (a - s) * pow(2, -1, p) % p
-            if e1 % p and e2 % p:
-                ratio = e1 * pow(e2, -1, p) % p
-                if ratio not in (1 % p, (p - 1) % p):
-                    seen_split_generic = True
-        new = {l % p}
-        frontier = set(det_subgroup)
-        while new:
-            x = new.pop()
-            if x in frontier:
-                continue
-            frontier.add(x)
-            new.update({x * y % p for y in frontier})
-        det_subgroup = frontier
-        if seen_irreducible and seen_split_generic and len(det_subgroup) == p - 1:
-            return True
-    return False
+        t, det = trace_of_frobenius(E, l) % p, l % p
+        u = t * t * pow(det, -1, p) % p
+        euler = pow(t * t - 4 * det, (p - 1) // 2, p)  # 1: nonzero square, p - 1: non-square
+        kinds = (
+            u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0,
+            t != 0 and euler == 1,
+            t != 0 and euler == p - 1,
+        )
+        found = [l if w is None and kind else w for w, kind in zip(found, kinds)]
+        if None not in found:
+            return tuple(found)
+    return None
 
 
 def check_hypotheses(E, p):
@@ -496,7 +513,7 @@ def check_hypotheses(E, p):
     tamagawa_ok = E.tamagawa_product % p != 0
     if p in E.mod_p_surjective:
         verdict = "asserted"
-    elif _surjectivity_heuristic(E, p):
+    elif _surjectivity_witnesses(E, p):
         verdict = "heuristically-confirmed"
     else:
         verdict = "unknown"
@@ -520,8 +537,8 @@ def p_torsion_structure(E, l, p):
     With n = #E(F_l) = p^v n' and p not dividing n', S = n' E(F_l) is the
     p-primary part, of order p^v; 'full' means E(F_l) contains (Z/p)^2.  S is
     cyclic when v <= 1, and when p does not divide l - 1 (full p-torsion puts
-    mu_p in F_l, by the Weil pairing).  Otherwise points P drawn from
-    random.Random(l), so that reruns agree, give Q = n' P, whose order p^k
+    mu_p in F_l, by the Weil pairing).  Otherwise the points P =
+    draw_point(A, B, l, i), i = 0, 1, ..., give Q = n' P, whose order p^k
     must divide p^v, or the count is wrong (CorrectnessAlarm).  Each Q ends
     in one of two certificates or in nothing:
 
@@ -550,10 +567,9 @@ def p_torsion_structure(E, l, p):
     if v == 1 or (l - 1) % p != 0:
         return ("cyclic", v)
     A, B = short_model(E, l)
-    rng = random.Random(l)
     G, g = None, 0
-    for _ in range(TORSION_CERTIFICATE_DRAWS):
-        Q = ec_mul(A, l, cofactor, random_point(A, B, l, rng))
+    for draw in range(TORSION_CERTIFICATE_DRAWS):
+        Q = ec_mul(A, l, cofactor, draw_point(A, B, l, draw))
         while Q is not None:
             k, R = 0, Q  # p^k is the order of Q, U = p^(k-1) Q
             while R is not None:

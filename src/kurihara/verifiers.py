@@ -17,7 +17,6 @@ looped over one by one only when that row reaches a span whose union is not
 full, to name the counterexamples.  Every tuple is still visited and judged.
 """
 
-import random
 from functools import lru_cache, reduce
 from itertools import product
 from math import gcd
@@ -407,6 +406,8 @@ def run_identity_suite(
 
     # generator covariance on single sieved primes: one walk serves both
     # registries
+    import random  # here only: no other run needs it
+
     rng = random.Random(seed)
     samples = []
     for _ in range(covariance_samples if primes else 0):

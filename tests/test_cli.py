@@ -113,14 +113,23 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert [row["ell"] for row in out] == [61, 211, 281]
 
-    @pytest.mark.parametrize("name, args, count, head, tail, digests", [
+    @pytest.mark.parametrize("name, args, count, head, tail, absent, digests", [
         ("5077a1", ["--p", "7", "--bound", "20000"], 52,
-         [113, 211, 463, 547], [19013, 19139, 19531], ["5915828f", "759715d4"]),
+         [113, 211, 463, 547], [19013, 19139, 19531], [14071], ["5915828f", "759715d4"]),
         ("37a1", ["--p", "5", "--m", "2", "--bound", "20000"], 4,
-         [2251, 4651, 10151, 18451], [], ["bee8bbeb", "965913c7"]),
-    ], ids=["5077a1-p7", "37a1-p5-m2"])
-    def test_sieve_golden_bytes(self, capsys, name, args, count, head, tail, digests):
-        # the text and JSON bytes of two sieves to 20000: 5077a1 leaves out
+         [2251, 4651, 10151, 18451], [], [14071], ["bee8bbeb", "965913c7"]),
+        ("37a1", ["--p", "5", "--bound", "20000"], 103,
+         [61, 211, 281, 491], [19391, 19751, 19991], [], ["6b83236e", "70629bd5"]),
+        ("37a1", ["--p", "7", "--bound", "20000"], 52,
+         [43, 71, 701, 1009], [18691, 19013, 19139], [], ["952987f3", "a70b56a0"]),
+        ("11a1", ["--p", "7", "--bound", "20000"], 44,
+         [113, 379, 701, 1051], [17921, 19069, 19447], [], ["993aca2c", "25388d68"]),
+        ("389a1", ["--p", "5", "--bound", "30000"], 140,
+         [41, 61, 131, 211], [29611, 29761, 29881], [], ["5bc3df99", "a24d6b1a"]),
+    ], ids=["5077a1-p7", "37a1-p5-m2", "37a1-p5", "37a1-p7", "11a1-p7", "389a1-p5"])
+    def test_sieve_golden_bytes(self, capsys, name, args, count, head, tail, absent, digests):
+        # the text and JSON bytes of six sieves to 20000 or 30000, which
+        # guard the one-point refusal at every l: 5077a1 leaves out
         # l = 14071, its one full case (test_curve), and 37a1 at m = 2 keeps
         # the l = 1 mod 25 with 25 | #E(F_l)
         argv = ["sieve", "--curve", curve_path(name)] + args
@@ -130,7 +139,7 @@ class TestSubcommands:
         out = capsys.readouterr().out
         rows = json.loads(out)
         primes = [row["ell"] for row in rows]
-        assert len(primes) == count and 14071 not in primes
+        assert len(primes) == count and not set(absent) & set(primes)
         assert primes[:len(head)] == head and primes[len(primes) - len(tail):] == tail
         assert text.splitlines() == [
             f"l = {row['ell']}  h_l = {row['generator']}  |G_l| = {row['p_part']}"

@@ -12,11 +12,13 @@ from kurihara.curve import (
     count_divisible,
     count_points,
     curve_from_json,
+    draw_point,
+    ec_add,
     ec_mul,
     p_torsion_structure,
     primes_upto,
-    random_point,
     short_model,
+    sqrt_mod,
     trace_of_frobenius,
     _count_bsgs,
     _count_naive,
@@ -39,7 +41,7 @@ def on_curve(A, B, l, P):
 @pytest.fixture(scope="module")
 def naive_counts(e11, e37):
     """{(E, l): #E(F_l)} by the square table, for every good prime
-    NAIVE_COUNT_LIMIT < l < 3000 on 11a1, 37a1, 389a1, 5077a1 and 32a2."""
+    5 <= l < 3000 on 11a1, 37a1, 389a1, 5077a1 and 32a2."""
     curves = [
         e11,
         e37,
@@ -51,7 +53,7 @@ def naive_counts(e11, e37):
         (E, l): _count_naive(E, l)
         for E in curves
         for l in primes_upto(3000)
-        if l > curve.NAIVE_COUNT_LIMIT and E.discriminant % l
+        if l >= 5 and E.discriminant % l
     }
 
 
@@ -72,39 +74,57 @@ class TestCounting:
         assert count_points(e11, 7) == 10
         assert trace_of_frobenius(e11, 7) == -2
 
-    def test_bad_prime_rejected(self, e11):
+    def test_bad_prime_rejected(self, e11, run_python):
         with pytest.raises(BadPrime):
             count_points(e11, 11)
+        # count_divisible asks its point at every l > 3, and a composite l
+        # can hang sqrt_mod, so it must refuse l first; a subprocess with a
+        # timeout turns a hang into a failure
+        script = (
+            "import kurihara.curve as C\n"
+            "from kurihara.errors import BadPrime\n"
+            "E = C.CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5)\n"
+            "for l in (11, 9, 25, 91, 361):\n"
+            "    try:\n"
+            "        C.count_divisible(E, l, 5)\n"
+            "    except BadPrime as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = run_python(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "11 divides the discriminant", "9 is not prime", "25 is not prime",
+            "91 is not prime", "361 is not prime",
+        ]
 
     def test_order_annihilates_random_points(self, e37):
-        rng = random.Random(0)
+        # the first 20 fixed draws at each l
         for l in (13, 101, 1009):
             n = count_points(e37, l)
             A, B = short_model(e37, l)
-            for _ in range(20):
-                P = random_point(A, B, l, rng)
+            for i in range(20):
+                P = draw_point(A, B, l, i)
                 assert on_curve(A, B, l, P)
                 assert ec_mul(A, l, n, P) is None
 
     def test_bsgs_matches_naive(self, e11, naive_counts):
-        # every good prime from the crossover to 3000, on the golden curves
-        # and on 32a2 (y^2 = x^3 - x), whose full rational 2-torsion keeps the
-        # group exponent small enough to leave several candidates in the
-        # Hasse window
-        rng = random.Random(1)
+        # every good prime 5 <= l < 3000, below the crossover too, on the
+        # golden curves and on 32a2 (y^2 = x^3 - x), whose full rational
+        # 2-torsion keeps the group exponent small enough to leave several
+        # candidates in the Hasse window
         for l in (10007, 20011, 99991):
-            assert _count_bsgs(e11, l, rng) == _count_naive(e11, l)
+            assert _count_bsgs(e11, l) == _count_naive(e11, l)
         for (E, l), n in naive_counts.items():
-            assert _count_bsgs(E, l, random.Random(l)) == n, (E, l)
+            assert _count_bsgs(E, l) == n, (E, l)
 
     def test_divisibility_is_exact_at_the_window_edges(self, naive_counts, monkeypatch):
         # on the same primes: no prime power k dividing the count may be
         # excluded, also where the count is the top or the bottom multiple
         # of k in the Hasse window; k = 5 or 7 not dividing it must be
-        # refused, nearly always by the point alone (1,020 of 1,070 and
-        # 1,495 of 1,582 cases, from the first square right-hand side at or
-        # after DIVISIBILITY_POINT_X mod l).  The count a fallback asks for
-        # is read from the square table
+        # refused, nearly always by the point alone (1,176 of 1,250 and
+        # 1,711 of 1,837 cases, 372 of the 435 with l <= 300, from
+        # draw_point(A, B, l, 0)).  The count a fallback asks for is read
+        # from the square table
         counted = []
         monkeypatch.setattr(
             curve, "count_points", lambda E, l: counted.append(l) or naive_counts[E, l]
@@ -152,10 +172,9 @@ class TestCounting:
         # 5077a1, l = 7717, a_l = 175 = isqrt(4l) lies on the window's edge.
         # A subprocess with a timeout turns a hang into a failure.
         script = (
-            "import random\n"
             "import kurihara.curve as C\n"
             f"E = C.CurveData(*{ainvs}, conductor=1, tamagawa_product=1)\n"
-            f"print(C._count_bsgs(E, {l}, random.Random({l})), C._count_naive(E, {l}))\n"
+            f"print(C._count_bsgs(E, {l}), C._count_naive(E, {l}))\n"
         )
         proc = run_python(script, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -198,15 +217,15 @@ class TestCounting:
     def test_count_invariants_alarm_python_O(self, run_python_O):
         # a Hasse window with no multiple of a point's order must stop the
         # run under -O too.  The broken negation reaches only the giant steps
-        # of _window_multiples (random_point negates on its own), so no baby
-        # step is ever met, whatever points the seed draws
+        # of _window_multiples (ec_mul and draw_point negate on their own), so
+        # no baby step is ever met, whatever points are drawn
         script = (
             "import kurihara.curve as C\n"
             "from kurihara.errors import CorrectnessAlarm\n"
             "E = C.CurveData(0, -1, 1, -10, -20, conductor=11, tamagawa_product=5)\n"
             "C.ec_neg = lambda l, P: (-1, -1)\n"
             "try:\n"
-            "    C._count_bsgs(E, 10007, C.random.Random(0))\n"
+            "    C._count_bsgs(E, 10007)\n"
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
         )
@@ -231,11 +250,11 @@ class TestCounting:
                 calls["naive", l] += 1
             return naive(E, l)
 
-        def counting_bsgs(E, l, rng):
+        def counting_bsgs(E, l):
             calls["bsgs", l] += 1
             inside_bsgs.append(l)
             try:
-                return bsgs(E, l, rng)
+                return bsgs(E, l)
             finally:
                 inside_bsgs.pop()
 
@@ -299,21 +318,67 @@ class TestShortModel:
         assert short_model(e37, 5) == (-27 * 48 % 5, -54 * -216 % 5)  # c4 = 48, c6 = -216
 
     def test_divisibility_point_needs_no_random(self, naive_counts, monkeypatch):
-        # count_divisible's point is fixed by l alone: the 2,652 refusals of
-        # test_divisibility_is_exact_at_the_window_edges build no
-        # random.Random, and the fallback count is read from the square table
-        def no_random(seed):
-            raise AssertionError(f"random.Random({seed}) built")
+        # every point is fixed by (l, i) and curve does not import random: the
+        # 3,087 refusals of test_divisibility_is_exact_at_the_window_edges,
+        # the counts (cache cleared, so BSGS runs above the limit) and the
+        # p-torsion certificates at p = 3, 5, 7 build no random.Random
+        def no_random(*args):
+            raise AssertionError(f"random.Random{args} built")
 
-        monkeypatch.setattr(curve.random, "Random", no_random)
-        monkeypatch.setattr(curve, "count_points", lambda E, l: naive_counts[E, l])
+        assert not hasattr(curve, "random")
+        monkeypatch.setattr(random, "Random", no_random)
+        curve._count.cache_clear()
         refused = 0
         for (E, l), n in naive_counts.items():
+            assert count_points(E, l) == n, (E, l)
             for k in (5, 7):
                 if n % k:
                     assert not count_divisible(E, l, k), (E, l, k)
                     refused += 1
-        assert refused == 2652
+            for p in (3, 5, 7):
+                if l != p:
+                    p_torsion_structure(E, l, p)
+        assert refused == 3087
+
+
+class TestFieldKernel:
+    def test_ec_mul_equals_repeated_addition(self):
+        # kP by double-and-add is P added k times, for every k <= 2l + 2 at
+        # every affine point of four short models over small fields.  Points
+        # of order 2 and 3 occur (Y^2 = X^3 + 1 has (-1, 0) and (0, +-1)),
+        # so ec_mul meets O, a point of order 2 and R = +-P on the way
+        orders = set()
+        for l in (5, 7, 11, 13, 17, 19, 23):
+            for A, B in ((0, 1), (-1 % l, 0), (1, 1), (2, 3)):
+                if (4 * A**3 + 27 * B * B) % l == 0:
+                    continue
+                for x in range(l):
+                    for y in range(l):
+                        if not on_curve(A, B, l, (x, y)):
+                            continue
+                        P, R, order = (x, y), None, None
+                        for k in range(2 * l + 3):
+                            assert ec_mul(A, l, k, P) == R, (A, B, l, P, k)
+                            if R is None and k:
+                                order = order or k
+                            R = ec_add(A, l, R, P)
+                        orders.add(order)
+        assert {2, 3} <= orders
+        assert ec_mul(1, 7, 5, None) is None
+
+    def test_sqrt_mod_at_every_residue(self):
+        # a root at every square of every prime 5 <= l < 2000, Euler's
+        # criterion and Tonelli-Shanks alike, and None at every non-square
+        for l in primes_upto(2000):
+            if l < 5:
+                continue
+            squares = {y * y % l for y in range(l)}
+            for a in range(l):
+                r = sqrt_mod(a, l)
+                if a in squares:
+                    assert r is not None and r * r % l == a, (a, l)
+                else:
+                    assert r is None, (a, l)
 
 
 class TestApTable:
@@ -356,6 +421,32 @@ class TestHypotheses:
         rep = check_hypotheses(E, 5)
         assert rep.surjectivity == "heuristically-confirmed"
         assert rep.passed
+
+
+    def test_serre_witnesses_of_the_goldens(self, e37):
+        # the least l of each kind s1, s2, s3 of Serre's criterion; one l
+        # may serve twice, and p = 3 is outside the criterion
+        E = CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1")
+        assert curve._surjectivity_witnesses(E, 7) == (3, 3, 2)
+        assert curve._surjectivity_witnesses(e37, 5) == (3, 2, 3)
+        assert curve._surjectivity_witnesses(e37, 3) is None
+        assert check_hypotheses(e37, 3).surjectivity == "unknown"
+
+    @pytest.mark.parametrize("ainvs, conductor, primes", [
+        ((0, 0, 0, -1, 0), 32, (5, 13, 17, 29, 37, 41)),
+        ((0, 0, 1, 0, -7), 27, (7, 13, 19, 31, 37, 43)),
+        ((0, 0, 0, 0, 1), 36, (7, 13, 19, 31, 37, 43)),
+        ((1, -1, 0, -2, -1), 49, (11, 23, 29, 37, 43)),
+    ], ids=["32a2", "27a1", "36a1", "49a1"])
+    def test_cm_images_are_not_confirmed(self, ainvs, conductor, primes):
+        # at these p the mod-p image of a CM curve lies in the normalizer of
+        # a split Cartan: a Frobenius has tr^2 - 4 det a square or trace 0,
+        # so no witness s3 exists and the verdict must stay unknown
+        E = CurveData(*ainvs, conductor=conductor, tamagawa_product=1)
+        for p in primes:
+            assert curve._surjectivity_witnesses(E, p) is None, p
+            rep = check_hypotheses(E, p)
+            assert rep.surjectivity == "unknown" and not rep.passed, p
 
 
 def _p_torsion_count(E, l, p):
@@ -427,15 +518,26 @@ class TestCyclicCertificate:
         assert p_torsion_structure(e11, 31, 5) == ("full", 2)
         assert _p_torsion_count(e11, 31, 5) == 25
 
-    def test_cyclic_case_past_the_first_draws(self, e37):
-        # #E(F_157) = 135 on 37a1 with cyclic 3-part, where the first seeded
-        # draw has order 3 and the second order 27; #E(F_787) = 756 on 389a1,
-        # where the first four land in 3E(F_787) and the fifth has order 27
-        assert p_torsion_structure(e37, 157, 3) == ("cyclic", 3)
-        assert _p_torsion_count(e37, 157, 3) == 3
-        E = CurveData(0, 1, 1, -2, 0, conductor=389, tamagawa_product=1, label="389a1")
-        assert p_torsion_structure(E, 787, 3) == ("cyclic", 3)
-        assert _p_torsion_count(E, 787, 3) == 3
+    def test_cyclic_case_past_the_first_draws(self, e37, monkeypatch):
+        # cyclic 3-parts where the first draws do not certify:
+        # #E(F_463) = 486 = 2 * 3^5 on 37a1, where the first draw gives a
+        # point of order 81 and the second one of order 243;
+        # #E(F_109) = 108 on 389a1, where the first draw lies in the
+        # prime-to-3 part and the second gives order 27; #E(F_2383) = 2349
+        # = 3^4 * 29 on 5077a1, where the first three give orders 27, 9 and
+        # 27 and the fourth order 81
+        draws = []
+        draw = curve.draw_point
+        monkeypatch.setattr(
+            curve, "draw_point", lambda A, B, l, i: draws.append(i) or draw(A, B, l, i)
+        )
+        e389 = CurveData(0, 1, 1, -2, 0, conductor=389, tamagawa_product=1, label="389a1")
+        e5077 = CurveData(0, 0, 1, -7, 6, conductor=5077, tamagawa_product=1, label="5077a1")
+        for E, l, v, drawn in ((e37, 463, 5, 2), (e389, 109, 3, 2), (e5077, 2383, 4, 4)):
+            draws.clear()
+            assert p_torsion_structure(E, l, 3) == ("cyclic", v)
+            assert draws == list(range(drawn)), (E, l)
+            assert _p_torsion_count(E, l, 3) == 3
 
     def test_5077a1_full_torsion_at_scale(self):
         # the one full case in the 5077a1 sieve to 20000 at p = 7, whose
@@ -576,13 +678,13 @@ class TestTorsionCrossCheckAtScale:
         # points (a certificate that compared only order-p multiples would
         # need about p^(a-b) draws on Z/p^a x Z/p^b)
         draws = []
-        draw = curve.random_point
+        draw = curve.draw_point
 
-        def counted(A, B, l, rng):
+        def counted(A, B, l, i):
             draws.append(l)
-            return draw(A, B, l, rng)
+            return draw(A, B, l, i)
 
-        monkeypatch.setattr(curve, "random_point", counted)
+        monkeypatch.setattr(curve, "draw_point", counted)
         curves = [
             e11,
             e37,

@@ -148,8 +148,8 @@ def test_one_window_search_and_count_threshold():
 # the point arithmetic over F_l: the short model and the invariants c4, c6
 # it reads, its operations and the searches that step through points
 POINT_ARITHMETIC = {
-    "short_model", "c4", "c6", "ec_neg", "ec_add", "ec_mul", "random_point",
-    "_first_point", "_window_multiples", "DIVISIBILITY_POINT_X",
+    "short_model", "c4", "c6", "ec_neg", "ec_add", "ec_mul", "draw_point",
+    "_window_multiples", "DRAW_START",
 }
 
 
@@ -213,11 +213,13 @@ PACKAGE_MODULES = (
 
 def test_import_path_without_dataclasses(run_python):
     # records.py stands in for dataclasses, whose import loads inspect, ast,
-    # dis, tokenize and copy, and whose classes exec generated source
+    # dis, tokenize and copy, and whose classes exec generated source; random
+    # is imported only inside the identity suite, its one user
     script = (
         "import sys\n"
         + "".join(f"import kurihara.{name}\n" for name in PACKAGE_MODULES)
-        + "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n"
+        + "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'random')"
+        " if m in sys.modules))\n"
     )
     proc = run_python(script, "-S")
     assert proc.returncode == 0, proc.stderr
