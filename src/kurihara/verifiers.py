@@ -8,19 +8,18 @@ covering choice of c iff the union over its value-image S of the "survivor"
 grids {c : c_i != y_i for all i} misses some c.
 
 S is the span of the tuple's k coordinate vectors y_j = (f1[j], .., f4[j]) in
-F_3^4.  The search walks the y_j one coordinate at a time and carries the id of
-the span so far through a byte table of all 212 subspaces of F_3^4, built per
-call with each span's dimension and grid union.  The last coordinate is judged
-a prefix at a time: one `itemgetter` picks the dimensions of the spans of all
-the prefix's leaves from a byte row, and `count` tallies them; the leaves are
-looped over one by one only when that row reaches a span whose union is not
-full, to name the counterexamples.  Every tuple is still visited and judged.
+F_3^4.  The search walks the y_j one coordinate at a time and carries S as its
+annihilator, the 81-bit mask of the c in F_3^4 with c.y_j = 0 for every j so
+far: one AND per coordinate.  Only the 40 hyperplanes and F_3^4 itself are
+judged.  A prefix's leaves are counted at once against its span, and looped
+over one by one only when one of them can reach an uncovered span, to name
+the counterexamples.  Every tuple is still visited and judged.
 """
 
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import compress, product
 from math import gcd
-from operator import itemgetter, or_
+from operator import and_, or_
 
 from .curve import primes_upto
 from .errors import IdentityFailure
@@ -67,50 +66,24 @@ def _survivor_grids():
     return [FULL81 ^ m for m in _per_digit(hits)]
 
 
-def _span_lattice():
-    """Every subspace of F_3^4, with its transitions, dimension and grid union.
+def _kernels():
+    """K[y] = bitmask of the c in F_3^4 with c.y = c_0 y_0 + .. + c_3 y_3 == 0 mod 3.
 
-    Vectors are base-3 codes y = y_0 + 3 y_1 + 9 y_2 + 27 y_3, the same codes
-    index the bits of a grid mask.  Span id 0 is {0}; rows[s] is a `bytes` of
-    81 span ids with rows[s][y] the id of s + <y>, dims[s] is the dimension of
-    s and unions[s] the union of the survivor grids over the y in s.
-
-    Spans are keyed by their 81-bit membership mask.  A span s is grown by the
-    vectors outside it taken by lowest set bit, one coset pair {s + y, s + 2y}
-    at a time: every vector of the pair gives the same span s + <y>.  Adding
-    y is a byte translation: the low and the high pair of base-3 digits add
-    independently, so each of the 81 tables is the 81 two-digit sums applied
-    to both pairs.
+    The dot product is symmetric, so K[c] is also the set of the y that c
+    kills: the hyperplane ker c for c != 0, all of F_3^4 for c = 0.  Read
+    digit by digit, sums[t] masks the c over the digits so far whose dot
+    product with those of y is t; digit i of value v places the c with
+    c_i = 0, 1, 2 in runs of 3^i bits, from the classes t, t - v, t - 2v.
+    Vectors that share low digits share these masks.
     """
-    pair = [(a + b) % 3 + (a // 3 + b // 3) % 3 * 3 for a in range(9) for b in range(9)]
-    pad = bytes(256 - 81)
-    low = [bytes(e - e % 9 + pair[9 * a + e % 9] for e in range(81)) + pad for a in range(9)]
-    high = [bytes(e % 9 + 9 * pair[9 * a + e // 9] for e in range(81)) + pad for a in range(9)]
-    plus = [low[y % 9].translate(high[y // 9]) for y in range(81)]  # plus[y][e] = y + e
-    bit = [1 << y for y in range(81)]
-    grids = _survivor_grids()
-    members, masks = [b"\0"], [1]
-    ids = {1: 0}
-    rows, dims, unions = [], [0], [grids[0]]
-    for sid, (inside, elems) in enumerate(zip(masks, members)):  # both grow while walked
-        order, labels = [elems], [bytes((sid,)) * len(elems)]
-        outside = FULL81 ^ inside
-        while outside:
-            y = (outside & -outside).bit_length() - 1
-            coset = elems.translate(plus[y]) + elems.translate(plus[plus[y][y]])
-            grown = sum(map(bit.__getitem__, coset))
-            outside ^= grown
-            nid = ids.setdefault(inside | grown, len(members))
-            if nid == len(members):
-                members.append(elems + coset)
-                masks.append(inside | grown)
-                dims.append(dims[sid] + 1)
-                unions.append(reduce(or_, map(grids.__getitem__, coset), unions[sid]))
-            order.append(coset)
-            labels.append(bytes((nid,)) * len(coset))
-        # order lists all 81 vectors once, so this table is the row
-        rows.append(bytes.maketrans(b"".join(order), b"".join(labels))[:81])
-    return rows, dims, unions
+    sums = [(1, 0, 0)]
+    for run in (1, 3, 9):
+        sums = [
+            tuple(s[t] | s[(t - v) % 3] << run | s[(t + v) % 3] << 2 * run for t in range(3))
+            for v in range(3)
+            for s in sums
+        ]
+    return [s[0] | s[-v % 3] << 27 | s[v] << 54 for v in range(3) for s in sums]
 
 
 def _coordinate_choices(reduced):
@@ -142,6 +115,22 @@ def _functionals(path):
     )
 
 
+def _bits(mask):
+    """Bit y of `mask` as byte y, 0 or 1: the selector `compress` takes."""
+    return bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+
+
+def _grid_unions(K, grids):
+    """{K[c]: the union of the grids over the y in K[c]}: the 40 hyperplanes
+    ker c (K[c] == K[2c]) and, as K[0] == FULL81, F_3^4 itself."""
+    return {h: reduce(or_, compress(grids, _bits(h))) for h in set(K)}
+
+
+def _span_of(ann, K):
+    """The vectors every c in the annihilator `ann` kills: the span itself."""
+    return reduce(and_, compress(K, _bits(ann)))
+
+
 @record
 class CosetReport:
     max_dim: int
@@ -164,58 +153,65 @@ def verify_coset_lemma(max_dim, reduced=True):
 
     A tuple (f1, f2, f3, f4) of functionals on F_3^k is walked as its k
     coordinate vectors y_j = (f1[j], f2[j], f3[j], f4[j]) in F_3^4, one level
-    per coordinate, carrying the id of span(y_1..y_j); each leaf is one tuple,
-    and every tuple is visited and judged by its span's grid union.
+    per coordinate, carrying the annihilator of span(y_1..y_j): |ann| = 81,
+    27, 9, 3, 1 for dimension 0 to 4.  Each leaf is one tuple, and every
+    tuple is visited and judged by its span's grid union.
 
-    The lattice, the coordinate choices and the per-span tables below are
-    built here, on every call.  The leaves of one prefix are judged together:
-    `itemgetter(*last[mask])` picks their entries from the span's row
-    translated to dimensions (0 below 3) and `count` tallies dimension 3; the
-    leaves of a prefix whose span already has dimension 3 all have dimension
-    3 or 4, so the rest are 4.  They are taken one by one only when the row
-    reaches a span of dimension >= 3 whose union is not full.
+    K, the coordinate choices and the verdicts are built here, on every
+    call.  A span of dimension 3 is ker c for the c != 0 in its annihilator,
+    and `uncovered` holds the c whose ker c has a union that is not full;
+    F_3^4 has a verdict of its own, as bit 0 is in every annihilator.  A
+    prefix's leaves inside its span keep its dimension and the rest gain
+    one; they are taken one by one only when one can reach an uncovered span.
     """
     if max_dim not in (3, 4):
         raise ValueError(f"coset lemma is verified on F_3^3 and F_3^4, not F_3^{max_dim}")
-    rows, dims, unions = _span_lattice()
+    K = _kernels()
     inner, last = _coordinate_choices(reduced)
-    pad = bytes(256 - len(dims))
-    dim_of = bytes(d if d >= 3 else 0 for d in dims) + pad
-    uncovered = bytes(d >= 3 and u != FULL81 for d, u in zip(dims, unions)) + pad
-    dim_rows = [row.translate(dim_of) for row in rows]
-    flagged = [1 in row.translate(uncovered) for row in rows]
-    # itemgetter of one index returns an int, not a tuple: reduced,
-    # last[15] == [40], so a one-wide slice stands in for it
-    picks = [itemgetter(*ys) if len(ys) > 1 else itemgetter(slice(ys[0], ys[0] + 1))
-             for ys in last]
+    unions = _grid_unions(K, _survivor_grids())
+    uncovered = sum(1 << c for c in range(1, 81) if unions[K[c]] != FULL81)
+    whole_uncovered = unions[FULL81] != FULL81
+    # per last-coordinate mask: the leaves, as a count and a mask, and the
+    # uncovered c that one of them kills (a leaf's annihilator is ann & K[z]),
+    # so that the hyperplane y_i = 0 flags no prefix whose f_i is still 0
+    ends = [
+        (len(zs), sum(1 << z for z in zs), reduce(or_, map(K.__getitem__, zs), 0) & uncovered)
+        for zs in last
+    ]
+    spans = {}
     instances = {}
-    by_dim = [0] * 5
+    by_dim = [0] * 6  # leaves by span dimension; 2 and 5 are never read
     bad = []
 
-    def walk(path, j, sid, mask):
-        row = rows[sid]
+    def walk(path, j, ann, mask):
         if j < len(path) - 2:
             for y, left in inner[mask]:
                 path[j] = y
-                walk(path, j + 1, row[y], left)
+                walk(path, j + 1, ann & K[y], left)
             return
         for y, left in inner[mask]:
-            s = row[y]
-            leaves = picks[left](dim_rows[s])
-            threes = leaves.count(3)
-            by_dim[3] += threes
-            if dims[s] == 3:
-                by_dim[4] += len(leaves) - threes
-            if flagged[s]:
+            a = ann & K[y]
+            if a.bit_count() > 9:
+                continue  # a span of dimension <= 1: its leaves span <= 2
+            if a not in spans:
+                spans[a] = 4 - (1, 3, 9).index(a.bit_count()), _span_of(a, K)
+            dim, span = spans[a]
+            n, ends_mask, targets = ends[left]
+            inside = (span & ends_mask).bit_count()
+            by_dim[dim] += inside
+            by_dim[dim + 1] += n - inside
+            if a & targets or dim >= 3 and whole_uncovered:
                 path[j] = y
                 for z in last[left]:
-                    if uncovered[rows[s][z]]:
+                    leaf = a & K[z]
+                    size = leaf.bit_count()
+                    if size == 3 and leaf & uncovered or size == 1 and whole_uncovered:
                         path[j + 1] = z
                         bad.append(_functionals(path))
 
     for k in range(3, max_dim + 1):
         before = by_dim[3] + by_dim[4]
-        walk([0] * k, 0, 0, 15)
+        walk([0] * k, 0, FULL81, 15)
         instances[k] = by_dim[3] + by_dim[4] - before
     bad.sort()  # the order of a (f1, f2, f3, f4) loop over sorted functionals
     return CosetReport(max_dim, reduced, instances, {3: by_dim[3], 4: by_dim[4]}, bad)

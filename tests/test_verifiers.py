@@ -1,5 +1,7 @@
 from collections import Counter
+from functools import reduce
 from itertools import product
+from operator import and_, or_
 
 import pytest
 
@@ -47,6 +49,7 @@ def _nonzero_functionals(k, up_to_sign):
 
 
 _POW3 = [1, 3, 9, 27]
+_VECTORS = [tuple(y // p3 % 3 for p3 in _POW3) for y in range(81)]  # base-3 digits
 
 
 def _enc_add(a, b):
@@ -127,6 +130,10 @@ def _reference_coset_lemma(max_dim, reduced, gridmasks=None):
     return instances, by_dim, bad
 
 
+def _bits(mask):
+    return {y for y in range(81) if mask >> y & 1}
+
+
 def _rank_mod3(rows):
     rows = [list(r) for r in rows]
     rank = 0
@@ -145,12 +152,16 @@ def _rank_mod3(rows):
     return rank
 
 
-def _table_span(rows, fns):
-    """Span id of functionals fns on F_3^k, walked coordinate by coordinate."""
-    sid = 0
+def _annihilator_span(K, grids, fns):
+    """(dimension, grid union) of the span of fns on F_3^k, read as the search
+    reads it: the AND of K over the coordinate vectors, its popcount, and the
+    span of the annihilator by `_span_of`."""
+    ann = FULL81
     for j in range(len(fns[0])):
-        sid = rows[sid][sum(3**i * f[j] for i, f in enumerate(fns))]
-    return sid
+        ann &= K[sum(3**i * f[j] for i, f in enumerate(fns))]
+    dim = {81: 0, 27: 1, 9: 2, 3: 3, 1: 4}[ann.bit_count()]
+    span = verifiers._span_of(ann, K)
+    return dim, reduce(or_, (g for y, g in enumerate(grids) if span >> y & 1))
 
 
 def _covered_by_value_image(fns):
@@ -184,34 +195,50 @@ def _reference_coordinate_choices(reduced):
 
 
 class TestTables:
-    def test_span_lattice_against_brute_force(self):
-        # every span and every transition recomputed from the members alone,
-        # with addition from _enc_add rather than the lattice's byte tables
-        rows, dims, unions = verifiers._span_lattice()
-        assert len(rows) == len(dims) == len(unions) == 212
-        assert all(type(row) is bytes and len(row) == 81 for row in rows)
-        add = [[_enc_add(a, b) for b in range(81)] for a in range(81)]
-        members = [frozenset(y for y in range(81) if row[y] == s) for s, row in enumerate(rows)]
-        ids = {m: s for s, m in enumerate(members)}
-        assert len(ids) == 212 and members[0] == {0}
+    def test_kernels_against_brute_force(self):
+        # every bit of K[y] from a dot product, and each hyperplane's grid
+        # union from members closed under _enc_add, not from the masks
+        K = verifiers._kernels()
+        assert len(K) == 81 and K[0] == FULL81
+        for y, vy in enumerate(_VECTORS):
+            for c, vc in enumerate(_VECTORS):
+                assert (K[y] >> c & 1) == (sum(a * b for a, b in zip(vy, vc)) % 3 == 0)
         grids = verifiers._survivor_grids()
         assert grids == _grid_masks()
-        transitions = 0
-        for s, m in enumerate(members):
-            # a subspace: it holds 0 and is closed under addition (so under
-            # scalars too), with 3^dim elements
-            assert 0 in m and all(add[a][b] in m for a in m for b in m)
-            assert len(m) == 3 ** dims[s]
+        unions = verifiers._grid_unions(K, grids)
+        assert len(unions) == 41
+        for c in range(1, 81):
+            members = frozenset(y for y in range(81) if K[c] >> y & 1)
+            # ker c: 27 vectors holding 0 and closed under addition
+            assert len(members) == 27 and 0 in members
+            assert all(_enc_add(a, b) in members for a in members for b in members)
+            assert K[_enc_add(c, c)] == K[c]  # ker c == ker 2c
             union = 0
-            for y in m:
+            for y in members:
                 union |= grids[y]
-            assert unions[s] == union
-            for y in range(81):
-                grown = frozenset(add[a][j] for a in m for j in (0, y, add[y][y]))
-                assert rows[s][y] == ids[grown]
-                transitions += 1
-        assert transitions == 17172
-        assert Counter(dims) == {0: 1, 1: 40, 2: 130, 3: 40, 4: 1}
+            assert unions[K[c]] == union
+            # the annihilator {0, c, 2c} of a hyperplane spans it back
+            ann = 1 | 1 << c | 1 << _enc_add(c, c)
+            assert verifiers._span_of(ann, K) == K[c]
+        assert unions[FULL81] == reduce(or_, grids)
+        # with grid y = {y} but grid 0 empty, each union is the span's own
+        # membership mask without 0, so none is full, F_3^4's included
+        ones = [1 << y if y else 0 for y in range(81)]
+        assert verifiers._grid_unions(K, ones) == {h: h ^ 1 for h in K}
+        assert verifiers._span_of(1, K) == FULL81 and verifiers._span_of(FULL81, K) == 1
+        # every subspace of F_3^4 is reached as an AND of kernels, once per
+        # annihilator, and spans back to a subspace of the dual size
+        anns, grow = {FULL81}, [FULL81]
+        for ann in grow:
+            for k in K:
+                if ann & k not in anns:
+                    anns.add(ann & k)
+                    grow.append(ann & k)
+        assert Counter(a.bit_count() for a in anns) == {81: 1, 27: 40, 9: 130, 3: 40, 1: 1}
+        for ann in anns:
+            span = _bits(verifiers._span_of(ann, K))
+            assert len(span) * ann.bit_count() == 81
+            assert all(_enc_add(a, b) in span for a in span for b in span)
 
     @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
     def test_coordinate_choices_match_reference(self, reduced):
@@ -258,19 +285,20 @@ class TestCosetLemma:
         assert proc.stdout.split() == ["REJECTED", "2", "REJECTED", "5"]
 
     def test_span_two_tuples_judged_by_tables(self):
-        # the same span and union tables the search uses must see the covered
+        # the annihilator masks the search carries must see the covered
         # span-2 configurations, or a "never covered" verdict is empty
-        rows, dims, unions = verifiers._span_lattice()
+        K = verifiers._kernels()
+        grids = verifiers._survivor_grids()
         fns, c, covered = span_two_covering_witness()
-        sid = _table_span(rows, fns)
-        assert covered and dims[sid] == 2 and unions[sid] != FULL81
+        dim, union = _annihilator_span(K, grids, fns)
+        assert covered and dim == 2 and union != FULL81
         span_two = covered_two = 0
         for tup in product(_nonzero_functionals(3, up_to_sign=True), repeat=4):
-            sid = _table_span(rows, tup)
-            assert dims[sid] == _rank_mod3(tup)
-            if dims[sid] == 2:
+            dim, union = _annihilator_span(K, grids, tup)
+            assert dim == _rank_mod3(tup)
+            if dim == 2:
                 span_two += 1
-                judged = unions[sid] != FULL81
+                judged = union != FULL81
                 assert judged == _covered_by_value_image(tup)
                 covered_two += judged
         assert (covered_two, span_two) == (936, 3276)
@@ -293,6 +321,64 @@ class TestCosetLemma:
         for k, *tup in rep.counterexamples:
             assert k == 3 and set(tup) <= fns
             assert _rank_mod3(tup) >= 3
+
+    def test_corrupted_grid_reports_real_counterexamples_python_O(self, run_python_O):
+        # the same corruption with asserts stripped: an uncovered span is
+        # still reported, because no verdict rests on an assert
+        script = (
+            "from kurihara import verifiers\n"
+            "grids = [m & ~1 if y % 3 == y // 3 % 3 else m\n"
+            "         for y, m in enumerate(verifiers._survivor_grids())]\n"
+            "verifiers._survivor_grids = lambda: grids\n"
+            "rep = verifiers.verify_coset_lemma(3)\n"
+            "print(rep.ok, rep.instances[3], len(rep.counterexamples))\n"
+        )
+        proc = run_python_O(script)
+        assert proc.returncode == 0, proc.stderr
+        ok, instances, bad = proc.stdout.split()
+        assert (ok, instances) == ("False", "25272") and 0 < int(bad) < 25272
+
+    def test_few_uncovered_hyperplanes_match_reference(self, monkeypatch):
+        # drop c = 0 from the grids of the y in ker(1,1,1,0) or ker(1,0,2,1):
+        # only the hyperplanes whose vectors with no zero digit all lie in
+        # those two lose c = 0, and only tuples spanning them may come back
+        K = verifiers._kernels()
+        c1, c2 = 1 + 3 + 9, 1 + 18 + 27
+        killed = K[c1] | K[c2]
+
+        def corrupt(grids):
+            return [m & ~1 if killed >> y & 1 else m for y, m in enumerate(grids)]
+
+        grids = corrupt(verifiers._survivor_grids())
+        monkeypatch.setattr(verifiers, "_survivor_grids", lambda: grids)
+        unions = verifiers._grid_unions(K, grids)
+        open_hyperplanes = {K[c] for c in range(1, 81) if unions[K[c]] != FULL81}
+        assert unions[FULL81] == FULL81 and {K[c1], K[c2]} <= open_hyperplanes
+        assert len(open_hyperplanes) < 10  # a few, among them y_i = 0 (never a span)
+        rep = verify_coset_lemma(3)
+        _, _, bad = _reference_coset_lemma(3, True, corrupt(_grid_masks()))
+        assert rep.counterexamples == bad and 0 < len(bad) < 25272
+        for k, *tup in bad:
+            ann = reduce(and_, (K[sum(3**i * f[j] for i, f in enumerate(tup))] for j in range(k)))
+            assert verifiers._span_of(ann, K) in open_hyperplanes - {K[1], K[3], K[9], K[27]}
+
+    def test_corrupted_whole_space_flags_only_span_four(self, monkeypatch):
+        # a union of all grids that misses a point leaves every hyperplane
+        # covered: bit 0 of each annihilator must not carry the whole
+        # space's verdict to a span-3 tuple, and every span-4 tuple is flagged
+        true_unions = verifiers._grid_unions
+
+        def whole_open(K, grids):
+            return {**true_unions(K, grids), FULL81: FULL81 ^ 1}
+
+        monkeypatch.setattr(verifiers, "_grid_unions", whole_open)
+        rep = verify_coset_lemma(3)
+        assert rep.ok and (rep.instances, rep.by_span_dim) == _reference_coset_lemma(3, True)[:2]
+        # 1.5 million counterexamples: name each by k alone to keep them small
+        monkeypatch.setattr(verifiers, "_functionals", len)
+        rep = verify_coset_lemma(4)
+        assert rep.by_span_dim == {3: 1036152, 4: 1516320}
+        assert rep.counterexamples == [4] * 1516320
 
     def test_reduced_and_unreduced_agree_on_f27(self):
         reduced = verify_coset_lemma(3, reduced=True)
