@@ -20,8 +20,8 @@ from .errors import (
     SearchExhausted,
 )
 from .exactmath import ResidueRing, is_prime
-from .kolyvagin import sieve, sieved_factors
-from .mazurtate import plus_element, theta, vartheta, xi_tilde
+from .kolyvagin import sieve
+from .mazurtate import theta, vartheta, xi_tilde
 from .modsym import build_space, extract_eigensymbol
 from .records import replace
 from .verifiers import span_two_covering_witness, run_identity_suite, verify_coset_lemma
@@ -175,9 +175,8 @@ def _rewalk(report, curve_path):
     The curve must be the report's: its name (label, or a-invariants) is the
     report's `curve`, or BadReport.  The sieve to the report's prime bound
     must give its sieved primes, and the symbol, rebuilt with the report's
-    calibration, its calibration unit.  Each row is then walked again through
-    `plus_element` and `delta_row`; a stored row that differs is
-    CorrectnessAlarm.
+    calibration, its calibration unit.  Each row is then walked again by
+    `delta_row`; a stored row that differs is CorrectnessAlarm.
     """
     E = load_curve(curve_path)
     if str(E) != report.curve:
@@ -201,7 +200,7 @@ def _rewalk(report, curve_path):
     registry = {kp.ell: kp for kp in primes}
     ring = ResidueRing(p, m)
     for d, stored in sorted(report.table.items()):
-        row = delta_row(plus_element(sym, d, ring), registry)
+        row = delta_row(sym, d, ring, registry)
         if row != stored:
             raise CorrectnessAlarm(
                 f"stored row {stored.to_json()} differs from the walked {row.to_json()}"
@@ -337,8 +336,7 @@ def _dispatch(args):
         sym = _load_symbol(E, args.assume_optimal)
         primes = sieve(E, args.p, args.m, args.n, args.bound)
         registry = {kp.ell: kp for kp in primes}
-        sieved_factors(args.d, registry)  # reject a bad d before walking (Z/d)^*
-        row = delta_row(plus_element(sym, args.d, ResidueRing(args.p, args.m)), registry)
+        row = delta_row(sym, args.d, ResidueRing(args.p, args.m), registry)
         # the reported value is the direct route's, checked against the other two
         obj = dict(row.to_json(), route="direct")
         _emit(args, obj, f"delta_{args.d} = {row.delta} (mod {args.p}^{args.m}),"

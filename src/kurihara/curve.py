@@ -34,7 +34,7 @@ The sieve asks only whether k = p^m divides #E(F_l).  For every l > 3,
 count_divisible takes P = draw_point(A, B, l, 0) and searches j in
 [ceil(lo/k), floor(hi/k)] for j(kP) = O (_window_multiples).  The count lies
 in the window and kills P, so an empty search proves k does not divide it;
-otherwise count_points decides, and the point sets only the speed.  On the
+otherwise the count decides, and the point sets only the speed.  On the
 sieves of 5077a1 (p = 7), 37a1 (p = 5, 7 and p^m = 25) and 11a1 (p = 7) to
 20000 and 389a1 (p = 5) to 30000, it refused 2,165 of the 2,209 candidates
 that p^m does not divide (44 of the 46 with l <= 300), at 13 us each for
@@ -395,8 +395,8 @@ def count_divisible(E, l, k):
     """Whether k divides #E(F_l), for a prime l of good reduction.
 
     For l > 3 one point fixed by l refuses most k that do not divide the
-    count without counting (module docstring); count_points decides the rest.
-    BadPrime for any other l, as from count_points.
+    count without counting (module docstring); the cached count decides the
+    rest, l being checked here once.  BadPrime for any other l.
     """
     _require_good(E, l)
     if l > 3:
@@ -408,7 +408,7 @@ def count_divisible(E, l, k):
         Q = ec_mul(A, l, k, draw_point(A, B, l, 0))
         if Q is not None and not _window_multiples(A, l, Q, lo, hi):
             return False
-    return count_points(E, l) % k == 0
+    return _count(E, l) % k == 0
 
 
 def trace_of_frobenius(E, l):

@@ -146,9 +146,11 @@ class RationalField:
     coerce_all = reduce_all  # every int and Fraction is already exact here
 
     def scale_all(self, values, c):
-        """Tuple of the ints `values` times the rational c."""
+        """Tuple of the ints `values` times the rational c, one Fraction per distinct int."""
         num, den = c.as_integer_ratio()
-        return tuple([Fraction(t * num, den) for t in values])
+        values = list(values)
+        made = {t: Fraction(t * num, den) for t in set(values)}
+        return tuple(map(made.__getitem__, values))
 
     def mul(self, a, b):
         return a * b
@@ -223,17 +225,16 @@ class ResidueRing:
         return tuple(out)
 
     def scale_all(self, values, c):
-        """Tuple of the ints `values` times the rational c, reduced into [0, p^m)."""
+        """Tuple of the ints `values` times the rational c, reduced into [0, p^m);
+        the first product that is not p-integral raises DenominatorDivisibleByP."""
         num, den = c.as_integer_ratio()
         pv = gcd(den, self.p ** den.bit_length())  # t * c is p-integral iff pv | t * num
-        k = pow(den // pv, -1, self.modulus)
-        out = []
-        for t in values:
-            x, r = divmod(t * num, pv)
-            if r:
-                self.coerce(t * c)  # raises DenominatorDivisibleByP
-            out.append(x * k % self.modulus)
-        return tuple(out)
+        values = [t * num for t in values]
+        bad = next((t for t in values if t % pv), None) if pv > 1 else None
+        if bad is not None:
+            self.coerce(Fraction(bad, den))  # raises DenominatorDivisibleByP
+        k, modulus = pow(den // pv, -1, self.modulus), self.modulus
+        return tuple([t // pv * k % modulus for t in values])
 
     def reduce_all(self, values):
         """Tuple of the ints `values` reduced into [0, p^m)."""
@@ -320,6 +321,13 @@ class AbelianGroup:
         """The generators of the cyclic factors: 1 in one coordinate, 0 elsewhere."""
         k = len(self.orders)
         return [tuple(int(i == j) for i in range(k)) for j in range(k)]
+
+    def negated(self):
+        """index(g^-1) for each element g, in element order."""
+        idx = [0]
+        for n in self.orders:
+            idx = [i * n + -j % n for i in idx for j in range(n)]
+        return idx
 
     def _shifted(self, g):
         """index(g*h) for each element h, in element order."""
@@ -418,32 +426,37 @@ class UnitGroup(AbelianGroup):
                 a = a * (mod_part * v * rest + u * qe) % self.n
         return a % self.n if self.n > 1 else 0
 
-    _built_residues = (0, None)  # (n, residues) of the last build, until read again
+    def runs(self, codomain, images):
+        """The elements in element order, one run of the last coordinate at a time.
 
-    def residues(self):
-        """The residue a mod n of each element, in element order; read-only.
-
-        Products of powers of the generators' CRT residues, each power one
-        multiplication from the last: no sigma, and one `residue` call per
-        cyclic factor.  A built list is kept for one more call at its level,
-        so that the walk and then the direct route read one list.
+        Yields (residues, indices) per run: each element's residue a mod n,
+        and the codomain index of its image under the well-defined map that
+        sends the j-th element of `basis()` to images[j].  A step multiplies
+        by a generator's CRT residue and moves the index along its shift
+        table, so nothing the size of the group is kept; a run's indices
+        repeat the cycle of its first one under the last generator.
         """
-        n, out = UnitGroup._built_residues
-        UnitGroup._built_residues = (0, None)
-        if n == self.n:
-            return out
         n = self.n
-        out = [1]
-        for e, order in zip(self.basis(), self.orders):
-            r = self.residue(e)
-            x = 1
-            powers = [x]
-            for _ in range(order - 1):
-                x = x * r % n
-                powers.append(x)
-            out = [a * q % n for a in out for q in powers] if len(out) > 1 else powers
-        UnitGroup._built_residues = (n, out)
-        return out
+        # the trivial group is one run, of the element 1 (at index 0)
+        mults = [self.residue(e) for e in self.basis()] or [1]
+        shifts = [codomain._shifted(h) for h in images] or [[0]]
+        *outer, last = self.orders or (1,)
+        x, r = 1, mults[-1]
+        powers = [1] + [x := x * r % n for _ in range(last - 1)]
+        step, cycles, digits = shifts[-1], {}, [0] * len(outer)
+        a, g = 1, 0
+        while True:
+            cycle = cycles.setdefault(g, [g])
+            while step[cycle[-1]] != g:  # built on the first visit of g
+                cycle.append(step[cycle[-1]])
+            yield ([a * q % n for q in powers] if a != 1 else powers), cycle * (last // len(cycle))
+            for j in reversed(range(len(outer))):  # the next run: carry from the right
+                a, g = a * mults[j] % n, shifts[j][g]
+                digits[j] = (digits[j] + 1) % outer[j]
+                if digits[j]:
+                    break
+            else:
+                return
 
     def __eq__(self, other):
         return isinstance(other, UnitGroup) and other.n == self.n
@@ -621,10 +634,6 @@ class GroupRingElement:
 
     def coefficient(self, g):
         return self.coeffs[self.group.index(g)]
-
-    def residue_items(self):
-        """(a, c) per unit a mod n, zeros included, over a UnitGroup (Z/n)^*."""
-        return zip(self.group.residues(), self.coeffs)
 
     def augmentation(self):
         return self.ring.coerce(sum(self.coeffs))

@@ -2,12 +2,12 @@
 
 The sieve picks the primes l with l = 1 mod p^max(m, n+1) whose reduction has
 cyclic p^m-torsion; each carries a fixed generator h_l of (Z/l)^* and discrete
-logarithms to that base.  delta_d is read from theta_d in Z/p^m[(Z/d)^*]
-(`mazurtate.plus_element`) by three routes: the direct weighted sum over the
-units, whose weights come from one list of logs per prime indexed by residue,
-and, from one projection to the p-part quotient Gal(Q(d)/Q), the transport
-through e_d and the Kolyvagin-derivative expansion, which also certifies the
-closed-form identity the transport rests on.
+logarithms to that base.  delta_d is read from theta_d in Z/p^m[(Z/d)^*], as
+`mazurtate.plus_values` streams it, by three routes: the direct weighted sum
+over the units, whose weights come from one list of logs per prime, and, from
+one projection to the p-part quotient Gal(Q(d)/Q) filled from the same
+stream, the transport through e_d and the Kolyvagin-derivative expansion,
+which also certifies the closed-form identity the transport rests on.
 """
 
 from math import isqrt, prod
@@ -16,13 +16,12 @@ from .curve import count_divisible, p_torsion_structure, primes_upto
 from .errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
 from .exactmath import (
     AbelianGroup,
-    GroupHom,
     GroupRingElement,
     ResidueRing,
     factorize,
     is_prime,
     primitive_root,
-    projection_map,
+    unit_group,
 )
 from .records import record
 
@@ -162,31 +161,29 @@ class KuriharaNumber:
         return self.value % self.p != 0
 
 
-def kurihara_number_direct(theta, registry):
-    """delta_d as the plain weighted sum over units a mod d of theta_d in Z/p^m.
+def kurihara_number_direct(values, d, ring, registry):
+    """delta_d as the plain weighted sum of theta_d over the units mod d, in Z/p^m.
 
-    Weights are products over l | d of the discrete log of a base h_l, taken
-    mod p^m; the empty product makes delta_1 the L-value mod p^m.  p^m must
-    divide each l - 1 (ValueError otherwise).  Each unit reads its logs from
-    the per-prime lists, t[a % l] (`dlog` above DLOG_TABLE_LIMIT), and the
-    weighted sum is reduced mod p^m once per unit.  It uses no projection,
-    so it stays independent of the one the other two routes share.
+    `values` are the runs (bs, _, cs) of `mazurtate.plus_values`, c the
+    coefficient at b^-1.  A unit weighs the product over l | d of its log to
+    h_l mod p^m: at b^-1, (-1)^nu(d) times the product for b, from the lists
+    t[b % l] (`dlog` above DLOG_TABLE_LIMIT).  For d > 2 each c counts twice,
+    as -b^-1 weighs the same: log(-1) = (l - 1)/2 is 0 mod p^m (p odd).
+    p^m must divide each l - 1 (ValueError otherwise).  No projection is
+    read, so the route stays independent of the other two.
     """
-    ring = theta.ring
     pk = ring.modulus
-    d = theta.group.n
     ells = sieved_factors(d, registry)
     for ell in ells:
         if (ell - 1) % pk:
             raise ValueError(f"{pk} does not divide {ell} - 1")
     logs = [(ell, registry[ell]._logs(), registry[ell].dlog) for ell in ells]
     total = 0
-    for a, coeff in theta.residue_items():
-        if not coeff:
-            continue
+    for bs, _, cs in values:
         for ell, t, dlog in logs:
-            coeff *= t[a % ell] if t is not None else dlog(a)
-        total = (total + coeff) % pk
+            cs = [c and c * (t[b % ell] if t is not None else dlog(b)) for b, c in zip(bs, cs)]
+        total = (total + sum(cs)) % pk
+    total = total * (-1) ** len(ells) * (2 if d > 2 else 1) % pk
     gens = {ell: registry[ell].generator for ell in ells}
     return KuriharaNumber(d, tuple(ells), total, ring.p, ring.m, "direct", gens)
 
@@ -196,31 +193,44 @@ class ThetaProjection:
     """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], shared by via-e_d and the derivative."""
 
     d: int
-    element: GroupRingElement
+    quotient: AbelianGroup
+    images: list  # the image of the inverse of each generator of (Z/d)^*
     ells: tuple
     e_d: int
     generators: dict  # l -> h_l
+    element: GroupRingElement = None
+
+    def fold(self, values, ring):
+        """Pass on the runs of `plus_values`, adding each c into the bucket of
+        b^-1 (twice for d > 2: sigma_{-1} maps to 1, as |G_l| divides
+        (l - 1)/2), and set `element` when the runs end."""
+        buckets = [0] * self.quotient.order
+        for bs, gs, cs in values:
+            for g, c in zip(gs, cs):
+                buckets[g] += c
+            yield bs, gs, cs
+        coeffs = ring.reduce_all([x * 2 for x in buckets] if self.d > 2 else buckets)
+        self.element = GroupRingElement.from_values(self.quotient, ring, coeffs)
 
 
-def project_theta(theta, registry):
-    """Push theta_d over (Z/d)^* to Z/p^m[Gal(Q(d)/Q)].
+def project_theta(d, registry):
+    """The empty projection of theta_d to Z/p^m[Gal(Q(d)/Q)], for `fold`.
 
-    Gal(Q(d)/Q) = prod of the p-parts G_l; sigma_a lands on the tuple of
-    discrete logs of a reduced mod the p-part orders, so the quotient map is
-    fixed by the logs of the generators' residues, nu(d)^2 logs in all.
+    Gal(Q(d)/Q) = prod of the p-parts G_l; sigma_a lands on the logs of a
+    mod the p-part orders, so the map is fixed by the (negated, for the
+    inverses) logs of the generators' residues, nu(d)^2 logs in all.
     e_d = #Gal(Q(mu_d)/Q(d)) is the prime-to-p index prod (l - 1)/|G_l|.
     """
-    group = theta.group
-    ells = sieved_factors(group.n, registry)
+    group = unit_group(d)
+    ells = sieved_factors(d, registry)
     orders = [registry[ell].p_part_order for ell in ells]
     images = [
-        tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
+        tuple(-registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         for a in map(group.residue, group.basis())
     ]
-    element = projection_map(theta, GroupHom(group, AbelianGroup(orders), images))
     e_d = prod((ell - 1) // n for ell, n in zip(ells, orders))
     gens = {ell: registry[ell].generator for ell in ells}
-    return ThetaProjection(group.n, element, tuple(ells), e_d, gens)
+    return ThetaProjection(d, AbelianGroup(orders), images, tuple(ells), e_d, gens)
 
 
 def _log_weighted_sum(projected, e_d, modulus):

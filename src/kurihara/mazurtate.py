@@ -1,12 +1,14 @@
 """Mazur-Tate modular elements and their ordinary stabilizations.
 
-theta(d, n) collects the plus-symbol values over (Z/dp^n)^* by the one walk,
-`plus_element`, which the delta_d routes also read; vartheta applies the
+theta(d, n) collects the plus-symbol values over (Z/dp^n)^* from the one
+walk, `plus_values`, which the delta_d rows stream; vartheta applies the
 unit-root stabilization, xi_tilde assembles the Kurihara combination over the
 divisor lattice of d.  Everything is a finite truncation: the projective
 limits exist only level-by-level here, and the limit relations are exercised
 as finite identities by the verifier suite.
 """
+
+from itertools import compress
 
 from .curve import trace_of_frobenius
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
 )
 from .exactmath import (
     QQ,
+    AbelianGroup,
     GroupRingElement,
     ResidueRing,
     factorize,
@@ -80,30 +83,45 @@ def _check_level(E, d, p=None):
             raise BadPrime(f"d = {d} is not coprime to p = {p}")
 
 
+def plus_values(symbol, level, ring, runs):
+    """theta_level in `ring`, streamed by the one walk a run at a time.
+
+    Per run (units, indices) of (Z/level)^*, as `UnitGroup.runs` yields them,
+    yields the walked units b, their indices and c = [b^-1/level]^+.  Above
+    level 2 only b < level/2 is walked; c stands for -b^-1 too (the star
+    symmetry).  A value not p-integral raises DenominatorDivisibleByP on its
+    own, so no sum hides it; at the end the last b is checked by `eval_plus`.
+    """
+    for bs, gs in runs:
+        if level > 2:
+            keep = [2 * b < level for b in bs]
+            bs, gs = list(compress(bs, keep)), list(compress(gs, keep))
+        try:
+            cs = ring.scale_all(*symbol.plus_numerators(level, bs))
+        except DenominatorDivisibleByP as exc:
+            msg = f"theta at level {level} is not p-integral: {exc}"
+            raise DenominatorDivisibleByP(msg) from exc
+        last = (bs[-1], cs[-1]) if bs else last  # the first run walks b = 1
+        yield bs, gs, cs
+    a = pow(last[0], -1, level)
+    if last[1] != ring.coerce(eval_plus(symbol, a, level)):
+        raise CorrectnessAlarm(f"the integer walk differs from eval_plus at {a}/{level}")
+
+
 def plus_element(symbol, level, ring):
     """[a/level]^+ at sigma_a over (Z/level)^*, with coefficients in `ring`.
 
-    The one walk of the plus symbol over a unit group; uncached.  Above
-    level 2 each pair {a, level - a} is evaluated once, at the smaller
-    residue: the two values agree by the star symmetry that
-    `EigenSymbol.generator_values` certifies.  The integer totals of
-    `EigenSymbol.plus_numerators` are scaled into `ring` once per level; a
-    value whose denominator p divides raises DenominatorDivisibleByP.  The
-    largest walked a is checked against `eval_plus` (CorrectnessAlarm).
+    The whole element from `plus_values` over one run of every unit (whose
+    indices are not read), uncached: each value is keyed by b, and sigma_a
+    reads the key a^-1 (the residue at the negated exponents) or level - a^-1.
     """
     group = unit_group(level)
-    residues = group.residues()
-    firsts = [a for a in residues if 2 * a < level] if level > 2 else residues
-    try:
-        value = dict(zip(firsts, ring.scale_all(*symbol.plus_numerators(level, firsts))))
-    except DenominatorDivisibleByP as exc:
-        raise DenominatorDivisibleByP(
-            f"theta at level {level} is not p-integral: {exc}"
-        ) from exc
-    a = max(firsts)
-    if value[a] != ring.coerce(eval_plus(symbol, a, level)):
-        raise CorrectnessAlarm(f"the integer walk differs from eval_plus at {a}/{level}")
-    values = [value[a] if a in value else value[level - a] for a in residues]
+    units = [b for run, _ in group.runs(AbelianGroup(()), [()] * len(group.orders)) for b in run]
+    value = {}
+    for bs, _, cs in plus_values(symbol, level, ring, [(units, units)]):
+        value.update(zip(bs, cs))
+    keys = map(units.__getitem__, group.negated())
+    values = [value[b] if b in value else value[level - b] for b in keys]
     return GroupRingElement.from_values(group, ring, values)
 
 

@@ -11,7 +11,7 @@ dual Hecke eigenvector): pairing it with the unimodular decomposition of
 exactly, up to the recorded calibration unit.  Two loops decompose a/d: the
 convergent loop of `ManinSpace.path_symbols`, the exact reference that
 `eval_plus` reads, and the walk `EigenSymbol.plus_numerators`, which reads
-the same pieces backwards as the Euclidean remainders of (d, a^-1 mod d).
+the pieces of {oo -> b^-1/d} backwards as the Euclidean remainders of (d, b).
 """
 
 from fractions import Fraction
@@ -413,7 +413,7 @@ class EigenSymbol:
         (-c : d), and the two must carry the same value, as the quotient's
         star relation says, or CorrectnessAlarm is raised.  With it
         [-a/d]^+ = [a/d]^+ for every a/d, so a walk of (Z/d)^* evaluates
-        a <= d/2 and reads d - a from its mirror.
+        one unit of each pair {a, d - a} and reads the other from it.
         """
         if self._wfree is None:
             space, w = self.space, self.vector
@@ -427,37 +427,33 @@ class EigenSymbol:
             self._wfree = (nums, space.proj_den)
         return self._wfree
 
-    def plus_numerators(self, level, residues):
-        """The integer walk: (totals, scale) with [a/level]^+ = total * scale.
+    def plus_numerators(self, level, units):
+        """The integer walk: (totals, scale) with [b^-1/level]^+ = total * scale.
 
-        `totals` yields, for each unit a in `residues`, the sum of the
-        `generator_values()` numerators over the pieces of {oo -> a/level}.
-        Their bottom rows (q_k : +-q_{k-1}) come from the convergent
-        denominators of a/level (or of its star image (level - a)/level),
-        which read backwards are the remainders of Euclid's algorithm on
-        (level, a^-1 mod level): the reversal of continuants (Knuth, TAOCP
-        vol. 2, 4.5.3).  So the total sums the pieces (x : y) over
-        consecutive remainders and the closing piece (1 : 0); the signs drop
-        out by the star symmetry that `generator_values()` certifies.  A row
-        with x a unit mod N is the class 1 + y x^-1 mod N, read inline;
-        `P1List.index` takes the rest.  A non-unit a raises CorrectnessAlarm.
-        The forward loop of `path_symbols` stays the reference (`eval_plus`).
+        `totals` yields, for each unit b in `units`, the sum of the
+        `generator_values()` numerators over the pieces of {oo -> b^-1/level}.
+        Their bottom rows (q_k : +-q_{k-1}), the convergent denominators of
+        b^-1/level (or of its star image), read backwards are the remainders
+        of Euclid on (level, b), so no inverse is taken (the reversal of
+        continuants, Knuth, TAOCP 4.5.3); the signs drop out by the star
+        symmetry.  A row (x : y) with x a unit mod N is the class
+        1 + y x^-1 mod N, read inline; `P1List.index` takes the rest.  Euclid
+        ends at gcd(level, b): a non-unit b raises CorrectnessAlarm.
         """
         nums, den = self.generator_values()
         N, inv, index = self.space.N, self.space.p1._inv, self.space.p1.index
         closing = nums[1]
 
         def totals():
-            for a in residues:
-                try:
-                    x, y = level, pow(a, -1, level)
-                except ValueError:
-                    raise CorrectnessAlarm(f"{a} is not a unit mod {level}") from None
+            for b in units:
+                x, y = level, b % level
                 total = closing
-                while y:
+                while y:  # index() is None only when a non-unit b shares a prime with N
                     w = inv[x % N]
-                    total += nums[1 + y * w % N if w is not None else index(x, y)]
+                    total += nums[1 + y * w % N if w is not None else index(x, y) or 0]
                     x, y = y, x % y
+                if x != 1:
+                    raise CorrectnessAlarm(f"{b} is not a unit mod {level}")
                 yield total
 
         return totals(), self.calibration_unit / den
@@ -483,7 +479,7 @@ def eval_plus(symbol, a, d):
     continued-fraction convergents of a/d (`path_symbols`), and the
     numerators of `generator_values()` are summed over the pieces; the
     result depends only on a mod d.  This is the exact reference: the
-    calibration reads it, and `mazurtate.plus_element`, which walks the
+    calibration reads it, and `mazurtate.plus_values`, which walks the
     units by `EigenSymbol.plus_numerators` instead, checks one unit per
     level against it.
     """

@@ -20,7 +20,7 @@ from .errors import (
     MissingRootNumber,
     SearchExhausted,
 )
-from .exactmath import ResidueRing
+from .exactmath import ResidueRing, unit_group
 from .kolyvagin import (
     derivative_data,
     kurihara_number_direct,
@@ -28,7 +28,7 @@ from .kolyvagin import (
     project_theta,
     sieve,
 )
-from .mazurtate import plus_element
+from .mazurtate import plus_values
 from .modsym import fricke_eigenvalue
 from .records import field, record, replace
 
@@ -234,17 +234,18 @@ class DeltaReport:
         return "\n".join(lines)
 
 
-def delta_row(theta, registry):
+def delta_row(symbol, d, ring, registry):
     """delta_d by all three routes from one walk of (Z/d)^*, as a checked row.
 
-    `theta` is `plus_element(symbol, d, ResidueRing(p, m))`.  The direct
-    route reads its units with its own dlog weights; one projection to
-    Z/p^m[Gal(Q(d)/Q)] serves both via-e_d and the derivative.  Any
-    disagreement raises CorrectnessAlarm.
+    theta_d streams from the walk (`plus_values`) in `ring` = Z/p^m, and is
+    never built whole: one pass folds each value into the direct route's
+    sum and into the projection that via-e_d and the derivative share.
+    Any disagreement raises CorrectnessAlarm.
     """
-    d = theta.group.n
-    direct = kurihara_number_direct(theta, registry)
-    projection = project_theta(theta, registry)
+    projection = project_theta(d, registry)
+    runs = unit_group(d).runs(projection.quotient, projection.images)
+    values = plus_values(symbol, d, ring, runs)
+    direct = kurihara_number_direct(projection.fold(values, ring), d, ring, registry)
     via = kurihara_number_via_ed(projection)
     deriv = derivative_data(projection)
     agree = (
@@ -297,7 +298,7 @@ def find_delta_minimal(
     ring = ResidueRing(p, m)
     for nu in range(min(nu_max, len(primes)) + 1):
         for d in sorted(prod(c) for c in combinations(sorted(registry), nu)):
-            report.table[d] = delta_row(plus_element(symbol, d, ring), registry)
+            report.table[d] = delta_row(symbol, d, ring, registry)
         _conclude(report)
         if report.delta_minimal and not exhaustive:
             break

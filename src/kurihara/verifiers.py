@@ -34,7 +34,6 @@ from .mazurtate import (
     euler_factor,
     frobenius_factor,
     kurihara_combination,
-    plus_element,
     stabilization_scalar,
     unit_root,
     vartheta,
@@ -396,12 +395,11 @@ def run_identity_suite(
             )
         products = sorted(set(products))
     for d in products:
-        delta_row(plus_element(symbol, d, mod_p), registry)
+        delta_row(symbol, d, mod_p, registry)
         for name in ("ed_route_agreement", "derivative_closed_form", "derivative_vanishing"):
             results[name].instances += 1
 
-    # generator covariance on single sieved primes: one walk serves both
-    # registries
+    # generator covariance on single sieved primes: one row per registry
     import random  # here only: no other run needs it
 
     rng = random.Random(seed)
@@ -417,9 +415,8 @@ def run_identity_suite(
         )
         alt_reg = dict(registry)
         alt_reg[kp.ell] = alt
-        theta = plus_element(symbol, kp.ell, mod_p)
-        base = delta_row(theta, registry)
-        twisted = delta_row(theta, alt_reg)
+        base = delta_row(symbol, kp.ell, mod_p, registry)
+        twisted = delta_row(symbol, kp.ell, mod_p, alt_reg)
         results["generator_covariance"].instances += 1
         if twisted.delta != base.delta * pow(u, -1, p) % p:
             results["generator_covariance"].failures.append((kp.ell, u))

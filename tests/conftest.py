@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from kurihara.curve import CurveData, load_curve
+from kurihara.exactmath import AbelianGroup
 from kurihara.modsym import build_space, extract_eigensymbol
 
 
@@ -48,6 +49,22 @@ def sym37(space37, e37):
 def sym389():
     E = load_curve(os.path.join(os.path.dirname(__file__), "..", "curves", "389a1.json"))
     return extract_eigensymbol(build_space(389), E)
+
+
+def trivial_runs(group):
+    """`group.runs` under the map to the trivial group."""
+    return group.runs(AbelianGroup(()), [()] * len(group.orders))
+
+
+def residues(group):
+    """The residue a mod n of each element of the UnitGroup (Z/n)^*, in element order."""
+    return [a for run, _ in trivial_runs(group) for a in run]
+
+
+def residue_items(element):
+    """(a, c) per unit a mod n of an element over (Z/n)^*, zeros included."""
+    group = element.group
+    return zip(residues(group), map(element.coefficient, group.elements()))
 
 
 def _run_script(script, *flags, timeout=300):

@@ -12,17 +12,8 @@ from math import gcd
 
 from kurihara.cli import main as cli_main
 from kurihara.curve import check_hypotheses, trace_of_frobenius, primes_upto
-from kurihara.exactmath import ResidueRing
-from kurihara.kolyvagin import (
-    KolyvaginPrime,
-    derivative_data,
-    kurihara_number_direct,
-    kurihara_number_via_ed,
-    project_theta,
-    sieve,
-)
+from kurihara.kolyvagin import KolyvaginPrime, sieve
 from kurihara.lseries import lratio
-from kurihara.mazurtate import plus_element
 from kurihara.modsym import eval_plus
 from kurihara.verifiers import (
     span_two_covering_witness,
@@ -30,6 +21,7 @@ from kurihara.verifiers import (
     verify_coset_lemma,
 )
 from kurihara.search import attach_parity, find_delta_minimal, selmer_report
+from test_kolyvagin import direct_number, routes
 
 
 def _report(name, t0):
@@ -93,11 +85,7 @@ def test_criterion_3_route_agreement(sym11, sym37):
     for sym, p in ((sym11, 7), (sym37, 5)):
         registry = {kp.ell: kp for kp in sieve(sym.curve, p, 1, 0, 500)}
         for d in _squarefree_products(sorted(registry), 500):
-            theta = plus_element(sym, d, ResidueRing(p))
-            direct = kurihara_number_direct(theta, registry)
-            projection = project_theta(theta, registry)
-            via = kurihara_number_via_ed(projection)
-            data = derivative_data(projection)
+            direct, via, data = routes(sym, registry, d, p)
             if direct.value != via.value:
                 failures.append((p, d, "route"))
             if not data.is_norm_multiple:
@@ -168,7 +156,6 @@ def test_criterion_6_generator_covariance(sym37):
     registry = {kp.ell: kp for kp in sieve(sym37.curve, p, 1, 0, 500)}
     ds = [d for d in _squarefree_products(sorted(registry), 500) if d > 1]
     rng = random.Random(1)
-    thetas = {d: plus_element(sym37, d, ResidueRing(p)) for d in ds}
     done = 0
     while done < 50:
         d = rng.choice(ds)
@@ -183,8 +170,8 @@ def test_criterion_6_generator_covariance(sym37):
                 alt[ell] = KolyvaginPrime(ell, p, 1, 0, pow(kp.generator, u, ell))
                 scale = scale * pow(u, -1, p) % p
         else:
-            twisted = kurihara_number_direct(thetas[d], alt)
-            base = kurihara_number_direct(thetas[d], registry).value
+            twisted = direct_number(sym37, alt, d, p)
+            base = direct_number(sym37, registry, d, p).value
             assert twisted.value == base * scale % p
             assert (twisted.value % p != 0) == (base % p != 0)
             done += 1

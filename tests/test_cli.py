@@ -178,12 +178,13 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("d", [61 * 61, 13 * 10**6 + 1])
     def test_delta_bad_d_rejected_before_walk(self, d, monkeypatch, capsys):
-        import kurihara.mazurtate as mt
+        # the row streams the walk, so a walk is caught at its first run
+        from kurihara.modsym import EigenSymbol
 
         def no_walk(*args):
             raise AssertionError("walked (Z/d)^* for an invalid d")
 
-        monkeypatch.setattr(mt, "eval_plus", no_walk)
+        monkeypatch.setattr(EigenSymbol, "plus_numerators", no_walk)
         code = main(
             ["delta", "--curve", curve_path("37a1"), "--p", "5",
              "--d", str(d), "--bound", "300"]

@@ -127,7 +127,7 @@ class TestCounting:
         # from the square table
         counted = []
         monkeypatch.setattr(
-            curve, "count_points", lambda E, l: counted.append(l) or naive_counts[E, l]
+            curve, "_count", lambda E, l: counted.append(l) or naive_counts[E, l]
         )
         edges = Counter()
         refused = excluded = 0
@@ -152,12 +152,22 @@ class TestCounting:
         # the point never excludes, and each answer comes from the count
         counted = []
         monkeypatch.setattr(
-            curve, "count_points", lambda E, l: counted.append(l) or naive_counts[E, l]
+            curve, "_count", lambda E, l: counted.append(l) or naive_counts[E, l]
         )
         primes = [l for E, l in naive_counts if E is e11]
         assert len(primes) > 300
         assert all(count_divisible(e11, l, 5) for l in primes)
         assert counted == primes
+
+    def test_divisibility_checks_l_once(self, e11, monkeypatch):
+        # count_divisible checks l itself, and the count it falls back on (5
+        # divides every #E(F_l) on 11a1) is the cached one, which does not
+        # check l again
+        checked = []
+        is_prime = curve.is_prime
+        monkeypatch.setattr(curve, "is_prime", lambda n: checked.append(n) or is_prime(n))
+        assert count_divisible(e11, 10007, 5)
+        assert checked == [10007]
 
     @pytest.mark.parametrize("ainvs, l, expected", [
         ((0, -1, 1, -10, -20), 4831, 4900),

@@ -28,6 +28,7 @@ from kurihara.exactmath import (
     unit_reduction,
 )
 from test_modsym import _dense_rref
+from conftest import residues
 from kurihara.curve import primes_upto
 
 
@@ -503,9 +504,30 @@ class TestUnitGroup:
     def test_residues_in_element_order(self):
         for n in (1, 2, 4, 8, 15, 16, 24, 35, 77, 98, 833, 9800, 61 * 211):
             G = unit_group(n)
-            residues = G.residues()
-            assert residues == [G.residue(t) if n > 1 else 1 for t in G.elements()]
-            assert sorted(residues) == _units(n)
+            walked = residues(G)
+            assert walked == [G.residue(t) if n > 1 else 1 for t in G.elements()]
+            assert sorted(walked) == _units(n)
+
+    def test_run_indices_are_the_image_indices(self):
+        # runs step each image index along the generators' shift tables; the
+        # reference sums the exponents times the generator images directly
+        rng = random.Random(11)
+        for n in (1, 4, 8, 15, 16, 24, 35, 77, 98, 833, 9800, 61 * 211):
+            G = unit_group(n)
+            for codomain in (G, AbelianGroup((5,)), AbelianGroup((5, 25)), AbelianGroup((2, 3))):
+                images = [tuple(rng.randrange(m) * (m // gcd(m, o)) % m for m in codomain.orders)
+                          for o in G.orders]
+                runs = list(G.runs(codomain, images))
+                want = [
+                    codomain.index(tuple(
+                        sum(x * h[k] for x, h in zip(g, images)) % m
+                        for k, m in enumerate(codomain.orders)
+                    ))
+                    for g in G.elements()
+                ]
+                assert [i for _, run in runs for i in run] == want, n
+                assert [a for run, _ in runs for a in run] == residues(G)
+                assert len(runs) == G.order // (G.orders[-1] if G.orders else 1)
 
     def test_sigma_is_homomorphism(self):
         G = unit_group(77)

@@ -5,7 +5,13 @@ import pytest
 
 from kurihara.curve import count_points, p_torsion_structure
 from kurihara.errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
-from kurihara.exactmath import AbelianGroup, GroupRingElement, ResidueRing, primitive_root
+from kurihara.exactmath import (
+    AbelianGroup,
+    GroupRingElement,
+    ResidueRing,
+    primitive_root,
+    unit_group,
+)
 from kurihara import kolyvagin
 from kurihara.kolyvagin import (
     DLOG_TABLE_LIMIT,
@@ -18,8 +24,9 @@ from kurihara.kolyvagin import (
     project_theta,
     sieve,
 )
-from kurihara.mazurtate import plus_element
+from kurihara.mazurtate import plus_element, plus_values
 from test_curve import _p_torsion_count
+from conftest import residue_items, trivial_runs
 
 
 def walk(sym, d, p, m=1):
@@ -27,18 +34,19 @@ def walk(sym, d, p, m=1):
 
 
 def direct_number(sym, reg, d, p, m=1):
-    return kurihara_number_direct(walk(sym, d, p, m), reg)
+    ring = ResidueRing(p, m)
+    values = plus_values(sym, d, ring, trivial_runs(unit_group(d)))
+    return kurihara_number_direct(values, d, ring, reg)
 
 
 def routes(sym, reg, d, p, m=1):
-    """(direct, via_ed, derivative) from one walk and one projection."""
-    theta = walk(sym, d, p, m)
-    projection = project_theta(theta, reg)
-    return (
-        kurihara_number_direct(theta, reg),
-        kurihara_number_via_ed(projection),
-        derivative_data(projection),
-    )
+    """(direct, via_ed, derivative) from one streamed walk and one projection,
+    as `search.delta_row` reads them."""
+    ring = ResidueRing(p, m)
+    projection = project_theta(d, reg)
+    values = plus_values(sym, d, ring, unit_group(d).runs(projection.quotient, projection.images))
+    direct = kurihara_number_direct(projection.fold(values, ring), d, ring, reg)
+    return direct, kurihara_number_via_ed(projection), derivative_data(projection)
 
 
 @pytest.fixture(scope="module")
@@ -201,19 +209,19 @@ class TestKuriharaNumbers:
         with pytest.raises(PrimeNotKolyvagin):
             direct_number(sym37, reg37, 13, 5)
         with pytest.raises(NotSquarefree):
-            project_theta(walk(sym37, 61 * 61, 5), reg37)
+            project_theta(61 * 61, reg37)
         with pytest.raises(PrimeNotKolyvagin):
-            project_theta(walk(sym37, 13, 5), reg37)
+            project_theta(13, reg37)
 
     def test_direct_route_above_table_limit(self, sym37, reg37, monkeypatch):
         # with the limit between 61 and 281, the prime 281 has no log list
         # and the direct route asks dlog (baby-step/giant-step) per unit
-        thetas = [walk(sym37, d, 5) for d in (281, 61 * 281)]
-        expected = [kurihara_number_direct(theta, reg37).value for theta in thetas]
+        ds = (281, 61 * 281)
+        expected = [direct_number(sym37, reg37, d, 5).value for d in ds]
         assert expected[0] == 4
         monkeypatch.setattr(kolyvagin, "DLOG_TABLE_LIMIT", 100)
         fresh = {ell: KolyvaginPrime(ell, 5, 1, 0, kp.generator) for ell, kp in reg37.items()}
-        assert [kurihara_number_direct(theta, fresh).value for theta in thetas] == expected
+        assert [direct_number(sym37, fresh, d, 5).value for d in ds] == expected
         assert fresh[61]._table is not None and fresh[281]._table is None
 
     def test_well_defined_under_rebuild(self, e37, reg37, sym37):
@@ -263,9 +271,8 @@ class TestGeneratorCovariance:
             kp = reg37[ell]
             alt = dict(reg37)
             alt[ell] = KolyvaginPrime(ell, 5, 1, 0, pow(kp.generator, u, ell))
-            theta = walk(sym37, ell, p)
-            base = kurihara_number_direct(theta, reg37)
-            twisted = kurihara_number_direct(theta, alt)
+            base = direct_number(sym37, reg37, ell, p)
+            twisted = direct_number(sym37, alt, ell, p)
             assert twisted.value == base.value * pow(u, -1, p) % p
             assert twisted.nonzero == base.nonzero
             samples += 1
@@ -320,14 +327,25 @@ def _projection_from_every_dlog(theta, registry):
     ells = sorted(ell for ell in registry if theta.group.n % ell == 0)
     orders = [registry[ell].p_part_order for ell in ells]
     coeffs = {}
-    for a, coeff in theta.residue_items():
+    for a, coeff in residue_items(theta):
         key = tuple(registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         coeffs[key] = (coeffs.get(key, 0) + coeff) % theta.ring.modulus
     return GroupRingElement(AbelianGroup(orders), theta.ring, coeffs)
 
 
+def _folded(sym, d, p, registry):
+    """The projection of theta_d, filled by streaming the walk through `fold`."""
+    ring = ResidueRing(p)
+    projection = project_theta(d, registry)
+    values = plus_values(sym, d, ring, unit_group(d).runs(projection.quotient, projection.images))
+    for _ in projection.fold(values, ring):
+        pass
+    return projection
+
+
 class TestMirroredKeys:
-    """project_theta's quotient map against a key per unit from its own logs."""
+    """project_theta's quotient map, stepped along the walk, against a key per
+    unit from its own logs."""
 
     @staticmethod
     def _count_dlogs(monkeypatch):
@@ -343,20 +361,18 @@ class TestMirroredKeys:
 
     @pytest.mark.parametrize("d", [1, 61, 211, 281, 61 * 211])
     def test_37a1_rows_match_every_dlog(self, sym37, reg37, d, monkeypatch):
-        theta = walk(sym37, d, 5)
-        expected = _projection_from_every_dlog(theta, reg37)
+        expected = _projection_from_every_dlog(walk(sym37, d, 5), reg37)
         calls = self._count_dlogs(monkeypatch)
-        projection = project_theta(theta, reg37)
+        projection = _folded(sym37, d, 5, reg37)
         assert projection.element == expected
         # one discrete log per prime of d for each generator of (Z/d)^*
         assert len(calls) == len(projection.ells) ** 2
 
     def test_389a1_nu_two_matches_every_dlog(self, sym389):
         reg = {kp.ell: kp for kp in sieve(sym389.curve, 5, 1, 0, 70)}
-        theta = walk(sym389, 41 * 61, 5)
-        projection = project_theta(theta, reg)
+        projection = _folded(sym389, 41 * 61, 5, reg)
         assert projection.ells == (41, 61)
-        assert projection.element == _projection_from_every_dlog(theta, reg)
+        assert projection.element == _projection_from_every_dlog(walk(sym389, 41 * 61, 5), reg)
         assert not projection.element.is_zero()
 
 

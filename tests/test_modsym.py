@@ -8,13 +8,14 @@ from math import gcd
 import pytest
 
 from kurihara.curve import CurveData, load_curve, trace_of_frobenius, primes_upto, bad_prime_aq
+from kurihara.kolyvagin import sieve
 from kurihara.errors import (
     CorrectnessAlarm,
     DenominatorDivisibleByP,
     EigensymbolNotFound,
     NotCoprime,
 )
-from kurihara import modsym
+from kurihara import modsym, search
 from kurihara.exactmath import QQ, GroupRingElement, ResidueRing, unit_group
 from kurihara.mazurtate import plus_element, theta
 from kurihara.modsym import (
@@ -28,6 +29,7 @@ from kurihara.modsym import (
     merel_matrices,
 )
 from kurihara.records import replace
+from conftest import residue_items, residues
 
 
 @pytest.fixture(scope="module")
@@ -496,7 +498,7 @@ class TestEvalPlus:
     def test_389a1_walk_frozen(self, sym389, d, count, digest):
         # SHA-256 of the sorted (a, value) pairs of the walk, from the
         # two-list path symbols and the P^1 dictionary
-        units = sorted(plus_element(sym389, d, ResidueRing(5)).residue_items())
+        units = sorted(residue_items(plus_element(sym389, d, ResidueRing(5))))
         assert len(units) == count
         assert _digest([list(u) for u in units]) == digest
 
@@ -537,14 +539,14 @@ class TestHalfWalk:
     def test_mirrored_walk_equals_full_walk(self, sym11, sym37, sym389, d):
         for sym, p in ((sym11, 7), (sym37, 5), (sym389, 5)):
             walked = plus_element(sym, d, ResidueRing(p))
-            assert sorted(walked.residue_items()) == _full_walk(sym, d, p)
+            assert sorted(residue_items(walked)) == _full_walk(sym, d, p)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_mirrored_theta_equals_full_theta(self, sym11, n):
         level = 17 * 7**n
         fresh = replace(sym11)
         group = unit_group(level)
-        full = [eval_plus(sym11, a, level) for a in group.residues()]
+        full = [eval_plus(sym11, a, level) for a in residues(group)]
         assert theta(fresh, 17, n, 7) == GroupRingElement.from_values(group, QQ, full)
 
     def test_star_certificate_on_cached_symbol(self, e11):
@@ -568,7 +570,7 @@ class TestHalfWalk:
             f"E = load_curve({CURVE_11A1!r})\n"
             "space = build_space(11)\n"
             "sym = extract_eigensymbol(space, E)\n"
-            "print('BEFORE', next(plus_element(sym, 17, ResidueRing(7)).residue_items()))\n"
+            "print('BEFORE', next(plus_element(sym, 17, ResidueRing(7)).items()))\n"
             "i = next(i for i, (c, d) in enumerate(space.p1.reps) if space.p1.index(-c, d) != i)\n"
             "k = next(k for k, x in enumerate(sym.vector) if x)\n"
             "space.proj_nums[i] = space.proj_nums[i] + [(k, 1)]\n"
@@ -588,15 +590,15 @@ def _walk_against_eval_plus(sym, level, ring):
     """(walked coefficients, reference) at each unit, in element order; a
     DenominatorDivisibleByP of either side is returned as its message."""
     try:
-        walked = [c for _, c in plus_element(sym, level, ring).residue_items()]
+        walked = [c for _, c in residue_items(plus_element(sym, level, ring))]
     except DenominatorDivisibleByP as exc:
         walked = str(exc)
-    residues = unit_group(level).residues()
-    firsts = [a for a in residues if 2 * a < level] if level > 2 else residues
+    units = residues(unit_group(level))
+    walked_b = [b for b in units if 2 * b < level] if level > 2 else units
     try:
-        for a in firsts:  # the walk's order, so the first failure is the same one
-            ring.coerce(eval_plus(sym, a, level))
-        reference = [ring.coerce(eval_plus(sym, a, level)) for a in residues]
+        for b in walked_b:  # the walk's order, so the first failure is the same one
+            ring.coerce(eval_plus(sym, pow(b, -1, level), level))
+        reference = [ring.coerce(eval_plus(sym, a, level)) for a in units]
     except DenominatorDivisibleByP as exc:
         reference = f"theta at level {level} is not p-integral: {exc}"
     return walked, reference
@@ -645,37 +647,54 @@ class TestIntegerWalk:
             return original(u, v)
 
         monkeypatch.setattr(p1, "index", counting)
-        walked = [c for _, c in plus_element(sym15, level, ring).residue_items()]
+        walked = [c for _, c in residue_items(plus_element(sym15, level, ring))]
         monkeypatch.undo()
         assert len(shared) > 1
         assert walked == [ring.coerce(eval_plus(sym15, a, level))
-                          for a in unit_group(level).residues()]
+                          for a in residues(unit_group(level))]
+
+    @staticmethod
+    def _mixed_up(monkeypatch):
+        # the walk fed b^-1 in place of b, so it reads [b/level]^+ where
+        # [b^-1/level]^+ belongs
+        original = EigenSymbol.plus_numerators
+
+        def mixed_up(symbol, level, units):
+            return original(symbol, level, [pow(b, -1, level) for b in units])
+
+        monkeypatch.setattr(EigenSymbol, "plus_numerators", mixed_up)
 
     def test_inverse_mix_up_alarms(self, sym37, monkeypatch):
-        # Euclid on (41, 20) in place of (41, 20^-1) walks {oo -> 2/41}; the
-        # checked unit 20 has 20^2 != +-1 mod 41, and [2/41]^+ != [20/41]^+
-        assert pow(20, 2, 41) not in (1, 40)
-        assert eval_plus(sym37, 2, 41) != eval_plus(sym37, 20, 41)
-        monkeypatch.setattr(modsym, "pow", lambda a, e, m: a % m, raising=False)
+        # the last unit walked at 41 is b = 7, checked at 7^-1 = 6: 6^2 != +-1
+        # mod 41, and [7/41]^+ != [6/41]^+; at 61 it is b = 23, checked at 8
+        assert pow(6, 2, 41) not in (1, 40) and pow(7, -1, 41) == 6
+        assert eval_plus(sym37, 7, 41) != eval_plus(sym37, 6, 41)
+        reg = {kp.ell: kp for kp in sieve(sym37.curve, 5, 1, 0, 100)}
+        self._mixed_up(monkeypatch)
         for ring in (QQ, ResidueRing(5)):
-            with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 20/41"):
+            with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 6/41"):
                 plus_element(sym37, 41, ring)
+        with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 8/61"):
+            search.delta_row(sym37, 61, ResidueRing(5), reg)
 
     def test_non_unit_residue_alarms(self, sym37):
-        # the units 1 and 2 are walked, then 7 | 91 is refused
+        # the units 1 and 2 are walked, then Euclid on (91, 7) ends at 7
         totals, _ = sym37.plus_numerators(91, [1, 2, 7])
         next(totals), next(totals)
         with pytest.raises(CorrectnessAlarm, match="7 is not a unit mod 91"):
             list(totals)
+        # a non-unit sharing the prime 37 with N: the remainders (74, 37)
+        # have no P^1 class, and Euclid still ends at the gcd 37
+        with pytest.raises(CorrectnessAlarm, match="37 is not a unit mod 74"):
+            list(sym37.plus_numerators(74, [37])[0])
 
     def test_new_walk_alarms_python_O(self, run_python_O):
         script = (
-            "from kurihara import modsym\n"
             "from kurihara.curve import load_curve\n"
             "from kurihara.errors import CorrectnessAlarm\n"
             "from kurihara.exactmath import ResidueRing\n"
             "from kurihara.mazurtate import plus_element\n"
-            "from kurihara.modsym import build_space, extract_eigensymbol\n"
+            "from kurihara.modsym import EigenSymbol, build_space, extract_eigensymbol\n"
             f"E = load_curve({CURVE_37A1!r})\n"
             "sym = extract_eigensymbol(build_space(37), E)\n"
             "print('BEFORE', plus_element(sym, 41, ResidueRing(5)).is_zero())\n"
@@ -683,7 +702,9 @@ class TestIntegerWalk:
             "    list(sym.plus_numerators(91, [1, 2, 7])[0])\n"
             "except CorrectnessAlarm as exc:\n"
             "    print('ALARM', exc)\n"
-            "modsym.pow = lambda a, e, m: a % m\n"
+            "original = EigenSymbol.plus_numerators\n"
+            "EigenSymbol.plus_numerators = lambda symbol, level, units: original(\n"
+            "    symbol, level, [pow(b, -1, level) for b in units])\n"
             "try:\n"
             "    plus_element(sym, 41, ResidueRing(5))\n"
             "except CorrectnessAlarm as exc:\n"
@@ -694,20 +715,23 @@ class TestIntegerWalk:
         assert proc.stdout.splitlines() == [
             "BEFORE False",
             "ALARM 7 is not a unit mod 91",
-            "ALARM the integer walk differs from eval_plus at 20/41",
+            "ALARM the integer walk differs from eval_plus at 6/41",
         ]
 
     def test_off_by_one_walk_alarms(self, sym37, monkeypatch):
         original = EigenSymbol.plus_numerators
+        reg = {kp.ell: kp for kp in sieve(sym37.curve, 5, 1, 0, 100)}
 
-        def off_by_one(symbol, level, residues):
-            totals, scale = original(symbol, level, residues)
+        def off_by_one(symbol, level, units):
+            totals, scale = original(symbol, level, units)
             return (t + 1 for t in totals), scale
 
         monkeypatch.setattr(EigenSymbol, "plus_numerators", off_by_one)
         for ring in (QQ, ResidueRing(5)):
-            with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 30/61"):
+            with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 8/61"):
                 plus_element(sym37, 61, ring)
+        with pytest.raises(CorrectnessAlarm, match="differs from eval_plus at 8/61"):
+            search.delta_row(sym37, 61, ResidueRing(5), reg)
 
     def test_off_by_one_walk_alarms_python_O(self, run_python_O):
         script = (
@@ -720,8 +744,8 @@ class TestIntegerWalk:
             "sym = extract_eigensymbol(build_space(37), E)\n"
             "print('BEFORE', plus_element(sym, 61, ResidueRing(5)).is_zero())\n"
             "original = EigenSymbol.plus_numerators\n"
-            "def off_by_one(symbol, level, residues):\n"
-            "    totals, scale = original(symbol, level, residues)\n"
+            "def off_by_one(symbol, level, units):\n"
+            "    totals, scale = original(symbol, level, units)\n"
             "    return (t + 1 for t in totals), scale\n"
             "EigenSymbol.plus_numerators = off_by_one\n"
             "try:\n"
@@ -732,7 +756,7 @@ class TestIntegerWalk:
         proc = run_python_O(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "BEFORE False", "ALARM the integer walk differs from eval_plus at 30/61",
+            "BEFORE False", "ALARM the integer walk differs from eval_plus at 8/61",
         ]
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+from math import prod
 
 import pytest
 
@@ -7,15 +8,17 @@ from kurihara import search
 from kurihara.errors import (
     BadReport,
     CorrectnessAlarm,
+    DenominatorDivisibleByP,
     FrickeNotScalar,
     MissingRootNumber,
     SearchExhausted,
 )
-from kurihara.exactmath import GroupRingElement, ResidueRing
+from kurihara.exactmath import QQ, ResidueRing, unit_group
 from kurihara.kolyvagin import KolyvaginPrime, sieve
 from kurihara.mazurtate import plus_element
 from kurihara.modsym import EigenSymbol, fricke_eigenvalue
 from kurihara.records import replace
+from conftest import residue_items
 from kurihara.search import (
     DeltaReport,
     attach_parity,
@@ -291,6 +294,42 @@ class TestSecondOrbit:
         assert rep.root_number == +1
 
 
+class TestStreamedRow:
+    """delta_row's one streamed pass against a sum over every unit of a whole
+    plus_element, with each unit's own discrete logs."""
+
+    @pytest.mark.parametrize("curve, p, m, bound", [
+        ("sym37", 5, 1, 300), ("sym37", 5, 2, 4651), ("sym389", 5, 1, 70), ("sym11", 7, 1, 500),
+    ])
+    def test_row_is_the_sum_over_every_unit(self, request, curve, p, m, bound):
+        sym = request.getfixturevalue(curve)
+        reg = {kp.ell: kp for kp in sieve(sym.curve, p, m, 0, bound)}
+        ells = sorted(reg)
+        ds = [1] + ells + [a * b for a in ells for b in ells if a < b and a * b < 20000]
+        assert len(ds) >= 3
+        ring = ResidueRing(p, m)
+        for d in ds:
+            want = sum(
+                c * prod(reg[ell].dlog(a) for ell in ells if d % ell == 0)
+                for a, c in residue_items(plus_element(sym, d, ring))
+            ) % p**m
+            row = search.delta_row(sym, d, ring, reg)
+            assert (row.delta, row.routes_agree) == (want, True), d
+
+    def test_non_integral_value_raises_per_value(self, sym37):
+        # at unit 1/5 each value [a/211]^+ that is nonzero mod 5 has 5 in its
+        # denominator, while the weighted sum delta_211 stays 5-integral
+        # (delta_211 = 0 mod 5 at unit 1): only a check per value refuses it
+        reg = {kp.ell: kp for kp in sieve(sym37.curve, 5, 1, 0, 300)}
+        ring = ResidueRing(5)
+        assert search.delta_row(sym37, 211, ring, reg).delta == 0
+        fifth = replace(sym37, calibration_unit=sym37.calibration_unit / 5)
+        exact = sum(c * reg[211].dlog(a) for a, c in residue_items(plus_element(fifth, 211, QQ)))
+        assert exact.denominator % 5 != 0
+        with pytest.raises(DenominatorDivisibleByP, match="theta at level 211 is not p-integral"):
+            search.delta_row(fifth, 211, ring, reg)
+
+
 class TestOneWalk:
     """delta_row walks (Z/d)^* once and checks all three routes on it."""
 
@@ -317,7 +356,7 @@ class TestOneWalk:
     def test_phi_d_evaluations_per_row(self, sym37, reg37, monkeypatch):
         calls = self._count_evaluations(monkeypatch)
         d = 61 * 211
-        row = search.delta_row(plus_element(sym37, d, ResidueRing(5)), reg37)
+        row = search.delta_row(sym37, d, ResidueRing(5), reg37)
         assert row.factors == (61, 211) and row.routes_agree
         assert len(calls) == 60 * 210 // 2
 
@@ -331,38 +370,37 @@ class TestOneWalk:
         # theta scaled by p gives delta_d = p*u in Z/p^2: nonzero in Z/25 but
         # zero mod p, which is what the derivative route reads
         reg = {kp.ell: kp for kp in sieve(e37, 5, 2, 0, 2251)}
-        theta = plus_element(sym37, 2251, ResidueRing(5, 2))
-        assert search.delta_row(theta, reg).delta == 3
-        row = search.delta_row(theta.scale(5), reg)
+        ring = ResidueRing(5, 2)
+        assert search.delta_row(sym37, 2251, ring, reg).delta == 3
+        fives = replace(sym37, calibration_unit=5 * sym37.calibration_unit)
+        row = search.delta_row(fives, 2251, ring, reg)
         assert row.delta == 15 and row.routes_agree
 
     def test_corrupted_direct_weight_alarms(self, sym37, reg37):
-        # one entry of a fresh prime's log list off by one, at a unit with a
-        # nonzero coefficient that is no generator residue, so only the
-        # direct route reads it
-        theta = plus_element(sym37, 61, ResidueRing(5))
-        group = theta.group
+        # one entry of a fresh prime's log list off by one, at a walked unit
+        # b < 61/2 whose value (at b^-1) is nonzero and which is no generator
+        # residue, so only the direct route reads it
+        ring = ResidueRing(5)
+        theta = dict(residue_items(plus_element(sym37, 61, ring)))
+        group = unit_group(61)
         gens = {group.residue(g) for g in group.basis()}
-        a0 = next(a for a, coeff in theta.residue_items() if coeff and a not in gens)
-        assert search.delta_row(theta, reg37).delta == 4
+        b0 = next(b for b in range(2, 31) if theta[pow(b, -1, 61)] and b not in gens)
+        assert search.delta_row(sym37, 61, ring, reg37).delta == 4
         bad = KolyvaginPrime(61, 5, 1, 0, reg37[61].generator)
-        assert bad.dlog(a0) == reg37[61].dlog(a0)
-        bad._table[a0] += 1
+        assert bad.dlog(b0) == reg37[61].dlog(b0)
+        bad._table[b0] += 1
         with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
-            search.delta_row(theta, {**reg37, 61: bad})
+            search.delta_row(sym37, 61, ring, {**reg37, 61: bad})
 
     def test_corrupted_projection_alarms(self, sym37, reg37, monkeypatch):
+        # the generator's image moved by one in G_61 = Z/5: a well-defined
+        # map, but not the quotient map, so the buckets land wrong
         original = search.project_theta
 
-        def corrupted(theta, registry):
-            proj = original(theta, registry)
-            el = proj.element
-            coeffs = dict(el.items())
-            coeffs[(1,)] = (coeffs.get((1,), 0) + 1) % el.ring.modulus
-            return replace(
-                proj, element=GroupRingElement(el.group, el.ring, coeffs)
-            )
+        def corrupted(d, registry):
+            proj = original(d, registry)
+            return replace(proj, images=[((x + 1) % 5,) for (x,) in proj.images])
 
         monkeypatch.setattr(search, "project_theta", corrupted)
         with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
-            search.delta_row(plus_element(sym37, 61, ResidueRing(5)), reg37)
+            search.delta_row(sym37, 61, ResidueRing(5), reg37)

@@ -477,22 +477,22 @@ class TestIdentitySuite:
 
     def test_route_rows_go_through_delta_row(self, sym11, monkeypatch):
         # the route block and the covariance block check all three routes by
-        # the search's row function; the covariance block walks each sampled
-        # prime once for both registries
-        from kurihara import mazurtate, search
+        # the search's row function, which walks once per row; the covariance
+        # block takes one row per registry for each sampled prime
+        from kurihara import search
 
         walks, rows = [], []
-        walk, row = mazurtate.plus_element, search.delta_row
+        walk, row = search.plus_values, search.delta_row
 
         def counting_walk(*args):
             walks.append(args[1])
             return walk(*args)
 
-        def counting_row(theta, registry):
-            rows.append(theta.group.n)
-            return row(theta, registry)
+        def counting_row(symbol, d, ring, registry):
+            rows.append(d)
+            return row(symbol, d, ring, registry)
 
-        monkeypatch.setattr(verifiers, "plus_element", counting_walk)
+        monkeypatch.setattr(search, "plus_values", counting_walk)
         monkeypatch.setattr(verifiers, "delta_row", counting_row)
         rep = run_identity_suite(
             sym11, 7, d_ell_max=1, n_max=-1, m_max=0, remark_d_max=0,
@@ -502,8 +502,8 @@ class TestIdentitySuite:
         assert products == rep.results["derivative_closed_form"].instances
         assert products == rep.results["derivative_vanishing"].instances
         assert rep.results["generator_covariance"].instances == 3
-        assert len(walks) == products + 3
-        assert rows == walks[:products] + [d for d in walks[products:] for _ in range(2)]
+        assert walks == rows and len(rows) == products + 2 * 3
+        assert rows[products::2] == rows[products + 1::2]
 
     def test_route_disagreement_alarms(self, sym11, monkeypatch):
         from kurihara import search
