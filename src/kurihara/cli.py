@@ -257,35 +257,13 @@ def _dispatch(args):
             "failures": sum(1 for case in cases if case["status"] == "fail"),
             "cases": cases,
         }]
-        ok = rep.ok and covered
         if args.curve is not None:
-            E = load_curve(args.curve)
-            sym = _load_symbol(E, True)
-            suite = run_identity_suite(
-                sym, args.p, d_ell_max=args.grid, seed=args.seed
-            )
-            icases = [
-                {
-                    "name": name,
-                    "status": "pass" if r.ok else "fail",
-                    "instances": r.instances,
-                    "failures": [str(f) for f in r.failures],
-                }
-                for name, r in suite.results.items()
-            ]
-            suites.append({
-                "name": "identity_suite",
-                "tests": len(icases),
-                "failures": sum(1 for case in icases if case["status"] == "fail"),
-                "vacuous": suite.vacuous,
-                "seed": args.seed,
-                "covariance_samples": [list(s) for s in suite.samples],
-                "cases": icases,
-            })
-            ok = ok and suite.ok
+            sym = _load_symbol(load_curve(args.curve), True)
+            suite = run_identity_suite(sym, args.p, d_ell_max=args.grid, seed=args.seed)
+            suites.append(suite.to_json())
         out = {"suites": suites}
         _emit(args, out, json.dumps(out, indent=1))
-        return EXIT_OK if ok else EXIT_ALARM
+        return EXIT_OK if rep.ok and covered else EXIT_ALARM
 
     if cmd == "report":
         with open(args.path) as f:

@@ -2,12 +2,14 @@
 
 The sieve picks the primes l with l = 1 mod p^max(m, n+1) whose reduction has
 cyclic p^m-torsion; each carries a fixed generator h_l of (Z/l)^* and discrete
-logarithms to that base.  delta_d is read from theta_d in Z/p^m[(Z/d)^*], as
-`mazurtate.plus_values` streams it, by three routes: the direct weighted sum
-over the units, whose weights come from one list of logs per prime, and, from
-one projection to the p-part quotient Gal(Q(d)/Q) filled from the same
-stream, the transport through e_d and the Kolyvagin-derivative expansion,
-which also certifies the closed-form identity the transport rests on.
+logarithms to that base.  delta_d in Z/p^m is read from theta_d in
+Z/p^m[(Z/d)^*], as `mazurtate.plus_values` streams it, over the primes of d
+that `sieved_factors` reads once per row, by three routes: the direct
+weighted sum over the units, whose weights come from one list of logs per
+prime; the transport through e_d, from one projection to the p-part quotient
+Gal(Q(d)/Q) filled from the same stream; and the Kolyvagin-derivative
+expansion of that projection mod p, checked against the transported value
+times the norm element.  The first two return their value as an int.
 """
 
 from math import isqrt, prod
@@ -39,8 +41,6 @@ class KolyvaginPrime:
 
     ell: int
     p: int
-    m: int
-    n: int
     generator: int
     _table = None
     _baby = None
@@ -127,7 +127,7 @@ def sieve(E, p, m, n, bound, workers=1):
         raise ValueError(f"workers={workers}: the sieve runs serially, only 1 is accepted")
     modulus = p ** max(m, n + 1)
     return [
-        KolyvaginPrime(ell, p, m, n, primitive_root(ell))
+        KolyvaginPrime(ell, p, primitive_root(ell))
         for ell in (primes_upto(bound) if bound >= 2 else [])
         if (ell - 1) % modulus == 0 and kolyvagin_predicate(E, ell, p, m, n)
     ]
@@ -145,35 +145,19 @@ def sieved_factors(d, registry):
     return ells
 
 
-@record
-class KuriharaNumber:
-    d: int
-    factors: tuple
-    value: int  # element of Z/p^m
-    p: int
-    m: int
-    route: str
-    generators: dict
-
-    @property
-    def nonzero(self):
-        """delta_d != 0 mod p, as the derivative route reads it at every m."""
-        return self.value % self.p != 0
-
-
-def kurihara_number_direct(values, d, ring, registry):
-    """delta_d as the plain weighted sum of theta_d over the units mod d, in Z/p^m.
+def kurihara_number_direct(values, ells, ring, registry):
+    """delta_d in Z/p^m as the plain weighted sum of theta_d over the units mod d.
 
     `values` are the runs (bs, _, cs) of `mazurtate.plus_values`, c the
-    coefficient at b^-1.  A unit weighs the product over l | d of its log to
-    h_l mod p^m: at b^-1, (-1)^nu(d) times the product for b, from the lists
-    t[b % l] (`dlog` above DLOG_TABLE_LIMIT).  For d > 2 each c counts twice,
-    as -b^-1 weighs the same: log(-1) = (l - 1)/2 is 0 mod p^m (p odd).
-    p^m must divide each l - 1 (ValueError otherwise).  No projection is
-    read, so the route stays independent of the other two.
+    coefficient at b^-1, and `ells` the primes of d (`sieved_factors`).  A
+    unit weighs the product over l | d of its log to h_l mod p^m: at b^-1,
+    (-1)^nu(d) times the product for b, from the lists t[b % l] (`dlog`
+    above DLOG_TABLE_LIMIT).  p^m must divide each l - 1 (ValueError
+    otherwise), so d > 1 means d > 2, and then each c counts twice, as -b^-1
+    weighs the same: log(-1) = (l - 1)/2 is 0 mod p^m (p odd).  No
+    projection is read, so the route stays independent of the other two.
     """
     pk = ring.modulus
-    ells = sieved_factors(d, registry)
     for ell in ells:
         if (ell - 1) % pk:
             raise ValueError(f"{pk} does not divide {ell} - 1")
@@ -183,9 +167,7 @@ def kurihara_number_direct(values, d, ring, registry):
         for ell, t, dlog in logs:
             cs = [c and c * (t[b % ell] if t is not None else dlog(b)) for b, c in zip(bs, cs)]
         total = (total + sum(cs)) % pk
-    total = total * (-1) ** len(ells) * (2 if d > 2 else 1) % pk
-    gens = {ell: registry[ell].generator for ell in ells}
-    return KuriharaNumber(d, tuple(ells), total, ring.p, ring.m, "direct", gens)
+    return total * (-1) ** len(ells) * (2 if ells else 1) % pk
 
 
 @record
@@ -197,7 +179,6 @@ class ThetaProjection:
     images: list  # the image of the inverse of each generator of (Z/d)^*
     ells: tuple
     e_d: int
-    generators: dict  # l -> h_l
     element: GroupRingElement = None
 
     def fold(self, values, ring):
@@ -213,74 +194,62 @@ class ThetaProjection:
         self.element = GroupRingElement.from_values(self.quotient, ring, coeffs)
 
 
-def project_theta(d, registry):
+def project_theta(ells, registry):
     """The empty projection of theta_d to Z/p^m[Gal(Q(d)/Q)], for `fold`.
 
-    Gal(Q(d)/Q) = prod of the p-parts G_l; sigma_a lands on the logs of a
-    mod the p-part orders, so the map is fixed by the (negated, for the
-    inverses) logs of the generators' residues, nu(d)^2 logs in all.
-    e_d = #Gal(Q(mu_d)/Q(d)) is the prime-to-p index prod (l - 1)/|G_l|.
+    d is the product of the sieved primes `ells`.  Gal(Q(d)/Q) = prod of the
+    p-parts G_l; sigma_a lands on the logs of a mod the p-part orders, so the
+    map is fixed by the (negated, for the inverses) logs of the generators'
+    residues, nu(d)^2 logs in all.  e_d = #Gal(Q(mu_d)/Q(d)) is the
+    prime-to-p index prod (l - 1)/|G_l|.
     """
+    d = prod(ells)
     group = unit_group(d)
-    ells = sieved_factors(d, registry)
     orders = [registry[ell].p_part_order for ell in ells]
     images = [
         tuple(-registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         for a in map(group.residue, group.basis())
     ]
     e_d = prod((ell - 1) // n for ell, n in zip(ells, orders))
-    gens = {ell: registry[ell].generator for ell in ells}
-    return ThetaProjection(d, AbelianGroup(orders), images, tuple(ells), e_d, gens)
-
-
-def _log_weighted_sum(projected, e_d, modulus):
-    """sum over sigma of a_sigma prod_l log_{g_l}(sigma), mod `modulus`.
-
-    g_l is the image of h_l^{e_d}, so each coordinate (a log to h_l) is
-    multiplied by e_d^{-1}.
-    """
-    ed_inv = pow(e_d, -1, modulus)
-    total = 0
-    for g, coeff in projected.items():
-        weight = 1
-        for coord in g:
-            weight = weight * (coord * ed_inv) % modulus
-        total = (total + coeff * weight) % modulus
-    return total
+    return ThetaProjection(d, AbelianGroup(orders), images, tuple(ells), e_d)
 
 
 def kurihara_number_via_ed(projection):
-    """delta_d through the p-part quotient and transported generators.
+    """delta_d in Z/p^m through the p-part quotient and transported generators.
 
     Logs are taken to the base g_l = image of h_l^{e_d} with
-    e_d = #Gal(Q(mu_d)/Q(d)), and the unit e_d^{nu(d)} rescales the sum back
-    to the direct-route value.
+    e_d = #Gal(Q(mu_d)/Q(d)), so each coordinate of sigma, a log to h_l, is
+    multiplied by e_d^{-1}; the sum of a_sigma prod_l log_{g_l}(sigma),
+    times the unit e_d^{nu(d)}, is the direct-route value.
     """
-    ring = projection.element.ring
-    pk = ring.modulus
-    e_d, nu = projection.e_d, len(projection.ells)
-    total = _log_weighted_sum(projection.element, e_d, pk) * pow(e_d, nu, pk) % pk
-    return KuriharaNumber(
-        projection.d, projection.ells, total, ring.p, ring.m, "via_ed",
-        projection.generators,
-    )
+    pk = projection.element.ring.modulus
+    e_d = projection.e_d
+    ed_inv = pow(e_d, -1, pk)
+    total = 0
+    for g, weight in projection.element.items():
+        for coord in g:
+            weight = weight * coord * ed_inv % pk
+        total += weight
+    return total * pow(e_d, len(projection.ells), pk) % pk
 
 
 @record
 class DerivativeData:
     norm_coefficient: int  # coefficient at the identity of D_d theta_d mod p
-    closed_form: int       # (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma)
+    closed_form: int       # (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) mod p
     is_norm_multiple: bool  # expansion == closed_form * N_d exactly
     nonzero: bool           # D_d theta_d mod p != 0 as a whole element
 
 
-def derivative_data(projection):
+def derivative_data(projection, via):
     """Literal expansion of D_d theta_d in F_p[Gal(Q(d)/Q)].
 
     The projection is reduced mod p.  D_l = sum i g_l^i with g_l the image of
     h_l^{e_d}; the product of the D_l is convolved against the projected
     theta_d and compared with the closed form
     (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) times the norm element.
+    That sum is via-e_d's value `via` over e_d^{nu(d)}, so the closed form
+    is via (-e_d)^{-nu(d)} mod p.
     """
     p = projection.element.ring.p
     ring = ResidueRing(p, 1)
@@ -299,7 +268,7 @@ def derivative_data(projection):
         deriv = deriv * GroupRingElement(quotient, ring, term)
     expansion = deriv * projected
 
-    closed = _log_weighted_sum(projected, e_d, p) * pow(p - 1, nu, p) % p
+    closed = via * pow(-e_d, -nu, p) % p
 
     is_multiple = all(expansion.coefficient(g) == closed for g in quotient.elements())
     return DerivativeData(

@@ -27,6 +27,7 @@ from .kolyvagin import (
     kurihara_number_via_ed,
     project_theta,
     sieve,
+    sieved_factors,
 )
 from .mazurtate import plus_values
 from .modsym import fricke_eigenvalue
@@ -136,17 +137,26 @@ class DeltaReport:
         """Re-derive every conclusion from the table and refuse a difference.
 
         Each row must be a checked row: its factors are distinct sieved primes
-        whose product is d, its delta lies in Z/p^m, and its routes agree.
+        whose product is d, its generators are the provenance's generator of
+        each of them and no other prime's, its delta lies in Z/p^m, and its
+        routes agree.
         The delta-minimal list, the Selmer dimension, the upper bound, the
         IMC witness, the parity verdict and (when stored) the notes must be
         what `_conclude` and `_notes` derive.  Raises CorrectnessAlarm naming
         the first field that differs.
         """
         sieved = set(self.sieved)
+        known = self.provenance.get("generators")
+        known = known if type(known) is dict else {}
         for d, row in self.table.items():
             factors = list(row.factors)
             if factors != sorted(sieved.intersection(factors)) or prod(factors) != d:
                 raise CorrectnessAlarm(f"delta_{d}: factors {factors} are not its sieved primes")
+            if row.generators != {ell: known.get(str(ell)) for ell in factors}:
+                raise CorrectnessAlarm(
+                    f"delta_{d}: generators {row.generators} are not the provenance's"
+                    f" for its factors {factors}"
+                )
             if not 0 <= row.delta < self.p**self.m:
                 raise CorrectnessAlarm(
                     f"delta_{d} = {row.delta} is not an element of Z/{self.p}^{self.m}"
@@ -237,28 +247,25 @@ class DeltaReport:
 def delta_row(symbol, d, ring, registry):
     """delta_d by all three routes from one walk of (Z/d)^*, as a checked row.
 
-    theta_d streams from the walk (`plus_values`) in `ring` = Z/p^m, and is
-    never built whole: one pass folds each value into the direct route's
-    sum and into the projection that via-e_d and the derivative share.
-    Any disagreement raises CorrectnessAlarm.
+    The primes of d are read once (`sieved_factors`).  theta_d streams from
+    the walk (`plus_values`) in `ring` = Z/p^m, and is never built whole:
+    one pass folds each value into the direct route's sum and into the
+    projection that via-e_d and the derivative share.  Any disagreement
+    raises CorrectnessAlarm.
     """
-    projection = project_theta(d, registry)
+    ells = sieved_factors(d, registry)
+    projection = project_theta(ells, registry)
     runs = unit_group(d).runs(projection.quotient, projection.images)
     values = plus_values(symbol, d, ring, runs)
-    direct = kurihara_number_direct(projection.fold(values, ring), d, ring, registry)
+    direct = kurihara_number_direct(projection.fold(values, ring), ells, ring, registry)
     via = kurihara_number_via_ed(projection)
-    deriv = derivative_data(projection)
-    agree = (
-        direct.value == via.value
-        and deriv.is_norm_multiple
-        and deriv.nonzero == direct.nonzero
-    )
-    if not agree:
+    deriv = derivative_data(projection, via)
+    if direct != via or not deriv.is_norm_multiple or deriv.nonzero != (direct % ring.p != 0):
         raise CorrectnessAlarm(
-            f"route disagreement at d={d}: direct={direct.value}, "
-            f"via_ed={via.value}, derivative={deriv}"
+            f"route disagreement at d={d}: direct={direct}, via_ed={via}, derivative={deriv}"
         )
-    return DeltaRow(d, direct.factors, direct.value, agree, direct.generators)
+    gens = {ell: registry[ell].generator for ell in ells}
+    return DeltaRow(d, tuple(ells), direct, True, gens)
 
 
 def find_delta_minimal(

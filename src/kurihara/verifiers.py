@@ -241,31 +241,29 @@ class SuiteResult:
     instances: int
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return not self.failures
-
 
 @record
 class SuiteReport:
+    """What a passing run of the identity suite checked (a failing run raises)."""
+
     results: dict
     vacuous: bool = False
     samples: tuple = ()  # the (l, u) the seed drew for generator_covariance
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.results.values())
+    seed: int = 0
 
     def to_json(self):
+        """The `identity_suite` section of `kurihara selftest`."""
         return {
+            "name": "identity_suite",
+            "tests": len(self.results),
+            "failures": 0,
             "vacuous": self.vacuous,
-            "identities": {
-                name: {
-                    "instances": r.instances,
-                    "failures": [str(f) for f in r.failures],
-                }
+            "seed": self.seed,
+            "covariance_samples": [list(s) for s in self.samples],
+            "cases": [
+                {"name": name, "status": "pass", "instances": r.instances, "failures": []}
                 for name, r in self.results.items()
-            },
+            ],
         }
 
 
@@ -410,11 +408,8 @@ def run_identity_suite(
         while gcd(u, kp.ell - 1) != 1:
             u = rng.randrange(2, kp.ell - 1)
         samples.append((kp.ell, u))
-        alt = KolyvaginPrime(
-            kp.ell, kp.p, kp.m, kp.n, pow(kp.generator, u, kp.ell)
-        )
         alt_reg = dict(registry)
-        alt_reg[kp.ell] = alt
+        alt_reg[kp.ell] = KolyvaginPrime(kp.ell, kp.p, pow(kp.generator, u, kp.ell))
         base = delta_row(symbol, kp.ell, mod_p, registry)
         twisted = delta_row(symbol, kp.ell, mod_p, alt_reg)
         results["generator_covariance"].instances += 1
@@ -432,10 +427,9 @@ def run_identity_suite(
                 results["projective_system"].failures.append((d, n))
 
     vacuous = any(r.instances == 0 for r in results.values())
-    report = SuiteReport(results, vacuous, tuple(samples))
     failures = [
         (name, inst) for name, r in results.items() for inst in r.failures
     ]
     if failures:
-        raise IdentityFailure(f"identity failures: {failures}", )
-    return report
+        raise IdentityFailure(f"identity failures: {failures}")
+    return SuiteReport(results, vacuous, tuple(samples), seed)

@@ -165,8 +165,8 @@ class TestSubcommands:
 
         original = search.derivative_data
 
-        def corrupted(projection):
-            return replace(original(projection), is_norm_multiple=False)
+        def corrupted(projection, via):
+            return replace(original(projection, via), is_norm_multiple=False)
 
         monkeypatch.setattr(search, "derivative_data", corrupted)
         code = main(
@@ -462,6 +462,10 @@ def _corrupt(report, kind):
             row["routes_agree"] = False
     elif kind == "wrong_factors":
         rows[61]["factors"] = [211]
+    elif kind == "generator_value":
+        rows[61]["generators"] = {"61": 3}  # the provenance's h_61 is 2
+    elif kind == "generator_prime":
+        rows[61]["generators"] = {"211": 2}
     elif kind == "missing_divisor":
         report["delta_table"].remove(rows[1])
     elif kind == "delta_out_of_range":
@@ -541,8 +545,8 @@ class TestReverification:
     @pytest.mark.parametrize("where", ["report", "cache_hit"])
     @pytest.mark.parametrize("kind", [
         "zero_minimal", "nonzero_divisor", "selmer_dim", "upper_bound", "imc_witness",
-        "root_number", "routes_disagree", "wrong_factors", "missing_divisor",
-        "delta_out_of_range", "notes",
+        "root_number", "routes_disagree", "wrong_factors", "generator_value",
+        "generator_prime", "missing_divisor", "delta_out_of_range", "notes",
     ])
     def test_broken_minimality_exits_3(self, saved_search, tmp_path, kind, where, optimize):
         cache_dir, saved = saved_search

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -23,6 +23,7 @@ from kurihara.kolyvagin import (
     kurihara_number_via_ed,
     project_theta,
     sieve,
+    sieved_factors,
 )
 from kurihara.mazurtate import plus_element, plus_values
 from test_curve import _p_torsion_count
@@ -36,17 +37,19 @@ def walk(sym, d, p, m=1):
 def direct_number(sym, reg, d, p, m=1):
     ring = ResidueRing(p, m)
     values = plus_values(sym, d, ring, trivial_runs(unit_group(d)))
-    return kurihara_number_direct(values, d, ring, reg)
+    return kurihara_number_direct(values, sieved_factors(d, reg), ring, reg)
 
 
 def routes(sym, reg, d, p, m=1):
     """(direct, via_ed, derivative) from one streamed walk and one projection,
     as `search.delta_row` reads them."""
     ring = ResidueRing(p, m)
-    projection = project_theta(d, reg)
+    ells = sieved_factors(d, reg)
+    projection = project_theta(ells, reg)
     values = plus_values(sym, d, ring, unit_group(d).runs(projection.quotient, projection.images))
-    direct = kurihara_number_direct(projection.fold(values, ring), d, ring, reg)
-    return direct, kurihara_number_via_ed(projection), derivative_data(projection)
+    direct = kurihara_number_direct(projection.fold(values, ring), ells, ring, reg)
+    via = kurihara_number_via_ed(projection)
+    return direct, via, derivative_data(projection, via)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +116,7 @@ class TestDlog:
         baby = kolyvagin._baby_steps(kp.generator, kp.ell)
         for a in range(1, kp.ell):
             assert kp.dlog(a) == _dlog_bsgs(a, kp.generator, kp.ell, baby)
-        big = KolyvaginPrime(131071, 3, 1, 0, 3)
+        big = KolyvaginPrime(131071, 3, 3)
         assert big.ell > DLOG_TABLE_LIMIT
         rng = random.Random(1)
         for _ in range(25):
@@ -122,10 +125,10 @@ class TestDlog:
         assert big._table is None
 
     def test_table_is_lazy_and_not_compared(self):
-        built, fresh = KolyvaginPrime(61, 5, 1, 0, 2), KolyvaginPrime(61, 5, 1, 0, 2)
+        built, fresh = KolyvaginPrime(61, 5, 2), KolyvaginPrime(61, 5, 2)
         assert built._table is None
         before = repr(built)
-        assert before == "KolyvaginPrime(ell=61, p=5, m=1, n=0, generator=2)"
+        assert before == "KolyvaginPrime(ell=61, p=5, generator=2)"
         assert built == fresh
         assert built.dlog(2) == 1
         assert type(built._table) is list and len(built._table) == 61
@@ -133,25 +136,25 @@ class TestDlog:
         assert built == fresh
         assert repr(built) == repr(fresh) == before
         with pytest.raises(TypeError):
-            KolyvaginPrime(61, 5, 1, 0, 2, [])  # the table is no argument
+            KolyvaginPrime(61, 5, 2, [])  # the table is no argument
         with pytest.raises(TypeError):
-            KolyvaginPrime(61, 5, 1, 0, 2, _table=[])
+            KolyvaginPrime(61, 5, 2, _table=[])
         with pytest.raises(TypeError):
-            KolyvaginPrime(61, 5, 1, 0, 2, _baby={})
+            KolyvaginPrime(61, 5, 2, _baby={})
 
     def test_baby_steps_built_once_per_prime(self, monkeypatch):
         # above DLOG_TABLE_LIMIT (patched low) dlog builds the baby steps on
         # its first call and keeps them on the prime, outside == and repr;
         # its logs are the list's at every residue
         ell = 2251
-        listed = KolyvaginPrime(ell, 5, 2, 0, primitive_root(ell))
+        listed = KolyvaginPrime(ell, 5, primitive_root(ell))
         logs = listed._logs()
         monkeypatch.setattr(kolyvagin, "DLOG_TABLE_LIMIT", 100)
         built, steps = [], kolyvagin._baby_steps
         monkeypatch.setattr(
             kolyvagin, "_baby_steps", lambda g, l: built.append(l) or steps(g, l)
         )
-        kp, fresh = (KolyvaginPrime(ell, 5, 2, 0, listed.generator) for _ in range(2))
+        kp, fresh = (KolyvaginPrime(ell, 5, listed.generator) for _ in range(2))
         assert kp._baby is None
         assert [None] + [kp.dlog(a) for a in range(1, ell)] == logs
         assert built == [ell]
@@ -163,7 +166,7 @@ class TestDlog:
     def test_log_list_equals_dlog_at_every_residue(self, ell, p, m):
         # the list the direct route reads, index a mod ell, against dlog and
         # baby-step/giant-step; index 0 holds no log
-        kp = KolyvaginPrime(ell, p, m, 0, primitive_root(ell))
+        kp = KolyvaginPrime(ell, p, primitive_root(ell))
         logs = [kp.dlog(a) for a in range(1, ell)]
         assert kp._table == [None] + logs
         baby = kolyvagin._baby_steps(kp.generator, ell)
@@ -179,12 +182,10 @@ class TestDlog:
 class TestKuriharaNumbers:
     def test_delta_one_11a1(self, sym11, reg11):
         # L(E,1)/Omega = 1/5; 1/5 mod 7 = 3 (calibrated, so exactly)
-        d = direct_number(sym11, reg11, 1, 7)
-        assert d.value == 3
-        assert d.nonzero
+        assert direct_number(sym11, reg11, 1, 7) == 3
 
     def test_delta_one_37a1_vanishes(self, sym37, reg37):
-        assert direct_number(sym37, reg37, 1, 5).value == 0
+        assert direct_number(sym37, reg37, 1, 5) == 0
 
     def test_route_agreement_both_curves(self, sym11, reg11, sym37, reg37):
         for sym, reg, p in ((sym11, reg11, 7), (sym37, reg37, 5)):
@@ -195,11 +196,11 @@ class TestKuriharaNumbers:
             ]
             for d in ds:
                 direct, via, _ = routes(sym, reg, d, p)
-                assert direct.value == via.value, f"route mismatch at d={d}"
+                assert direct == via, f"route mismatch at d={d}"
 
     def test_nonvanishing_at_nu_one_37a1(self, sym37, reg37):
         values = {
-            ell: direct_number(sym37, reg37, ell, 5).value for ell in reg37
+            ell: direct_number(sym37, reg37, ell, 5) for ell in reg37
         }
         assert any(v for v in values.values())
 
@@ -208,20 +209,18 @@ class TestKuriharaNumbers:
             direct_number(sym37, reg37, 61 * 61, 5)
         with pytest.raises(PrimeNotKolyvagin):
             direct_number(sym37, reg37, 13, 5)
-        with pytest.raises(NotSquarefree):
-            project_theta(61 * 61, reg37)
-        with pytest.raises(PrimeNotKolyvagin):
-            project_theta(13, reg37)
+        assert sieved_factors(61 * 211, reg37) == [61, 211]
+        assert sieved_factors(1, reg37) == []
 
     def test_direct_route_above_table_limit(self, sym37, reg37, monkeypatch):
         # with the limit between 61 and 281, the prime 281 has no log list
         # and the direct route asks dlog (baby-step/giant-step) per unit
         ds = (281, 61 * 281)
-        expected = [direct_number(sym37, reg37, d, 5).value for d in ds]
+        expected = [direct_number(sym37, reg37, d, 5) for d in ds]
         assert expected[0] == 4
         monkeypatch.setattr(kolyvagin, "DLOG_TABLE_LIMIT", 100)
-        fresh = {ell: KolyvaginPrime(ell, 5, 1, 0, kp.generator) for ell, kp in reg37.items()}
-        assert [direct_number(sym37, fresh, d, 5).value for d in ds] == expected
+        fresh = {ell: KolyvaginPrime(ell, 5, kp.generator) for ell, kp in reg37.items()}
+        assert [direct_number(sym37, fresh, d, 5) for d in ds] == expected
         assert fresh[61]._table is not None and fresh[281]._table is None
 
     def test_well_defined_under_rebuild(self, e37, reg37, sym37):
@@ -229,10 +228,7 @@ class TestKuriharaNumbers:
 
         fresh = extract_eigensymbol(build_space(37), e37)
         for d in (1, 61, 211):
-            assert (
-                direct_number(fresh, reg37, d, 5).value
-                == direct_number(sym37, reg37, d, 5).value
-            )
+            assert direct_number(fresh, reg37, d, 5) == direct_number(sym37, reg37, d, 5)
 
 
 class TestDerivativeOracle:
@@ -247,14 +243,18 @@ class TestDerivativeOracle:
             a * b for i, a in enumerate(ells) for b in ells[i + 1 :] if a * b <= 500
         ]
         for d in ds:
-            _, _, data = routes(sym37, reg37, d, 5)
+            _, via, data = routes(sym37, reg37, d, 5)
             assert data.is_norm_multiple, f"lemma 3.8 shape fails at d={d}"
             assert data.norm_coefficient == data.closed_form
+            # the closed form is read from via-e_d: its value over (-e_d)^nu(d) mod p
+            ells = sieved_factors(d, reg37)
+            e_d = prod((ell - 1) // reg37[ell].p_part_order for ell in ells)
+            assert data.closed_form == via * pow(-e_d, -len(ells), 5) % 5
 
     def test_vanishing_equivalence(self, sym37, reg37):
         for d in [1] + sorted(reg37):
             direct, _, data = routes(sym37, reg37, d, 5)
-            assert data.nonzero == direct.nonzero, f"lemma 4.1 mismatch at d={d}"
+            assert data.nonzero == (direct % 5 != 0), f"lemma 4.1 mismatch at d={d}"
 
 
 class TestGeneratorCovariance:
@@ -270,11 +270,11 @@ class TestGeneratorCovariance:
                 continue
             kp = reg37[ell]
             alt = dict(reg37)
-            alt[ell] = KolyvaginPrime(ell, 5, 1, 0, pow(kp.generator, u, ell))
+            alt[ell] = KolyvaginPrime(ell, 5, pow(kp.generator, u, ell))
             base = direct_number(sym37, reg37, ell, p)
             twisted = direct_number(sym37, alt, ell, p)
-            assert twisted.value == base.value * pow(u, -1, p) % p
-            assert twisted.nonzero == base.nonzero
+            assert twisted == base * pow(u, -1, p) % p
+            assert (twisted % p != 0) == (base % p != 0)
             samples += 1
 
     def test_zero_pattern_generator_independent(self, sym37, reg37):
@@ -285,12 +285,11 @@ class TestGeneratorCovariance:
                 u = rng.randrange(1, ell - 1)
                 if gcd(u, ell - 1) == 1:
                     break
-            alt[ell] = KolyvaginPrime(ell, 5, 1, 0, pow(kp.generator, u, ell))
+            alt[ell] = KolyvaginPrime(ell, 5, pow(kp.generator, u, ell))
         for d in [1] + sorted(reg37):
             assert (
-                direct_number(sym37, alt, d, 5).nonzero
-                == direct_number(sym37, reg37, d, 5).nonzero
-            )
+                direct_number(sym37, alt, d, 5) % 5 != 0
+            ) == (direct_number(sym37, reg37, d, 5) % 5 != 0)
 
 
 class TestPredicateExamples:
@@ -311,14 +310,14 @@ class TestHigherM:
         reg = {kp.ell: kp for kp in sieve(e37, 5, 2, 0, 5000)}
         for d in [1, 2251, 4651]:
             direct, via, _ = routes(sym37, reg, d, 5, m=2)
-            assert direct.value == via.value
-            assert 0 <= direct.value < 25
+            assert direct == via
+            assert 0 <= direct < 25
 
     def test_mod_p_squared_reduces_to_mod_p(self, sym37, e37):
         reg = {kp.ell: kp for kp in sieve(e37, 5, 2, 0, 5000)}
         for d in (1, 2251):
-            v2 = direct_number(sym37, reg, d, 5, m=2).value
-            v1 = direct_number(sym37, reg, d, 5, m=1).value
+            v2 = direct_number(sym37, reg, d, 5, m=2)
+            v1 = direct_number(sym37, reg, d, 5, m=1)
             assert v2 % 5 == v1
 
 
@@ -336,7 +335,7 @@ def _projection_from_every_dlog(theta, registry):
 def _folded(sym, d, p, registry):
     """The projection of theta_d, filled by streaming the walk through `fold`."""
     ring = ResidueRing(p)
-    projection = project_theta(d, registry)
+    projection = project_theta(sieved_factors(d, registry), registry)
     values = plus_values(sym, d, ring, unit_group(d).runs(projection.quotient, projection.images))
     for _ in projection.fold(values, ring):
         pass
@@ -383,10 +382,9 @@ class TestNuTwo:
         reg = {kp.ell: kp for kp in sieve(e37, 5, 1, 0, 300)}
         d = 61 * 211
         direct, via, data = routes(sym37, reg, d, 5)
-        assert direct.value == via.value
+        assert direct == via
         assert data.is_norm_multiple
-        assert data.nonzero == direct.nonzero
-        assert direct.factors == (61, 211)
+        assert data.nonzero == (direct % 5 != 0)
 
 
 class TestRouteTriangle:
@@ -406,4 +404,4 @@ class TestRouteTriangle:
                     e_d *= (ell - 1) // reg37[ell].p_part_order
                     nu += 1
             expected = (-1) ** nu * pow(e_d, nu, p) * data.norm_coefficient % p
-            assert direct.value == expected, f"triangle fails at d={d}"
+            assert direct == expected, f"triangle fails at d={d}"

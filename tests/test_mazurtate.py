@@ -129,8 +129,8 @@ class TestInvariantsPythonO:
             "mt.pow = lambda *args: 1\n"
             "assert_root = alarms(lambda: mt.unit_root(E, 7, 2))\n"
             "try:\n"
-            "    kurihara_number_direct(iter(()), 61, ResidueRing(5, 2),"
-            " {61: KolyvaginPrime(61, 5, 1, 0, 2)})\n"
+            "    kurihara_number_direct(iter(()), [61], ResidueRing(5, 2),"
+            " {61: KolyvaginPrime(61, 5, 2)})\n"
             "    dlog = False\n"
             "except ValueError as exc:\n"
             "    dlog = str(exc) == '25 does not divide 61 - 1'\n"

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 from math import prod
 
 import pytest
@@ -26,6 +27,9 @@ from kurihara.search import (
     parity_check,
     selmer_report,
 )
+
+
+CURVE_37A1 = os.path.join(os.path.dirname(__file__), "..", "curves", "37a1.json")
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +390,7 @@ class TestOneWalk:
         gens = {group.residue(g) for g in group.basis()}
         b0 = next(b for b in range(2, 31) if theta[pow(b, -1, 61)] and b not in gens)
         assert search.delta_row(sym37, 61, ring, reg37).delta == 4
-        bad = KolyvaginPrime(61, 5, 1, 0, reg37[61].generator)
+        bad = KolyvaginPrime(61, 5, reg37[61].generator)
         assert bad.dlog(b0) == reg37[61].dlog(b0)
         bad._table[b0] += 1
         with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
@@ -397,10 +401,49 @@ class TestOneWalk:
         # map, but not the quotient map, so the buckets land wrong
         original = search.project_theta
 
-        def corrupted(d, registry):
-            proj = original(d, registry)
+        def corrupted(ells, registry):
+            proj = original(ells, registry)
             return replace(proj, images=[((x + 1) % 5,) for (x,) in proj.images])
 
         monkeypatch.setattr(search, "project_theta", corrupted)
         with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
             search.delta_row(sym37, 61, ResidueRing(5), reg37)
+
+    @pytest.mark.parametrize("doubled", [
+        ["kurihara_number_via_ed"],
+        ["kurihara_number_via_ed", "kurihara_number_direct"],
+    ], ids=["via_ed", "via_ed_and_direct"])
+    def test_derivative_reads_via_ed(self, sym37, reg37, monkeypatch, doubled):
+        # via-e_d doubled, delta_61 = 4 -> 3: the row alarms.  With the direct
+        # route doubled too, the two sums agree, and only the derivative
+        # expansion, whose closed form is read from via-e_d, refuses the row
+        for name in doubled:
+            route = getattr(search, name)
+            monkeypatch.setattr(search, name, lambda *args, f=route: 2 * f(*args) % 5)
+        with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61"):
+            search.delta_row(sym37, 61, ResidueRing(5), reg37)
+
+    def test_derivative_reads_via_ed_python_O(self, run_python_O):
+        # the doubled via-e_d alarms under `python -O` too
+        proc = run_python_O(
+            "from kurihara import search\n"
+            "from kurihara.curve import load_curve\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "from kurihara.exactmath import ResidueRing\n"
+            "from kurihara.kolyvagin import sieve\n"
+            "from kurihara.modsym import build_space, extract_eigensymbol\n"
+            f"E = load_curve({CURVE_37A1!r})\n"
+            "sym = extract_eigensymbol(build_space(37), E)\n"
+            "reg = {kp.ell: kp for kp in sieve(E, 5, 1, 0, 300)}\n"
+            "row = search.delta_row(sym, 61, ResidueRing(5), reg)\n"
+            "via = search.kurihara_number_via_ed\n"
+            "search.kurihara_number_via_ed = lambda projection: 2 * via(projection) % 5\n"
+            "try:\n"
+            "    search.delta_row(sym, 61, ResidueRing(5), reg)\n"
+            "    alarm = 'none'\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    alarm = str(exc).split(':')[0]\n"
+            "print(row.delta, alarm)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "4 route disagreement at d=61"

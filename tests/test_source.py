@@ -312,3 +312,36 @@ def test_no_unused_imports():
             for name, line in imported.items() if name not in read
         ]
     assert unused == []
+
+
+def test_tracer_targets_exist_with_their_signatures():
+    # perfbench/tracer.py wraps package functions and methods by name, and
+    # keys some of them by a lambda over the wrapped call's arguments.  A
+    # renamed function, or a parameter added to a keyed one, breaks every
+    # traced run, which an untraced benchmark run cannot show.  The tracer
+    # file is loaded, never edited.
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def parameters(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    missing, mismatched = [], []
+    for modname, attr, _, _, key in tracer.FUNCTIONS:
+        fn = getattr(importlib.import_module(f"kurihara.{modname}"), attr, None)
+        if not callable(fn):
+            missing.append(f"{modname}.{attr}")
+        elif key is not None and parameters(key) != parameters(fn):
+            mismatched.append(f"{modname}.{attr}")
+    for modname, clsname, attr, _, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"kurihara.{modname}"), clsname, None)
+        if not callable(getattr(cls, attr, None)):
+            missing.append(f"{modname}.{clsname}.{attr}")
+    assert len(tracer.FUNCTIONS) > 20 and len(tracer.METHODS) == 2
+    assert (missing, mismatched) == ([], [])
