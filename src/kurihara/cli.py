@@ -185,8 +185,6 @@ def _rewalk(report, curve_path):
     if type(calibration) is not dict:
         raise BadReport("the report's provenance has no calibration object")
     p, m = report.p, report.m
-    if p < 3 or not is_prime(p):
-        raise BadReport(f"the report's p = {p} is not an odd prime")
     primes = sieve(E, p, m, 0, report.prime_bound)
     sieved = [kp.ell for kp in primes]
     if tuple(sieved) != report.sieved:

@@ -2,14 +2,13 @@
 
 The sieve picks the primes l with l = 1 mod p^max(m, n+1) whose reduction has
 cyclic p^m-torsion; each carries a fixed generator h_l of (Z/l)^* and discrete
-logarithms to that base.  delta_d in Z/p^m is read from theta_d in
-Z/p^m[(Z/d)^*], as `mazurtate.plus_values` streams it, over the primes of d
-that `sieved_factors` reads once per row, by three routes: the direct
-weighted sum over the units, whose weights come from one list of logs per
-prime; the transport through e_d, from one projection to the p-part quotient
-Gal(Q(d)/Q) filled from the same stream; and the Kolyvagin-derivative
-expansion of that projection mod p, checked against the transported value
-times the norm element.  The first two return their value as an int.
+logarithms to that base.  delta_d in Z/p^m is read from theta_d, as
+`mazurtate.plus_values` streams it, over the primes of d (`sieved_factors`,
+once per row), by three routes.  Direct weighs each unit by its own per-prime
+log lists.  Via and the derivative read the buckets of one projection to the
+p-part quotient Gal(Q(d)/Q), stepped from the generator images: direct == via
+checks the two sets of logs against each other, and the derivative checks the
+norm-multiple shape of D_d theta_d mod p.
 """
 
 from math import isqrt, prod
@@ -172,13 +171,13 @@ def kurihara_number_direct(values, ells, ring, registry):
 
 @record
 class ThetaProjection:
-    """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], shared by via-e_d and the derivative."""
+    """Image of theta_d in Z/p^m[Gal(Q(d)/Q)], the buckets via and the
+    derivative read.  sigma_a sits at the logs of a to the h_l mod |G_l|, so
+    h_l maps to the l-th basis element: the one choice of generator of G_l."""
 
     d: int
     quotient: AbelianGroup
     images: list  # the image of the inverse of each generator of (Z/d)^*
-    ells: tuple
-    e_d: int
     element: GroupRingElement = None
 
     def fold(self, values, ring):
@@ -197,40 +196,33 @@ class ThetaProjection:
 def project_theta(ells, registry):
     """The empty projection of theta_d to Z/p^m[Gal(Q(d)/Q)], for `fold`.
 
-    d is the product of the sieved primes `ells`.  Gal(Q(d)/Q) = prod of the
-    p-parts G_l; sigma_a lands on the logs of a mod the p-part orders, so the
-    map is fixed by the (negated, for the inverses) logs of the generators'
-    residues, nu(d)^2 logs in all.  e_d = #Gal(Q(mu_d)/Q(d)) is the
-    prime-to-p index prod (l - 1)/|G_l|.
+    d is the product of the sieved primes `ells`; the map is fixed by the
+    negated logs of the generators' residues, nu(d)^2 logs in all.
     """
-    d = prod(ells)
-    group = unit_group(d)
+    group = unit_group(prod(ells))
     orders = [registry[ell].p_part_order for ell in ells]
     images = [
         tuple(-registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         for a in map(group.residue, group.basis())
     ]
-    e_d = prod((ell - 1) // n for ell, n in zip(ells, orders))
-    return ThetaProjection(d, AbelianGroup(orders), images, tuple(ells), e_d)
+    return ThetaProjection(group.n, AbelianGroup(orders), images)
 
 
 def kurihara_number_via_ed(projection):
-    """delta_d in Z/p^m through the p-part quotient and transported generators.
+    """delta_d in Z/p^m as sum a_sigma prod_l coord_l(sigma) over the buckets.
 
-    Logs are taken to the base g_l = image of h_l^{e_d} with
-    e_d = #Gal(Q(mu_d)/Q(d)), so each coordinate of sigma, a log to h_l, is
-    multiplied by e_d^{-1}; the sum of a_sigma prod_l log_{g_l}(sigma),
-    times the unit e_d^{nu(d)}, is the direct-route value.
+    A coordinate is the log to h_l mod |G_l|, and p^m divides |G_l|.  These
+    are the projection's logs, not the direct route's lists.  The name (kept
+    with the suite's `ed_route_agreement` and the tracer's) recalls a transport
+    through e_d = #Gal(Q(mu_d)/Q(d)) whose factors cancel exactly.
     """
     pk = projection.element.ring.modulus
-    e_d = projection.e_d
-    ed_inv = pow(e_d, -1, pk)
     total = 0
     for g, weight in projection.element.items():
         for coord in g:
-            weight = weight * coord * ed_inv % pk
+            weight = weight * coord % pk
         total += weight
-    return total * pow(e_d, len(projection.ells), pk) % pk
+    return total % pk
 
 
 @record
@@ -242,34 +234,23 @@ class DerivativeData:
 
 
 def derivative_data(projection, via):
-    """Literal expansion of D_d theta_d in F_p[Gal(Q(d)/Q)].
+    """Literal expansion of D_d theta_d in F_p[Gal(Q(d)/Q)], from via's buckets.
 
-    The projection is reduced mod p.  D_l = sum i g_l^i with g_l the image of
-    h_l^{e_d}; the product of the D_l is convolved against the projected
-    theta_d and compared with the closed form
-    (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) times the norm element.
-    That sum is via-e_d's value `via` over e_d^{nu(d)}, so the closed form
-    is via (-e_d)^{-nu(d)} mod p.
+    D_l = sum k g_l^k with g_l the image of h_l, the l-th basis element; the
+    product of the D_l times the projection mod p must be the closed form
+    (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) = (-1)^nu(d) via mod p times
+    the norm element.
     """
     p = projection.element.ring.p
     ring = ResidueRing(p, 1)
     projected = projection.element.change_ring(ring)
-    e_d, nu = projection.e_d, len(projection.ells)
     quotient = projected.group
     deriv = GroupRingElement.one(quotient, ring)
-    for i, order in enumerate(quotient.orders):
-        gl = tuple(e_d % order if j == i else 0 for j in range(nu))
-        term = {}
-        acc = quotient.identity
-        for k in range(order):
-            if k:
-                term[acc] = k % p
-            acc = quotient.mul(acc, gl)
+    for gl, order in zip(quotient.basis(), quotient.orders):
+        term = {tuple(k * x for x in gl): k for k in range(1, order)}
         deriv = deriv * GroupRingElement(quotient, ring, term)
     expansion = deriv * projected
-
-    closed = via * pow(-e_d, -nu, p) % p
-
+    closed = (-1) ** len(quotient.orders) * via % p
     is_multiple = all(expansion.coefficient(g) == closed for g in quotient.elements())
     return DerivativeData(
         norm_coefficient=expansion.coefficient(quotient.identity),

@@ -20,7 +20,7 @@ from .errors import (
     MissingRootNumber,
     SearchExhausted,
 )
-from .exactmath import ResidueRing, unit_group
+from .exactmath import ResidueRing, is_prime, primitive_root, unit_group
 from .kolyvagin import (
     derivative_data,
     kurihara_number_direct,
@@ -136,7 +136,11 @@ class DeltaReport:
     def verify(self):
         """Re-derive every conclusion from the table and refuse a difference.
 
-        Each row must be a checked row: its factors are distinct sieved primes
+        p must be an odd prime, and the sieved primes what a sieve to
+        prime_bound can give: primes <= prime_bound, increasing, each l with
+        v_p(l - 1) >= m (by division: no power of an unchecked m is formed),
+        and the provenance's generators the `primitive_root` of each.  Each
+        row must be a checked row: its factors are distinct sieved primes
         whose product is d, its generators are the provenance's generator of
         each of them and no other prime's, its delta lies in Z/p^m, and its
         routes agree.
@@ -145,22 +149,35 @@ class DeltaReport:
         what `_conclude` and `_notes` derive.  Raises CorrectnessAlarm naming
         the first field that differs.
         """
-        sieved = set(self.sieved)
-        known = self.provenance.get("generators")
-        known = known if type(known) is dict else {}
+        p, m = self.p, self.m
+        if p < 3 or not is_prime(p):
+            raise CorrectnessAlarm(f"p = {p} is not an odd prime")
+        last = 1
+        for ell in self.sieved:
+            n, v = ell - 1, 0
+            while v < m and n > 0 and n % p == 0:
+                n, v = n // p, v + 1
+            if not last < ell <= self.prime_bound or v < m or not is_prime(ell):
+                raise CorrectnessAlarm(
+                    f"sieved prime {ell}: not a prime l <= {self.prime_bound} above {last}"
+                    f" with {p}^{m} | l - 1"
+                )
+            last = ell
+        generators = {ell: primitive_root(ell) for ell in self.sieved}
+        if self.provenance.get("generators") != {str(l): g for l, g in generators.items()}:
+            raise CorrectnessAlarm("the provenance's generators are not the sieve's h_l")
+        pk = p**m
         for d, row in self.table.items():
             factors = list(row.factors)
-            if factors != sorted(sieved.intersection(factors)) or prod(factors) != d:
+            if factors != sorted(generators.keys() & factors) or prod(factors) != d:
                 raise CorrectnessAlarm(f"delta_{d}: factors {factors} are not its sieved primes")
-            if row.generators != {ell: known.get(str(ell)) for ell in factors}:
+            if row.generators != {ell: generators[ell] for ell in factors}:
                 raise CorrectnessAlarm(
                     f"delta_{d}: generators {row.generators} are not the provenance's"
                     f" for its factors {factors}"
                 )
-            if not 0 <= row.delta < self.p**self.m:
-                raise CorrectnessAlarm(
-                    f"delta_{d} = {row.delta} is not an element of Z/{self.p}^{self.m}"
-                )
+            if not 0 <= row.delta < pk:
+                raise CorrectnessAlarm(f"delta_{d} = {row.delta} is not an element of Z/{p}^{m}")
             if row.routes_agree is not True:
                 raise CorrectnessAlarm(f"delta_{d}: routes_agree is {row.routes_agree}")
         derived = replace(self)
@@ -249,9 +266,12 @@ def delta_row(symbol, d, ring, registry):
 
     The primes of d are read once (`sieved_factors`).  theta_d streams from
     the walk (`plus_values`) in `ring` = Z/p^m, and is never built whole:
-    one pass folds each value into the direct route's sum and into the
-    projection that via-e_d and the derivative share.  Any disagreement
-    raises CorrectnessAlarm.
+    one pass folds each value into the direct route's sum, weighed by its own
+    per-prime logs, and into the buckets of the projection, keyed by logs
+    stepped from the generator images.  Via sums those buckets, so
+    direct == via checks the two sets of logs; the derivative reads the same
+    buckets and checks their norm-multiple shape.  Any disagreement raises
+    CorrectnessAlarm.
     """
     ells = sieved_factors(d, registry)
     projection = project_theta(ells, registry)

@@ -472,6 +472,17 @@ def _corrupt(report, kind):
         rows[61]["delta"] = 9  # 4 mod 5, but not an element of Z/5
     elif kind == "notes":
         report["provenance"]["notes"].pop()
+    elif kind == "sieve_m":
+        report["m"] = 2  # 61, 211 and 281 are not 1 mod 25
+    elif kind == "sieve_composite":
+        report["sieved_primes"].append(300)
+    elif kind == "sieve_generator":
+        report["provenance"]["generators"]["61"] = 1  # 2 is the least primitive root
+        for row in rows.values():
+            if "61" in row["generators"]:
+                row["generators"]["61"] = 1
+    elif kind == "sieve_huge_m":
+        report["m"] = 3_000_000  # refused without forming 5^m
     else:
         raise ValueError(kind)
 
@@ -547,6 +558,7 @@ class TestReverification:
         "zero_minimal", "nonzero_divisor", "selmer_dim", "upper_bound", "imc_witness",
         "root_number", "routes_disagree", "wrong_factors", "generator_value",
         "generator_prime", "missing_divisor", "delta_out_of_range", "notes",
+        "sieve_m", "sieve_composite", "sieve_generator", "sieve_huge_m",
     ])
     def test_broken_minimality_exits_3(self, saved_search, tmp_path, kind, where, optimize):
         cache_dir, saved = saved_search
@@ -627,4 +639,5 @@ class TestReverification:
         code = main(["report", str(path), "--curve", curve])
         assert code == (3 if kind == "sieved" else 64)
         err = capsys.readouterr().err
-        assert ("stored sieved primes" if kind == "sieved" else "is for curve") in err
+        # 311 is above the prime bound, which `verify` refuses before any walk
+        assert ("sieved prime 311" if kind == "sieved" else "is for curve") in err

@@ -1,5 +1,5 @@
 import random
-from math import gcd, prod
+from math import gcd
 
 import pytest
 
@@ -16,6 +16,7 @@ from kurihara import kolyvagin
 from kurihara.kolyvagin import (
     DLOG_TABLE_LIMIT,
     KolyvaginPrime,
+    ThetaProjection,
     _dlog_bsgs,
     derivative_data,
     kolyvagin_predicate,
@@ -237,20 +238,6 @@ class TestDerivativeOracle:
         assert data.is_norm_multiple
         assert data.norm_coefficient == 3
 
-    def test_lemma_38_closed_form_small_products(self, sym37, reg37):
-        ells = sorted(reg37)
-        ds = [1] + ells + [
-            a * b for i, a in enumerate(ells) for b in ells[i + 1 :] if a * b <= 500
-        ]
-        for d in ds:
-            _, via, data = routes(sym37, reg37, d, 5)
-            assert data.is_norm_multiple, f"lemma 3.8 shape fails at d={d}"
-            assert data.norm_coefficient == data.closed_form
-            # the closed form is read from via-e_d: its value over (-e_d)^nu(d) mod p
-            ells = sieved_factors(d, reg37)
-            e_d = prod((ell - 1) // reg37[ell].p_part_order for ell in ells)
-            assert data.closed_form == via * pow(-e_d, -len(ells), 5) % 5
-
     def test_vanishing_equivalence(self, sym37, reg37):
         for d in [1] + sorted(reg37):
             direct, _, data = routes(sym37, reg37, d, 5)
@@ -365,12 +352,12 @@ class TestMirroredKeys:
         projection = _folded(sym37, d, 5, reg37)
         assert projection.element == expected
         # one discrete log per prime of d for each generator of (Z/d)^*
-        assert len(calls) == len(projection.ells) ** 2
+        assert len(calls) == len(projection.quotient.orders) ** 2
 
     def test_389a1_nu_two_matches_every_dlog(self, sym389):
         reg = {kp.ell: kp for kp in sieve(sym389.curve, 5, 1, 0, 70)}
         projection = _folded(sym389, 41 * 61, 5, reg)
-        assert projection.ells == (41, 61)
+        assert projection.quotient.orders == (5, 5)
         assert projection.element == _projection_from_every_dlog(walk(sym389, 41 * 61, 5), reg)
         assert not projection.element.is_zero()
 
@@ -389,19 +376,29 @@ class TestNuTwo:
 
 class TestRouteTriangle:
     def test_quantitative_relation_between_routes(self, sym37, reg37):
-        # the three routes are tied by delta_d = (-1)^nu(d) e_d^nu(d) C where
-        # C is the norm coefficient of the derivative expansion and e_d is
-        # the prime-to-p index prod (l-1)/|G_l|; exact in F_p, not just a
-        # matching zero-pattern
+        # the three routes are tied exactly in F_p, not just in their zero
+        # pattern: the derivative expansion is the closed form (-1)^nu(d) via
+        # times the norm element, and its norm coefficient gives back delta_d
         p = 5
         ells = sorted(reg37)
         ds = [1] + ells + [a * b for i, a in enumerate(ells) for b in ells[i + 1:]]
         for d in ds:
-            direct, _, data = routes(sym37, reg37, d, p)
-            e_d, nu = 1, 0
-            for ell in ells:
-                if d % ell == 0:
-                    e_d *= (ell - 1) // reg37[ell].p_part_order
-                    nu += 1
-            expected = (-1) ** nu * pow(e_d, nu, p) * data.norm_coefficient % p
-            assert direct == expected, f"triangle fails at d={d}"
+            direct, via, data = routes(sym37, reg37, d, p)
+            sign = (-1) ** len(sieved_factors(d, reg37))
+            assert data.is_norm_multiple, f"lemma 3.8 shape fails at d={d}"
+            assert data.norm_coefficient == data.closed_form == sign * via % p
+            assert direct == sign * data.norm_coefficient % p, f"triangle fails at d={d}"
+
+    def test_nu_three_derivative_reads_via(self):
+        # pure algebra on (Z/5)^3 with an arbitrary element: the coefficient
+        # at 1 of D_d x is sum a_sigma prod(-coord_l(sigma)) mod p
+        ring = ResidueRing(5)
+        quotient = AbelianGroup((5, 5, 5))
+        rng = random.Random(2)
+        element = GroupRingElement.from_values(
+            quotient, ring, tuple(rng.randrange(5) for _ in range(quotient.order))
+        )
+        projection = ThetaProjection(61 * 211 * 281, quotient, [], element)
+        via = kurihara_number_via_ed(projection)
+        assert via == 2  # nonzero, so the relation below is not 0 == 0
+        assert derivative_data(projection, via).norm_coefficient == -via % 5

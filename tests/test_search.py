@@ -64,6 +64,9 @@ class TestGoldenRuns:
 
     def test_minimality_reverified(self, report37):
         assert report37.verify()
+        for p in (2, 9, 15):
+            with pytest.raises(CorrectnessAlarm, match=f"p = {p} is not an odd prime"):
+                replace(report37, p=p).verify()
 
     def test_json_round_trip_and_typed_shape_errors(self, report37):
         obj = json.loads(json.dumps(report37.to_json()))
@@ -74,16 +77,19 @@ class TestGoldenRuns:
         with pytest.raises(BadReport, match="row has no 'routes_agree'"):
             search.DeltaReport.from_json(obj)
 
-    def test_minimality_read_mod_p(self, report37):
-        # 5 is a nonzero element of Z/25 but zero mod p: at m = 2 it no
-        # longer makes 61 delta-minimal, and a report that says so is refused
-        rep = copy.deepcopy(report37)
-        rep.m = 2
-        rep.table[61].delta = 5
+    def test_minimality_read_mod_p(self, sym37):
+        # the m = 2 sieve to 5000 gives 2251 and 4651 (l = 1 mod 25), with
+        # delta 3 and 18 in Z/25.  5 is a nonzero element of Z/25 but zero
+        # mod p: it no longer makes 2251 delta-minimal, and a report that
+        # says so is refused
+        rep = selmer_report(find_delta_minimal(sym37, 5, prime_bound=5000, nu_max=1, m=2))
+        assert rep.sieved == (2251, 4651) and rep.delta_minimal == (2251, 4651)
+        assert rep.verify()
+        rep.table[2251].delta = 5
         with pytest.raises(CorrectnessAlarm, match="delta_minimal"):
             rep.verify()
         search._conclude(rep)
-        assert rep.delta_minimal == (281,)
+        assert rep.delta_minimal == (4651,)
         assert rep.verify()
 
     def test_delta_1_divisible_by_p_makes_no_dim_0_claim(self, report37):
