@@ -15,6 +15,7 @@ functions.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, product
 from math import gcd, lcm
 
 from .errors import (
@@ -322,13 +323,6 @@ class AbelianGroup:
         k = len(self.orders)
         return [tuple(int(i == j) for i in range(k)) for j in range(k)]
 
-    def negated(self):
-        """index(g^-1) for each element g, in element order."""
-        idx = [0]
-        for n in self.orders:
-            idx = [i * n + -j % n for i in idx for j in range(n)]
-        return idx
-
     def _shifted(self, g):
         """index(g*h) for each element h, in element order."""
         idx = [0]
@@ -619,6 +613,13 @@ class GroupRingElement:
             out = [s + c * b[i] for s, i in zip(out, group._shifted(group.inv(g)))]
         return self._of(group, self.ring, self.ring.reduce_all(out))
 
+    def combine(self, a, other, b):
+        """a*self + b*other for scalars a and b: one check, one reduction."""
+        self._check(other)
+        a, b = self.ring.coerce(a), self.ring.coerce(b)
+        values = [a * x + b * y for x, y in zip(self.coeffs, other.coeffs)]
+        return self._of(self.group, self.ring, self.ring.reduce_all(values))
+
     def scale(self, c):
         c = self.ring.coerce(c)
         return self._of(self.group, self.ring, self.ring.reduce_all([v * c for v in self.coeffs]))
@@ -659,13 +660,14 @@ class GroupRingElement:
         return " + ".join(parts[:8]) + (" + ..." if len(parts) > 8 else "")
 
     def to_json(self):
-        """Canonical serialization: sorted keys, reduced coefficients, no zeros."""
-        coeffs = [
-            [list(g), f"{c.numerator}/{c.denominator}" if type(c) is Fraction else int(c)]
-            for g, c in zip(self.group.elements(), self.coeffs)
-            if c
-        ]
-        return {"group": list(self.group.orders), "coeffs": coeffs}
+        """Canonical serialization: sorted keys, reduced coefficients, no zeros,
+        the keys counted in element order and QQ coefficients written "num/den"."""
+        orders, cs = self.group.orders, self.coeffs
+        keys = compress(product(*map(range, orders)), cs)
+        values = filter(None, cs)
+        if self.ring == QQ:
+            values = (f"{c.numerator}/{c.denominator}" for c in values)
+        return {"group": list(orders), "coeffs": [[list(g), c] for g, c in zip(keys, values)]}
 
 
 def norm_map(x, hom):

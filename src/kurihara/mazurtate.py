@@ -8,7 +8,9 @@ limits exist only level-by-level here, and the limit relations are exercised
 as finite identities by the verifier suite.
 """
 
+from functools import reduce
 from itertools import compress
+from math import prod
 
 from .curve import trace_of_frobenius
 from .errors import (
@@ -22,7 +24,6 @@ from .errors import (
 )
 from .exactmath import (
     QQ,
-    AbelianGroup,
     GroupRingElement,
     ResidueRing,
     factorize,
@@ -113,14 +114,21 @@ def plus_element(symbol, level, ring):
 
     The whole element from `plus_values` over one run of every unit (whose
     indices are not read), uncached: each value is keyed by b, and sigma_a
-    reads the key a^-1 (the residue at the negated exponents) or level - a^-1.
+    reads the key a^-1 or level - a^-1.  The units and the keys are listed in
+    element order as products of powers r^x of the generators' residues, and
+    of their inverses r^-x, so no group-sized index is built.
     """
     group = unit_group(level)
-    units = [b for run, _ in group.runs(AbelianGroup(()), [()] * len(group.orders)) for b in run]
+    units, keys = [1], [1]
+    for r, n in zip(map(group.residue, group.basis()), group.orders):
+        x, powers = 1, [1]
+        powers += [x := x * r % level for _ in range(n - 1)]
+        inverses = powers[:1] + powers[:0:-1]  # r^-x = r^(n - x)
+        units = [u * q % level for u in units for q in powers]
+        keys = [k * q % level for k in keys for q in inverses]
     value = {}
     for bs, _, cs in plus_values(symbol, level, ring, [(units, units)]):
         value.update(zip(bs, cs))
-    keys = map(units.__getitem__, group.negated())
     values = [value[b] if b in value else value[level - b] for b in keys]
     return GroupRingElement.from_values(group, ring, values)
 
@@ -187,8 +195,9 @@ def stabilization_scalar(group, root):
 def vartheta(symbol, d, n, p, m):
     """Ordinary-stabilized element at level d p^n with Z/p^m coefficients.
 
-    For n >= 1 this is alpha^{-n} (theta_{dp^n} - alpha^{-1} nu(theta_{dp^{n-1}})).
-    At n = 0 the stabilization degenerates to the scalar
+    For n >= 1 this is alpha^{-n} (theta_{dp^n} - alpha^{-1} nu(theta_{dp^{n-1}})),
+    formed in one pass as a theta_{dp^n} - a alpha^{-1} nu(theta_{dp^{n-1}})
+    with a = alpha^{-n}.  At n = 0 the stabilization degenerates to the scalar
     (1 - alpha^{-1} sigma_p)(1 - alpha^{-1} sigma_p^{-1}) acting on theta_d,
     which is taken as the definition of the bottom layer.
     """
@@ -200,10 +209,9 @@ def vartheta(symbol, d, n, p, m):
         return stabilization_scalar(th.group, root) * th
     top = theta(symbol, d, n, p).change_ring(ring)
     below = theta(symbol, d, n - 1, p).change_ring(ring)
-    hom = unit_reduction(top.group, below.group)
-    lifted = norm_map(below, hom)
-    diff = top - lifted.scale(ainv)
-    return diff.scale(pow(ainv, n, ring.modulus))
+    lifted = norm_map(below, unit_reduction(top.group, below.group))
+    a = pow(ainv, n, ring.modulus)
+    return top.combine(a, lifted, -a * ainv)
 
 
 def xi_tilde(symbol, d, n, p, m):
@@ -220,7 +228,11 @@ def kurihara_combination(symbol, d, n, p, m, stabilized):
     """xi_tilde with vartheta_e read from `stabilized(e)` for each e | d.
 
     The identity suite passes its memo of vartheta here, so that the
-    divisors shared by many levels are stabilized once.
+    divisors shared by many levels are stabilized once.  A proper divisor's
+    term is translated by its sigma_l^{-1} and scaled by its sign times the
+    twist's prod_{l | d} (-l)^{-1} at its own level, then lifted; the term of
+    e = d joins by one `combine`, and the twist's sigma_l^{-1} are one
+    translate of the sum.
     """
     E = symbol.curve
     _check_level(E, d, p)
@@ -230,23 +242,23 @@ def kurihara_combination(symbol, d, n, p, m, stabilized):
         if ell % p == 0:
             raise NonInvertibleEll(f"{ell} is not invertible mod {p}^{m}")
     top_group = unit_group(d * p**n if n else d)
-    total = GroupRingElement.zero(top_group, ring)
-    for mask in range(1 << len(primes)):
-        e = 1
-        for i, ell in enumerate(primes):
-            if mask & (1 << i):
-                e *= ell
-        v = stabilized(e)
-        for ell in primes:
-            if e % ell:
-                s_inv = v.group.inv(_sigma_ell(v.group, ell))
-                v = v.translate(s_inv).scale(ring.neg(ring.one))
-        hom = unit_reduction(top_group, v.group)
-        total = total + norm_map(v, hom)
-    for ell in primes:
-        s_inv = top_group.inv(_sigma_ell(top_group, ell))
-        total = total.translate(s_inv).scale(ring.neg(ring.inv(ring.coerce(ell))))
-    return total
+    twist = ring.inv(ring.coerce((-1) ** len(primes) * prod(primes)))  # prod_l (-l)^{-1}
+    total = None
+    for mask in range((1 << len(primes)) - 1):  # the proper divisors e of d
+        rest = [ell for i, ell in enumerate(primes) if not mask >> i & 1]  # the l | d/e
+        v = stabilized(d // prod(rest))
+        sign = twist if len(rest) % 2 == 0 else ring.neg(twist)
+        v = v.translate(_sigma_inverse(v.group, rest)).scale(sign)
+        v = norm_map(v, unit_reduction(top_group, v.group))
+        total = v if total is None else total + v
+    v = stabilized(d)
+    total = v.scale(twist) if total is None else total.combine(ring.one, v, twist)
+    return total.translate(_sigma_inverse(top_group, primes))
+
+
+def _sigma_inverse(group, ells):
+    """prod over the l in `ells` of sigma_l^{-1} in `group`."""
+    return group.inv(reduce(group.mul, (_sigma_ell(group, ell) for ell in ells), group.identity))
 
 
 def euler_factor(E, ell, group, ring):

@@ -90,21 +90,24 @@ def _coordinate_choices(reduced):
 
     inner[mask] lists (y, mask') for a coordinate before the last, last[mask]
     the y that leave every f_i nonzero.  With `reduced`, a functional's first
-    nonzero entry must be 1, so a still-zero f_i takes 0 or 1 next.  Both
-    come from two per-digit masks of y: its nonzero digits and its digits 2.
+    nonzero entry must be 1, so a still-zero f_i takes 0 or 1 next.  Built
+    digit by digit, as `_kernels` is: only digit 0 keeps bit i of the mask;
+    digits 1 and 0, and 3 and 2, are joined per two mask bits, then the two
+    halves per mask, the higher digits slower so that y ascends.
     """
-    nonzero = _per_digit([(0, 1 << i, 1 << i) for i in range(4)])
-    twos = _per_digit([(0, 0, 1 << i) for i in range(4)]) if reduced else [0] * 81
-    inner, last = [], []
-    for mask in range(16):
-        steps = [
-            (y, mask & ~nz)
-            for y, (nz, two) in enumerate(zip(nonzero, twos))
-            if not mask & two
-        ]
-        inner.append(steps)
-        last.append([y for y, left in steps if not left])
-    return inner, last
+    # digit[i][bit i of the mask]: the (value, kept bit) choices of digit i
+    digit = [
+        [[(v * 3**i, 0) for v in range(3)], [(0, 1 << i), (3**i, 0)] + ([] if reduced else [(2 * 3**i, 0)])]
+        for i in range(4)
+    ]
+
+    def join(high, low):
+        return [(a + b, left_a | left_b) for a, left_a in high for b, left_b in low]
+
+    low = [join(digit[1][bits >> 1], digit[0][bits & 1]) for bits in range(4)]
+    high = [join(digit[3][bits >> 1], digit[2][bits & 1]) for bits in range(4)]
+    inner = [join(high[mask >> 2], low[mask & 3]) for mask in range(16)]
+    return inner, [[y for y, left in steps if not left] for steps in inner]
 
 
 def _functionals(path):

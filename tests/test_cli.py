@@ -475,16 +475,42 @@ def _corrupt(report, kind):
     elif kind == "sieve_m":
         report["m"] = 2  # 61, 211 and 281 are not 1 mod 25
     elif kind == "sieve_composite":
-        report["sieved_primes"].append(300)
+        report["sieved_primes"].append(286)  # 5 | 285: only the primality test refuses it
     elif kind == "sieve_generator":
         report["provenance"]["generators"]["61"] = 1  # 2 is the least primitive root
         for row in rows.values():
             if "61" in row["generators"]:
                 row["generators"]["61"] = 1
+    elif kind == "p_composite":
+        report["p"] = 15  # without the odd-prime check, the sieve check refuses it at 281
     elif kind == "sieve_huge_m":
         report["m"] = 3_000_000  # refused without forming 5^m
     else:
         raise ValueError(kind)
+
+
+# each `_corrupt` kind and the start of the alarm of the check that refuses it
+REFUSED_BY = {
+    "zero_minimal": "stored delta_minimal (61, 281) differs from the derived (281,)",
+    # delta_1 != 0 makes d = 1 delta-minimal, which the re-derived parity refutes
+    "nonzero_divisor": "parity alarm: w_E = -1 but a delta-minimal d has (-1)^nu = 1",
+    "selmer_dim": "stored selmer_dim 3 differs from the derived 1",
+    "upper_bound": "stored upper_bound 0 differs from the derived 1",
+    "imc_witness": "stored imc_witness False differs from the derived True",
+    "root_number": "parity alarm: w_E = 1 but a delta-minimal d has (-1)^nu = -1",
+    "routes_disagree": "delta_1: routes_agree is False",
+    "wrong_factors": "delta_61: factors [211] are not its sieved primes",
+    "generator_value": "delta_61: generators {61: 3} are not the provenance's",
+    "generator_prime": "delta_61: generators {211: 2} are not the provenance's",
+    "missing_divisor": "no row for [1], proper divisors of 61",
+    "delta_out_of_range": "delta_61 = 9 is not an element of Z/5^1",
+    "notes": "stored notes differ from the derived notes",
+    "sieve_m": "sieved prime 61: not a prime l <= 300 above 1 with 5^2 | l - 1",
+    "sieve_composite": "sieved prime 286: not a prime l <= 300 above 281 with 5^1 | l - 1",
+    "sieve_generator": "the provenance's generators are not the sieve's h_l",
+    "sieve_huge_m": "sieved prime 61: not a prime l <= 300 above 1 with 5^3000000 | l - 1",
+    "p_composite": "p = 15 is not an odd prime",
+}
 
 
 def _malform(report, kind):
@@ -554,12 +580,7 @@ class TestMalformedReport:
 class TestReverification:
     @pytest.mark.parametrize("optimize", [False, True], ids=["in_process", "python_O"])
     @pytest.mark.parametrize("where", ["report", "cache_hit"])
-    @pytest.mark.parametrize("kind", [
-        "zero_minimal", "nonzero_divisor", "selmer_dim", "upper_bound", "imc_witness",
-        "root_number", "routes_disagree", "wrong_factors", "generator_value",
-        "generator_prime", "missing_divisor", "delta_out_of_range", "notes",
-        "sieve_m", "sieve_composite", "sieve_generator", "sieve_huge_m",
-    ])
+    @pytest.mark.parametrize("kind", list(REFUSED_BY))
     def test_broken_minimality_exits_3(self, saved_search, tmp_path, kind, where, optimize):
         cache_dir, saved = saved_search
         if where == "report":
@@ -597,7 +618,8 @@ class TestReverification:
                 code = main(argv)
             err = err_buf.getvalue()
         assert code == 3
-        assert "CORRECTNESS ALARM" in err
+        # the check meant for this corruption refuses it, not a later one
+        assert f"CORRECTNESS ALARM: {REFUSED_BY[kind]}" in err
 
     def test_consistent_edit_caught_by_rewalk(self, saved_search, tmp_path, capsys):
         # delta_61 edited to 0 together with the conclusions: the report

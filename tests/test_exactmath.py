@@ -8,6 +8,7 @@ import pytest
 from kurihara.errors import (
     DenominatorDivisibleByP,
     MismatchedGroup,
+    MismatchedRing,
     NotAHomomorphism,
     NotAQuotient,
     NotASurjection,
@@ -207,6 +208,32 @@ class TestGroupRing:
         y = GroupRingElement.one(AbelianGroup((3,)), QQ)
         with pytest.raises(MismatchedGroup):
             x * y
+
+    def test_combine_is_two_scales_and_a_sum(self):
+        rng = random.Random(5)
+        cases = [(AbelianGroup((6,)), ResidueRing(7, 2)), (AbelianGroup((2, 5)), ResidueRing(5, 3)),
+                 (unit_group(833), ResidueRing(7, 2)), (AbelianGroup((3, 4)), QQ)]
+        for G, R in cases:
+            for _ in range(8):
+                x, y = random_element(G, R, rng), random_element(G, R, rng)
+                if R == QQ:
+                    a, b = Fraction(rng.randrange(-9, 10), 7), Fraction(rng.randrange(-9, 10), 4)
+                else:
+                    a, b = (rng.randrange(-R.modulus, 2 * R.modulus) for _ in range(2))
+                assert x.combine(a, y, b) == x.scale(a) + y.scale(b)
+                assert x.combine(1, y, -1) == x - y
+
+    def test_combine_mismatch_errors(self):
+        # combine refuses what + refuses, with the same errors
+        R = ResidueRing(7, 2)
+        x = GroupRingElement.one(AbelianGroup((2,)), R)
+        other_group = GroupRingElement.one(AbelianGroup((3,)), R)
+        other_ring = GroupRingElement.one(AbelianGroup((2,)), ResidueRing(7, 1))
+        for y, error in ((other_group, MismatchedGroup), (other_ring, MismatchedRing)):
+            with pytest.raises(error):
+                x + y
+            with pytest.raises(error):
+                x.combine(1, y, 1)
 
     def test_invert_unit(self):
         G = AbelianGroup((3,))

@@ -17,11 +17,13 @@ from kurihara.exactmath import (
     QQ,
     GroupRingElement,
     ResidueRing,
+    norm_map,
     projection_map,
     unit_group,
     unit_reduction,
 )
 from kurihara.mazurtate import (
+    _sigma_ell,
     euler_factor,
     frobenius_factor,
     plus_element,
@@ -215,6 +217,58 @@ class TestXiTilde:
         monkeypatch.setattr(mt, "vartheta", counting)
         mt.xi_tilde(sym11, 6, 0, 7, 1)
         assert sorted(calls) == [1, 2, 3, 6]
+
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 2)])
+    def test_combination_spelled_out(self, sym11, monkeypatch, n, m):
+        # nu(d) = 2: the sum over e | 6 term by term as the definition reads,
+        # each lifted along unit_reduction(top, e) (the identity at e = 6),
+        # then the twist prod_l (-l sigma_l)^{-1}, one prime at a time
+        import kurihara.mazurtate as mt
+
+        p, d = 7, 6
+        ring = ResidueRing(p, m)
+        top = unit_group(d * p**n)
+        minus_one = ring.neg(ring.one)
+        want = GroupRingElement.zero(top, ring)
+        for e in (1, 2, 3, 6):
+            v = vartheta(sym11, e, n, p, m)
+            for ell in (2, 3):
+                if e % ell:
+                    v = v.translate(v.group.inv(_sigma_ell(v.group, ell))).scale(minus_one)
+            want = want + norm_map(v, unit_reduction(top, v.group))
+        for ell in (2, 3):
+            twist = ring.neg(ring.inv(ell))
+            want = want.translate(top.inv(_sigma_ell(top, ell))).scale(twist)
+        reductions = []
+        original = mt.unit_reduction
+
+        def recording(big, small):
+            reductions.append((big.n, small.n))
+            return original(big, small)
+
+        monkeypatch.setattr(mt, "unit_reduction", recording)
+        assert xi_tilde(sym11, d, n, p, m) == want
+        # the combination lifts the three proper divisors and builds no
+        # identity reduction (vartheta lifts theta_{e p^(n-1)} when n >= 1)
+        assert {(top.n, e * p**n) for e in (1, 2, 3)} <= set(reductions)
+        assert (top.n, top.n) not in reductions
+
+
+def _old_to_json(element):
+    """The serialization as it was first written: over `group.elements()`."""
+    coeffs = [
+        [list(g), f"{c.numerator}/{c.denominator}" if type(c) is Fraction else int(c)]
+        for g, c in element.items()
+    ]
+    return {"group": list(element.group.orders), "coeffs": coeffs}
+
+
+def test_to_json_bytes_match_the_element_list(sym11):
+    # a QQ theta (with "num/den" strings) and a Z/49 vartheta (with ints)
+    for element in (theta(sym11, 17, 1, 7), vartheta(sym11, 1, 2, 7, 2)):
+        assert json.dumps(element.to_json()) == json.dumps(_old_to_json(element))
+        assert element.to_json() == _old_to_json(element)
 
 
 class TestFrobeniusFactor:

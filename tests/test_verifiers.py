@@ -194,6 +194,23 @@ def _reference_coordinate_choices(reduced):
     return inner, last
 
 
+def _comprehension_coordinate_choices(reduced):
+    """The verifier's previous construction: one membership test per mask and
+    vector, on per-digit masks of the nonzero digits and the digits 2."""
+    nonzero = verifiers._per_digit([(0, 1 << i, 1 << i) for i in range(4)])
+    twos = verifiers._per_digit([(0, 0, 1 << i) for i in range(4)]) if reduced else [0] * 81
+    inner, last = [], []
+    for mask in range(16):
+        steps = [
+            (y, mask & ~nz)
+            for y, (nz, two) in enumerate(zip(nonzero, twos))
+            if not mask & two
+        ]
+        inner.append(steps)
+        last.append([y for y, left in steps if not left])
+    return inner, last
+
+
 class TestTables:
     def test_kernels_against_brute_force(self):
         # every bit of K[y] from a dot product, and each hyperplane's grid
@@ -244,6 +261,10 @@ class TestTables:
     def test_coordinate_choices_match_reference(self, reduced):
         inner, last = verifiers._coordinate_choices(reduced)
         assert (inner, last) == _reference_coordinate_choices(reduced)
+        assert (inner, last) == _comprehension_coordinate_choices(reduced)
+        # digit by digit, each mask with k still-zero f_i has 2^k 3^(4-k)
+        # choices when reduced: 5^4 in all, against 16 * 81 unreduced
+        assert sum(map(len, inner)) == (625 if reduced else 1296)
         # mask 15 ends only on vectors with four nonzero digits; reduced,
         # that is (1, 1, 1, 1) alone, a one-element list the leaf picker
         # must not turn into a scalar
