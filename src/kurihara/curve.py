@@ -176,12 +176,13 @@ def short_model(E, l):
     """(-27 c4, -54 c6) mod l: Y^2 = X^3 + A X + B is isomorphic to E over F_l.
 
     X = 36x + 3 b2 and Y = 108 (2y + a1 x + a3) carry E onto it (Silverman,
-    AEC III.1), an isomorphism when 6 is a unit mod l, so l must exceed 3
-    (BadPrime otherwise).  Kept per (E, l) like the point count, so
-    count_divisible, _count_bsgs and p_torsion_structure share one pair.
+    AEC III.1), an isomorphism when 6 is a unit mod l, so l must be a prime
+    > 3 of good reduction (BadPrime otherwise).  Kept per (E, l) like the
+    point count, so the point searches share one pair and one check of l.
     """
     if l <= 3:
         raise BadPrime(f"the short model needs l > 3, not {l}")
+    _require_good(E, l)
     return -27 * E.c4 % l, -54 * E.c6 % l
 
 
@@ -380,7 +381,7 @@ def _require_good(E, l):
 
 def count_points(E, l):
     """#E(F_l) for a prime of good reduction, including the point at infinity."""
-    _require_good(E, l)
+    (short_model if l > 3 else _require_good)(E, l)  # l checked once per kept model
     return _count(E, l)
 
 
@@ -396,18 +397,19 @@ def count_divisible(E, l, k):
 
     For l > 3 one point fixed by l refuses most k that do not divide the
     count without counting (module docstring); the cached count decides the
-    rest, l being checked here once.  BadPrime for any other l.
+    rest.  The short model checks l first, once while it keeps the pair, so a
+    sieve candidate is validated here alone.  BadPrime for any other l.
     """
-    _require_good(E, l)
-    if l > 3:
-        r = isqrt(4 * l)
-        lo, hi = -(-(l + 1 - r) // k), (l + 1 + r) // k
-        if lo > hi:
-            return False
-        A, B = short_model(E, l)
-        Q = ec_mul(A, l, k, draw_point(A, B, l, 0))
-        if Q is not None and not _window_multiples(A, l, Q, lo, hi):
-            return False
+    if l <= 3:
+        return count_points(E, l) % k == 0
+    A, B = short_model(E, l)
+    r = isqrt(4 * l)
+    lo, hi = -(-(l + 1 - r) // k), (l + 1 + r) // k
+    if lo > hi:
+        return False
+    Q = ec_mul(A, l, k, draw_point(A, B, l, 0))
+    if Q is not None and not _window_multiples(A, l, Q, lo, hi):
+        return False
     return _count(E, l) % k == 0
 
 
@@ -555,9 +557,9 @@ def p_torsion_structure(E, l, p):
     means S has neither certificate, so the count is wrong
     (CorrectnessAlarm).
     """
-    if E.discriminant % l == 0 or l == p:
-        raise BadPrime(f"{l} is bad or equals p")
-    n = count_points(E, l)
+    if l == p:
+        raise BadPrime(f"{l} equals p")
+    n = count_points(E, l)  # BadPrime unless l is a prime of good reduction
     cofactor, v = n, 0
     while cofactor % p == 0:
         cofactor //= p

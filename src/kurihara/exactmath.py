@@ -639,9 +639,6 @@ class GroupRingElement:
     def augmentation(self):
         return self.ring.coerce(sum(self.coeffs))
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def change_ring(self, ring):
         return self._of(self.group, ring, ring.coerce_all(self.coeffs))
 

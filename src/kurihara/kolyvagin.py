@@ -1,29 +1,23 @@
 """Kolyvagin primes and Kurihara numbers.
 
 The sieve picks the primes l with l = 1 mod p^max(m, n+1) whose reduction has
-cyclic p^m-torsion; each carries a fixed generator h_l of (Z/l)^* and discrete
-logarithms to that base.  delta_d in Z/p^m is read from theta_d, as
-`mazurtate.plus_values` streams it, over the primes of d (`sieved_factors`,
-once per row), by three routes.  Direct weighs each unit by its own per-prime
-log lists.  Via and the derivative read the buckets of one projection to the
-p-part quotient Gal(Q(d)/Q), stepped from the generator images: direct == via
-checks the two sets of logs against each other, and the derivative checks the
-norm-multiple shape of D_d theta_d mod p.
+cyclic p^m-torsion; each candidate is validated once, as a prime of good
+reduction, by the short model `count_divisible` makes, and carries a fixed
+generator h_l of (Z/l)^* and discrete logarithms to that base.  delta_d in
+Z/p^m is read from theta_d, as `mazurtate.plus_values` streams it, over the
+primes of d (`sieved_factors`, once per row), by three routes.  Direct weighs
+each unit by its own per-prime log lists.  Via and the derivative read the
+buckets of one projection to the p-part quotient Gal(Q(d)/Q), stepped from
+the generator images: direct == via checks the two sets of logs against each
+other, and the derivative, one convolution of the buckets mod p along the
+axis of each prime, checks the norm-multiple shape of D_d theta_d mod p.
 """
 
 from math import isqrt, prod
 
 from .curve import count_divisible, p_torsion_structure, primes_upto
-from .errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
-from .exactmath import (
-    AbelianGroup,
-    GroupRingElement,
-    ResidueRing,
-    factorize,
-    is_prime,
-    primitive_root,
-    unit_group,
-)
+from .errors import BadPrime, NotAUnit, NotSquarefree, PrimeNotKolyvagin
+from .exactmath import AbelianGroup, GroupRingElement, factorize, primitive_root, unit_group
 from .records import record
 
 DLOG_TABLE_LIMIT = 1 << 16  # full table below, baby-step/giant-step above
@@ -104,14 +98,16 @@ def kolyvagin_predicate(E, ell, p, m=1, n=0):
     ell must be a prime of good reduction other than p with
     ell = 1 mod p^max(m, n+1), p^m must divide #E(F_ell) (`count_divisible`,
     which refuses most candidates from one point, without a count), and the
-    p-primary part of E(F_ell) must be cyclic.
+    p-primary part of E(F_ell) must be cyclic.  ell is validated once, by
+    `count_divisible` before its point (BadPrime, read here as False); the
+    count and the classification reuse the short model that check made.
     """
-    if ell == p or not is_prime(ell) or E.discriminant % ell == 0:
+    if ell == p or (ell - 1) % p ** max(m, n + 1):
         return False
-    modulus = p ** max(m, n + 1)
-    if (ell - 1) % modulus != 0:
-        return False
-    if not count_divisible(E, ell, p**m):
+    try:
+        if not count_divisible(E, ell, p**m):
+            return False
+    except BadPrime:  # ell is composite or of bad reduction
         return False
     kind, _ = p_torsion_structure(E, ell, p)
     return kind == "cyclic"
@@ -205,7 +201,7 @@ def project_theta(ells, registry):
         tuple(-registry[ell].dlog(a) % n for ell, n in zip(ells, orders))
         for a in map(group.residue, group.basis())
     ]
-    return ThetaProjection(group.n, AbelianGroup(orders), images)
+    return ThetaProjection(group.n, AbelianGroup(orders), images, None)
 
 
 def kurihara_number_via_ed(projection):
@@ -234,27 +230,31 @@ class DerivativeData:
 
 
 def derivative_data(projection, via):
-    """Literal expansion of D_d theta_d in F_p[Gal(Q(d)/Q)], from via's buckets.
+    """D_d theta_d in F_p[Gal(Q(d)/Q)], expanded literally from via's buckets.
 
-    D_l = sum k g_l^k with g_l the image of h_l, the l-th basis element; the
-    product of the D_l times the projection mod p must be the closed form
-    (-1)^nu(d) sum a_sigma prod log_{g_l}(sigma) = (-1)^nu(d) via mod p times
-    the norm element.
+    D_d is the product over l | d of D_l = sum k g_l^k, g_l the image of h_l
+    (the l-th basis element), so multiplying by D_l is a cyclic convolution
+    along axis l: on a line a of length n = |G_l|, c[0] = sum k a[-k] and
+    c[j+1] = c[j] + sum(a) - n a[j+1].  The buckets are read through
+    `items()` mod p, and the product is one pass over them per prime.  Every
+    coefficient must be the closed form (-1)^nu(d) sum a_sigma prod
+    log_{g_l}(sigma) = (-1)^nu(d) via mod p: a multiple of the norm element.
     """
-    p = projection.element.ring.p
-    ring = ResidueRing(p, 1)
-    projected = projection.element.change_ring(ring)
-    quotient = projected.group
-    deriv = GroupRingElement.one(quotient, ring)
-    for gl, order in zip(quotient.basis(), quotient.orders):
-        term = {tuple(k * x for x in gl): k for k in range(1, order)}
-        deriv = deriv * GroupRingElement(quotient, ring, term)
-    expansion = deriv * projected
+    element = projection.element
+    p, quotient = element.ring.p, element.group
+    buckets = dict(element.items())
+    a = [buckets.get(g, 0) % p for g in quotient.elements()]
+    size = stride = len(a)
+    for n in quotient.orders:
+        stride //= n  # the step between neighbours on this axis, in element order
+        for start in range(0, size, n * stride):
+            for i in range(start, start + stride):
+                line = a[i : i + n * stride : stride]
+                total, c = sum(line), sum(k * line[-k] for k in range(1, n)) % p
+                out = [c]
+                for x in line[1:]:
+                    c = (c + total - n * x) % p
+                    out.append(c)
+                a[i : i + n * stride : stride] = out
     closed = (-1) ** len(quotient.orders) * via % p
-    is_multiple = all(expansion.coefficient(g) == closed for g in quotient.elements())
-    return DerivativeData(
-        norm_coefficient=expansion.coefficient(quotient.identity),
-        closed_form=closed,
-        is_norm_multiple=is_multiple,
-        nonzero=not expansion.is_zero(),
-    )
+    return DerivativeData(a[0], closed, a.count(closed) == size, any(a))

@@ -166,7 +166,6 @@ class DeltaReport:
         generators = {ell: primitive_root(ell) for ell in self.sieved}
         if self.provenance.get("generators") != {str(l): g for l, g in generators.items()}:
             raise CorrectnessAlarm("the provenance's generators are not the sieve's h_l")
-        pk = p**m
         for d, row in self.table.items():
             factors = list(row.factors)
             if factors != sorted(generators.keys() & factors) or prod(factors) != d:
@@ -176,7 +175,8 @@ class DeltaReport:
                     f"delta_{d}: generators {row.generators} are not the provenance's"
                     f" for its factors {factors}"
                 )
-            if not 0 <= row.delta < pk:
+            # delta < 2^m < p^m needs no power of an unchecked m
+            if row.delta < 0 or row.delta.bit_length() > m and row.delta >= p**m:
                 raise CorrectnessAlarm(f"delta_{d} = {row.delta} is not an element of Z/{p}^{m}")
             if row.routes_agree is not True:
                 raise CorrectnessAlarm(f"delta_{d}: routes_agree is {row.routes_agree}")
@@ -345,12 +345,12 @@ def _conclude(report):
     divisor row is an alarm.  The dimension statement is about delta_d mod p,
     so at m >= 2 a row with delta_d = p*u counts as vanishing.  Sets
     delta_minimal, selmer_dim (the common nu of the minimal d), upper_bound
-    (the least nu of a d nonvanishing mod p), imc_witness (some delta_d != 0
-    in Z/p^m) and parity.  Minimal witnesses of distinct nu, and a parity
-    verdict of "fail", raise CorrectnessAlarm.
+    (the least nu of a d nonvanishing mod p), imc_witness (some delta_d != 0,
+    each row being in [0, p^m): no power of m is formed) and parity.  Minimal
+    witnesses of distinct nu, and a parity verdict of "fail", raise
+    CorrectnessAlarm.
     """
-    p, pk = report.p, report.p**report.m
-    table = report.table
+    p, table = report.p, report.table
 
     def is_minimal(d):
         factors = table[d].factors
@@ -368,7 +368,7 @@ def _conclude(report):
     report.delta_minimal = minimal
     report.selmer_dim = nus.pop() if nus else None
     report.upper_bound = min((len(table[d].factors) for d in nonzero), default=None)
-    report.imc_witness = any(row.delta % pk for row in table.values())
+    report.imc_witness = any(row.delta for row in table.values())
     w_E = report.root_number
     report.parity = (
         "skipped" if w_E is None or not minimal

@@ -31,3 +31,35 @@ def test_gc_phases_usage():
     )
     assert proc.returncode == 2
     assert "Usage" in proc.stderr
+
+
+def test_compile_cost_smoke():
+    # one JSON line: each module the benchmark child's imports load, with its
+    # lines (as in the file) and a positive compile time, and the totals
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "ci", "compile_cost.py"), "--repeat", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    modules = out["modules"]
+    assert out["repeat"] == 1
+    assert set(modules) == {"kurihara"} | {
+        f"kurihara.{name}" for name in (
+            "curve", "errors", "exactmath", "kolyvagin", "lseries", "mazurtate", "modsym",
+            "records", "search", "verifiers",
+        )
+    }
+    for name, entry in modules.items():
+        path = os.path.join(ROOT, "src", *name.split("."), "__init__.py")
+        if not os.path.exists(path):
+            path = os.path.join(ROOT, "src", *name.split(".")) + ".py"
+        with open(path) as fh:
+            assert entry["lines"] == len(fh.read().splitlines()), name
+        assert entry["compile_s"] > 0
+    assert out["total"]["lines"] == sum(m["lines"] for m in modules.values())
+    bad = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "ci", "compile_cost.py"), "--repeat", "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert bad.returncode == 2 and "Usage" in bad.stderr

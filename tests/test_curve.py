@@ -160,13 +160,16 @@ class TestCounting:
         assert counted == primes
 
     def test_divisibility_checks_l_once(self, e11, monkeypatch):
-        # count_divisible checks l itself, and the count it falls back on (5
-        # divides every #E(F_l) on 11a1) is the cached one, which does not
-        # check l again
+        # count_divisible checks l through the short model it makes (the
+        # cache is cleared, so the model is new), and the count it falls back
+        # on (5 divides every #E(F_l) on 11a1) is the cached one; while the
+        # model is kept, neither a second ask nor count_points checks l again
+        curve.short_model.cache_clear()
         checked = []
         is_prime = curve.is_prime
         monkeypatch.setattr(curve, "is_prime", lambda n: checked.append(n) or is_prime(n))
         assert count_divisible(e11, 10007, 5)
+        assert count_divisible(e11, 10007, 5) and count_points(e11, 10007) % 5 == 0
         assert checked == [10007]
 
     @pytest.mark.parametrize("ainvs, l, expected", [

@@ -1,9 +1,12 @@
+import os
 import random
+import sys
 from math import gcd
 
 import pytest
 
-from kurihara.curve import count_points, p_torsion_structure
+from kurihara import curve, exactmath
+from kurihara.curve import count_points, load_curve, p_torsion_structure
 from kurihara.errors import NotAUnit, NotSquarefree, PrimeNotKolyvagin
 from kurihara.exactmath import (
     AbelianGroup,
@@ -15,6 +18,7 @@ from kurihara.exactmath import (
 from kurihara import kolyvagin
 from kurihara.kolyvagin import (
     DLOG_TABLE_LIMIT,
+    DerivativeData,
     KolyvaginPrime,
     ThetaProjection,
     _dlog_bsgs,
@@ -27,8 +31,12 @@ from kurihara.kolyvagin import (
     sieved_factors,
 )
 from kurihara.mazurtate import plus_element, plus_values
+from kurihara.records import replace
 from test_curve import _p_torsion_count
 from conftest import residue_items, trivial_runs
+
+
+CURVES = os.path.join(os.path.dirname(__file__), "..", "curves")
 
 
 def walk(sym, d, p, m=1):
@@ -96,6 +104,56 @@ class TestSieve:
             assert (kp.ell - 1) % 25 == 0
             assert count_points(e37, kp.ell) % 25 == 0
 
+
+class TestOneValidation:
+    """Each sieve candidate is checked as a prime of good reduction once: by
+    the short model `count_divisible` makes, which the count and the torsion
+    classification reuse while it is kept."""
+
+    @pytest.mark.parametrize("name, p, bound, candidates, accepted", [
+        ("37a1", 5, 300, 15, 3), ("5077a1", 7, 2000, 45, 8),
+    ])
+    def test_one_primality_test_per_candidate(
+        self, name, p, bound, candidates, accepted, monkeypatch
+    ):
+        E = load_curve(os.path.join(CURVES, f"{name}.json"))
+        tested, asked = [], []
+        is_prime = exactmath.is_prime
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("kurihara") and vars(module).get("is_prime") is is_prime:
+                monkeypatch.setattr(module, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        predicate = kolyvagin.kolyvagin_predicate
+        monkeypatch.setattr(
+            kolyvagin, "kolyvagin_predicate",
+            lambda E, ell, *args: asked.append(ell) or predicate(E, ell, *args),
+        )
+        curve.short_model.cache_clear()  # every model new, so every check made
+        primes = sieve(E, p, 1, 0, bound)
+        assert (len(asked), len(primes)) == (candidates, accepted)
+        assert tested == asked
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["python", "python_O"])
+    def test_refusals(self, optimize, run_python, run_python_O):
+        # 361 = 19^2 = 1 mod 5 would hang sqrt_mod if it reached a point;
+        # 37 is bad on 37a1 and 1 mod 3; 5 is p
+        script = (
+            "import kurihara.curve as C\n"
+            "from kurihara.errors import BadPrime\n"
+            "from kurihara.kolyvagin import kolyvagin_predicate\n"
+            f"E = C.load_curve({os.path.join(CURVES, '37a1.json')!r})\n"
+            "cases = ((361, 5), (37, 3), (5, 5), (61, 5))\n"
+            "print([kolyvagin_predicate(E, l, p) for l, p in cases])\n"
+            "for count, args in ((C.count_divisible, (E, 361, 5)), (C.count_points, (E, 361))):\n"
+            "    try:\n"
+            "        count(*args)\n"
+            "    except BadPrime as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = run_python_O(script) if optimize else run_python(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[False, False, False, True]", "361 is not prime", "361 is not prime",
+        ]
 
 class TestDlog:
     def test_trivial_values(self, reg37):
@@ -359,7 +417,7 @@ class TestMirroredKeys:
         projection = _folded(sym389, 41 * 61, 5, reg)
         assert projection.quotient.orders == (5, 5)
         assert projection.element == _projection_from_every_dlog(walk(sym389, 41 * 61, 5), reg)
-        assert not projection.element.is_zero()
+        assert list(projection.element.items())  # theta_2501 projects to nonzero
 
 
 class TestNuTwo:
@@ -402,3 +460,109 @@ class TestRouteTriangle:
         via = kurihara_number_via_ed(projection)
         assert via == 2  # nonzero, so the relation below is not 0 == 0
         assert derivative_data(projection, via).norm_coefficient == -via % 5
+
+
+
+def _derivative_reference(projection, via):
+    """D_d theta_d mod p by generic group-ring products: D_l = sum k g_l^k
+    built as an element, one product per prime, then one with the projection."""
+    p = projection.element.ring.p
+    ring = ResidueRing(p, 1)
+    projected = projection.element.change_ring(ring)
+    quotient = projected.group
+    deriv = GroupRingElement.one(quotient, ring)
+    for gl, order in zip(quotient.basis(), quotient.orders):
+        term = {tuple(k * x for x in gl): k for k in range(1, order)}
+        deriv = deriv * GroupRingElement(quotient, ring, term)
+    expansion = deriv * projected
+    closed = (-1) ** len(quotient.orders) * via % p
+    return DerivativeData(
+        norm_coefficient=expansion.coefficient(quotient.identity),
+        closed_form=closed,
+        is_norm_multiple=all(expansion.coefficient(g) == closed for g in quotient.elements()),
+        nonzero=expansion != GroupRingElement.zero(quotient, ring),
+    )
+
+
+class TestDerivativeAgainstProducts:
+    @pytest.mark.parametrize("p, orders", [
+        (5, ()), (5, (5,)), (5, (25,)), (5, (5, 5)), (7, (7, 49)), (5, (5, 5, 5)), (7, (7, 7, 7)),
+    ], ids=str)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_generic_expansion(self, p, orders, m):
+        # random buckets, and (g_l - 1)-multiples, whose expansion is a norm
+        # multiple: D_l (g_l - 1) = n - N_l = -N_l mod p, as p | n = |G_l|
+        quotient, ring = AbelianGroup(orders), ResidueRing(p, m)
+        rng = random.Random(f"{orders} {m}")
+        shapes = set()
+        for kind in ("random", "norm") * 3:
+            x = GroupRingElement.from_values(
+                quotient, ring, tuple(rng.randrange(p**m) for _ in range(quotient.order))
+            )
+            if kind == "norm":
+                for gl in quotient.basis():
+                    x = x * (GroupRingElement.monomial(quotient, ring, gl)
+                             - GroupRingElement.one(quotient, ring))
+            projection = ThetaProjection(1, quotient, [], x)
+            via = kurihara_number_via_ed(projection)
+            got, want = derivative_data(projection, via), _derivative_reference(projection, via)
+            fields = ("norm_coefficient", "closed_form", "is_norm_multiple", "nonzero")
+            for name in fields:
+                assert getattr(got, name) == getattr(want, name), (kind, name)
+            assert kind == "random" or got.is_norm_multiple
+            shapes.add(got.is_norm_multiple)
+        assert shapes == ({True} if not orders else {True, False})
+
+
+def _identity_bumped(derivative):
+    """derivative_data reading the projection with 1 added to its identity
+    bucket, whose coordinates are all 0: via and direct are unchanged, and
+    only the derivative's norm-multiple check can see it."""
+    def bumped(projection, via):
+        x = projection.element
+        one = GroupRingElement.monomial(x.group, x.ring, x.group.identity)
+        return derivative(replace(projection, element=x + one), via)
+    return bumped
+
+
+class TestChangedBucket:
+    def test_changed_bucket_alarms(self, sym37, reg37, monkeypatch):
+        from kurihara import search
+        from kurihara.errors import CorrectnessAlarm
+
+        ring = ResidueRing(5)
+        assert search.delta_row(sym37, 61, ring, reg37).delta == 4
+        monkeypatch.setattr(search, "derivative_data", _identity_bumped(derivative_data))
+        with pytest.raises(CorrectnessAlarm, match="route disagreement at d=61") as info:
+            search.delta_row(sym37, 61, ring, reg37)
+        assert "via_ed=4" in str(info.value) and "is_norm_multiple=False" in str(info.value)
+
+    def test_changed_bucket_alarms_python_O(self, run_python_O):
+        proc = run_python_O(
+            "from kurihara import search\n"
+            "from kurihara.curve import load_curve\n"
+            "from kurihara.errors import CorrectnessAlarm\n"
+            "from kurihara.exactmath import ResidueRing\n"
+            "from kurihara.kolyvagin import sieve\n"
+            "from kurihara.modsym import build_space, extract_eigensymbol\n"
+            "from kurihara.exactmath import GroupRingElement\n"
+            "from kurihara.records import replace\n"
+            f"E = load_curve({os.path.join(CURVES, '37a1.json')!r})\n"
+            "sym = extract_eigensymbol(build_space(37), E)\n"
+            "reg = {kp.ell: kp for kp in sieve(E, 5, 1, 0, 300)}\n"
+            "row = search.delta_row(sym, 61, ResidueRing(5), reg)\n"
+            "derivative = search.derivative_data\n"
+            "def bumped(projection, via):\n"
+            "    x = projection.element\n"
+            "    one = GroupRingElement.monomial(x.group, x.ring, x.group.identity)\n"
+            "    return derivative(replace(projection, element=x + one), via)\n"
+            "search.derivative_data = bumped\n"
+            "try:\n"
+            "    search.delta_row(sym, 61, ResidueRing(5), reg)\n"
+            "    alarm = 'none'\n"
+            "except CorrectnessAlarm as exc:\n"
+            "    alarm = str(exc).split(':')[0]\n"
+            "print(row.delta, alarm)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "4 route disagreement at d=61"

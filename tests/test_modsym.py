@@ -697,7 +697,7 @@ class TestIntegerWalk:
             "from kurihara.modsym import EigenSymbol, build_space, extract_eigensymbol\n"
             f"E = load_curve({CURVE_37A1!r})\n"
             "sym = extract_eigensymbol(build_space(37), E)\n"
-            "print('BEFORE', plus_element(sym, 41, ResidueRing(5)).is_zero())\n"
+            "print('BEFORE', not list(plus_element(sym, 41, ResidueRing(5)).items()))\n"
             "try:\n"
             "    list(sym.plus_numerators(91, [1, 2, 7])[0])\n"
             "except CorrectnessAlarm as exc:\n"
@@ -742,7 +742,7 @@ class TestIntegerWalk:
             "from kurihara.modsym import EigenSymbol, build_space, extract_eigensymbol\n"
             f"E = load_curve({CURVE_37A1!r})\n"
             "sym = extract_eigensymbol(build_space(37), E)\n"
-            "print('BEFORE', plus_element(sym, 61, ResidueRing(5)).is_zero())\n"
+            "print('BEFORE', not list(plus_element(sym, 61, ResidueRing(5)).items()))\n"
             "original = EigenSymbol.plus_numerators\n"
             "def off_by_one(symbol, level, units):\n"
             "    totals, scale = original(symbol, level, units)\n"

@@ -109,6 +109,45 @@ class TestGoldenRuns:
         assert rep.selmer_dim == 1 and rep.upper_bound == 1
 
 
+class TestUncheckedM:
+    """A saved report's m is unchecked when its sieve is empty, as at 11a1,
+    p = 7, prime bound 10: a delta of at most m bits is below 2^m < p^m, so
+    no power of that m is formed."""
+
+    @staticmethod
+    def _saved(sym11, m, delta):
+        rep = selmer_report(find_delta_minimal(sym11, 7, prime_bound=10, nu_max=1))
+        assert rep.sieved == () and rep.table[1].delta == 3
+        obj = json.loads(json.dumps(rep.to_json()))
+        obj["m"], obj["delta_table"][0]["delta"] = m, delta
+        return DeltaReport.from_json(obj)
+
+    def test_large_m_forms_no_power(self, sym11):
+        import tracemalloc
+
+        rep = self._saved(sym11, 10**6, 3)
+        tracemalloc.start()
+        try:
+            assert rep.verify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 7^(10^6) alone is a 350 KB integer
+        assert peak < 64 * 1024, peak
+        assert rep.imc_witness
+
+    @pytest.mark.parametrize("m, delta, ok", [
+        (3, 7**3 - 1, True), (3, 7**3, False), (3, 7**3 + 7, False), (3, -1, False),
+        (10, 2**10 - 1, True), (10, 2**10, True), (10**6, 2**64, True), (2, 49, False),
+    ])
+    def test_delta_at_or_above_p_to_the_m_refused(self, sym11, m, delta, ok):
+        rep = self._saved(sym11, m, delta)
+        if ok:
+            assert rep.verify()
+        else:
+            with pytest.raises(CorrectnessAlarm, match=f"delta_1 = {delta} is not an element"):
+                rep.verify()
+
 class TestSearchMechanics:
     def test_exhausted_carries_table(self, sym37):
         with pytest.raises(SearchExhausted) as info:
