@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class JsonCache:
@@ -57,5 +57,3 @@ class JsonCache:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        return key
-

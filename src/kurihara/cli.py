@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 search exhausted, 3 correctness alarm,
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,6 +19,7 @@ from .errors import (
     IdentityFailure,
     KuriharaError,
     SearchExhausted,
+    UsageError,
 )
 from .exactmath import ResidueRing, is_prime
 from .kolyvagin import sieve
@@ -125,6 +127,15 @@ def _parser():
     return p
 
 
+def _check_m(p, m):
+    """Refuse an m whose residues mod p^m have more digits than str() takes
+    (judged by m log10 p, so that a large p^m is never formed)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and (m * math.log10(p) > limit + 1 or p**m > 10**limit):
+        raise UsageError(f"--m {m} is too large for p = {p}: residues mod {p}^{m} have"
+                         f" more than {limit} digits, Python's limit for printing an integer")
+
+
 def _emit(args, obj, text):
     if args.format == "json":
         print(json.dumps(obj, indent=1, sort_keys=True))
@@ -137,19 +148,6 @@ def _load_curve(args):
     if getattr(args, "assert_surjective", False) and args.p not in E.mod_p_surjective:
         E = replace(E, mod_p_surjective=tuple(E.mod_p_surjective) + (args.p,))
     return E
-
-
-def _cache(args):
-    """The search cache under `search --cache-dir`, or None.
-
-    The cache module, which loads hashlib and tempfile, is imported only when
-    there is a cache, and the key is computed only then.
-    """
-    if not args.cache_dir:
-        return None
-    from .cache import JsonCache
-
-    return JsonCache(args.cache_dir)
 
 
 def _load_symbol(E, calibrate):
@@ -275,6 +273,8 @@ def _dispatch(args):
         _emit(args, report.to_json(), report.to_text())
         return EXIT_OK
 
+    if getattr(args, "m", None) is not None:
+        _check_m(args.p, args.m)
     E = _load_curve(args)
 
     if cmd == "check":
@@ -321,21 +321,25 @@ def _dispatch(args):
 
     if cmd == "search":
         require_hypotheses(E, args.p)
-        sym = _load_symbol(E, args.assume_optimal)
-        cache = _cache(args)
-        obj = None
-        if cache:
+        cache = obj = None
+        if args.cache_dir:
+            from .cache import JsonCache  # hashlib and tempfile load only with a cache
+
+            cache = JsonCache(args.cache_dir)
+            # every input of the report and nothing computed from them, so
+            # that a hit does no modular-symbol work
             key = cache.key(
                 "search",
                 {
-                    "ainvs": list(E.ainvs()), "p": args.p, "m": args.m,
+                    "curve": {name: getattr(E, name) for name in E.__record_fields__},
+                    "assume_optimal": args.assume_optimal, "p": args.p, "m": args.m,
                     "prime_bound": args.prime_bound, "nu_max": args.nu_max,
                     "exhaustive": args.exhaustive, "root_number": args.root_number,
-                    "eigensymbol": sym.to_json(),
                 },
             )
             obj = cache.get(key)
         if obj is None:
+            sym = _load_symbol(E, args.assume_optimal)
             report = find_delta_minimal(
                 sym,
                 args.p,

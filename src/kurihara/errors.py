@@ -5,6 +5,10 @@ class KuriharaError(Exception):
     pass
 
 
+class UsageError(KuriharaError):
+    """Arguments that each parse but cannot go together, such as an --m too large for --p."""
+
+
 # exact arithmetic
 class MismatchedGroup(KuriharaError):
     pass

@@ -50,7 +50,10 @@ class UnitRoot:
 
 
 def unit_root(E, p, m):
-    """Hensel lift of the unit root of x^2 - a_p x + p to Z/p^m."""
+    """Hensel lift of the unit root of x^2 - a_p x + p to Z/p^m.
+
+    The root is simple (the other is 0 mod p), so Newton doubles the precision
+    of a_p mod p at each step: ceil(log2 m) + 1 steps reach p^m, one to spare."""
     if E.discriminant % p == 0:
         raise BadPrime(f"{p} is a prime of bad reduction")
     a_p = trace_of_frobenius(E, p)
@@ -58,7 +61,7 @@ def unit_root(E, p, m):
         raise Supersingular(f"a_p = {a_p} = 0 mod {p}")
     mod = p**m
     x = a_p % p
-    for _ in range(m + 1):
+    for _ in range((m - 1).bit_length() + 1):
         f = (x * x - a_p * x + p) % mod
         df = (2 * x - a_p) % mod
         x = (x - f * pow(df, -1, mod)) % mod

@@ -344,36 +344,6 @@ class ManinSpace:
                 raise CorrectnessAlarm(f"convergents of {a}/{d} are not unimodular")
         return out
 
-    def path_vector(self, a, d):
-        """Coordinates of the path {oo -> a/d}, as numerators over proj_den."""
-        v = [0] * self.dim
-        for i in self.path_symbols(a, d):
-            for r, x in self.proj_nums[i]:
-                v[r] += x
-        return v
-
-    def path_between(self, cusp1, cusp2):
-        """Numerators over proj_den of {cusp1 -> cusp2}; cusps are (num, den) pairs."""
-        v2 = self.path_vector(cusp2[0], cusp2[1])
-        v1 = self.path_vector(cusp1[0], cusp1[1])
-        return [x - y for x, y in zip(v2, v1)]
-
-    def fricke_matrix(self):
-        """Columns of the action of [0, -1; N, 0] on the plus quotient.
-
-        Column j is the image of free generator j, in free-basis coordinates
-        as numerators over proj_den.
-        """
-        cols = []
-        for j in self.free:
-            c, d = self.p1.reps[j]
-            a, b, ct, dt = _sl2_lift(c, d, self.N)
-            # symbol = {b/dt -> a/ct}; eta(p/q) = -q/(N p)
-            alpha = _cusp_normalize(-dt, self.N * b)
-            beta = _cusp_normalize(-ct, self.N * a)
-            cols.append(self.path_between(alpha, beta))
-        return cols
-
 
 def build_space(N):
     return ManinSpace(N)
@@ -389,7 +359,9 @@ class EigenSymbol:
 
     `vector` is a content-1 integral left eigenvector of every T_q (the dual
     action); `column` is the matching content-1 column eigenvector inside the
-    cuspidal subspace, kept for the boundary and Fricke checks.
+    cuspidal subspace, which the held-out and boundary checks of the
+    extraction read.  Outside the walk, the functional is read only through
+    `generator_values()`.
     """
 
     space: ManinSpace
@@ -457,19 +429,6 @@ class EigenSymbol:
                 yield total
 
         return totals(), self.calibration_unit / den
-
-    def to_json(self):
-        return {
-            "N": self.space.N,
-            "sign": 1,
-            "basis_dim": self.space.dim,
-            "vector": [str(x) for x in self.vector],
-            "hecke_pairs": [[q, aq] for q, aq in self.hecke_pairs],
-            "calibration": {
-                "status": self.calibration_status,
-                "unit": f"{self.calibration_unit.numerator}/{self.calibration_unit.denominator}",
-            },
-        }
 
 
 def eval_plus(symbol, a, d):
@@ -578,36 +537,39 @@ def extract_eigensymbol(space, E, calibrate=True):
         if sum(x * column[k] for k, x in row.items()):
             raise CorrectnessAlarm("the eigenline is not cuspidal")
 
-    status, unit = "uncalibrated", Fraction(1)
+    sym = EigenSymbol(
+        space, E, vector, column, pairs, tuple(holdout), tuple(chain_dims),
+        "uncalibrated", Fraction(1),
+    )
     if calibrate:
         _, rec = lseries.lratio(E)
         if rec is not None and rec != 0:
-            sym0 = EigenSymbol(
-                space, E, vector, column, pairs, tuple(holdout), tuple(chain_dims),
-                "uncalibrated", Fraction(1),
-            )
-            raw0 = eval_plus(sym0, 0, 1)
+            raw0 = eval_plus(sym, 0, 1)
             if raw0 == 0:
                 raise CalibrationError(
                     "L(E,1) != 0 numerically but the symbol vanishes at {oo -> 0}"
                 )
-            status, unit = "calibrated", rec / raw0
-    return EigenSymbol(
-        space, E, vector, column, pairs, tuple(holdout), tuple(chain_dims), status, unit
-    )
+            # the generator values do not read the unit, so they stay valid
+            sym.calibration_status, sym.calibration_unit = "calibrated", rec / raw0
+    return sym
 
 
 def fricke_eigenvalue(symbol):
-    """Eigenvalue of the Fricke involution on the eigensymbol line (+1 or -1)."""
-    w, den = symbol.vector, symbol.space.proj_den
-    # numerators over proj_den of the Fricke image of the functional
-    img = [sum(x * y for x, y in zip(w, col)) for col in symbol.space.fricke_matrix()]
-    eps = next((Fraction(x, den * y) for x, y in zip(img, w) if y), None)
-    if eps is None:
-        raise FrickeNotScalar("eigensymbol is zero")
-    for x, y in zip(img, w):
-        if x != eps * den * y:
-            raise FrickeNotScalar("Fricke image is not a scalar multiple; convention bug")
-    if eps not in (1, -1):
-        raise FrickeNotScalar(f"Fricke eigenvalue {eps} is not a sign")
-    return int(eps)
+    """Eigenvalue of the Fricke involution on the eigensymbol line (+1 or -1).
+
+    Free generator j is {b/d' -> a/c'} for its SL2(Z) lift; W_N = [0, -1; N, 0]
+    sends it to {eta(b/d') -> eta(a/c')}, eta(p/q) = -q/(N p), on which the
+    functional is `generator_values()` summed over the pieces of each end.
+    """
+    space, w = symbol.space, symbol.vector
+    nums, den = symbol.generator_values()
+
+    def value(p, q):  # the functional on {oo -> p/q}, over den
+        return sum(nums[i] for i in space.path_symbols(*_cusp_normalize(p, q)))
+
+    lifts = (_sl2_lift(*space.p1.reps[j], space.N) for j in space.free)
+    img = [value(-ct, space.N * a) - value(-dt, space.N * b) for a, b, ct, dt in lifts]
+    for eps in (1, -1):
+        if any(w) and img == [eps * den * x for x in w]:
+            return eps
+    raise FrickeNotScalar("the Fricke image of the functional is not +-1 times it; convention bug")

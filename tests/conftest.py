@@ -6,7 +6,7 @@ import pytest
 
 from kurihara.curve import CurveData, load_curve
 from kurihara.exactmath import AbelianGroup
-from kurihara.modsym import build_space, extract_eigensymbol
+from kurihara.modsym import _cusp_normalize, _sl2_lift, build_space, extract_eigensymbol
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +65,35 @@ def residue_items(element):
     """(a, c) per unit a mod n of an element over (Z/n)^*, zeros included."""
     group = element.group
     return zip(residues(group), map(element.coefficient, group.elements()))
+
+
+def path_vector(space, a, d):
+    """Coordinates of the path {oo -> a/d}, as numerators over proj_den.
+
+    The coordinate pairing the package read before `generator_values()` was
+    its one reading of the functional; kept here as a reference.
+    """
+    v = [0] * space.dim
+    for i in space.path_symbols(a, d):
+        for r, x in space.proj_nums[i]:
+            v[r] += x
+    return v
+
+
+def fricke_matrix(space):
+    """Columns of the action of [0, -1; N, 0] on the plus quotient.
+
+    Column j is the image of free generator j = {b/d' -> a/c'}, the path
+    between eta(b/d') and eta(a/c') with eta(p/q) = -q/(N p), in free-basis
+    coordinates as numerators over proj_den.
+    """
+    cols = []
+    for j in space.free:
+        a, b, ct, dt = _sl2_lift(*space.p1.reps[j], space.N)
+        beta = path_vector(space, *_cusp_normalize(-ct, space.N * a))
+        alpha = path_vector(space, *_cusp_normalize(-dt, space.N * b))
+        cols.append([x - y for x, y in zip(beta, alpha)])
+    return cols
 
 
 def _run_script(script, *flags, timeout=300):

@@ -21,6 +21,7 @@ from kurihara.verifiers import (
     verify_coset_lemma,
 )
 from kurihara.search import attach_parity, find_delta_minimal, selmer_report
+from conftest import path_vector
 from test_kolyvagin import direct_number, routes
 
 
@@ -143,7 +144,7 @@ def test_criterion_5_modular_symbols_core(sym11, sym37, e37):
         a = rng.randrange(1, 3 * d)
         if gcd(a, d) != 1:
             continue
-        assert sym11.space.path_vector(a, d) == sym11.space.path_vector(a + d, d)
+        assert path_vector(sym11.space, a, d) == path_vector(sym11.space, a + d, d)
         done += 1
     _report("5 (modular-symbols core)", t0)
 

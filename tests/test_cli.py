@@ -103,6 +103,49 @@ class TestExitCodes:
         assert "error: " in capsys.readouterr().err
 
 
+class TestLargeM:
+    @pytest.mark.parametrize("m", ["6000", "3000000"])
+    @pytest.mark.parametrize("argv", [
+        ["sieve", "--curve", curve_path("11a1"), "--p", "7", "--bound", "10"],
+        ["theta", "--curve", curve_path("11a1"), "--p", "7", "--kind", "vartheta"],
+        ["delta", "--curve", curve_path("11a1"), "--p", "7", "--bound", "10"],
+        ["search", "--curve", curve_path("11a1"), "--p", "7", "--prime-bound", "10"],
+    ], ids=["sieve", "theta", "delta", "search"])
+    def test_m_past_the_print_limit_exits_64(self, argv, m, capsys, monkeypatch):
+        # refused before the curve is read or p^m formed: the sieve, theta
+        # and the search are never reached
+        import kurihara.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the m check comes first")
+
+        monkeypatch.setattr(cli, "load_curve", unreachable)
+        assert main(argv + ["--m", m]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --m {m} is too large for p = 7")
+
+    def test_limit_is_exact(self, monkeypatch):
+        # under Python's default limit of 4300 digits, 7^5088 - 1 has 4300
+        # and prints, 7^5089 - 1 has 4301
+        from kurihara.cli import _check_m
+        from kurihara.errors import UsageError
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        assert 7**5088 - 1 < 10**4300 <= 7**5089 - 1
+        _check_m(7, 5088)
+        with pytest.raises(UsageError):
+            _check_m(7, 5089)
+
+    def test_m_2000_still_prints(self, capsys):
+        argv = ["search", "--curve", curve_path("11a1"), "--p", "7", "--prime-bound", "10",
+                "--m", "2000"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "curve 11a1, p = 7 (mod p^2000)"
+        assert lines[2].startswith("  delta_1 = 1256521764494529687261620711527")
+
+
 class TestSubcommands:
     def test_sieve_output(self, capsys):
         code = main(
@@ -397,10 +440,11 @@ class TestFlags:
         args = SEARCH_11 + ["--cache-dir", cache_dir, "--format", fmt]
         assert main(args) == 0
         first = capsys.readouterr().out
-        # the search report alone, under the key that earlier versions wrote
-        # (it holds the eigensymbol's JSON), so their cache directories hit
+        # the search report alone, under a key of the inputs (schema 2):
+        # the key of earlier versions held the eigensymbol's JSON instead of
+        # the curve record, and served one record's report for another
         assert os.listdir(cache_dir) == [
-            "438ca4da47b099c6754f487ed92947acc85934af7b4c23a6d4bf7e2d7361e2a5.json"
+            "2c2b6e65392fbeebf4195e0dfcd371e34b508fc618ac2a0eac3b687411338e3e.json"
         ]
 
         def recomputed(*args, **kwargs):
@@ -409,6 +453,59 @@ class TestFlags:
         monkeypatch.setattr(cli, "find_delta_minimal", recomputed)
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    @staticmethod
+    def _copy_11a1(tmp_path, **changes):
+        """A copy of the 11a1 record with `changes`, and its path."""
+        record = json.loads(Path(curve_path("11a1")).read_text())
+        record.update(changes)
+        path = tmp_path / f"{record['label']}.json"
+        path.write_text(json.dumps(record))
+        return str(path)
+
+    @staticmethod
+    def _search(curve, *extra):
+        """Exit code and stdout of a small 11a1-like search."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["search", "--curve", curve, "--p", "7", "--prime-bound", "200",
+                         "--nu-max", "1", "--format", "json", *extra])
+        return code, out.getvalue()
+
+    def test_relabelled_record_misses_the_cache(self, tmp_path):
+        # the same curve under another label, with no surjectivity stated:
+        # the key holds the record, so the cached report is not served
+        cache = ["--cache-dir", str(tmp_path / "c")]
+        copy_path = self._copy_11a1(tmp_path, label="11a1-copy", mod_p_surjective=[])
+        assert self._search(curve_path("11a1"), *cache)[0] == 0
+        fresh = self._search(copy_path)
+        assert self._search(copy_path, *cache) == fresh
+        report = json.loads(fresh[1])
+        assert report["curve"] == "11a1-copy"
+        assert report["provenance"]["hypotheses"]["surjectivity"] == "heuristically-confirmed"
+        assert len(os.listdir(tmp_path / "c")) == 2
+
+    def test_asserted_surjectivity_misses_the_cache(self, tmp_path):
+        cache = ["--cache-dir", str(tmp_path / "c")]
+        copy_path = self._copy_11a1(tmp_path, mod_p_surjective=[])
+        assert self._search(copy_path, *cache)[0] == 0
+        fresh = self._search(copy_path, "--assert-surjective")
+        assert self._search(copy_path, "--assert-surjective", *cache) == fresh
+        assert json.loads(fresh[1])["provenance"]["hypotheses"]["surjectivity"] == "asserted"
+        assert len(os.listdir(tmp_path / "c")) == 2
+
+    def test_hit_does_no_modular_symbol_work(self, tmp_path, monkeypatch):
+        import kurihara.cli as cli
+
+        cache = ["--cache-dir", str(tmp_path / "c")]
+        first = self._search(curve_path("11a1"), *cache)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a cache hit must not build the eigensymbol")
+
+        monkeypatch.setattr(cli, "build_space", refused)
+        monkeypatch.setattr(cli, "extract_eigensymbol", refused)
+        assert self._search(curve_path("11a1"), *cache) == first
 
     def test_selftest_with_identity_suite(self, capsys):
         code = main(["selftest", "--coset-dim", "3", "--curve",

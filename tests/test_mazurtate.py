@@ -57,6 +57,24 @@ class TestUnitRoot:
         assert (root.alpha**2 - (-2) * root.alpha + 5) % 125 == 0
         assert root.alpha % 5 == 3
 
+    @pytest.mark.parametrize("curve, p", [("e11", 7), ("e37", 5), ("e37", 7)])
+    def test_newton_matches_digit_by_digit_lift(self, request, curve, p):
+        # reference: from the root a_p mod p (the other root is 0 mod p),
+        # the one base-p digit m that makes it a root mod p^(m + 1)
+        E = request.getfixturevalue(curve)
+        a_p = trace_of_frobenius(E, p)
+        x = a_p % p
+        for m in range(1, 41):
+            assert unit_root(E, p, m).alpha == x
+            (x,) = [y for y in range(x, p ** (m + 1), p**m)
+                    if (y * y - a_p * y + p) % p ** (m + 1) == 0]
+
+    def test_root_at_m_2000(self, e11):
+        root = unit_root(e11, 7, 2000)
+        mod = 7**2000
+        assert (root.alpha**2 + 2 * root.alpha + 7) % mod == 0
+        assert root.alpha % 7 == -2 % 7
+
     def test_supersingular(self, e37):
         with pytest.raises(Supersingular):
             unit_root(e37, 19, 1)  # a_19 = 0

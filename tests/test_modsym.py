@@ -29,7 +29,7 @@ from kurihara.modsym import (
     merel_matrices,
 )
 from kurihara.records import replace
-from conftest import residue_items, residues
+from conftest import fricke_matrix, path_vector, residue_items, residues
 
 
 @pytest.fixture(scope="module")
@@ -487,8 +487,8 @@ class TestEvalPlus:
             a = rng.randrange(1, d)
             if gcd(a, d) != 1:
                 continue
-            v1 = sym37.space.path_vector(a, d)
-            v2 = sym37.space.path_vector(a + d, d)
+            v1 = path_vector(sym37.space, a, d)
+            v2 = path_vector(sym37.space, a + d, d)
             assert v1 == v2
 
     @pytest.mark.parametrize("d, count, digest", [
@@ -551,8 +551,9 @@ class TestHalfWalk:
 
     def test_star_certificate_on_cached_symbol(self, e11):
         # the generator values are certified on first use, before they are
-        # cached; a fresh space keeps the shared fixtures unbroken
-        fresh = extract_eigensymbol(build_space(11), e11)
+        # cached; a fresh space keeps the shared fixtures unbroken, and a
+        # copy starts without the values the calibration cached
+        fresh = replace(extract_eigensymbol(build_space(11), e11))
         _break_star_pair(fresh.space, fresh.vector)
         with pytest.raises(CorrectnessAlarm, match="star image"):
             fresh.generator_values()
@@ -814,9 +815,20 @@ class TestFricke:
         assert fricke_eigenvalue(sym11) == -1
         assert fricke_eigenvalue(sym37) == 1
 
+    @pytest.mark.parametrize("name", ["sym15", "sym11", "sym37", "sym389"])
+    def test_image_matches_the_coordinate_pairing(self, request, name):
+        # fricke_eigenvalue returns eps only when its image of the functional
+        # is eps * proj_den * w; the dense Fricke matrix, the reading that
+        # generator values replaced, must give that same vector entry by entry
+        sym = request.getfixturevalue(name)
+        eps = fricke_eigenvalue(sym)
+        cols = fricke_matrix(sym.space)
+        image = [sum(x * y for x, y in zip(sym.vector, col)) for col in cols]
+        assert image == [eps * sym.space.proj_den * x for x in sym.vector]
+
     def test_involution_squares_to_one(self, sym37):
         # column j is the image of basis vector j, as numerators over proj_den
-        cols = sym37.space.fricke_matrix()
+        cols = fricke_matrix(sym37.space)
         n = sym37.space.dim
         # column j of proj_den^2 W^2 is W applied to column j of W
         W2 = [[sum(col[k] * cols[k][r] for k in range(n)) for r in range(n)] for col in cols]
