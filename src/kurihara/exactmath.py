@@ -5,6 +5,9 @@ groups presented as products of cyclic groups, unit groups (Z/n)^* with their
 CRT presentation, group rings, and exact linear algebra: one sparse exact
 echelon over Q, on primitive integer rows, serves the Manin quotient, the
 kernels and the eigenlines.
+Every level the package forms is d p^n with d squarefree and p odd, so 4 does
+not divide it and each prime l | d divides it once; (Z/n)^* is presented for
+these n only, one cyclic factor per odd prime power.
 Group elements are numbered in mixed-radix order (the last coordinate
 fastest).  A group-ring element is stored flat, one coefficient per group
 element in that order, and a homomorphism is an index array (the codomain
@@ -110,14 +113,15 @@ def factorize(n):
 
 
 def primitive_root(q, e=1):
-    """Smallest primitive root modulo q^e for an odd prime q (or q^e in {2,4})."""
-    mod = q**e
-    if mod == 2:
-        return 1
-    if mod == 4:
-        return 3
+    """Smallest primitive root modulo q^e for an odd prime q.
+
+    The levels are d p^n with d squarefree and p odd, so 4 does not divide
+    them and each l | d divides them once: their unit groups need roots
+    modulo odd prime powers only, and an even q raises ValueError.
+    """
     if q % 2 == 0:
         raise ValueError(f"no primitive root modulo {q}^{e}")
+    mod = q**e
     order = (q - 1) * q ** (e - 1)
     qfactors = list(factorize(order))
     g = 2
@@ -342,31 +346,27 @@ class AbelianGroup:
 
 
 class UnitGroup(AbelianGroup):
-    """(Z/n)^* presented via CRT and a primitive root per odd prime power.
+    """(Z/n)^* for 4 not dividing n, via CRT and a primitive root per odd prime power.
 
-    Group elements are exponent tuples; `sigma(a)` and `residue(t)` translate
-    between residues a mod n (coprime to n) and tuples.  Factors of order 1
-    are dropped, so (Z/1)^* and (Z/2)^* are the trivial group ().
+    Each level is d p^n with d squarefree and p odd, so 4 does not divide it
+    and each l | d divides it once; n with 4 | n is refused by ValueError.
+    Each factor is an odd prime power q^e with its smallest primitive root;
+    the factor 2 has order 1 and is dropped, so (Z/1)^* and (Z/2)^* are the
+    trivial group ().  Group elements are exponent tuples; `sigma(a)` and
+    `residue(t)` translate between residues a mod n (coprime to n) and tuples.
     """
 
     def __init__(self, n):
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
+        if n % 4 == 0:
+            raise ValueError(f"4 divides the modulus {n}: levels are d p^n, d squarefree, p odd")
         self.n = n
-        factors = []  # (prime_power, generator, order)
-        for q, e in sorted(factorize(n).items()):
-            qe = q**e
-            if q == 2:
-                if e == 2:
-                    factors.append((4, 3, 2))
-                elif e >= 3:
-                    factors.append((qe, qe - 1, 2))
-                    factors.append((qe, 3, 2 ** (e - 2)))
-                # e == 1 contributes nothing
-            else:
-                factors.append((qe, primitive_root(q, e), (q - 1) * q ** (e - 1)))
-        self.factors = tuple(factors)
-        super().__init__(tuple(f[2] for f in factors))
+        self.factors = tuple(  # (prime_power, generator, order)
+            (q**e, primitive_root(q, e), (q - 1) * q ** (e - 1))
+            for q, e in sorted(factorize(n).items()) if q > 2
+        )
+        super().__init__(tuple(f[2] for f in self.factors))
         self._dlog_tables = None
 
     def _tables(self):
@@ -387,23 +387,7 @@ class UnitGroup(AbelianGroup):
         a %= self.n
         if gcd(a, self.n) != 1:
             raise NotAUnit(f"{a} is not a unit mod {self.n}")
-        tables = self._tables()
-        out = []
-        i = 0
-        for qe, g, order in self.factors:
-            r = a % qe
-            if qe % 2 == 0 and qe >= 8 and g == qe - 1:
-                # sign coordinate of (Z/2^e)^* = <-1> x <3>: x lies in <3>
-                # exactly when x = 1 or 3 mod 8
-                out.append(0 if r % 8 in (1, 3) else 1)
-                i += 1
-                continue
-            if qe % 2 == 0 and qe >= 8 and g == 3:
-                if r % 8 not in (1, 3):
-                    r = -r % qe
-            out.append(tables[i][r])
-            i += 1
-        return tuple(out)
+        return tuple([t[a % qe] for t, (qe, _, _) in zip(self._tables(), self.factors)])
 
     def residue(self, t):
         """Residue a mod n represented by the exponent tuple t."""

@@ -30,7 +30,6 @@ from .exactmath import (
     norm_map,
     unit_group,
     unit_reduction,
-    xgcd,
 )
 from .modsym import eval_plus
 from .records import record
@@ -161,27 +160,15 @@ def theta(symbol, d, n=0, p=None):
 def _sigma_ell(group, ell):
     """sigma_ell in (Z/D)^* for the level D of `group`.
 
-    For ell | D (necessarily to the first power here), the Frobenius at ell
-    only makes sense on the prime-to-ell component: take the class that is
-    1 on mu_ell and ell elsewhere.  For ell coprime to D it is plain sigma_ell.
+    For ell coprime to D it is plain sigma_ell.  Each level is d p^n with d
+    squarefree and p odd, so an ell | D divides it once; there the Frobenius
+    at ell only makes sense on the prime-to-ell component, and is the class
+    that is 1 mod ell and ell mod r = D/ell: ell + r (r^-1 mod ell).
     """
-    D = group.n
-    if D % ell != 0:
+    r, rem = divmod(group.n, ell)
+    if rem:
         return group.sigma(ell)
-    rest = D
-    v = 0
-    while rest % ell == 0:
-        rest //= ell
-        v += 1
-    lv = ell**v
-    if rest == 1:
-        return group.identity
-    # CRT: x = 1 mod ell^v, x = ell mod rest
-    g, u, w = xgcd(lv, rest)
-    if g != 1:
-        raise CorrectnessAlarm(f"gcd({lv}, {rest}) = {g} after removing {ell} from {D}")
-    x = (1 * w * rest + (ell % rest) * u * lv) % D
-    return group.sigma(x)
+    return group.sigma(ell + r * pow(r, -1, ell))
 
 
 def stabilization_scalar(group, root):

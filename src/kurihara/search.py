@@ -46,45 +46,32 @@ def _is_int_or_null(x):
     return x is None or _is_int(x)
 
 
-# the fields of a saved report and of each of its rows: (accepts, what it must be)
-_REPORT_FIELDS = {
-    "curve": (lambda x: type(x) is str, "a string"),
-    "p": (lambda x: _is_int(x) and x >= 2, "an integer >= 2"),
-    "m": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
-    "prime_bound": (_is_int, "an integer"),
-    "nu_max": (_is_int, "an integer"),
-    "sieved_primes": (_is_ints, "a list of integers"),
-    "delta_table": (lambda x: type(x) is list, "a list of rows"),
-    "delta_minimal": (_is_ints, "a list of integers"),
-    "selmer_dim": (_is_int_or_null, "an integer or null"),
-    "upper_bound": (_is_int_or_null, "an integer or null"),
-    "imc_witness": (lambda x: type(x) is bool, "true or false"),
-    "parity": (lambda x: type(x) is str, "a string"),
-    "root_number": (_is_int_or_null, "an integer or null"),
-    "provenance": (lambda x: type(x) is dict, "an object"),
-}
-_ROW_FIELDS = {
-    "d": (_is_int, "an integer"),
-    "factors": (_is_ints, "a list of integers"),
-    "delta": (_is_int, "an integer"),
-    "routes_agree": (lambda x: type(x) is bool, "true or false"),
-    "generators": (
-        lambda x: type(x) is dict
-        and all(type(k) is str and k.isdecimal() and _is_int(g) for k, g in x.items()),
-        "an object from primes to integers",
-    ),
-}
+def _same(x):
+    return x
 
 
-def _check_fields(obj, fields, where):
-    """Raise BadReport unless `obj` is a JSON object with each field well typed."""
+def _field(name, accepts, want, attr=None, out=_same, into=_same):
+    """One JSON field of a saved record, in the order it is written: (JSON
+    name, attribute, accepts, what it must be, attribute to JSON, JSON to
+    attribute)."""
+    return name, attr or name, accepts, want, out, into
+
+
+def _to_json(rec, fields):
+    return {name: out(getattr(rec, attr)) for name, attr, _, _, out, _ in fields}
+
+
+def _from_json(cls, obj, fields, where):
+    """`cls` from the JSON object `obj`; BadReport unless each field is there
+    and well typed, all checked before any is converted."""
     if type(obj) is not dict:
         raise BadReport(f"{where} is not a JSON object")
-    for name, (accepts, want) in fields.items():
+    for name, _, accepts, want, _, _ in fields:
         if name not in obj:
             raise BadReport(f"{where} has no {name!r}")
         if not accepts(obj[name]):
             raise BadReport(f"{where}: {name!r} must be {want}, got {obj[name]!r}")
+    return cls(**{attr: into(obj[name]) for name, attr, _, _, _, into in fields})
 
 
 @record
@@ -96,23 +83,38 @@ class DeltaRow:
     generators: dict
 
     def to_json(self):
-        return {
-            "d": self.d,
-            "factors": list(self.factors),
-            "delta": self.delta,
-            "routes_agree": self.routes_agree,
-            "generators": {str(l): g for l, g in self.generators.items()},
-        }
+        return _to_json(self, _ROW_FIELDS)
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            obj["d"],
-            tuple(obj["factors"]),
-            obj["delta"],
-            obj["routes_agree"],
-            {int(l): g for l, g in obj["generators"].items()},
-        )
+        """Inverse of to_json; BadReport when a field is missing or mistyped."""
+        return _from_json(cls, obj, _ROW_FIELDS, "delta_table row")
+
+
+_ROW_FIELDS = (
+    _field("d", _is_int, "an integer"),
+    _field("factors", _is_ints, "a list of integers", out=list, into=tuple),
+    _field("delta", _is_int, "an integer"),
+    _field("routes_agree", lambda x: type(x) is bool, "true or false"),
+    _field(
+        "generators",
+        lambda x: type(x) is dict
+        and all(type(k) is str and k.isdecimal() and _is_int(g) for k, g in x.items()),
+        "an object from primes to integers",
+        out=lambda gens: {str(l): g for l, g in gens.items()},
+        into=lambda gens: {int(l): g for l, g in gens.items()},
+    ),
+)
+
+
+def _table_from_json(rows):
+    table = {}
+    for obj in rows:
+        row = DeltaRow.from_json(obj)
+        if row.d in table:
+            raise BadReport(f"delta_table lists d={row.d} twice")
+        table[row.d] = row
+    return table
 
 
 @record
@@ -194,22 +196,7 @@ class DeltaReport:
         return True
 
     def to_json(self):
-        return {
-            "curve": self.curve,
-            "p": self.p,
-            "m": self.m,
-            "prime_bound": self.prime_bound,
-            "nu_max": self.nu_max,
-            "sieved_primes": list(self.sieved),
-            "delta_table": [self.table[d].to_json() for d in sorted(self.table)],
-            "delta_minimal": list(self.delta_minimal),
-            "selmer_dim": self.selmer_dim,
-            "upper_bound": self.upper_bound,
-            "imc_witness": self.imc_witness,
-            "parity": self.parity,
-            "root_number": self.root_number,
-            "provenance": self.provenance,
-        }
+        return _to_json(self, _REPORT_FIELDS)
 
     @classmethod
     def from_json(cls, obj):
@@ -217,29 +204,7 @@ class DeltaReport:
 
         Only the shape is checked here; `verify` checks what the fields say.
         """
-        _check_fields(obj, _REPORT_FIELDS, "report")
-        table = {}
-        for row in obj["delta_table"]:
-            _check_fields(row, _ROW_FIELDS, "delta_table row")
-            if row["d"] in table:
-                raise BadReport(f"delta_table lists d={row['d']} twice")
-            table[row["d"]] = DeltaRow.from_json(row)
-        return cls(
-            curve=obj["curve"],
-            p=obj["p"],
-            m=obj["m"],
-            prime_bound=obj["prime_bound"],
-            nu_max=obj["nu_max"],
-            sieved=tuple(obj["sieved_primes"]),
-            table=table,
-            delta_minimal=tuple(obj["delta_minimal"]),
-            selmer_dim=obj["selmer_dim"],
-            upper_bound=obj["upper_bound"],
-            imc_witness=obj["imc_witness"],
-            parity=obj["parity"],
-            root_number=obj["root_number"],
-            provenance=obj["provenance"],
-        )
+        return _from_json(cls, obj, _REPORT_FIELDS, "report")
 
     def to_text(self):
         lines = [
@@ -259,6 +224,25 @@ class DeltaReport:
         lines.append(f"IMC witness: {self.imc_witness}")
         lines.append(f"parity: {self.parity} (w_E = {self.root_number})")
         return "\n".join(lines)
+
+
+_REPORT_FIELDS = (
+    _field("curve", lambda x: type(x) is str, "a string"),
+    _field("p", lambda x: _is_int(x) and x >= 2, "an integer >= 2"),
+    _field("m", lambda x: _is_int(x) and x >= 1, "a positive integer"),
+    _field("prime_bound", _is_int, "an integer"),
+    _field("nu_max", _is_int, "an integer"),
+    _field("sieved_primes", _is_ints, "a list of integers", attr="sieved", out=list, into=tuple),
+    _field("delta_table", lambda x: type(x) is list, "a list of rows", attr="table",
+           out=lambda table: [table[d].to_json() for d in sorted(table)], into=_table_from_json),
+    _field("delta_minimal", _is_ints, "a list of integers", out=list, into=tuple),
+    _field("selmer_dim", _is_int_or_null, "an integer or null"),
+    _field("upper_bound", _is_int_or_null, "an integer or null"),
+    _field("imc_witness", lambda x: type(x) is bool, "true or false"),
+    _field("parity", lambda x: type(x) is str, "a string"),
+    _field("root_number", _is_int_or_null, "an integer or null"),
+    _field("provenance", lambda x: type(x) is dict, "an object"),
+)
 
 
 def delta_row(symbol, d, ring, registry):

@@ -329,6 +329,11 @@ def run_identity_suite(
         )
     }
 
+    def record_check(name, held, instance):
+        results[name].instances += 1
+        if not held:
+            results[name].failures.append(instance)
+
     ds = _squarefree_good(E, p, d_ell_max)
     for m in range(1, m_max + 1):
         ring = ResidueRing(p, m)
@@ -348,20 +353,12 @@ def run_identity_suite(
                     hom = unit_reduction(xdl.group, xd.group)
                     lhs = projection_map(xdl, hom)
                     rhs = frobenius_factor(E, ell, xd.group, ring) * xd
-                    results["xi_norm_relation"].instances += 1
-                    if lhs != rhs:
-                        results["xi_norm_relation"].failures.append(
-                            (d, ell, n, m)
-                        )
+                    record_check("xi_norm_relation", lhs == rhs, (d, ell, n, m))
                     vdl = stabilized(d * ell, n, m)
                     homv = unit_reduction(vdl.group, vd.group)
                     lhsv = projection_map(vdl, homv)
                     rhsv = euler_factor(E, ell, vd.group, ring) * vd
-                    results["vartheta_euler_relation"].instances += 1
-                    if lhsv != rhsv:
-                        results["vartheta_euler_relation"].failures.append(
-                            (d, ell, n, m)
-                        )
+                    record_check("vartheta_euler_relation", lhsv == rhsv, (d, ell, n, m))
 
     # bottom-layer stabilization bridge and unit-ness of the scalar
     for m in range(1, m_max + 1):
@@ -370,18 +367,14 @@ def run_identity_suite(
             v1 = stabilized(d, 1, m)
             v0 = stabilized(d, 0, m)
             hom = unit_reduction(v1.group, v0.group)
-            results["stabilization_bridge"].instances += 1
-            if projection_map(v1, hom) != v0:
-                results["stabilization_bridge"].failures.append((d, m))
+            record_check("stabilization_bridge", projection_map(v1, hom) == v0, (d, m))
             # the scalar is a unit in the ring where the derivative machinery
             # lives, Z/p^m over the p-part quotient Gal(Q(d)/Q).  A group ring
             # of a p-group over Z/p^m is local: an element is a unit exactly
             # when its augmentation is a unit mod p.  Projecting to the
             # quotient keeps the augmentation, so it is read here directly.
             scal = stabilization_scalar(v0.group, root)
-            results["stabilizer_unit"].instances += 1
-            if not scal.ring.is_unit(scal.augmentation()):
-                results["stabilizer_unit"].failures.append((d, m))
+            record_check("stabilizer_unit", scal.ring.is_unit(scal.augmentation()), (d, m))
 
     # route identities over sieved products (vacuous when the sieve is empty)
     primes = sieve(E, p, 1, 0, route_prime_bound)
@@ -415,9 +408,8 @@ def run_identity_suite(
         alt_reg[kp.ell] = KolyvaginPrime(kp.ell, kp.p, pow(kp.generator, u, kp.ell))
         base = delta_row(symbol, kp.ell, mod_p, registry)
         twisted = delta_row(symbol, kp.ell, mod_p, alt_reg)
-        results["generator_covariance"].instances += 1
-        if twisted.delta != base.delta * pow(u, -1, p) % p:
-            results["generator_covariance"].failures.append((kp.ell, u))
+        held = twisted.delta == base.delta * pow(u, -1, p) % p
+        record_check("generator_covariance", held, (kp.ell, u))
 
     # projective system across n for small d
     for d in _squarefree_good(E, p, min(20, d_ell_max)):
@@ -425,9 +417,7 @@ def run_identity_suite(
             vtop = stabilized(d, n + 1, 1)
             vlow = stabilized(d, n, 1)
             hom = unit_reduction(vtop.group, vlow.group)
-            results["projective_system"].instances += 1
-            if projection_map(vtop, hom) != vlow:
-                results["projective_system"].failures.append((d, n))
+            record_check("projective_system", projection_map(vtop, hom) == vlow, (d, n))
 
     vacuous = any(r.instances == 0 for r in results.values())
     failures = [

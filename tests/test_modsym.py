@@ -535,7 +535,7 @@ def _full_walk(symbol, d, p):
 class TestHalfWalk:
     """The walk evaluates a <= d/2 and reads d - a from a (star certificate)."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 12, 17, 30, 61, 211, 2501])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 17, 18, 30, 61, 211, 2501])
     def test_mirrored_walk_equals_full_walk(self, sym11, sym37, sym389, d):
         for sym, p in ((sym11, 7), (sym37, 5), (sym389, 5)):
             walked = plus_element(sym, d, ResidueRing(p))
@@ -624,10 +624,11 @@ class TestIntegerWalk:
     def test_denominator_p_raised_where_coerce_raises(self, sym11):
         # unit 1/5 on 11a1: at p = 5 a level is refused exactly when one of
         # its values has 5 in its denominator, with the same message; a
-        # symbol scaled by 5 is 5-integral at every level
+        # symbol scaled by 5 is 5-integral at every level (every level below
+        # 60 that 11 and 4 do not divide: no level d p^n is a multiple of 4)
         fives = replace(sym11, calibration_unit=Fraction(1))
         for level in range(1, 60):
-            if level % 11:
+            if level % 11 and level % 4:
                 walked, reference = _walk_against_eval_plus(sym11, level, ResidueRing(5))
                 assert walked == reference and isinstance(walked, str), level
                 walked, reference = _walk_against_eval_plus(fives, level, ResidueRing(5, 2))
